@@ -20,14 +20,13 @@ from .fixtures import builtin_fixtures
 from .generator import GeneratorConfig, generate
 from .greedy import check_amms
 from .instances import (
-    Allocation,
-    Instance,
+    _load_json,
     allocation_to_json,
     instance_to_json,
     load_allocation,
     load_instance,
 )
-from .oracle import MmsProfile, OracleLimits, mms_profile
+from .oracle import OracleLimits, mms_profile
 from .scheduling import schedule_119, schedule_lpt
 from .solvers import solve_existence_119, solve_poly_54
 
@@ -67,11 +66,7 @@ def _dump_json(obj: object, path: Optional[str]) -> None:
 
 
 def _load_jobs(path: str) -> List[int]:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
+    obj = _load_json(path)
     if isinstance(obj, dict):
         obj = obj.get("jobs")
     if not isinstance(obj, list):
@@ -83,16 +78,6 @@ def _write_trace(trace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for entry in trace:
             handle.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
-
-
-def _max_ratio(inst: Instance, alloc: Allocation, profile: MmsProfile) -> Fraction:
-    worst = Fraction(0)
-    for i in range(inst.num_agents):
-        load = inst.value(i, alloc.bundles[i])
-        mu = profile.values[i]
-        ratio = Fraction(load, mu) if mu else Fraction(0)
-        worst = max(worst, ratio)
-    return worst
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -256,14 +241,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile = mms_profile(inst, limits)
         oracle_ms = (time.perf_counter() - started) * 1000.0
 
-        for algo in ("exact-119", "poly-54"):
+        for algo, alpha in (("exact-119", Fraction(11, 9)), ("poly-54", Fraction(5, 4))):
             started = time.perf_counter()
             if algo == "exact-119":
                 alloc = solve_existence_119(inst, limits, profile=profile).allocation
             else:
                 alloc = solve_poly_54(inst).allocation
             solver_ms = (time.perf_counter() - started) * 1000.0
-            ratio = _max_ratio(inst, alloc, profile)
+            ratio = max(check_amms(inst, alloc, profile, alpha).ratios)
             rows.append(
                 {
                     "instance_id": name,

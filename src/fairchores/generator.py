@@ -65,6 +65,8 @@ def generate(config: GeneratorConfig, count_limit: Optional[int] = None) -> Iter
 
     Unbounded unless ``count_limit`` is given.
     """
+    if count_limit is not None and count_limit < 0:
+        raise InputError("count must be non-negative")
     rng = random.Random(config.seed)
     stream = (_one(rng, config) for _ in count())
     return islice(stream, count_limit) if count_limit is not None else stream

@@ -377,19 +377,20 @@ def allocation_from_json(obj: object) -> Allocation:
     )
 
 
-def load_instance(path: str) -> Instance:
+def _load_json(path: str) -> object:
+    """Parse a JSON file; any malformed content is an InputError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad syntax, bad UTF-8 and over-long integer
+            # literals; RecursionError covers nesting deeper than the parser.
             raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    return instance_from_json(obj)
+
+
+def load_instance(path: str) -> Instance:
+    return instance_from_json(_load_json(path))
 
 
 def load_allocation(path: str) -> Allocation:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from exc
-    return allocation_from_json(obj)
+    return allocation_from_json(_load_json(path))

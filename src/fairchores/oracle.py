@@ -9,12 +9,12 @@ for ground truth on small instances, not for production-sized inputs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, InstanceTooLargeError, NodeBudgetError
 from .instances import Allocation, Instance
+from .scheduling import schedule_lpt
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -46,19 +46,6 @@ class MmsProfile:
     witnesses: Optional[Tuple[Allocation, ...]] = None
 
 
-def _lpt(values: Sequence[int], order: Sequence[int], machines: int) -> Tuple[int, List[int]]:
-    """Longest-processing-time seed: returns (makespan, bundle per position)."""
-    heap = [(0, b) for b in range(machines)]
-    heapq.heapify(heap)
-    assign = [0] * len(order)
-    for pos, chore in enumerate(order):
-        load, bundle = heapq.heappop(heap)
-        assign[pos] = bundle
-        heapq.heappush(heap, (load + values[chore], bundle))
-    makespan = max(load for load, _ in heap)
-    return makespan, assign
-
-
 def exact_mms(
     inst: Instance, agent: int, limits: OracleLimits = OracleLimits()
 ) -> Tuple[int, Allocation]:
@@ -83,13 +70,15 @@ def exact_mms(
     total = sum(values)
     lower = max(-(-total // n), values[0]) if m else 0
 
-    incumbent, best_assign = _lpt(row, order, n)
+    seed = schedule_lpt(row, n)
+    incumbent, witness = seed.makespan, seed.allocation
 
     if m and incumbent > lower:
         loads = [0] * n
         assign = [0] * m
         nodes = 0
         budget = limits.node_budget
+        best_assign: Optional[List[int]] = None
 
         def descend(k: int) -> None:
             nonlocal incumbent, best_assign, nodes
@@ -124,12 +113,13 @@ def exact_mms(
 
         descend(0)
 
-    bundles: List[set] = [set() for _ in range(n)]
-    for pos, bundle in enumerate(best_assign):
-        bundles[bundle].add(order[pos])
-    witness = Allocation(
-        bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
-    )
+        if best_assign is not None:
+            bundles: List[set] = [set() for _ in range(n)]
+            for pos, bundle in enumerate(best_assign):
+                bundles[bundle].add(order[pos])
+            witness = Allocation(
+                bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
+            )
     return incumbent, witness
 
 

@@ -1,32 +1,24 @@
 """Identical-machines makespan scheduling.
 
 With one shared valuation the maximin share and the optimal makespan
-coincide, and the single-agent naive test becomes trustworthy enough to
-binary-search: every threshold at or above 11/9 of the optimum passes,
-so the search lands on an s* with 9*s* <= 11*OPT and the greedy at s*
-schedules everything within it. A classic longest-processing-time
-baseline is included for comparison.
+coincide, and the paper's single-agent greedy at a uniform cap is
+first-fit-decreasing (FFD): each round fills one machine with exactly
+the jobs FFD would place there. Binary-searching the smallest cap at
+which FFD packs every job onto the machines is MULTIFIT (Coffman, Garey
+& Johnson 1978). Every cap at or above 11/9 of the optimum packs, so the
+search lands on an s* with 9*s* <= 11*OPT, and the packing at s* is a
+schedule within it. A classic longest-processing-time baseline is
+included for comparison.
 """
 
 from __future__ import annotations
 
 import heapq
-import logging
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
-from .greedy import greedy_fill
-from .instances import (
-    Allocation,
-    Instance,
-    ThresholdVector,
-    lift_allocation,
-    ordered_instance,
-)
-from .solvers import MAX_EXPANSIONS, naive_test
-
-logger = logging.getLogger(__name__)
+from .instances import Allocation
 
 
 @dataclass(frozen=True)
@@ -58,54 +50,81 @@ def _check_jobs(values: Sequence[int], machines: int) -> None:
             raise InputError(f"job {j} is negative")
 
 
-def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
-    """Schedule jobs on identical machines within 11/9 of optimal.
+def _first_fit_decreasing(
+    desc_values: Sequence[int], bins: int, cap: int
+) -> Tuple[List[List[int]], List[int]]:
+    """Pack nonincreasing values into bins under one cap, bin by bin.
 
-    Binary-searches the naive test over the pigeonhole bracket
-    [lower, 2*lower] with the "high passes" invariant, then runs the
-    greedy once at the found threshold. The makespan never exceeds the
-    threshold.
+    Each bin takes one largest-first pass over the positions still
+    unplaced, keeping every one that fits. Returns the positions in each
+    bin and the positions no bin could take.
     """
-    values = list(values)
-    _check_jobs(values, machines)
-    inst = Instance.from_rows([values] * machines)
+    remaining = list(range(len(desc_values)))
+    packed: List[List[int]] = []
+    for _ in range(bins):
+        load = 0
+        bundle: List[int] = []
+        rest: List[int] = []
+        for pos in remaining:
+            if load + desc_values[pos] <= cap:
+                load += desc_values[pos]
+                bundle.append(pos)
+            else:
+                rest.append(pos)
+        packed.append(bundle)
+        remaining = rest
+    return packed, remaining
 
-    total = sum(values)
-    top = max(values) if values else 0
-    lo = max(-(-total // machines), top)
-    hi = 2 * lo
 
-    expansions = 0
-    while not naive_test(inst, 0, hi):
-        expansions += 1
-        if expansions > MAX_EXPANSIONS:
-            raise SolverInvariantError(
-                f"naive test keeps failing above the makespan bracket "
-                f"(reached s={hi})"
-            )
-        logger.warning("naive test failed at upper bound s=%d; doubling", hi)
-        hi = max(2 * hi, 1)
+def _boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
+    """Smallest passing point of [lo, hi] under the "high passes" invariant.
+
+    ``passes(hi)`` must hold; the search then returns an s that passes
+    and either equals ``lo`` or has a failing predecessor.
+    """
+    if not passes(hi):
+        raise SolverInvariantError(f"test fails at the top of its bracket (s={hi})")
     while lo < hi:
         mid = (lo + hi) // 2
-        if naive_test(inst, 0, mid):
+        if passes(mid):
             hi = mid
         else:
             lo = mid + 1
-    threshold = lo
+    return lo
 
-    ordd = ordered_instance(inst)
-    result = greedy_fill(ordd, ThresholdVector.uniform(machines, threshold))
-    if not result.allocation.complete:
+
+def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
+    """Schedule jobs on identical machines within 11/9 of optimal.
+
+    MULTIFIT: binary-searches the smallest cap in the pigeonhole bracket
+    [lower, 2*lower] at which first-fit-decreasing packs every job, then
+    returns that packing. Its makespan never exceeds the cap, and the
+    cap never exceeds 11/9 of the optimal makespan.
+    """
+    values = list(values)
+    _check_jobs(values, machines)
+    # Equal jobs go highest index first, so bundles match the schedules
+    # this function has always returned.
+    order = sorted(range(len(values)), key=lambda j: (-values[j], -j))
+    desc = [values[j] for j in order]
+
+    lo = max(-(-sum(desc) // machines), max(desc, default=0))
+    threshold = _boundary_search(
+        lambda s: not _first_fit_decreasing(desc, machines, s)[1], lo, 2 * lo
+    )
+
+    packed, leftover = _first_fit_decreasing(desc, machines, threshold)
+    loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
+    if leftover or max(loads) > threshold:
         raise SolverInvariantError(
-            f"greedy left jobs over at a threshold the test accepted ({threshold})"
+            f"packing at the searched threshold {threshold} is incomplete or over it"
         )
-    lifted = lift_allocation(inst, ordd, result.allocation)
-    loads = tuple(inst.value(b, lifted.bundles[b]) for b in range(machines))
-    makespan = max(loads)
-    if makespan > threshold:
-        raise SolverInvariantError("makespan exceeds the searched threshold")
+    allocation = Allocation(
+        bundles=tuple(frozenset(order[pos] for pos in bundle) for bundle in packed),
+        leftover=frozenset(),
+    )
     return ScheduleResult(
-        allocation=lifted, loads=loads, makespan=makespan, threshold=threshold
+        allocation=allocation, loads=loads, makespan=max(loads), threshold=threshold
     )
 
 

@@ -11,15 +11,15 @@ Two routes to a complete allocation:
   binary-searched for a certified underestimate s_i, and the greedy runs
   at caps 5/4 of those. Polynomial time, 5/4 guarantee.
 
-The naive single-agent test is kept as well: it is cheaper but its
-pass-set has holes above the share (see the "non-monotone" fixture), so
-it certifies nothing, except on identical machines, where searching it
-yields the 11/9 scheduler.
+The naive single-agent test is kept as well: first-fit-decreasing of the
+agent's row into n bins at one cap. It is cheaper but its pass-set has
+holes above the share (see the "non-monotone" fixture), so it certifies
+nothing for fair division; on identical machines, searching it is the
+11/9 MULTIFIT scheduler in ``scheduling``.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -34,12 +34,7 @@ from .instances import (
     ordered_instance,
 )
 from .oracle import MmsProfile, OracleLimits, mms_profile
-
-logger = logging.getLogger(__name__)
-
-# Doublings allowed when hunting a passing upper bound before the binary
-# search; 2*lower already always passes, so any retry is a bug signal.
-MAX_EXPANSIONS = 8
+from .scheduling import _boundary_search, _first_fit_decreasing
 
 
 @dataclass(frozen=True)
@@ -97,18 +92,15 @@ class PolyResult:
 
 
 def naive_test(inst: Instance, agent: int, s: int) -> bool:
-    """Clone one agent's valuation n times, run the greedy at uniform s.
+    """Pack one agent's valuation first-fit-decreasing into n bins of cap s.
 
+    The same packing as the greedy at uniform s on n clones of the row.
     True iff everything gets allocated. Not monotone in s.
     """
     if s < 0:
         raise InputError("threshold s must be non-negative")
-    row = inst.row(agent)
-    clone = Instance.from_rows([list(row)] * inst.num_agents)
-    result = greedy_fill(
-        ordered_instance(clone), ThresholdVector.uniform(inst.num_agents, s)
-    )
-    return result.allocation.complete
+    row = sorted(inst.row(agent), reverse=True)
+    return not _first_fit_decreasing(row, inst.num_agents, s)[1]
 
 
 def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
@@ -195,31 +187,12 @@ def search_threshold(inst: Instance, agent: int) -> int:
     never exceeds the share.
     """
     bounds = search_bounds(inst, agent)
-    lo, hi = bounds.lower, bounds.upper
-    if lo == 0:
+    if bounds.lower == 0:
         # Every chore is worthless to this agent; the share is zero.
         return 0
-    expansions = 0
-    while not threshold_test(inst, agent, hi).passed:
-        expansions += 1
-        if expansions > MAX_EXPANSIONS:
-            raise SolverInvariantError(
-                f"threshold test keeps failing above the share bracket "
-                f"(agent {agent}, reached s={hi})"
-            )
-        logger.warning(
-            "threshold test failed at upper bound s=%d for agent %d; doubling",
-            hi,
-            agent,
-        )
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if threshold_test(inst, agent, mid).passed:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return _boundary_search(
+        lambda s: threshold_test(inst, agent, s).passed, bounds.lower, bounds.upper
+    )
 
 
 def solve_existence_119(

@@ -5,7 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import tempfile
 from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fairchores import builtin_fixtures, run_cli
 from fairchores.instances import instance_to_json
@@ -47,6 +52,128 @@ class TestExitCodes:
         inst = {"agents": 2, "chores": 30, "valuations": [[1] * 30] * 2}
         path = write_json(tmp_path / "big.json", inst)
         assert run_cli(["mms", "--input", path]) == 4
+
+    def test_negative_count(self, capsys):
+        assert run_cli(["gen", "--seed", "1", "--count", "-1"]) == 2
+        assert run_cli(["bench", "--count", "-1"]) == 2
+        capsys.readouterr()
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        good = fixture_file(tmp_path, 0)
+        assert run_cli(["schedule", "--input", str(deep), "--machines", "2"]) == 2
+        assert run_cli(["solve", "--input", str(deep)]) == 2
+        assert run_cli(["mms", "--input", str(deep)]) == 2
+        assert run_cli(["verify", "--instance", str(deep), "--allocation", good]) == 2
+        assert run_cli(["verify", "--instance", good, "--allocation", str(deep)]) == 2
+        capsys.readouterr()
+
+    def test_undecodable_and_oversized_literals(self, tmp_path, capsys):
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe[1]")
+        huge = tmp_path / "huge.json"
+        huge.write_text("[" + "9" * 5000 + "]")
+        assert run_cli(["mms", "--input", str(binary)]) == 2
+        assert run_cli(["schedule", "--input", str(huge), "--machines", "1"]) == 2
+        capsys.readouterr()
+
+
+# Value pools per flag, one pool per argument the flag takes. "@a" and
+# "@b" are files with random contents, "@dir" an existing directory and
+# "@missing" an absent path, all in a fresh temporary directory.
+PATH = ("@a", "@b", "@dir", "@dir/out", "@missing")
+NUM = ("-1", "0", "1", "2", "3", "17", "x")
+LIMITS = {"--max-chores": [NUM], "--node-budget": [NUM]}
+FLAGS = {
+    "solve": {"--input": [PATH], "--algo": [("exact-119", "poly-54", "x")],
+              "--output": [PATH], "--trace": [PATH], **LIMITS},
+    "mms": {"--input": [PATH], "--witness": [], **LIMITS},
+    "schedule": {"--input": [PATH], "--machines": [NUM],
+                 "--algo": [("greedy-119", "lpt", "x")], "--output": [PATH]},
+    "verify": {"--instance": [PATH], "--allocation": [PATH],
+               "--alpha": [("5/4", "11/9", "1/0", "-1", "2", "x")], **LIMITS},
+    "gen": {"--seed": [NUM], "--count": [NUM], "--agents": [NUM, NUM],
+            "--chores": [NUM, NUM], "--value-max": [NUM], "--ido-only": [],
+            "--output-dir": [PATH]},
+    "fixtures": {"--name": [("non-monotone", "x")], "--export": [PATH]},
+    "bench": {"--seed": [NUM], "--count": [NUM], "--output": [PATH], **LIMITS},
+}
+REQUIRED = {
+    "solve": ["--input"],
+    "mms": ["--input"],
+    "schedule": ["--input", "--machines"],
+    "verify": ["--instance", "--allocation"],
+    "gen": ["--seed"],
+}
+
+small = st.integers(0, 9)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(("agents", "chores", "valuations", "bundles", "leftover", "jobs")),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+instances = st.integers(1, 3).flatmap(
+    lambda n: st.integers(0, 6).flatmap(
+        lambda m: st.lists(st.lists(small, min_size=m, max_size=m), min_size=n, max_size=n)
+    )
+).map(lambda rows: {"agents": len(rows), "chores": len(rows[0]), "valuations": rows})
+allocations = st.lists(st.integers(0, 2), max_size=6).map(
+    lambda owners: {
+        "bundles": [[c for c, o in enumerate(owners) if o == b] for b in range(3)],
+        "leftover": [],
+    }
+)
+file_contents = st.one_of(
+    st.binary(max_size=24),
+    st.text(max_size=24).map(str.encode),
+    st.one_of(json_values, instances, allocations, st.lists(small, max_size=8)).map(
+        lambda obj: json.dumps(obj).encode()
+    ),
+    st.integers(1, 5000).map(lambda d: ("[" * d + "]" * d).encode()),
+)
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = REQUIRED.get(command, []) + draw(
+        st.lists(st.sampled_from(sorted(FLAGS[command])), max_size=5)
+    )
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        argv += [draw(st.sampled_from(pool)) for pool in FLAGS[command][flag]]
+    if draw(st.integers(0, 7)) == 0:
+        argv.append(draw(st.sampled_from(PATH + NUM)))  # a stray positional
+    return argv
+
+
+class TestCliIsTotal:
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(command_lines(), file_contents, file_contents)
+    def test_exit_code_in_range(self, capsys, argv, first, second):
+        with tempfile.TemporaryDirectory() as tmp:
+            names = {"@a": "a.json", "@b": "b.json", "@dir": "d", "@dir/out": "d/out",
+                     "@missing": "missing.json"}
+            paths = {key: os.path.join(tmp, name) for key, name in names.items()}
+            os.mkdir(paths["@dir"])
+            with open(paths["@a"], "wb") as handle:
+                handle.write(first)
+            with open(paths["@b"], "wb") as handle:
+                handle.write(second)
+            code = run_cli([paths.get(token, token) for token in argv])
+        capsys.readouterr()
+        assert code in range(5)
 
 
 class TestSolveAndVerify:

@@ -5,17 +5,64 @@ from __future__ import annotations
 import random
 
 import pytest
+from conftest import SEED_SCHED_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchores import (
     InputError,
+    Instance,
     OracleLimits,
+    ScheduleResult,
+    ThresholdVector,
     builtin_fixtures,
+    greedy_fill,
+    lift_allocation,
+    naive_test,
     optimal_makespan,
+    ordered_instance,
     schedule_119,
     schedule_lpt,
+    search_bounds,
 )
+
+
+def clone_greedy(row, machines, s):
+    """Reference: the round greedy at uniform cap s on n clones of one row."""
+    inst = Instance.from_rows([list(row)] * machines)
+    ordd = ordered_instance(inst)
+    return inst, ordd, greedy_fill(ordd, ThresholdVector.uniform(machines, s))
+
+
+def reference_schedule_119(jobs, machines):
+    """schedule_119 built from the public primitives: clone, greedy, lift."""
+    lo = max(-(-sum(jobs) // machines), max(jobs, default=0))
+    hi = 2 * lo
+    assert clone_greedy(jobs, machines, hi)[2].allocation.complete
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if clone_greedy(jobs, machines, mid)[2].allocation.complete:
+            hi = mid
+        else:
+            lo = mid + 1
+    inst, ordd, result = clone_greedy(jobs, machines, lo)
+    lifted = lift_allocation(inst, ordd, result.allocation)
+    loads = tuple(inst.value(b, lifted.bundles[b]) for b in range(machines))
+    return ScheduleResult(
+        allocation=lifted, loads=loads, makespan=max(loads), threshold=lo
+    )
+
+
+def sched_corpus():
+    """Seeded job lists with zero jobs, empty lists, ties and spare machines."""
+    cases = [([], 1), ([], 4), ([0, 0, 0], 2), ([0, 5, 0, 5], 3), ([7, 2], 5)]
+    rng = random.Random(SEED_SCHED_CORPUS)
+    for _ in range(300):
+        machines = rng.randint(1, 6)
+        top = rng.choice((3, 12, 50))
+        jobs = [rng.randint(0, top) for _ in range(rng.randint(0, 16))]
+        cases.append((jobs, machines))
+    return cases
 
 
 class TestSchedule119:
@@ -65,6 +112,29 @@ class TestSchedule119:
         assert result.loads == tuple(
             sum(jobs[j] for j in b) for b in result.allocation.bundles
         )
+
+
+class TestFirstFitDecreasingMatchesCloneAndLift:
+    def test_schedule_119_equals_reference(self):
+        for jobs, machines in sched_corpus():
+            assert schedule_119(jobs, machines) == reference_schedule_119(
+                jobs, machines
+            ), (jobs, machines)
+
+    def test_naive_test_equals_clone_greedy_on_fixtures(self):
+        for fixture in builtin_fixtures():
+            inst = fixture.instance
+            n = inst.num_agents
+            for agent in range(n):
+                bounds = search_bounds(inst, agent)
+                row = inst.row(agent)
+                for s in range(bounds.lower, bounds.upper + 1):
+                    complete = clone_greedy(row, n, s)[2].allocation.complete
+                    assert naive_test(inst, agent, s) == complete, (
+                        fixture.name,
+                        agent,
+                        s,
+                    )
 
 
 class TestScheduleLpt:

@@ -129,6 +129,16 @@ class TestSearchThreshold:
         inst = identical([0, 0], n=2)
         assert search_threshold(inst, 0) == 0
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_instances(max_agents=5, max_chores=12, max_value=60))
+    def test_bracket_top_passes(self, inst):
+        # Both searches rely on this instead of widening the bracket.
+        for agent in range(inst.num_agents):
+            top = search_bounds(inst, agent).upper
+            if top > 0:
+                assert threshold_test(inst, agent, top).passed
+                assert naive_test(inst, agent, top)
+
     @settings(max_examples=40, deadline=None)
     @given(small_instances(max_agents=3, max_chores=6, max_value=25))
     def test_bracketed_by_share(self, inst):
