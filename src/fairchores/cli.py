@@ -21,6 +21,7 @@ from .generator import GeneratorConfig, generate
 from .greedy import check_amms
 from .instances import (
     _load_json,
+    allocation_loads,
     allocation_to_json,
     instance_to_json,
     load_allocation,
@@ -153,12 +154,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
-    if len(alloc.bundles) != inst.num_agents:
-        raise InputError("allocation bundle count does not match agent count")
-    if alloc.num_chores != inst.num_chores:
-        raise InputError("allocation chore universe does not match the instance")
-    loads = [inst.value(i, alloc.bundles[i]) for i in range(inst.num_agents)]
-    for i, load in enumerate(loads):
+    for i, load in enumerate(allocation_loads(inst, alloc)):
         print(f"agent {i}: load {load}")
     print(f"complete {str(alloc.complete).lower()}")
     if args.alpha is None:

@@ -91,6 +91,8 @@ def greedy_fill(
     if len(thresholds) != n:
         raise InputError("threshold vector length does not match agent count")
 
+    # Loads are integers, so load <= t is the same test as load <= floor(t).
+    caps = [t.numerator // t.denominator for t in thresholds.thresholds]
     rows = inst.valuations
     unassigned = list(range(n))
     bundles: List[frozenset] = [frozenset()] * n
@@ -98,29 +100,26 @@ def greedy_fill(
     trace: List[TraceEntry] = []
 
     for round_index in range(n):
-        loads = {i: 0 for i in unassigned}
+        # The unassigned agents' rows and their room under their caps,
+        # both in ascending agent index.
+        active = [rows[i] for i in unassigned]
+        room = [caps[i] for i in unassigned]
         bundle: List[int] = []
         kept: List[int] = []
         for chore in scan:
-            witness: Optional[int] = None
-            for i in unassigned:
-                if loads[i] + rows[i][chore] <= thresholds[i]:
-                    witness = i
+            for k, row in enumerate(active):
+                if row[chore] <= room[k]:
                     break
-            if witness is None:
+            else:
                 kept.append(chore)
                 continue
             bundle.append(chore)
-            for i in unassigned:
-                loads[i] += rows[i][chore]
+            room = [r - other[chore] for r, other in zip(room, active)]
+            witness = unassigned[k]
             trace.append(
-                TraceEntry(round_index, chore, witness, loads[witness])
+                TraceEntry(round_index, chore, witness, caps[witness] - room[k])
             )
-        owner: Optional[int] = None
-        for i in unassigned:
-            if loads[i] <= thresholds[i]:
-                owner = i
-                break
+        owner = next((unassigned[k] for k, r in enumerate(room) if r >= 0), None)
         if owner is None:
             raise SolverInvariantError(
                 "no unassigned agent accepts the finished bundle"

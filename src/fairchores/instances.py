@@ -1,9 +1,10 @@
 """Core data model: chore-division instances, orderings, and allocations.
 
 Valuations are non-negative integers (chores cost effort, larger means
-worse). All threshold arithmetic is exact: thresholds are rationals and
-every comparison against an integer load happens through
-``fractions.Fraction``, never floating point.
+worse). All threshold arithmetic is exact and never floating point:
+thresholds are rationals, and since loads are integers, code that
+compares loads against a rational cap t may compare them against the
+integer floor(t) instead, which is the same test.
 """
 
 from __future__ import annotations
@@ -25,12 +26,26 @@ from typing import (
 from .errors import InputError
 
 # Exact rational used for thresholds such as 11/9 of a maximin share.
-# Fraction keeps lowest terms and compares exactly against integers.
+# Fraction keeps lowest terms; hot loops compare integer loads against
+# its floor, which decides load <= t exactly.
 Ratio = Fraction
 
 # Valuations must fit in a signed 64-bit word so serialized instances
 # stay portable to fixed-width consumers.
 MAX_VALUE = 2**63 - 1
+
+
+def _trusted(cls, **fields):
+    """Build a frozen dataclass without running its ``__post_init__`` checks.
+
+    Only for values this module has just derived from an already
+    validated instance; anything from outside goes through the public
+    constructors, which check every field.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _as_int(value: object, what: str) -> int:
@@ -201,11 +216,19 @@ def ordered_instance(inst: Instance) -> OrderedInstance:
     rows: List[Tuple[int, ...]] = []
     ranks: List[Tuple[int, ...]] = []
     for row in inst.valuations:
-        order = sorted(range(inst.num_chores), key=lambda c: (-row[c], c))
+        # A stable sort keeps equal values in ascending chore index even
+        # when reversed.
+        order = tuple(sorted(range(inst.num_chores), key=row.__getitem__, reverse=True))
         rows.append(tuple(row[c] for c in order))
-        ranks.append(tuple(order))
-    ordered = Instance(inst.num_agents, inst.num_chores, tuple(rows))
-    return OrderedInstance(instance=ordered, source_ranks=tuple(ranks))
+        ranks.append(order)
+    # Sorted permutations of validated rows: nothing left to re-check.
+    ordered = _trusted(
+        Instance,
+        num_agents=inst.num_agents,
+        num_chores=inst.num_chores,
+        valuations=tuple(rows),
+    )
+    return _trusted(OrderedInstance, instance=ordered, source_ranks=tuple(ranks))
 
 
 def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
@@ -257,14 +280,26 @@ def lift_allocation(
         for j in bundle:
             owner[j] = i
 
-    remaining = set(range(m))
+    # Each agent's chores ascending by (value, index), sorted the first
+    # time the agent picks; a pointer skips chores others have taken.
+    ascending: List[Optional[List[int]]] = [None] * n
+    cursor = [0] * n
+    taken = [False] * m
     picked: List[List[int]] = [[] for _ in range(n)]
     for j in range(m - 1, -1, -1):
         agent = owner[j]
-        row = inst.valuations[agent]
-        chore = min(remaining, key=lambda c: (row[c], c))
+        mine = ascending[agent]
+        if mine is None:
+            mine = ascending[agent] = sorted(
+                range(m), key=inst.valuations[agent].__getitem__
+            )
+        at = cursor[agent]
+        while taken[mine[at]]:
+            at += 1
+        chore = mine[at]
+        cursor[agent] = at + 1
+        taken[chore] = True
         picked[agent].append(chore)
-        remaining.remove(chore)
     return Allocation(
         bundles=tuple(frozenset(b) for b in picked), leftover=frozenset()
     )
@@ -279,19 +314,22 @@ class VerificationReport:
     complete: bool
 
 
-def verify_allocation(
-    inst: Instance, alloc: Allocation, thresholds: ThresholdVector
-) -> VerificationReport:
-    """Check an allocation against an instance and per-agent caps."""
+def allocation_loads(inst: Instance, alloc: Allocation) -> Tuple[int, ...]:
+    """Each agent's bundle cost, once the allocation fits the instance."""
     if len(alloc.bundles) != inst.num_agents:
         raise InputError("allocation bundle count does not match agent count")
     if alloc.num_chores != inst.num_chores:
         raise InputError("allocation chore universe does not match the instance")
+    return tuple(inst.value(i, alloc.bundles[i]) for i in range(inst.num_agents))
+
+
+def verify_allocation(
+    inst: Instance, alloc: Allocation, thresholds: ThresholdVector
+) -> VerificationReport:
+    """Check an allocation against an instance and per-agent caps."""
+    loads = allocation_loads(inst, alloc)
     if len(thresholds) != inst.num_agents:
         raise InputError("threshold vector length does not match agent count")
-    loads = tuple(
-        inst.value(i, alloc.bundles[i]) for i in range(inst.num_agents)
-    )
     within = tuple(loads[i] <= thresholds[i] for i in range(inst.num_agents))
     return VerificationReport(
         loads=loads, within_threshold=within, complete=alloc.complete

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .greedy import GreedyResult, TraceEntry, greedy_fill
@@ -103,6 +103,49 @@ def naive_test(inst: Instance, agent: int, s: int) -> bool:
     return not _first_fit_decreasing(row, inst.num_agents, s)[1]
 
 
+def _pack_large(
+    desc: Sequence[int], n: int, s: int
+) -> Tuple[List[List[int]], List[int], int]:
+    """Two-stage large-chore packing of a row sorted nonincreasing.
+
+    The chores strictly above s/4 are a prefix of the row, and the k
+    strictly above s/2 a prefix of that. Returns the positions in each
+    of the n bundles, the positions left unplaced, and k. When k > n
+    nothing is packed and every large position is unplaced.
+    """
+    large = 0
+    while large < len(desc) and 4 * desc[large] > s:
+        large += 1
+    k = 0
+    while k < large and 2 * desc[k] > s:
+        k += 1
+    if k > n:
+        # More chores above s/2 than bundles: certainly below the share.
+        return [[] for _ in range(n)], list(range(large)), k
+
+    bundles: List[List[int]] = [[pos] for pos in range(k)]
+    bundles += [[] for _ in range(n - k)]
+    loads = [desc[pos] for pos in range(k)] + [0] * (n - k)
+    queue = list(range(k, large))
+
+    # Stage one: bundles k..1, one largest-first sweep each, cap s.
+    # Stage two: fresh bundles k+1..n under the relaxed cap 5s/4, which
+    # loads, being integers, meet exactly when they meet its floor.
+    for t in [*range(k - 1, -1, -1), *range(k, n)]:
+        if not queue:
+            break
+        cap = s if t < k else 5 * s // 4
+        rest: List[int] = []
+        for pos in queue:
+            if loads[t] + desc[pos] <= cap:
+                bundles[t].append(pos)
+                loads[t] += desc[pos]
+            else:
+                rest.append(pos)
+        queue = rest
+    return bundles, queue, k
+
+
 def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     """Two-stage test of a candidate threshold s for one agent.
 
@@ -112,58 +155,20 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     cap s; stage two fills bundles k+1..n the greedy way under cap
     5s/4. Passes iff every participant is placed. Every s at or above
     the agent's maximin share passes.
+
+    The packing runs in ``_pack_large`` on the agent's row sorted by
+    descending value, ties by chore index, and its positions are mapped
+    back to chores here; ``search_threshold`` runs the same packer.
     """
     if s < 1:
         raise InputError("threshold s must be at least 1")
     row = inst.row(agent)
-    n, m = inst.num_agents, inst.num_chores
-    all_chores = frozenset(range(m))
-
-    large = [c for c in sorted(range(m), key=lambda c: (-row[c], c)) if 4 * row[c] > s]
-    k = sum(1 for c in large if 2 * row[c] > s)
-    if k > n:
-        # More chores above s/2 than bundles: certainly below the share.
-        return TestOutcome(
-            passed=False,
-            benchmark=Allocation(
-                bundles=tuple(frozenset() for _ in range(n)), leftover=all_chores
-            ),
-            really_large_count=k,
-        )
-
-    bundles: List[List[int]] = [[] for _ in range(n)]
-    loads = [0] * n
-    for t in range(k):
-        bundles[t].append(large[t])
-        loads[t] = row[large[t]]
-    queue = large[k:]
-
-    # Stage one: bundles k..1, one largest-first sweep each, cap s.
-    for t in range(k - 1, -1, -1):
-        rest: List[int] = []
-        for c in queue:
-            if loads[t] + row[c] <= s:
-                bundles[t].append(c)
-                loads[t] += row[c]
-            else:
-                rest.append(c)
-        queue = rest
-
-    # Stage two: fresh bundles k+1..n under the relaxed cap 5s/4.
-    for t in range(k, n):
-        rest = []
-        for c in queue:
-            if 4 * (loads[t] + row[c]) <= 5 * s:
-                bundles[t].append(c)
-                loads[t] += row[c]
-            else:
-                rest.append(c)
-        queue = rest
-
-    placed = frozenset(c for b in bundles for c in b)
+    order = sorted(range(inst.num_chores), key=lambda c: (-row[c], c))
+    bundles, queue, k = _pack_large([row[c] for c in order], inst.num_agents, s)
+    chosen = tuple(frozenset(order[pos] for pos in b) for b in bundles)
+    placed = frozenset().union(*chosen)
     benchmark = Allocation(
-        bundles=tuple(frozenset(b) for b in bundles),
-        leftover=all_chores - placed,
+        bundles=chosen, leftover=frozenset(range(inst.num_chores)) - placed
     )
     return TestOutcome(passed=not queue, benchmark=benchmark, really_large_count=k)
 
@@ -184,14 +189,18 @@ def search_threshold(inst: Instance, agent: int) -> int:
     invariant for threshold_test; the returned s* passes and either
     equals the pigeonhole lower bound or has a failing predecessor.
     Because the pass-set contains the whole ray above the share, s*
-    never exceeds the share.
+    never exceeds the share. The row is sorted once, and each probe
+    runs threshold_test's packer, ``_pack_large``, on it for pass/fail
+    alone.
     """
     bounds = search_bounds(inst, agent)
     if bounds.lower == 0:
         # Every chore is worthless to this agent; the share is zero.
         return 0
+    desc = sorted(inst.row(agent), reverse=True)
+    n = inst.num_agents
     return _boundary_search(
-        lambda s: threshold_test(inst, agent, s).passed, bounds.lower, bounds.upper
+        lambda s: not _pack_large(desc, n, s)[1], bounds.lower, bounds.upper
     )
 
 

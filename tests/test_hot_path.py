@@ -1,0 +1,357 @@
+"""Differential tests: the integer-only hot path against its earlier code.
+
+Each ``reference_*`` function is a frozen copy of the layer as it was
+before caps were floored to integers, rows were sorted once per agent
+and the lift walked per-agent pointers. The current layers must agree
+with them exactly on a seeded corpus, the builtin fixtures and random
+instances with zero values, ties, fewer chores than agents and no
+chores at all.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import List, Optional
+
+from conftest import SEED_HOT_PATH_CORPUS
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairchores import (
+    Allocation,
+    GreedyResult,
+    Instance,
+    OrderedInstance,
+    TestOutcome as Outcome,
+    ThresholdVector,
+    TraceEntry,
+    builtin_fixtures,
+    greedy_fill,
+    ido_order,
+    lift_allocation,
+    mms_profile,
+    ordered_instance,
+    search_bounds,
+    search_threshold,
+    threshold_test,
+)
+
+
+def reference_greedy_fill(target, thresholds: ThresholdVector) -> GreedyResult:
+    """The round greedy comparing integer loads against ``Fraction`` caps."""
+    if isinstance(target, OrderedInstance):
+        inst = target.instance
+        scan = list(range(inst.num_chores))
+    else:
+        inst = target
+        scan = list(ido_order(inst))
+    n = inst.num_agents
+    rows = inst.valuations
+    unassigned = list(range(n))
+    bundles: List[frozenset] = [frozenset()] * n
+    assignment: List[int] = []
+    trace: List[TraceEntry] = []
+    for round_index in range(n):
+        loads = {i: 0 for i in unassigned}
+        bundle: List[int] = []
+        kept: List[int] = []
+        for chore in scan:
+            witness: Optional[int] = None
+            for i in unassigned:
+                if loads[i] + rows[i][chore] <= thresholds[i]:
+                    witness = i
+                    break
+            if witness is None:
+                kept.append(chore)
+                continue
+            bundle.append(chore)
+            for i in unassigned:
+                loads[i] += rows[i][chore]
+            trace.append(TraceEntry(round_index, chore, witness, loads[witness]))
+        owner = next(i for i in unassigned if loads[i] <= thresholds[i])
+        bundles[owner] = frozenset(bundle)
+        assignment.append(owner)
+        unassigned.remove(owner)
+        scan = kept
+    allocation = Allocation(bundles=tuple(bundles), leftover=frozenset(scan))
+    return GreedyResult(
+        allocation=allocation, assignment=tuple(assignment), trace=tuple(trace)
+    )
+
+
+def reference_threshold_test(inst: Instance, agent: int, s: int) -> Outcome:
+    """The two-stage test re-sorting the row and working on chore labels."""
+    row = inst.row(agent)
+    n, m = inst.num_agents, inst.num_chores
+    all_chores = frozenset(range(m))
+    order = sorted(range(m), key=lambda c: (-row[c], c))
+    large = [c for c in order if 4 * row[c] > s]
+    k = sum(1 for c in large if 2 * row[c] > s)
+    if k > n:
+        return Outcome(
+            passed=False,
+            benchmark=Allocation(
+                bundles=tuple(frozenset() for _ in range(n)), leftover=all_chores
+            ),
+            really_large_count=k,
+        )
+    bundles: List[List[int]] = [[] for _ in range(n)]
+    loads = [0] * n
+    for t in range(k):
+        bundles[t].append(large[t])
+        loads[t] = row[large[t]]
+    queue = large[k:]
+    for t in range(k - 1, -1, -1):
+        rest: List[int] = []
+        for c in queue:
+            if loads[t] + row[c] <= s:
+                bundles[t].append(c)
+                loads[t] += row[c]
+            else:
+                rest.append(c)
+        queue = rest
+    for t in range(k, n):
+        rest = []
+        for c in queue:
+            if 4 * (loads[t] + row[c]) <= 5 * s:
+                bundles[t].append(c)
+                loads[t] += row[c]
+            else:
+                rest.append(c)
+        queue = rest
+    placed = frozenset(c for b in bundles for c in b)
+    benchmark = Allocation(
+        bundles=tuple(frozenset(b) for b in bundles), leftover=all_chores - placed
+    )
+    return Outcome(passed=not queue, benchmark=benchmark, really_large_count=k)
+
+
+def reference_search_threshold(inst: Instance, agent: int) -> int:
+    """Boundary search over [lower, 2*lower] calling the reference test."""
+    bounds = search_bounds(inst, agent)
+    if bounds.lower == 0:
+        return 0
+    lo, hi = bounds.lower, bounds.upper
+    assert reference_threshold_test(inst, agent, hi).passed
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reference_threshold_test(inst, agent, mid).passed:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_lift_allocation(
+    inst: Instance, ordd: OrderedInstance, ord_alloc: Allocation
+) -> Allocation:
+    """The lift taking ``min`` over the set of remaining chores."""
+    n, m = inst.num_agents, inst.num_chores
+    owner = [0] * m
+    for i, bundle in enumerate(ord_alloc.bundles):
+        for j in bundle:
+            owner[j] = i
+    remaining = set(range(m))
+    picked: List[List[int]] = [[] for _ in range(n)]
+    for j in range(m - 1, -1, -1):
+        agent = owner[j]
+        row = inst.valuations[agent]
+        chore = min(remaining, key=lambda c: (row[c], c))
+        picked[agent].append(chore)
+        remaining.remove(chore)
+    return Allocation(
+        bundles=tuple(frozenset(b) for b in picked), leftover=frozenset()
+    )
+
+
+def ido_instance(rng: random.Random, n: int, m: int, top: int) -> Instance:
+    """Rows that share one descending order, with chores relabelled at random."""
+    base = sorted((rng.randint(0, top) for _ in range(m)), reverse=True)
+    rows = []
+    for _ in range(n):
+        row = sorted((max(0, v + rng.randint(-2, 2)) for v in base), reverse=True)
+        rows.append(row)
+    labels = list(range(m))
+    rng.shuffle(labels)
+    return Instance.from_rows([[row[labels[c]] for c in range(m)] for row in rows])
+
+
+def hot_path_corpus() -> List[Instance]:
+    """Seeded instances: small values for ties and zeros, m from 0 past n."""
+    rng = random.Random(SEED_HOT_PATH_CORPUS)
+    corpus = [
+        Instance.from_rows([[]]),
+        Instance.from_rows([[], [], []]),
+        Instance.from_rows([[0, 0], [0, 0], [0, 0]]),
+        Instance.from_rows([[5, 5, 5, 5, 5]] * 2),
+    ]
+    for idx in range(150):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 20)
+        top = rng.choice((1, 4, 30))
+        if idx % 3 == 0:
+            corpus.append(ido_instance(rng, n, m, top))
+        else:
+            corpus.append(
+                Instance.from_rows(
+                    [[rng.randint(0, top) for _ in range(m)] for _ in range(n)]
+                )
+            )
+    return corpus
+
+
+CORPUS = hot_path_corpus()
+FIXTURES = [f.instance for f in builtin_fixtures()]
+
+
+@st.composite
+def edge_instances(draw) -> Instance:
+    """Zero values, many ties, m < n and m = 0 all come up often."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 10))
+    top = draw(st.sampled_from((0, 1, 2, 9)))
+    rows = [
+        draw(st.lists(st.integers(0, top), min_size=m, max_size=m)) for _ in range(n)
+    ]
+    return Instance.from_rows(rows)
+
+
+def sweep(inst: Instance, agent: int) -> range:
+    """Every s in [lower, 2*lower], with lower 0 read as 1 (s must be >= 1)."""
+    lower = max(search_bounds(inst, agent).lower, 1)
+    return range(lower, 2 * lower + 1)
+
+
+def assert_threshold_test_matches(inst: Instance) -> None:
+    for agent in range(inst.num_agents):
+        for s in sweep(inst, agent):
+            got = threshold_test(inst, agent, s)
+            want = reference_threshold_test(inst, agent, s)
+            assert got.passed == want.passed, (agent, s)
+            assert got.benchmark == want.benchmark, (agent, s)
+            assert got.really_large_count == want.really_large_count, (agent, s)
+
+
+def assert_search_matches(inst: Instance) -> None:
+    for agent in range(inst.num_agents):
+        assert search_threshold(inst, agent) == reference_search_threshold(inst, agent)
+
+
+def cap_vectors(inst: Instance, rng: random.Random) -> List[ThresholdVector]:
+    """Caps at 5s/4 of the searched thresholds, then at random fractions.
+
+    The random caps lie between 0 and twice the pigeonhole bound with
+    denominators up to 12, so most are not integers and some strand
+    chores in the leftover.
+    """
+    n = inst.num_agents
+    s_values = [search_threshold(inst, i) for i in range(n)]
+    caps = [ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))]
+    for _ in range(3):
+        den = rng.randint(2, 12)
+        caps.append(
+            ThresholdVector(
+                tuple(
+                    Fraction(rng.randint(0, 2 * den * max(1, lower)), den)
+                    for lower in (search_bounds(inst, i).lower for i in range(n))
+                )
+            )
+        )
+    return caps
+
+
+def assert_greedy_matches(inst: Instance, caps: ThresholdVector) -> None:
+    ordd = ordered_instance(inst)
+    assert greedy_fill(ordd, caps) == reference_greedy_fill(ordd, caps)
+    if ido_order(inst) is not None:
+        assert greedy_fill(inst, caps) == reference_greedy_fill(inst, caps)
+
+
+def assert_lift_matches(inst: Instance, owners: List[int]) -> None:
+    ordd = ordered_instance(inst)
+    bundles = tuple(
+        frozenset(j for j, o in enumerate(owners) if o == i)
+        for i in range(inst.num_agents)
+    )
+    ord_alloc = Allocation(bundles=bundles, leftover=frozenset())
+    got = lift_allocation(inst, ordd, ord_alloc)
+    assert got == reference_lift_allocation(inst, ordd, ord_alloc)
+
+
+class TestThresholdTest:
+    def test_corpus_and_fixtures(self):
+        for inst in CORPUS + FIXTURES:
+            assert_threshold_test_matches(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_instances())
+    def test_edge_instances(self, inst):
+        assert_threshold_test_matches(inst)
+
+
+class TestSearchThreshold:
+    def test_corpus_and_fixtures(self):
+        for inst in CORPUS + FIXTURES:
+            assert_search_matches(inst)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_instances())
+    def test_edge_instances(self, inst):
+        assert_search_matches(inst)
+
+
+class TestGreedyFill:
+    def test_corpus_at_fractional_caps(self):
+        rng = random.Random(SEED_HOT_PATH_CORPUS)
+        fractional = [0, 0]  # at 5s/4 (s not divisible by 4), at random caps
+        for inst in CORPUS:
+            for idx, caps in enumerate(cap_vectors(inst, rng)):
+                fractional[idx > 0] += sum(t.denominator > 1 for t in caps.thresholds)
+                assert_greedy_matches(inst, caps)
+        assert min(fractional) > 0
+
+    def test_fixtures_and_small_corpus_at_eleven_ninths_of_the_share(self):
+        fractional = 0
+        for inst in FIXTURES + CORPUS[:60]:
+            caps = ThresholdVector(
+                tuple(Fraction(11 * mu, 9) for mu in mms_profile(inst).values)
+            )
+            fractional += sum(t.denominator > 1 for t in caps.thresholds)
+            assert_greedy_matches(inst, caps)
+        assert fractional > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_instances(), st.data())
+    def test_edge_instances(self, inst, data):
+        caps = ThresholdVector(
+            tuple(
+                data.draw(st.fractions(min_value=0, max_value=30, max_denominator=12))
+                for _ in range(inst.num_agents)
+            )
+        )
+        assert_greedy_matches(inst, caps)
+
+
+class TestLiftAllocation:
+    def test_corpus_and_fixtures(self):
+        rng = random.Random(SEED_HOT_PATH_CORPUS)
+        for inst in CORPUS + FIXTURES:
+            for _ in range(3):
+                owners = [
+                    rng.randrange(inst.num_agents) for _ in range(inst.num_chores)
+                ]
+                assert_lift_matches(inst, owners)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_instances(), st.data())
+    def test_edge_instances(self, inst, data):
+        owners = data.draw(
+            st.lists(
+                st.integers(0, inst.num_agents - 1),
+                min_size=inst.num_chores,
+                max_size=inst.num_chores,
+            )
+        )
+        assert_lift_matches(inst, owners)
+
