@@ -223,7 +223,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    limits = OracleLimits(max_chores=args.max_chores, node_budget=args.node_budget)
+    limits = _limits(args)
     corpus = [(f.name, f.instance) for f in builtin_fixtures()]
     config = GeneratorConfig(seed=args.seed, chores=(2, min(14, args.max_chores)))
     for idx, inst in enumerate(generate(config, args.count)):
@@ -366,7 +366,7 @@ def run_cli(argv: Sequence[str]) -> int:
     except SolverInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -21,6 +21,7 @@ from .instances import (
     OrderedInstance,
     Ratio,
     ThresholdVector,
+    allocation_loads,
     ido_order,
 )
 from .oracle import MmsProfile
@@ -155,16 +156,13 @@ def check_amms(
     """Does every agent carry at most alpha times their maximin share?"""
     if not alloc.complete:
         raise InputError("check_amms needs a complete allocation")
-    if len(alloc.bundles) != inst.num_agents or alloc.num_chores != inst.num_chores:
-        raise InputError("allocation does not match the instance")
+    loads = allocation_loads(inst, alloc)
     if len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
 
     within: List[bool] = []
     ratios: List[Optional[Fraction]] = []
-    for i in range(inst.num_agents):
-        load = inst.value(i, alloc.bundles[i])
-        share = profile.values[i]
+    for load, share in zip(loads, profile.values):
         if share > 0:
             within.append(Fraction(load) <= alpha * share)
             ratios.append(Fraction(load, share))

@@ -2,19 +2,24 @@
 
 For chores, an agent's maximin share is the minimum over all n-bundle
 partitions of the maximum bundle cost under their valuation: exactly the
-optimal makespan of scheduling their chores on n identical machines. The
-problem is NP-hard, so this oracle is a bounded branch-and-bound meant
+optimal makespan of scheduling their chores on n identical machines.
+Both questions therefore run one search, ``_min_makespan``, on a row
+sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
+agent, ``optimal_makespan`` on a job list with one bin per machine. The
+problem is NP-hard, so the search is a bounded branch-and-bound meant
 for ground truth on small instances, not for production-sized inputs.
+It keeps its state in lists, not on the call stack, so only its own
+limits bound the row length it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InstanceTooLargeError, NodeBudgetError
 from .instances import Allocation, Instance
-from .scheduling import schedule_lpt
+from .scheduling import _pigeonhole, schedule_lpt
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -46,81 +51,103 @@ class MmsProfile:
     witnesses: Optional[Tuple[Allocation, ...]] = None
 
 
+def _min_makespan(
+    desc: Sequence[int], n: int, limits: OracleLimits
+) -> Tuple[int, List[int]]:
+    """Optimal makespan of a nonincreasing row on n identical bins.
+
+    Returns the makespan and the bin of each position. The incumbent
+    starts at the longest-processing-time schedule of the row.
+    Branch-and-bound then places positions in order, depth first: a
+    placement never pushes a bin to or past the incumbent, and bins
+    whose load repeats a load already tried at that depth are skipped.
+    Values are nonincreasing and only the first empty bin ever opens, so
+    the empty bins are always the last ones and that rule alone skips
+    every empty bin after the first. The search stops once the incumbent
+    reaches the pigeonhole bound, which cannot be beaten. It keeps its
+    state in per-depth lists rather than on the call stack, so no row
+    length reaches the recursion limit.
+    """
+    m = len(desc)
+    if m > limits.max_chores:
+        raise InstanceTooLargeError(
+            f"{m} chores exceeds the oracle limit of {limits.max_chores}"
+        )
+    seed = schedule_lpt(desc, n)
+    incumbent = seed.makespan
+    best = [0] * m
+    for b, bundle in enumerate(seed.allocation.bundles):
+        for pos in bundle:
+            best[pos] = b
+    lower = _pigeonhole(desc, n)
+    if incumbent == lower:
+        return incumbent, best
+
+    budget = limits.node_budget
+    nodes = 0
+    loads = [0] * n
+    assign = [0] * m
+    # Per depth: an iterator over the bins it has still to try, and the
+    # bin loads it has already tried.
+    next_bins: List[Iterator[int]] = [iter(range(n)) for _ in range(m)]
+    tried: List[set] = [set() for _ in range(m)]
+    last = m - 1
+    k = 0
+    while True:
+        value = desc[k]
+        seen = tried[k]
+        for b in next_bins[k]:
+            load = loads[b]
+            if load in seen:
+                continue
+            seen.add(load)
+            if load + value < incumbent:
+                nodes += 1
+                if nodes > budget:
+                    raise NodeBudgetError(
+                        f"node budget {budget} exhausted on a "
+                        f"{n}-agent, {m}-chore search"
+                    )
+                loads[b] = load + value
+                assign[k] = b
+                if k < last:
+                    k += 1
+                    next_bins[k] = iter(range(n))
+                    tried[k].clear()
+                    break
+                incumbent = max(loads)
+                best = assign.copy()
+                loads[b] = load
+                if incumbent == lower:
+                    return incumbent, best
+        else:
+            # Depth k is done: undo the placement of the depth above.
+            k -= 1
+            if k < 0:
+                return incumbent, best
+            loads[assign[k]] -= desc[k]
+
+
 def exact_mms(
     inst: Instance, agent: int, limits: OracleLimits = OracleLimits()
 ) -> Tuple[int, Allocation]:
     """Exact maximin share of one agent plus an optimal witness partition.
 
-    Branch-and-bound over chores in nonincreasing value order. Prunes:
-    placing a chore never pushes a bundle to or past the incumbent, a
-    chore only ever opens the first empty bundle, and bundles whose
-    current load repeats an already-tried load are skipped. The search
-    additionally stops once the incumbent reaches the pigeonhole lower
-    bound max(ceil(total/n), max value), which cannot be improved.
+    The share is the optimal makespan of the agent's row on n identical
+    bins: the row is sorted by descending value, ties by chore index,
+    ``_min_makespan`` searches it, and the bins of its positions map
+    back to the chores behind them.
     """
     row = inst.row(agent)
-    n, m = inst.num_agents, inst.num_chores
-    if m > limits.max_chores:
-        raise InstanceTooLargeError(
-            f"{m} chores exceeds the oracle limit of {limits.max_chores}"
-        )
-
-    order = sorted(range(m), key=lambda c: (-row[c], c))
-    values = [row[c] for c in order]
-    total = sum(values)
-    lower = max(-(-total // n), values[0]) if m else 0
-
-    seed = schedule_lpt(row, n)
-    incumbent, witness = seed.makespan, seed.allocation
-
-    if m and incumbent > lower:
-        loads = [0] * n
-        assign = [0] * m
-        nodes = 0
-        budget = limits.node_budget
-        best_assign: Optional[List[int]] = None
-
-        def descend(k: int) -> None:
-            nonlocal incumbent, best_assign, nodes
-            if k == m:
-                incumbent = max(loads)
-                best_assign = assign.copy()
-                return
-            value = values[k]
-            tried: set = set()
-            for b in range(n):
-                load = loads[b]
-                if load in tried:
-                    continue
-                tried.add(load)
-                if load + value < incumbent:
-                    nodes += 1
-                    if nodes > budget:
-                        raise NodeBudgetError(
-                            f"node budget {budget} exhausted on a "
-                            f"{n}-agent, {m}-chore search"
-                        )
-                    loads[b] = load + value
-                    assign[k] = b
-                    descend(k + 1)
-                    loads[b] = load
-                    if incumbent == lower:
-                        return
-                if load == 0:
-                    # Remaining bundles are all empty too; trying them
-                    # would only relabel this branch.
-                    break
-
-        descend(0)
-
-        if best_assign is not None:
-            bundles: List[set] = [set() for _ in range(n)]
-            for pos, bundle in enumerate(best_assign):
-                bundles[bundle].add(order[pos])
-            witness = Allocation(
-                bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
-            )
-    return incumbent, witness
+    order = sorted(range(inst.num_chores), key=lambda c: (-row[c], c))
+    value, bins = _min_makespan([row[c] for c in order], inst.num_agents, limits)
+    bundles: List[set] = [set() for _ in range(inst.num_agents)]
+    for pos, b in enumerate(bins):
+        bundles[b].add(order[pos])
+    witness = Allocation(
+        bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
+    )
+    return value, witness
 
 
 def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:
@@ -139,11 +166,11 @@ def optimal_makespan(
 ) -> int:
     """Exact minimum makespan of jobs on identical machines.
 
-    Identical machines mean a single valuation repeated for every
-    machine, so this is the oracle applied to that synthetic instance.
+    The jobs are validated as one row of valuations, so the 64-bit cap
+    applies, and their descending sort goes straight to the search that
+    ``exact_mms`` runs for each agent's row.
     """
     if machines < 1:
         raise InputError("machines must be at least 1")
-    inst = Instance.from_rows([list(values)] * machines)
-    value, _ = exact_mms(inst, 0, limits)
-    return value
+    row = Instance.from_rows([values]).row(0)
+    return _min_makespan(sorted(row, reverse=True), machines, limits)[0]

@@ -50,29 +50,45 @@ def _check_jobs(values: Sequence[int], machines: int) -> None:
             raise InputError(f"job {j} is negative")
 
 
+def _pigeonhole(values: Sequence[int], bins: int) -> int:
+    """max(ceil(total/bins), max value): no packing into bins does better."""
+    return max(-(-sum(values) // bins), max(values, default=0))
+
+
+def _sweep(
+    desc: Sequence[int], queue: Sequence[int], load: int, cap: int
+) -> Tuple[List[int], List[int], int]:
+    """One largest-first pass of a bin over the positions in ``queue``.
+
+    Starting from ``load``, the bin keeps every position of ``desc`` that
+    still fits under ``cap``. Returns the positions taken, the positions
+    left over in their original order, and the bin's final load.
+    """
+    taken: List[int] = []
+    rest: List[int] = []
+    for pos in queue:
+        if load + desc[pos] <= cap:
+            load += desc[pos]
+            taken.append(pos)
+        else:
+            rest.append(pos)
+    return taken, rest, load
+
+
 def _first_fit_decreasing(
     desc_values: Sequence[int], bins: int, cap: int
 ) -> Tuple[List[List[int]], List[int]]:
     """Pack nonincreasing values into bins under one cap, bin by bin.
 
-    Each bin takes one largest-first pass over the positions still
-    unplaced, keeping every one that fits. Returns the positions in each
-    bin and the positions no bin could take.
+    Each bin takes one ``_sweep`` over the positions still unplaced.
+    Returns the positions in each bin and the positions no bin could
+    take.
     """
     remaining = list(range(len(desc_values)))
     packed: List[List[int]] = []
     for _ in range(bins):
-        load = 0
-        bundle: List[int] = []
-        rest: List[int] = []
-        for pos in remaining:
-            if load + desc_values[pos] <= cap:
-                load += desc_values[pos]
-                bundle.append(pos)
-            else:
-                rest.append(pos)
+        bundle, remaining, _ = _sweep(desc_values, remaining, 0, cap)
         packed.append(bundle)
-        remaining = rest
     return packed, remaining
 
 
@@ -108,7 +124,7 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     order = sorted(range(len(values)), key=lambda j: (-values[j], -j))
     desc = [values[j] for j in order]
 
-    lo = max(-(-sum(desc) // machines), max(desc, default=0))
+    lo = _pigeonhole(desc, machines)
     threshold = _boundary_search(
         lambda s: not _first_fit_decreasing(desc, machines, s)[1], lo, 2 * lo
     )

@@ -30,11 +30,12 @@ from .instances import (
     Allocation,
     Instance,
     ThresholdVector,
+    allocation_loads,
     lift_allocation,
     ordered_instance,
 )
 from .oracle import MmsProfile, OracleLimits, mms_profile
-from .scheduling import _boundary_search, _first_fit_decreasing
+from .scheduling import _boundary_search, _first_fit_decreasing, _pigeonhole, _sweep
 
 
 @dataclass(frozen=True)
@@ -125,24 +126,19 @@ def _pack_large(
 
     bundles: List[List[int]] = [[pos] for pos in range(k)]
     bundles += [[] for _ in range(n - k)]
-    loads = [desc[pos] for pos in range(k)] + [0] * (n - k)
     queue = list(range(k, large))
 
-    # Stage one: bundles k..1, one largest-first sweep each, cap s.
+    # Stage one: bundles k..1, one sweep each on top of their seed, cap s.
     # Stage two: fresh bundles k+1..n under the relaxed cap 5s/4, which
     # loads, being integers, meet exactly when they meet its floor.
     for t in [*range(k - 1, -1, -1), *range(k, n)]:
         if not queue:
             break
-        cap = s if t < k else 5 * s // 4
-        rest: List[int] = []
-        for pos in queue:
-            if loads[t] + desc[pos] <= cap:
-                bundles[t].append(pos)
-                loads[t] += desc[pos]
-            else:
-                rest.append(pos)
-        queue = rest
+        if t < k:
+            taken, queue, _ = _sweep(desc, queue, desc[t], s)
+        else:
+            taken, queue, _ = _sweep(desc, queue, 0, 5 * s // 4)
+        bundles[t] += taken
     return bundles, queue, k
 
 
@@ -175,10 +171,7 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
 
 def search_bounds(inst: Instance, agent: int) -> SearchBounds:
     """Pigeonhole bracket: lower = max(ceil(total/n), max value)."""
-    row = inst.row(agent)
-    total = sum(row)
-    top = max(row) if row else 0
-    lower = max(-(-total // inst.num_agents), top)
+    lower = _pigeonhole(inst.row(agent), inst.num_agents)
     return SearchBounds(lower=lower, upper=2 * lower)
 
 
@@ -204,6 +197,30 @@ def search_threshold(inst: Instance, agent: int) -> int:
     )
 
 
+def _allocate_within(
+    inst: Instance, caps: ThresholdVector
+) -> Tuple[Allocation, Tuple[int, ...], Tuple[TraceEntry, ...]]:
+    """Greedy on the ordered instance at ``caps``, lifted and re-checked.
+
+    Both solvers choose caps at which the greedy provably places every
+    chore and the lift keeps every load within its cap; both facts are
+    checked here rather than assumed. Returns the allocation of the
+    original chores, each agent's load and the greedy trace.
+    """
+    ordd = ordered_instance(inst)
+    result = greedy_fill(ordd, caps)
+    if not result.allocation.complete:
+        raise SolverInvariantError("greedy left chores over at the solver's caps")
+    lifted = lift_allocation(inst, ordd, result.allocation)
+    loads = allocation_loads(inst, lifted)
+    for i, (load, cap) in enumerate(zip(loads, caps.thresholds)):
+        if load > cap:
+            raise SolverInvariantError(
+                f"agent {i} carries {load} above their cap {cap}"
+            )
+    return lifted, loads, result.trace
+
+
 def solve_existence_119(
     inst: Instance,
     limits: OracleLimits = OracleLimits(),
@@ -222,29 +239,14 @@ def solve_existence_119(
         profile = mms_profile(inst, limits)
     elif len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
-    ordd = ordered_instance(inst)
     caps = ThresholdVector(tuple(Fraction(11 * mu, 9) for mu in profile.values))
-    result = greedy_fill(ordd, caps)
-    if not result.allocation.complete:
-        raise SolverInvariantError(
-            "greedy left chores over at caps of 11/9 of each share"
-        )
-    lifted = lift_allocation(inst, ordd, result.allocation)
-
-    ratios: List[Fraction] = []
-    for i in range(inst.num_agents):
-        load = inst.value(i, lifted.bundles[i])
-        mu = profile.values[i]
-        if 9 * load > 11 * mu:
-            raise SolverInvariantError(
-                f"agent {i} carries {load} against a share of {mu}"
-            )
-        ratios.append(Fraction(load, mu) if mu else Fraction(0))
+    allocation, loads, trace = _allocate_within(inst, caps)
+    ratios = tuple(
+        Fraction(load, mu) if mu else Fraction(0)
+        for load, mu in zip(loads, profile.values)
+    )
     return ExistenceResult(
-        allocation=lifted,
-        profile=profile,
-        ratios=tuple(ratios),
-        trace=result.trace,
+        allocation=allocation, profile=profile, ratios=ratios, trace=trace
     )
 
 
@@ -257,33 +259,17 @@ def solve_poly_54(inst: Instance) -> PolyResult:
     5*s_i certifies the 5/4 bound.
     """
     s_values = tuple(search_threshold(inst, i) for i in range(inst.num_agents))
-    ordd = ordered_instance(inst)
     caps = ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))
-    result = greedy_fill(ordd, caps)
-    if not result.allocation.complete:
-        raise SolverInvariantError(
-            "greedy left chores over at caps of 5/4 of certified thresholds"
-        )
-    lifted = lift_allocation(inst, ordd, result.allocation)
-
-    certificates: List[BoundCertificate] = []
-    for i in range(inst.num_agents):
-        load = inst.value(i, lifted.bundles[i])
-        ok = 4 * load <= 5 * s_values[i]
-        if not ok:
-            raise SolverInvariantError(
-                f"agent {i} carries {load} against certified threshold "
-                f"{s_values[i]}"
-            )
-        certificates.append(
-            BoundCertificate(
-                agent=i, load=load, cap=Fraction(5 * s_values[i], 4), satisfied=ok
-            )
-        )
+    allocation, loads, trace = _allocate_within(inst, caps)
+    # _allocate_within has checked every load against its cap.
+    certificates = tuple(
+        BoundCertificate(agent=i, load=load, cap=cap, satisfied=True)
+        for i, (load, cap) in enumerate(zip(loads, caps.thresholds))
+    )
     return PolyResult(
-        allocation=lifted,
+        allocation=allocation,
         thresholds=caps,
         s_values=s_values,
-        certificates=tuple(certificates),
-        trace=result.trace,
+        certificates=certificates,
+        trace=trace,
     )

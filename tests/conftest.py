@@ -22,6 +22,7 @@ SEED_LIFT_CORPUS = 6006
 SEED_SCHED_CORPUS = 7007
 SEED_ENUM_CORPUS = 8008
 SEED_HOT_PATH_CORPUS = 9009
+SEED_ORACLE_CORPUS = 10010
 
 
 def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:

@@ -78,6 +78,24 @@ class TestExitCodes:
         assert run_cli(["schedule", "--input", str(huge), "--machines", "1"]) == 2
         capsys.readouterr()
 
+    # The oracle places one chore per search depth, so rows longer than
+    # Python's recursion limit must still end in a share or an exit code.
+    def test_long_row_exhausts_the_node_budget(self, tmp_path, capsys):
+        inst = {"agents": 2, "chores": 1201, "valuations": [[2] * 1201] * 2}
+        path = write_json(tmp_path / "long.json", inst)
+        argv = ["mms", "--input", path, "--max-chores", "5000", "--node-budget", "100000"]
+        assert run_cli(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("oracle limit: node budget 100000 exhausted")
+        assert err.count("\n") == 1
+
+    def test_long_row_of_zeros_gets_its_share(self, tmp_path, capsys):
+        row = [3, 3, 2, 2, 2] + [0] * 1200
+        inst = {"agents": 2, "chores": len(row), "valuations": [row, row]}
+        path = write_json(tmp_path / "zeros.json", inst)
+        assert run_cli(["mms", "--input", path, "--max-chores", "5000"]) == 0
+        assert capsys.readouterr().out == "agent 0: mms 6\nagent 1: mms 6\n"
+
 
 # Value pools per flag, one pool per argument the flag takes. "@a" and
 # "@b" are files with random contents, "@dir" an existing directory and

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from typing import List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchores import (
+    Allocation,
     InputError,
     Instance,
     InstanceTooLargeError,
@@ -18,8 +20,9 @@ from fairchores import (
     exact_mms,
     mms_profile,
     optimal_makespan,
+    schedule_lpt,
 )
-from conftest import enumerate_min_makespan
+from conftest import SEED_ORACLE_CORPUS, enumerate_min_makespan
 
 
 def identical(row, n=4) -> Instance:
@@ -151,3 +154,139 @@ class TestOptimalMakespan:
     def test_machine_count_checked(self):
         with pytest.raises(InputError):
             optimal_makespan([1, 2], 0)
+
+    def test_machine_count_checked_before_any_value(self):
+        with pytest.raises(InputError, match="machines must be at least 1"):
+            optimal_makespan([True, -1, 2**63], 0)
+
+    # The jobs are one row of valuations: the 64-bit cap applies and the
+    # messages name the cell, as they did when the oracle cloned the row.
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, r"valuations\[0\]\[1\] must be an integer, got True"),
+            (-1, r"valuations\[0\]\[1\] is negative"),
+            (2**63, r"valuations\[0\]\[1\] exceeds 64-bit range"),
+        ],
+    )
+    def test_jobs_are_checked_as_a_valuation_row(self, bad, message):
+        with pytest.raises(InputError, match=message):
+            optimal_makespan([4, bad, 1], 2)
+
+
+def reference_exact_mms(
+    inst: Instance, agent: int, limits: OracleLimits
+) -> Tuple[int, Allocation]:
+    """The recursive branch-and-bound as it was before the explicit stack."""
+    row = inst.row(agent)
+    n, m = inst.num_agents, inst.num_chores
+    if m > limits.max_chores:
+        raise InstanceTooLargeError(
+            f"{m} chores exceeds the oracle limit of {limits.max_chores}"
+        )
+
+    order = sorted(range(m), key=lambda c: (-row[c], c))
+    values = [row[c] for c in order]
+    total = sum(values)
+    lower = max(-(-total // n), values[0]) if m else 0
+
+    seed = schedule_lpt(row, n)
+    incumbent, witness = seed.makespan, seed.allocation
+
+    if m and incumbent > lower:
+        loads = [0] * n
+        assign = [0] * m
+        nodes = 0
+        budget = limits.node_budget
+        best_assign: Optional[List[int]] = None
+
+        def descend(k: int) -> None:
+            nonlocal incumbent, best_assign, nodes
+            if k == m:
+                incumbent = max(loads)
+                best_assign = assign.copy()
+                return
+            value = values[k]
+            tried: set = set()
+            for b in range(n):
+                load = loads[b]
+                if load in tried:
+                    continue
+                tried.add(load)
+                if load + value < incumbent:
+                    nodes += 1
+                    if nodes > budget:
+                        raise NodeBudgetError(
+                            f"node budget {budget} exhausted on a "
+                            f"{n}-agent, {m}-chore search"
+                        )
+                    loads[b] = load + value
+                    assign[k] = b
+                    descend(k + 1)
+                    loads[b] = load
+                    if incumbent == lower:
+                        return
+                if load == 0:
+                    break
+
+        descend(0)
+
+        if best_assign is not None:
+            bundles: List[set] = [set() for _ in range(n)]
+            for pos, bundle in enumerate(best_assign):
+                bundles[bundle].add(order[pos])
+            witness = Allocation(
+                bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
+            )
+    return incumbent, witness
+
+
+def oracle_corpus() -> List[Instance]:
+    """Seeded rows with zeros and ties; every second instance shares one row.
+
+    Covers one agent, no chores and fewer chores than agents, then the
+    three builtin fixtures.
+    """
+    rng = random.Random(SEED_ORACLE_CORPUS)
+    corpus = []
+    for k in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 11)
+        pool = [0, rng.randint(1, 6), rng.randint(1, 60), rng.randint(1, 60)]
+        rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+        if k % 2 == 0:
+            rows = [rows[0]] * n
+        corpus.append(Instance.from_rows(rows))
+    return corpus + [f.instance for f in builtin_fixtures()]
+
+
+def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
+    try:
+        value, witness = oracle(inst, agent, limits)
+    except NodeBudgetError as exc:
+        return str(exc)
+    return value, witness.bundles, witness.leftover
+
+
+class TestAgainstRecursiveOracle:
+    def test_corpus_covers_the_edge_cases(self):
+        shapes = [(inst.num_agents, inst.num_chores) for inst in oracle_corpus()]
+        assert any(n == 1 for n, _ in shapes)
+        assert any(m == 0 for _, m in shapes)
+        assert any(0 < m < n for n, m in shapes)
+
+    def test_values_witnesses_and_budget_stops_match(self):
+        limits = OracleLimits(max_chores=17)
+        for inst in oracle_corpus():
+            for agent in range(inst.num_agents):
+                expected = reference_exact_mms(inst, agent, limits)
+                assert exact_mms(inst, agent, limits) == expected
+                row = inst.row(agent)
+                assert optimal_makespan(row, inst.num_agents, limits) == expected[0]
+                # The same nodes in the same order: every budget runs out
+                # at the same place or not at all.
+                for budget in (1, 3, 10, 40):
+                    small = OracleLimits(max_chores=17, node_budget=budget)
+                    assert outcome(exact_mms, inst, agent, small) == outcome(
+                        reference_exact_mms, inst, agent, small
+                    )
