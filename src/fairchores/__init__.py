@@ -48,9 +48,18 @@ from .solvers import (
     solve_poly_54,
     threshold_test,
 )
-from .cli import run_cli
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The CLI (argparse, csv) loads on first use of ``run_cli`` only.
+    if name != "run_cli":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .cli import run_cli
+
+    return run_cli
+
 
 __all__ = [
     "Allocation",

@@ -93,7 +93,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"share {result.profile.values[i]}, ratio {ratio}"
             )
         report_lines.append(f"max ratio {max(result.ratios, default=Fraction(0))}")
-        trace = result.trace
     else:
         result = solve_poly_54(inst)
         alloc = result.allocation
@@ -102,19 +101,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"agent {cert.agent}: load {cert.load}, cap {cert.cap}, "
                 f"certified {str(cert.satisfied).lower()}"
             )
-        trace = result.trace
     report_lines.append(f"complete {str(alloc.complete).lower()}")
 
     if args.trace:
-        _write_trace(trace, args.trace)
-    if args.output:
-        _dump_json(allocation_to_json(alloc), args.output)
-        for line in report_lines:
-            print(line)
-    else:
-        _dump_json(allocation_to_json(alloc), None)
-        for line in report_lines:
-            print(line, file=sys.stderr)
+        _write_trace(result.trace, args.trace)
+    _dump_json(allocation_to_json(alloc), args.output)
+    # With the allocation on stdout, the report goes to stderr.
+    report = sys.stdout if args.output else sys.stderr
+    for line in report_lines:
+        print(line, file=report)
     return EXIT_OK
 
 
@@ -132,21 +127,15 @@ def cmd_mms(args: argparse.Namespace) -> int:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     jobs = _load_jobs(args.input)
+    schedule = schedule_119 if args.algo == "greedy-119" else schedule_lpt
+    result = schedule(jobs, args.machines)
+    payload = {
+        "bundles": [sorted(b) for b in result.allocation.bundles],
+        "loads": list(result.loads),
+        "makespan": result.makespan,
+    }
     if args.algo == "greedy-119":
-        result = schedule_119(jobs, args.machines)
-        payload = {
-            "bundles": [sorted(b) for b in result.allocation.bundles],
-            "loads": list(result.loads),
-            "makespan": result.makespan,
-            "threshold": result.threshold,
-        }
-    else:
-        result = schedule_lpt(jobs, args.machines)
-        payload = {
-            "bundles": [sorted(b) for b in result.allocation.bundles],
-            "loads": list(result.loads),
-            "makespan": result.makespan,
-        }
+        payload["threshold"] = result.threshold
     _dump_json(payload, args.output)
     return EXIT_OK
 
@@ -229,7 +218,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for idx, inst in enumerate(generate(config, args.count)):
         corpus.append((f"rand-{args.seed}-{idx:03d}", inst))
 
-    rows = []
+    rows = [
+        ("instance_id", "n", "m", "algo", "max_ratio_num", "max_ratio_den",
+         "mms_oracle_ms", "solver_ms", "complete")
+    ]
     for name, inst in corpus:
         if inst.num_chores > args.max_chores:
             continue  # oracle-backed columns would exceed the limit
@@ -246,35 +238,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
             solver_ms = (time.perf_counter() - started) * 1000.0
             ratio = max(check_amms(inst, alloc, profile, alpha).ratios)
             rows.append(
-                {
-                    "instance_id": name,
-                    "n": inst.num_agents,
-                    "m": inst.num_chores,
-                    "algo": algo,
-                    "max_ratio_num": ratio.numerator,
-                    "max_ratio_den": ratio.denominator,
-                    "mms_oracle_ms": f"{oracle_ms:.3f}",
-                    "solver_ms": f"{solver_ms:.3f}",
-                    "complete": str(alloc.complete).lower(),
-                }
+                (
+                    name,
+                    inst.num_agents,
+                    inst.num_chores,
+                    algo,
+                    ratio.numerator,
+                    ratio.denominator,
+                    f"{oracle_ms:.3f}",
+                    f"{solver_ms:.3f}",
+                    str(alloc.complete).lower(),
+                )
             )
 
-    fieldnames = [
-        "instance_id",
-        "n",
-        "m",
-        "algo",
-        "max_ratio_num",
-        "max_ratio_den",
-        "mms_oracle_ms",
-        "solver_ms",
-        "complete",
-    ]
     handle = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     try:
-        writer = csv.DictWriter(handle, fieldnames=fieldnames)
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(handle).writerows(rows)
     finally:
         if args.output:
             handle.close()
@@ -295,7 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--algo", choices=("exact-119", "poly-54"), default="poly-54"
     )
     p_solve.add_argument("--output", help="write allocation JSON here")
-    p_solve.add_argument("--trace", help="write greedy trace JSON lines here")
+    p_solve.add_argument(
+        "--trace",
+        help="write greedy trace JSON lines here; each 'chore' is a position "
+        "in the ordered instance, not an original chore index",
+    )
     _add_limit_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

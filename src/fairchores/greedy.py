@@ -31,8 +31,12 @@ from .oracle import MmsProfile
 class TraceEntry:
     """One accepted chore: which round took it, who vouched for it.
 
-    ``witness_load`` is the witnessing agent's bundle cost right after
-    the insertion. Debugging aid only; no equality contract.
+    ``chore`` is the chore as the greedy scanned it. Both solvers run the
+    greedy on ``ordered_instance``, so there it is a position in the
+    ordered instance (the j-th largest value in every row), not an
+    original chore index. ``witness_load`` is the witnessing agent's
+    bundle cost right after the insertion. Debugging aid only; no
+    equality contract.
     """
 
     round_index: int
@@ -160,16 +164,10 @@ def check_amms(
     if len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
 
-    within: List[bool] = []
-    ratios: List[Optional[Fraction]] = []
-    for load, share in zip(loads, profile.values):
-        if share > 0:
-            within.append(Fraction(load) <= alpha * share)
-            ratios.append(Fraction(load, share))
-        elif load == 0:
-            within.append(True)
-            ratios.append(Fraction(0))
-        else:
-            within.append(False)
-            ratios.append(None)
-    return AmmsReport(passed=all(within), within=tuple(within), ratios=tuple(ratios))
+    pairs = list(zip(loads, profile.values))
+    within = tuple(load <= alpha * share for load, share in pairs)
+    ratios = tuple(
+        Fraction(load, share) if share > 0 else Fraction(0) if load == 0 else None
+        for load, share in pairs
+    )
+    return AmmsReport(passed=all(within), within=within, ratios=ratios)

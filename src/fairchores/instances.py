@@ -5,6 +5,10 @@ worse). All threshold arithmetic is exact and never floating point:
 thresholds are rationals, and since loads are integers, code that
 compares loads against a rational cap t may compare them against the
 integer floor(t) instead, which is the same test.
+
+Every per-row entry point in the package runs four steps: check the
+values (``_check_values``), sort the row (``_descending``), run a core on
+the positions of the sorted row, map them back (``_chore_allocation``).
 """
 
 from __future__ import annotations
@@ -54,6 +58,27 @@ def _as_int(value: object, what: str) -> int:
     return value
 
 
+def _check_values(values: Iterable[object], label: str) -> None:
+    """The one value rule: a non-bool integer in [0, MAX_VALUE].
+
+    ``label.format(c)`` names value c, and only once it has failed.
+    """
+    for c, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"{label.format(c)} must be an integer, got {value!r}")
+        if value < 0:
+            raise InputError(f"{label.format(c)} is negative")
+        if value > MAX_VALUE:
+            raise InputError(f"{label.format(c)} exceeds 64-bit range")
+
+
+def _descending(row: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """The chore at each position, by descending value with ties by chore
+    index (a stable sort keeps them so even reversed), and those values."""
+    order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+    return order, [row[c] for c in order]
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents, m chores, and an n x m non-negative integer value matrix.
@@ -85,23 +110,14 @@ class Instance:
                 raise InputError(
                     f"agent {i}: expected {self.num_chores} values, got {len(row)}"
                 )
-            for c, value in enumerate(row):
-                _as_int(value, f"valuations[{i}][{c}]")
-                if value < 0:
-                    raise InputError(f"valuations[{i}][{c}] is negative")
-                if value > MAX_VALUE:
-                    raise InputError(f"valuations[{i}][{c}] exceeds 64-bit range")
+            _check_values(row, f"valuations[{i}][{{}}]")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Instance":
-        rows = [list(row) for row in rows]
+        rows = tuple(tuple(row) for row in rows)  # the only copy of each row
         if not rows:
             raise InputError("an instance needs at least one agent")
-        return cls(
-            num_agents=len(rows),
-            num_chores=len(rows[0]),
-            valuations=tuple(tuple(row) for row in rows),
-        )
+        return cls(num_agents=len(rows), num_chores=len(rows[0]), valuations=rows)
 
     def row(self, agent: int) -> Tuple[int, ...]:
         self._check_agent(agent)
@@ -213,22 +229,24 @@ def ordered_instance(inst: Instance) -> OrderedInstance:
     Ties are broken by ascending original chore index, so the result is
     reproducible and ``ordered_instance`` is idempotent on its output.
     """
-    rows: List[Tuple[int, ...]] = []
-    ranks: List[Tuple[int, ...]] = []
-    for row in inst.valuations:
-        # A stable sort keeps equal values in ascending chore index even
-        # when reversed.
-        order = tuple(sorted(range(inst.num_chores), key=row.__getitem__, reverse=True))
-        rows.append(tuple(row[c] for c in order))
-        ranks.append(order)
+    sorts = [_descending(row) for row in inst.valuations]
     # Sorted permutations of validated rows: nothing left to re-check.
     ordered = _trusted(
         Instance,
         num_agents=inst.num_agents,
         num_chores=inst.num_chores,
-        valuations=tuple(rows),
+        valuations=tuple(tuple(desc) for _, desc in sorts),
     )
-    return _trusted(OrderedInstance, instance=ordered, source_ranks=tuple(ranks))
+    ranks = tuple(tuple(order) for order, _ in sorts)
+    return _trusted(OrderedInstance, instance=ordered, source_ranks=ranks)
+
+
+def _chore_allocation(order: Sequence[int], bundles: Iterable[List[int]]) -> Allocation:
+    """Bundles of positions as chores, ``order[p]`` being the chore at p;
+    chores in no bundle become the leftover."""
+    chosen = tuple(frozenset(order[p] for p in bundle) for bundle in bundles)
+    leftover = frozenset(range(len(order))).difference(*chosen)
+    return Allocation(bundles=chosen, leftover=leftover)
 
 
 def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
@@ -239,11 +257,8 @@ def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
     forces every pair of chores to be comparable coordinatewise, and the
     lexicographic sort respects that dominance.
     """
-    order = sorted(
-        range(inst.num_chores),
-        key=lambda c: tuple(-inst.valuations[i][c] for i in range(inst.num_agents))
-        + (c,),
-    )
+    # Column c holds every agent's value for chore c.
+    order, _ = _descending(list(zip(*inst.valuations)))
     for row in inst.valuations:
         for a, b in zip(order, order[1:]):
             if row[a] < row[b]:
@@ -379,12 +394,11 @@ def instance_from_json(obj: object) -> Instance:
         isinstance(row, list) for row in valuations
     ):
         raise InputError("valuations must be a list of rows")
-    inst = Instance(
+    return Instance(
         num_agents=_as_int(agents, "agents"),
         num_chores=_as_int(chores, "chores"),
-        valuations=tuple(tuple(row) for row in valuations),
+        valuations=valuations,
     )
-    return inst
 
 
 def allocation_to_json(alloc: Allocation) -> Mapping[str, object]:

@@ -5,11 +5,12 @@ partitions of the maximum bundle cost under their valuation: exactly the
 optimal makespan of scheduling their chores on n identical machines.
 Both questions therefore run one search, ``_min_makespan``, on a row
 sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
-agent, ``optimal_makespan`` on a job list with one bin per machine. The
-problem is NP-hard, so the search is a bounded branch-and-bound meant
-for ground truth on small instances, not for production-sized inputs.
-It keeps its state in lists, not on the call stack, so only its own
-limits bound the row length it accepts.
+agent (sorted by ``_descending``, its bins mapped back to chores by
+``_chore_allocation``), ``optimal_makespan`` on a job list with one bin
+per machine. The problem is NP-hard, so the search is a bounded
+branch-and-bound meant for ground truth on small instances, not for
+production-sized inputs. It keeps its state in lists, not on the call
+stack, so only its own limits bound the row length it accepts.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InstanceTooLargeError, NodeBudgetError
-from .instances import Allocation, Instance
-from .scheduling import _pigeonhole, schedule_lpt
+from .instances import Allocation, Instance, _chore_allocation, _descending
+from .scheduling import _lpt, _pigeonhole
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -57,7 +58,7 @@ def _min_makespan(
     """Optimal makespan of a nonincreasing row on n identical bins.
 
     Returns the makespan and the bin of each position. The incumbent
-    starts at the longest-processing-time schedule of the row.
+    starts at the row's longest-processing-time schedule, ``_lpt``.
     Branch-and-bound then places positions in order, depth first: a
     placement never pushes a bin to or past the incumbent, and bins
     whose load repeats a load already tried at that depth are skipped.
@@ -73,10 +74,10 @@ def _min_makespan(
         raise InstanceTooLargeError(
             f"{m} chores exceeds the oracle limit of {limits.max_chores}"
         )
-    seed = schedule_lpt(desc, n)
-    incumbent = seed.makespan
+    packed, seed_loads = _lpt(desc, n)
+    incumbent = max(seed_loads)
     best = [0] * m
-    for b, bundle in enumerate(seed.allocation.bundles):
+    for b, bundle in enumerate(packed):
         for pos in bundle:
             best[pos] = b
     lower = _pigeonhole(desc, n)
@@ -134,20 +135,16 @@ def exact_mms(
     """Exact maximin share of one agent plus an optimal witness partition.
 
     The share is the optimal makespan of the agent's row on n identical
-    bins: the row is sorted by descending value, ties by chore index,
-    ``_min_makespan`` searches it, and the bins of its positions map
-    back to the chores behind them.
+    bins: ``_descending`` sorts the row, ``_min_makespan`` searches it,
+    and ``_chore_allocation`` maps the bins of its positions back to the
+    chores behind them.
     """
-    row = inst.row(agent)
-    order = sorted(range(inst.num_chores), key=lambda c: (-row[c], c))
-    value, bins = _min_makespan([row[c] for c in order], inst.num_agents, limits)
-    bundles: List[set] = [set() for _ in range(inst.num_agents)]
+    order, desc = _descending(inst.row(agent))
+    value, bins = _min_makespan(desc, inst.num_agents, limits)
+    bundles = [[] for _ in range(inst.num_agents)]
     for pos, b in enumerate(bins):
-        bundles[b].add(order[pos])
-    witness = Allocation(
-        bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
-    )
-    return value, witness
+        bundles[b].append(pos)
+    return value, _chore_allocation(order, bundles)
 
 
 def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:

@@ -8,7 +8,9 @@ which FFD packs every job onto the machines is MULTIFIT (Coffman, Garey
 & Johnson 1978). Every cap at or above 11/9 of the optimum packs, so the
 search lands on an s* with 9*s* <= 11*OPT, and the packing at s* is a
 schedule within it. A classic longest-processing-time baseline is
-included for comparison.
+included for comparison. Both check the jobs with the package's value
+rule, sort them once, run ``_first_fit_decreasing`` or ``_lpt`` on the
+sorted positions and map those back to jobs with ``_chore_allocation``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
-from .instances import Allocation
+from .instances import Allocation, _check_values, _chore_allocation, _descending
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,7 @@ class LptResult:
 def _check_jobs(values: Sequence[int], machines: int) -> None:
     if machines < 1:
         raise InputError("machines must be at least 1")
-    for j, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"job {j} must be an integer, got {value!r}")
-        if value < 0:
-            raise InputError(f"job {j} is negative")
+    _check_values(values, "job {}")
 
 
 def _pigeonhole(values: Sequence[int], bins: int) -> int:
@@ -90,6 +88,23 @@ def _first_fit_decreasing(
         bundle, remaining, _ = _sweep(desc_values, remaining, 0, cap)
         packed.append(bundle)
     return packed, remaining
+
+
+def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
+    """Longest-processing-time list scheduling of a nonincreasing row.
+
+    Each position in turn goes to the least-loaded bin, ties to the
+    lowest bin index. Returns each bin's positions and load.
+    """
+    heap = [(0, b) for b in range(bins)]  # sorted, so already a heap
+    packed: List[List[int]] = [[] for _ in range(bins)]
+    loads = [0] * bins
+    for pos, value in enumerate(desc):
+        load, b = heap[0]
+        packed[b].append(pos)
+        loads[b] = load + value
+        heapq.heapreplace(heap, (loads[b], b))
+    return packed, loads
 
 
 def _boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -135,10 +150,7 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
         raise SolverInvariantError(
             f"packing at the searched threshold {threshold} is incomplete or over it"
         )
-    allocation = Allocation(
-        bundles=tuple(frozenset(order[pos] for pos in bundle) for bundle in packed),
-        leftover=frozenset(),
-    )
+    allocation = _chore_allocation(order, packed)
     return ScheduleResult(
         allocation=allocation, loads=loads, makespan=max(loads), threshold=threshold
     )
@@ -152,18 +164,7 @@ def schedule_lpt(values: Sequence[int], machines: int) -> LptResult:
     """
     values = list(values)
     _check_jobs(values, machines)
-
-    order = sorted(range(len(values)), key=lambda j: (-values[j], j))
-    heap: List[Tuple[int, int]] = [(0, b) for b in range(machines)]
-    heapq.heapify(heap)
-    bundles: List[List[int]] = [[] for _ in range(machines)]
-    for job in order:
-        load, machine = heapq.heappop(heap)
-        bundles[machine].append(job)
-        heapq.heappush(heap, (load + values[job], machine))
-
-    loads = tuple(sum(values[j] for j in b) for b in bundles)
-    allocation = Allocation(
-        bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
-    )
-    return LptResult(allocation=allocation, loads=loads, makespan=max(loads))
+    order, desc = _descending(values)
+    packed, loads = _lpt(desc, machines)
+    allocation = _chore_allocation(order, packed)
+    return LptResult(allocation=allocation, loads=tuple(loads), makespan=max(loads))

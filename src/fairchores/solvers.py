@@ -30,6 +30,8 @@ from .instances import (
     Allocation,
     Instance,
     ThresholdVector,
+    _chore_allocation,
+    _descending,
     allocation_loads,
     lift_allocation,
     ordered_instance,
@@ -152,20 +154,15 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     5s/4. Passes iff every participant is placed. Every s at or above
     the agent's maximin share passes.
 
-    The packing runs in ``_pack_large`` on the agent's row sorted by
-    descending value, ties by chore index, and its positions are mapped
-    back to chores here; ``search_threshold`` runs the same packer.
+    The row is sorted by ``_descending``, the packing runs in
+    ``_pack_large`` on it, and ``_chore_allocation`` maps the packed
+    positions back to chores; ``search_threshold`` runs the same packer.
     """
     if s < 1:
         raise InputError("threshold s must be at least 1")
-    row = inst.row(agent)
-    order = sorted(range(inst.num_chores), key=lambda c: (-row[c], c))
-    bundles, queue, k = _pack_large([row[c] for c in order], inst.num_agents, s)
-    chosen = tuple(frozenset(order[pos] for pos in b) for b in bundles)
-    placed = frozenset().union(*chosen)
-    benchmark = Allocation(
-        bundles=chosen, leftover=frozenset(range(inst.num_chores)) - placed
-    )
+    order, desc = _descending(inst.row(agent))
+    bundles, queue, k = _pack_large(desc, inst.num_agents, s)
+    benchmark = _chore_allocation(order, bundles)
     return TestOutcome(passed=not queue, benchmark=benchmark, really_large_count=k)
 
 

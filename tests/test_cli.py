@@ -310,6 +310,15 @@ class TestSchedule:
         jobs_path = write_json(tmp_path / "jobs.json", {"work": []})
         assert run_cli(["schedule", "--input", jobs_path, "--machines", "2"]) == 2
 
+    def test_job_above_64_bit_range(self, tmp_path, capsys):
+        jobs_path = write_json(tmp_path / "jobs.json", [2**63, 1])
+        for algo in ("greedy-119", "lpt"):
+            argv = ["schedule", "--input", jobs_path, "--machines", "2", "--algo", algo]
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: job 0 exceeds 64-bit range\n"
+
 
 class TestGenAndFixtures:
     def test_gen_stdout_deterministic(self, capsys):

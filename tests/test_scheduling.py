@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -165,6 +166,53 @@ class TestScheduleLpt:
         opt = optimal_makespan(jobs, machines)
         assert 3 * result.makespan <= 4 * opt
         assert result.allocation.complete
+
+
+def frozen_schedule_lpt(values, machines):
+    """Reference: the heap-based LPT as written before it shared the
+    library's row-sorting and LPT helpers. Returns bundles, loads and
+    makespan."""
+    order = sorted(range(len(values)), key=lambda j: (-values[j], j))
+    heap = [(0, b) for b in range(machines)]
+    heapq.heapify(heap)
+    bundles = [[] for _ in range(machines)]
+    for job in order:
+        load, machine = heapq.heappop(heap)
+        bundles[machine].append(job)
+        heapq.heappush(heap, (load + values[job], machine))
+    loads = tuple(sum(values[j] for j in b) for b in bundles)
+    return tuple(frozenset(b) for b in bundles), loads, max(loads)
+
+
+def lpt_outcome(jobs, machines):
+    result = schedule_lpt(jobs, machines)
+    assert result.allocation.leftover == frozenset()
+    return result.allocation.bundles, result.loads, result.makespan
+
+
+class TestScheduleLptMatchesFrozenCopy:
+    def test_sched_corpus(self):
+        cases = sched_corpus()
+        assert any(not jobs for jobs, _ in cases)
+        assert any(0 in jobs for jobs, _ in cases)
+        assert any(len(set(jobs)) < len(jobs) for jobs, _ in cases)
+        assert any(machines > len(jobs) > 0 for jobs, machines in cases)
+        for jobs, machines in cases:
+            assert lpt_outcome(jobs, machines) == frozen_schedule_lpt(
+                jobs, machines
+            ), (jobs, machines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), max_size=16), st.integers(1, 6))
+    def test_random_lists(self, jobs, machines):
+        assert lpt_outcome(jobs, machines) == frozen_schedule_lpt(jobs, machines)
+
+
+@pytest.mark.parametrize("schedule", [schedule_119, schedule_lpt])
+def test_jobs_above_64_bit_range_are_rejected(schedule):
+    with pytest.raises(InputError, match=r"^job 0 exceeds 64-bit range$"):
+        schedule([2**63, 1], 2)
+    assert schedule([2**63 - 1, 1], 2).makespan == 2**63 - 1
 
 
 class TestCorpusComparison:
