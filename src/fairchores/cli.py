@@ -214,7 +214,8 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     limits = _limits(args)
     corpus = [(f.name, f.instance) for f in builtin_fixtures()]
-    config = GeneratorConfig(seed=args.seed, chores=(2, min(14, args.max_chores)))
+    most = min(14, args.max_chores)  # _limits has checked it is at least 1
+    config = GeneratorConfig(seed=args.seed, chores=(min(2, most), most))
     for idx, inst in enumerate(generate(config, args.count)):
         corpus.append((f"rand-{args.seed}-{idx:03d}", inst))
 

@@ -6,13 +6,20 @@ unassigned agent could accept the grown bundle within their threshold.
 The finished bundle then goes to the lowest-index unassigned agent it
 fits. Whatever no round could place is reported as leftover rather than
 raised, because the interesting counterexamples live exactly there.
+
+The pass does not visit the chores it rejects. Every row of an
+identically-ordered instance is nonincreasing in the shared order, so
+the chores an agent's room still absorbs are a suffix of that order,
+found by bisection; the next chore the pass accepts is the first one
+left in any unassigned agent's suffix.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SolverInvariantError
 from .instances import (
@@ -21,6 +28,7 @@ from .instances import (
     OrderedInstance,
     Ratio,
     ThresholdVector,
+    _chore_allocation,
     allocation_loads,
     ido_order,
 )
@@ -76,67 +84,104 @@ def greedy_fill(
     """Run the n-round threshold greedy on an IDO instance.
 
     Accepts an OrderedInstance (scanned by position) or a raw instance
-    that must already share one descending chore order. Within a round
-    the scan never revisits earlier chores; acceptance asks, in
-    ascending agent index, whether anyone unassigned could absorb the
-    grown bundle. The round's bundle always has a feasible taker: the
-    last accepted chore's witness still qualifies, and an empty bundle
-    fits anyone. Deterministic given its inputs.
+    that must already share one descending chore order; a raw instance
+    is first permuted into that order, and its chores are mapped back at
+    the end, so both run the same scan. Within a round the scan never
+    revisits earlier chores; acceptance asks, in ascending agent index,
+    whether anyone unassigned could absorb the grown bundle. The round's
+    bundle always has a feasible taker: the last accepted chore's
+    witness still qualifies, and an empty bundle fits anyone.
+    Deterministic given its inputs.
+
+    Every row is nonincreasing by position, so the positions an agent's
+    room can absorb are a suffix of the row, found by one bisection.
+    The next accepted chore is the first free position any agent can
+    absorb, and its witness the lowest-index agent that can: each
+    accepted chore costs one bounded bisection per agent, and positions
+    taken by earlier rounds are skipped through a "next free position"
+    union-find, for O(n*(n + m)*log m) overall.
     """
     if isinstance(target, OrderedInstance):
         inst = target.instance
-        scan = list(range(inst.num_chores))
+        order: Sequence[int] = range(inst.num_chores)
+        rows: Sequence[Sequence[int]] = inst.valuations
     else:
         inst = target
         order = ido_order(inst)
         if order is None:
             raise InputError("greedy_fill needs an identically-ordered instance")
-        scan = list(order)
-    n = inst.num_agents
+        rows = [[row[c] for c in order] for row in inst.valuations]
+    n, m = inst.num_agents, inst.num_chores
     if len(thresholds) != n:
         raise InputError("threshold vector length does not match agent count")
 
     # Loads are integers, so load <= t is the same test as load <= floor(t).
     caps = [t.numerator // t.denominator for t in thresholds.thresholds]
-    rows = inst.valuations
+    # Each row reversed into ascending order: an agent with room r can
+    # absorb position p iff p >= m - bisect_right(rising, r).
+    rising = [row[::-1] for row in rows]
+    # nxt[p] leads to the first position >= p that no round has taken.
+    nxt = list(range(m + 1))
+
+    def free(p: int) -> int:
+        root = p
+        while nxt[root] != root:
+            root = nxt[root]
+        while nxt[p] != root:
+            nxt[p], p = root, nxt[p]
+        return root
+
     unassigned = list(range(n))
-    bundles: List[frozenset] = [frozenset()] * n
+    bundles: List[List[int]] = [[] for _ in range(n)]
     assignment: List[int] = []
     trace: List[TraceEntry] = []
-
     for round_index in range(n):
-        # The unassigned agents' rows and their room under their caps,
-        # both in ascending agent index.
-        active = [rows[i] for i in unassigned]
+        # The unassigned agents' reversed rows and their room under their
+        # caps, both in ascending agent index.
+        active = [rising[i] for i in unassigned]
         room = [caps[i] for i in unassigned]
         bundle: List[int] = []
-        kept: List[int] = []
-        for chore in scan:
-            for k, row in enumerate(active):
-                if row[chore] <= room[k]:
+        start = free(0)
+        while start < m:
+            best, witness = m, -1
+            top = m - start  # a reversed row holds position start at top - 1
+            for k, r in enumerate(room):
+                row = active[k]
+                if row[top - 1] <= r:
+                    # This agent takes the chore at start; nobody does better.
+                    best, witness = start, k
                     break
-            else:
-                kept.append(chore)
-                continue
-            bundle.append(chore)
-            room = [r - other[chore] for r, other in zip(room, active)]
-            witness = unassigned[k]
+                if r < 0:
+                    continue
+                pos = m - bisect_right(row, r, m - best, top)
+                if pos < best:
+                    pos = free(pos)
+                    if pos < best:
+                        best, witness = pos, k
+            if witness < 0:
+                break
+            bundle.append(best)
+            nxt[best] = best + 1
+            back = m - 1 - best
+            room = [r - row[back] for r, row in zip(room, active)]
+            agent = unassigned[witness]
             trace.append(
-                TraceEntry(round_index, chore, witness, caps[witness] - room[k])
+                TraceEntry(round_index, order[best], agent, caps[agent] - room[witness])
             )
+            start = free(best + 1)
         owner = next((unassigned[k] for k, r in enumerate(room) if r >= 0), None)
         if owner is None:
             raise SolverInvariantError(
                 "no unassigned agent accepts the finished bundle"
             )
-        bundles[owner] = frozenset(bundle)
+        bundles[owner] = bundle
         assignment.append(owner)
         unassigned.remove(owner)
-        scan = kept
 
-    allocation = Allocation(bundles=tuple(bundles), leftover=frozenset(scan))
     return GreedyResult(
-        allocation=allocation, assignment=tuple(assignment), trace=tuple(trace)
+        allocation=_chore_allocation(order, bundles),
+        assignment=tuple(assignment),
+        trace=tuple(trace),
     )
 
 

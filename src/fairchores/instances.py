@@ -244,7 +244,7 @@ def ordered_instance(inst: Instance) -> OrderedInstance:
 def _chore_allocation(order: Sequence[int], bundles: Iterable[List[int]]) -> Allocation:
     """Bundles of positions as chores, ``order[p]`` being the chore at p;
     chores in no bundle become the leftover."""
-    chosen = tuple(frozenset(order[p] for p in bundle) for bundle in bundles)
+    chosen = tuple(frozenset(map(order.__getitem__, bundle)) for bundle in bundles)
     leftover = frozenset(range(len(order))).difference(*chosen)
     return Allocation(bundles=chosen, leftover=leftover)
 

@@ -7,9 +7,10 @@ Two routes to a complete allocation:
   leftover is provably empty at those caps, so the result is always an
   11/9-approximate allocation.
 * ``solve_poly_54`` needs no oracle. A per-agent threshold test whose
-  pass-set contains every value at or above the agent's share is
-  binary-searched for a certified underestimate s_i, and the greedy runs
-  at caps 5/4 of those. Polynomial time, 5/4 guarantee.
+  pass-set contains every value at or above the agent's share is probed
+  at the pigeonhole bound and, only where that fails, binary-searched
+  for a certified underestimate s_i; the greedy runs at caps 5/4 of
+  those. Polynomial time, 5/4 guarantee.
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap. It is cheaper but its pass-set has
@@ -29,6 +30,7 @@ from .greedy import GreedyResult, TraceEntry, greedy_fill
 from .instances import (
     Allocation,
     Instance,
+    OrderedInstance,
     ThresholdVector,
     _chore_allocation,
     _descending,
@@ -175,13 +177,15 @@ def search_bounds(inst: Instance, agent: int) -> SearchBounds:
 def search_threshold(inst: Instance, agent: int) -> int:
     """Certified integer underestimate of one agent's maximin share.
 
-    Boundary binary search over [lower, 2*lower] keeping "high passes"
-    invariant for threshold_test; the returned s* passes and either
-    equals the pigeonhole lower bound or has a failing predecessor.
-    Because the pass-set contains the whole ray above the share, s*
-    never exceeds the share. The row is sorted once, and each probe
-    runs threshold_test's packer, ``_pack_large``, on it for pass/fail
-    alone.
+    The pigeonhole bound ``lower`` never exceeds the share, so when
+    threshold_test passes there it is returned after that one probe.
+    Otherwise a boundary binary search over [lower, 2*lower] keeps
+    "high passes" invariant; the returned s* passes and has a failing
+    predecessor. Because the pass-set contains the whole ray above the
+    share, s* never exceeds the share. The row is sorted once (one
+    linear pass when it is already sorted, as in ``solve_poly_54``),
+    and each probe runs threshold_test's packer, ``_pack_large``, on it
+    for pass/fail alone.
     """
     bounds = search_bounds(inst, agent)
     if bounds.lower == 0:
@@ -189,22 +193,26 @@ def search_threshold(inst: Instance, agent: int) -> int:
         return 0
     desc = sorted(inst.row(agent), reverse=True)
     n = inst.num_agents
-    return _boundary_search(
-        lambda s: not _pack_large(desc, n, s)[1], bounds.lower, bounds.upper
-    )
+
+    def passes(s: int) -> bool:
+        return not _pack_large(desc, n, s)[1]
+
+    if passes(bounds.lower):
+        return bounds.lower
+    return _boundary_search(passes, bounds.lower, bounds.upper)
 
 
 def _allocate_within(
-    inst: Instance, caps: ThresholdVector
+    inst: Instance, ordd: OrderedInstance, caps: ThresholdVector
 ) -> Tuple[Allocation, Tuple[int, ...], Tuple[TraceEntry, ...]]:
     """Greedy on the ordered instance at ``caps``, lifted and re-checked.
 
+    ``ordd`` is ``ordered_instance(inst)``, which the caller builds once.
     Both solvers choose caps at which the greedy provably places every
     chore and the lift keeps every load within its cap; both facts are
     checked here rather than assumed. Returns the allocation of the
     original chores, each agent's load and the greedy trace.
     """
-    ordd = ordered_instance(inst)
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
         raise SolverInvariantError("greedy left chores over at the solver's caps")
@@ -237,7 +245,7 @@ def solve_existence_119(
     elif len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
     caps = ThresholdVector(tuple(Fraction(11 * mu, 9) for mu in profile.values))
-    allocation, loads, trace = _allocate_within(inst, caps)
+    allocation, loads, trace = _allocate_within(inst, ordered_instance(inst), caps)
     ratios = tuple(
         Fraction(load, mu) if mu else Fraction(0)
         for load, mu in zip(loads, profile.values)
@@ -250,14 +258,18 @@ def solve_existence_119(
 def solve_poly_54(inst: Instance) -> PolyResult:
     """Complete allocation with every load at most 5/4 of the share.
 
-    Polynomial time: no oracle anywhere. Each agent's certified
-    threshold s_i is found by binary search, the greedy runs at caps
-    5*s_i/4, and since s_i never exceeds the true share, 4*load <=
-    5*s_i certifies the 5/4 bound.
+    Polynomial time: no oracle anywhere. The rows are sorted once, by
+    ``ordered_instance``; each agent's certified threshold s_i is
+    searched on its sorted row, the greedy runs on the same ordered
+    instance at caps 5*s_i/4, and since s_i never exceeds the true
+    share, 4*load <= 5*s_i certifies the 5/4 bound.
     """
-    s_values = tuple(search_threshold(inst, i) for i in range(inst.num_agents))
+    ordd = ordered_instance(inst)
+    s_values = tuple(
+        search_threshold(ordd.instance, i) for i in range(inst.num_agents)
+    )
     caps = ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))
-    allocation, loads, trace = _allocate_within(inst, caps)
+    allocation, loads, trace = _allocate_within(inst, ordd, caps)
     # _allocate_within has checked every load against its cap.
     certificates = tuple(
         BoundCertificate(agent=i, load=load, cap=cap, satisfied=True)

@@ -390,3 +390,13 @@ class TestBench:
             ratio = Fraction(int(row["max_ratio_num"]), int(row["max_ratio_den"]))
             bound = Fraction(11, 9) if row["algo"] == "exact-119" else Fraction(5, 4)
             assert ratio <= bound
+
+    def test_max_chores_below_the_generator_floor(self, capsys):
+        # No generated instance fits one chore: the CSV is the header alone.
+        assert run_cli(["bench", "--max-chores", "1", "--count", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.splitlines() == [
+            "instance_id,n,m,algo,max_ratio_num,max_ratio_den,"
+            "mms_oracle_ms,solver_ms,complete"
+        ]

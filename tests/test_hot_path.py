@@ -2,7 +2,9 @@
 
 Each ``reference_*`` function is a frozen copy of the layer as it was
 before caps were floored to integers, rows were sorted once per agent
-and the lift walked per-agent pointers. The current layers must agree
+and the lift walked per-agent pointers. ``reference_greedy_fill`` also
+still scans every remaining chore against every agent, which the
+bisection greedy no longer does. The current layers must agree
 with them exactly on a seeded corpus, the builtin fixtures and random
 instances with zero values, ties, fewer chores than agents and no
 chores at all.
@@ -217,6 +219,59 @@ def edge_instances(draw) -> Instance:
     return Instance.from_rows(rows)
 
 
+@st.composite
+def ido_cases(draw):
+    """An identically-ordered instance under shuffled chore labels, and caps.
+
+    Each agent's row is either one value repeated (so every round starts
+    on the block of positions earlier rounds took, which the union-find
+    skips) or a shared descending profile nudged per agent. Caps are zero or fractions up to twice the
+    pigeonhole bound, so many rounds strand chores in the leftover.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        rows = [[draw(st.integers(0, 4))] * m for _ in range(n)]
+    else:
+        base = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
+        base.sort(reverse=True)
+        rows = [
+            sorted((max(0, v + draw(st.integers(-2, 2))) for v in base), reverse=True)
+            for _ in range(n)
+        ]
+    labels = draw(st.permutations(range(m)))
+    inst = Instance.from_rows([[row[labels[c]] for c in range(m)] for row in rows])
+    caps = []
+    for agent in range(n):
+        top = 2 * max(1, search_bounds(inst, agent).lower)
+        caps.append(
+            draw(
+                st.one_of(
+                    st.just(Fraction(0)),
+                    st.fractions(min_value=0, max_value=top, max_denominator=8),
+                )
+            )
+        )
+    return inst, ThresholdVector(tuple(caps))
+
+
+def ido_edge_cases() -> List[tuple]:
+    """Pinned IDO instances, some with chore labels out of order, and caps."""
+    uneven = [1, 3, 5, 1, 3, 5]  # descending order 2, 5, 1, 4, 0, 3
+    return [
+        (Instance.from_rows([[]]), (0,)),  # n = 1, m = 0
+        (Instance.from_rows([[], [], []]), (1, 0, 2)),  # m = 0
+        (Instance.from_rows([[3] * 5]), (7,)),  # n = 1, three chores stranded
+        # All-equal rows: each round starts past the chores earlier ones took.
+        (Instance.from_rows([[2] * 9, [2] * 9, [3] * 9]), (5, 4, Fraction(13, 2))),
+        # Zero caps keep the zero chores and strand the rest.
+        (Instance.from_rows([[0, 4, 0, 2], [0, 5, 0, 1]]), (0, 0)),
+        # Round 1's bisection lands on a 1 that round 0 took and skips it
+        # to the other 1, stranding a 3.
+        (Instance.from_rows([uneven, uneven]), (5, Fraction(23, 2))),
+    ]
+
+
 def sweep(inst: Instance, agent: int) -> range:
     """Every s in [lower, 2*lower], with lower 0 read as 1 (s must be >= 1)."""
     lower = max(search_bounds(inst, agent).lower, 1)
@@ -329,6 +384,30 @@ class TestGreedyFill:
                 data.draw(st.fractions(min_value=0, max_value=30, max_denominator=12))
                 for _ in range(inst.num_agents)
             )
+        )
+        assert_greedy_matches(inst, caps)
+
+    def test_pinned_ido_edge_cases_on_both_paths(self):
+        stranded = 0
+        for inst, caps in ido_edge_cases():
+            caps = ThresholdVector(caps)
+            assert ido_order(inst) is not None
+            assert_greedy_matches(inst, caps)
+            stranded += bool(greedy_fill(inst, caps).allocation.leftover)
+        assert stranded >= 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(ido_cases())
+    def test_ido_cases_on_both_paths(self, case):
+        inst, caps = case
+        assert ido_order(inst) is not None
+        assert_greedy_matches(inst, caps)
+
+    def test_large_ido_instance_at_five_quarters(self):
+        inst = ido_instance(random.Random(SEED_HOT_PATH_CORPUS), 60, 600, 1000)
+        assert ido_order(inst) is not None
+        caps = ThresholdVector(
+            tuple(Fraction(5 * search_threshold(inst, i), 4) for i in range(60))
         )
         assert_greedy_matches(inst, caps)
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairchores import solvers
 from fairchores import (
     InputError,
     Instance,
@@ -28,6 +29,19 @@ from fairchores import (
 
 def identical(row, n=4) -> Instance:
     return Instance.from_rows([list(row)] * n)
+
+
+def count_probes(monkeypatch) -> list:
+    """Record the threshold of every ``_pack_large`` call the search makes."""
+    probes: list = []
+    pack = solvers._pack_large
+
+    def counted(desc, n, s):
+        probes.append(s)
+        return pack(desc, n, s)
+
+    monkeypatch.setattr(solvers, "_pack_large", counted)
+    return probes
 
 
 @st.composite
@@ -128,6 +142,26 @@ class TestSearchThreshold:
     def test_all_zero_row(self):
         inst = identical([0, 0], n=2)
         assert search_threshold(inst, 0) == 0
+
+    def test_one_probe_when_the_lower_bound_passes(self, monkeypatch):
+        probes = count_probes(monkeypatch)
+        for fixture in builtin_fixtures():
+            inst = fixture.instance
+            for agent in range(inst.num_agents):
+                probes.clear()
+                lower = search_bounds(inst, agent).lower
+                assert search_threshold(inst, agent) == lower
+                assert probes == [lower]
+
+    def test_full_bracket_when_the_lower_bound_fails(self, monkeypatch):
+        # Three 2s on two agents: the pigeonhole bound 3 has three chores
+        # above s/2 for two bundles, so it fails and the share is 4.
+        probes = count_probes(monkeypatch)
+        inst = identical([2, 2, 2], n=2)
+        assert search_threshold(inst, 0) == 4
+        # The probe at lower, then the boundary search over [3, 6]: its
+        # top, then the midpoints 4 (passes) and 3 (fails).
+        assert probes == [3, 6, 4, 3]
 
     @settings(max_examples=80, deadline=None)
     @given(small_instances(max_agents=5, max_chores=12, max_value=60))
