@@ -82,10 +82,11 @@ def _write_trace(trace, path: str) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    limits = _limits(args)
     inst = load_instance(args.input)
     report_lines: List[str] = []
     if args.algo == "exact-119":
-        result = solve_existence_119(inst, _limits(args))
+        result = solve_existence_119(inst, limits)
         alloc = result.allocation
         for i, ratio in enumerate(result.ratios):
             report_lines.append(
@@ -141,6 +142,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    limits = _limits(args)
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
     for i, load in enumerate(allocation_loads(inst, alloc)):
@@ -157,7 +159,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not alloc.complete:
         print(f"alpha check at {alpha}: fail (incomplete allocation)")
         return EXIT_INPUT
-    profile = mms_profile(inst, _limits(args))
+    profile = mms_profile(inst, limits)
     report = check_amms(inst, alloc, profile, alpha)
     for i, ratio in enumerate(report.ratios):
         shown = "undefined" if ratio is None else str(ratio)

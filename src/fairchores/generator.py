@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Optional, Tuple
@@ -63,10 +64,13 @@ def _one(rng: random.Random, config: GeneratorConfig) -> Instance:
 def generate(config: GeneratorConfig, count_limit: Optional[int] = None) -> Iterator[Instance]:
     """Deterministic instance stream; same config, same stream.
 
-    Unbounded unless ``count_limit`` is given.
+    Unbounded unless ``count_limit`` is given, which ``islice`` needs
+    to be at most ``sys.maxsize``.
     """
     if count_limit is not None and count_limit < 0:
         raise InputError("count must be non-negative")
+    if count_limit is not None and count_limit > sys.maxsize:
+        raise InputError(f"count must be at most {sys.maxsize}")
     rng = random.Random(config.seed)
     stream = (_one(rng, config) for _ in count())
     return islice(stream, count_limit) if count_limit is not None else stream

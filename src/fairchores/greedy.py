@@ -16,9 +16,10 @@ left in any unassigned agent's suffix.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SolverInvariantError
@@ -117,9 +118,6 @@ def greedy_fill(
 
     # Loads are integers, so load <= t is the same test as load <= floor(t).
     caps = [t.numerator // t.denominator for t in thresholds.thresholds]
-    # Each row reversed into ascending order: an agent with room r can
-    # absorb position p iff p >= m - bisect_right(rising, r).
-    rising = [row[::-1] for row in rows]
     # nxt[p] leads to the first position >= p that no round has taken.
     nxt = list(range(m + 1))
 
@@ -136,24 +134,24 @@ def greedy_fill(
     assignment: List[int] = []
     trace: List[TraceEntry] = []
     for round_index in range(n):
-        # The unassigned agents' reversed rows and their room under their
-        # caps, both in ascending agent index.
-        active = [rising[i] for i in unassigned]
+        # The unassigned agents' rows and their room under their caps,
+        # both in ascending agent index.
+        active = [rows[i] for i in unassigned]
         room = [caps[i] for i in unassigned]
         bundle: List[int] = []
         start = free(0)
         while start < m:
             best, witness = m, -1
-            top = m - start  # a reversed row holds position start at top - 1
             for k, r in enumerate(room):
                 row = active[k]
-                if row[top - 1] <= r:
+                if row[start] <= r:
                     # This agent takes the chore at start; nobody does better.
                     best, witness = start, k
                     break
                 if r < 0:
                     continue
-                pos = m - bisect_right(row, r, m - best, top)
+                # The first position in [start, best) whose value r absorbs.
+                pos = bisect_left(row, -r, start, best, key=neg)
                 if pos < best:
                     pos = free(pos)
                     if pos < best:
@@ -162,8 +160,7 @@ def greedy_fill(
                 break
             bundle.append(best)
             nxt[best] = best + 1
-            back = m - 1 - best
-            room = [r - row[back] for r, row in zip(room, active)]
+            room = [r - row[best] for r, row in zip(room, active)]
             agent = unassigned[witness]
             trace.append(
                 TraceEntry(round_index, order[best], agent, caps[agent] - room[witness])

@@ -276,10 +276,12 @@ def lift_allocation(
 ) -> Allocation:
     """Map a complete allocation of the ordered instance back to ``inst``.
 
-    Walks ordered positions from the smallest chore (j = m-1) to the
-    largest (j = 0); the agent owning position j picks their currently
-    cheapest remaining original chore (ties by lowest chore index). Each
-    agent ends up no worse off than their ordered bundle:
+    ``ordd`` must be ``ordered_instance(inst)``. Walks ordered positions
+    from the smallest chore (j = m-1) to the largest (j = 0); the agent
+    owning position j picks their currently cheapest remaining original
+    chore, ties in the order ``ordd.source_ranks`` lists them, which for
+    ``ordered_instance`` is the lowest chore index first. Each agent
+    ends up no worse off than their ordered bundle:
     v_i(result_i) <= v*_i(ord_alloc_i).
     """
     n, m = inst.num_agents, inst.num_chores
@@ -295,8 +297,8 @@ def lift_allocation(
         for j in bundle:
             owner[j] = i
 
-    # Each agent's chores ascending by (value, index), sorted the first
-    # time the agent picks; a pointer skips chores others have taken.
+    # Each agent's chores by ascending value, ties as in source_ranks,
+    # sorted at their first pick; a pointer skips chores others have taken.
     ascending: List[Optional[List[int]]] = [None] * n
     cursor = [0] * n
     taken = [False] * m
@@ -306,7 +308,7 @@ def lift_allocation(
         mine = ascending[agent]
         if mine is None:
             mine = ascending[agent] = sorted(
-                range(m), key=inst.valuations[agent].__getitem__
+                ordd.source_ranks[agent], key=inst.valuations[agent].__getitem__
             )
         at = cursor[agent]
         while taken[mine[at]]:
@@ -422,8 +424,14 @@ def allocation_from_json(obj: object) -> Allocation:
         raise InputError("bundles must be a list of index lists")
     if not isinstance(leftover, list):
         raise InputError("leftover must be an index list")
-    for idx in [c for b in bundles for c in b] + list(leftover):
+    parts = [*bundles, leftover]
+    for idx in [c for part in parts for c in part]:
         _as_int(idx, "chore index")
+    # Allocation holds frozensets, which would merge a repeat silently.
+    for b, part in enumerate(parts):
+        if len(set(part)) < len(part):
+            where = "leftover" if b == len(bundles) else f"bundle {b}"
+            raise InputError(f"{where} lists a chore more than once")
     return Allocation(
         bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset(leftover)
     )

@@ -188,9 +188,6 @@ def search_threshold(inst: Instance, agent: int) -> int:
     for pass/fail alone.
     """
     bounds = search_bounds(inst, agent)
-    if bounds.lower == 0:
-        # Every chore is worthless to this agent; the share is zero.
-        return 0
     desc = sorted(inst.row(agent), reverse=True)
     n = inst.num_agents
 

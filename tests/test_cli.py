@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 
 from fairchores import builtin_fixtures, run_cli
 from fairchores.instances import instance_to_json
+
+# A --count above sys.maxsize, the most itertools.islice accepts.
+HUGE = "100000000000000000000"
 
 
 def write_json(path, obj) -> str:
@@ -57,6 +61,31 @@ class TestExitCodes:
         assert run_cli(["gen", "--seed", "1", "--count", "-1"]) == 2
         assert run_cli(["bench", "--count", "-1"]) == 2
         capsys.readouterr()
+
+    def test_count_beyond_sys_maxsize(self, capsys):
+        for argv in (["gen", "--seed", "1"], ["bench"]):
+            assert run_cli(argv + ["--count", HUGE]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: count must be at most {sys.maxsize}\n"
+
+    def test_limits_checked_whatever_the_branch(self, tmp_path, capsys):
+        inst_path = fixture_file(tmp_path, 0)
+        alloc_path = write_json(
+            tmp_path / "alloc.json",
+            {"bundles": [list(range(14)), [], [], []], "leftover": []},
+        )
+        solve = ["solve", "--input", inst_path, "--max-chores", "0"]
+        for algo in ("exact-119", "poly-54"):
+            assert run_cli(solve + ["--algo", algo]) == 2
+            assert capsys.readouterr().err == "error: max_chores must be at least 1\n"
+        verify = ["verify", "--instance", inst_path, "--allocation", alloc_path]
+        assert run_cli(verify) == 0
+        capsys.readouterr()
+        assert run_cli(verify + ["--node-budget", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: node_budget must be at least 1\n"
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
@@ -102,6 +131,9 @@ class TestExitCodes:
 # "@missing" an absent path, all in a fresh temporary directory.
 PATH = ("@a", "@b", "@dir", "@dir/out", "@missing")
 NUM = ("-1", "0", "1", "2", "3", "17", "x")
+# Only --count draws HUGE: a huge --machines, --agents or --chores
+# would allocate without bound.
+COUNT = NUM + (HUGE,)
 LIMITS = {"--max-chores": [NUM], "--node-budget": [NUM]}
 FLAGS = {
     "solve": {"--input": [PATH], "--algo": [("exact-119", "poly-54", "x")],
@@ -111,11 +143,11 @@ FLAGS = {
                  "--algo": [("greedy-119", "lpt", "x")], "--output": [PATH]},
     "verify": {"--instance": [PATH], "--allocation": [PATH],
                "--alpha": [("5/4", "11/9", "1/0", "-1", "2", "x")], **LIMITS},
-    "gen": {"--seed": [NUM], "--count": [NUM], "--agents": [NUM, NUM],
+    "gen": {"--seed": [NUM], "--count": [COUNT], "--agents": [NUM, NUM],
             "--chores": [NUM, NUM], "--value-max": [NUM], "--ido-only": [],
             "--output-dir": [PATH]},
     "fixtures": {"--name": [("non-monotone", "x")], "--export": [PATH]},
-    "bench": {"--seed": [NUM], "--count": [NUM], "--output": [PATH], **LIMITS},
+    "bench": {"--seed": [NUM], "--count": [COUNT], "--output": [PATH], **LIMITS},
 }
 REQUIRED = {
     "solve": ["--input"],
@@ -260,6 +292,19 @@ class TestSolveAndVerify:
             == 2
         )
         capsys.readouterr()
+
+    def test_verify_rejects_a_chore_listed_twice(self, tmp_path, capsys):
+        inst_path = write_json(
+            tmp_path / "inst.json",
+            {"agents": 2, "chores": 3, "valuations": [[1, 2, 3], [1, 2, 3]]},
+        )
+        alloc_path = write_json(
+            tmp_path / "alloc.json", {"bundles": [[0, 0], [1, 2]], "leftover": []}
+        )
+        assert run_cli(["verify", "--instance", inst_path, "--allocation", alloc_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bundle 0 lists a chore more than once\n"
 
     def test_verify_rejects_mismatched_allocation(self, tmp_path):
         inst_path = write_json(

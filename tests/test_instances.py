@@ -315,3 +315,13 @@ class TestJsonInterchange:
             allocation_from_json({"bundles": "nope", "leftover": []})
         with pytest.raises(InputError):
             allocation_from_json({"bundles": [[0]], "leftover": [0]})
+
+    def test_chore_repeated_within_one_part_rejected(self):
+        # A frozenset would merge the repeat into a valid-looking bundle.
+        with pytest.raises(InputError, match="^bundle 0 lists a chore more than once$"):
+            allocation_from_json({"bundles": [[0, 0], [1, 2]], "leftover": []})
+        with pytest.raises(InputError, match="^leftover lists a chore more than once$"):
+            allocation_from_json({"bundles": [[0], [1]], "leftover": [2, 2]})
+        # Repeats across parts keep their own message.
+        with pytest.raises(InputError, match="pairwise disjoint"):
+            allocation_from_json({"bundles": [[0], [0, 1]], "leftover": []})

@@ -163,6 +163,15 @@ class TestSearchThreshold:
         # top, then the midpoints 4 (passes) and 3 (fails).
         assert probes == [3, 6, 4, 3]
 
+    def test_zero_rows_settle_at_the_first_probe(self, monkeypatch):
+        # The pigeonhole bound of an all-zero or empty row is 0, and no
+        # chore lies above 0/4, so the probe at lower passes there.
+        probes = count_probes(monkeypatch)
+        for inst in (identical([0, 0, 0], n=2), identical([], n=3)):
+            probes.clear()
+            assert search_threshold(inst, 0) == 0
+            assert probes == [0]
+
     @settings(max_examples=80, deadline=None)
     @given(small_instances(max_agents=5, max_chores=12, max_value=60))
     def test_bracket_top_passes(self, inst):
