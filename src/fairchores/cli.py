@@ -13,13 +13,14 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, OracleLimitError, SolverInvariantError
 from .fixtures import builtin_fixtures
 from .generator import GeneratorConfig, generate
 from .greedy import check_amms
 from .instances import (
+    Instance,
     _load_json,
     allocation_loads,
     allocation_to_json,
@@ -64,6 +65,14 @@ def _dump_json(obj: object, path: Optional[str]) -> None:
     else:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+
+
+def _export(directory: str, named: Sequence[Tuple[str, Instance]], noun: str) -> None:
+    """Write each instance to ``directory/<name>.json`` and say how many."""
+    os.makedirs(directory, exist_ok=True)
+    for name, inst in named:
+        _dump_json(instance_to_json(inst), os.path.join(directory, f"{name}.json"))
+    print(f"wrote {len(named)} {noun} to {directory}")
 
 
 def _load_jobs(path: str) -> List[int]:
@@ -179,11 +188,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     )
     instances = list(generate(config, args.count))
     if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        for idx, inst in enumerate(instances):
-            path = os.path.join(args.output_dir, f"instance_{idx:03d}.json")
-            _dump_json(instance_to_json(inst), path)
-        print(f"wrote {len(instances)} instances to {args.output_dir}")
+        named = [(f"instance_{idx:03d}", inst) for idx, inst in enumerate(instances)]
+        _export(args.output_dir, named, "instances")
     else:
         for inst in instances:
             print(json.dumps(instance_to_json(inst), sort_keys=True))
@@ -198,11 +204,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
             raise InputError(f"no fixture named {args.name!r}")
         fixtures = tuple(chosen)
     if args.export:
-        os.makedirs(args.export, exist_ok=True)
-        for fixture in fixtures:
-            path = os.path.join(args.export, f"{fixture.name}.json")
-            _dump_json(instance_to_json(fixture.instance), path)
-        print(f"wrote {len(fixtures)} fixtures to {args.export}")
+        _export(args.export, [(f.name, f.instance) for f in fixtures], "fixtures")
         return EXIT_OK
     for fixture in fixtures:
         inst = fixture.instance

@@ -278,10 +278,10 @@ def lift_allocation(
 
     ``ordd`` must be ``ordered_instance(inst)``. Walks ordered positions
     from the smallest chore (j = m-1) to the largest (j = 0); the agent
-    owning position j picks their currently cheapest remaining original
-    chore, ties in the order ``ordd.source_ranks`` lists them, which for
-    ``ordered_instance`` is the lowest chore index first. Each agent
-    ends up no worse off than their ordered bundle:
+    owning position j takes the last chore of their row
+    ``ordd.source_ranks[agent]`` that nobody has taken yet, which is
+    their cheapest remaining original chore, equal chores highest index
+    first. Each agent ends up no worse off than their ordered bundle:
     v_i(result_i) <= v*_i(ord_alloc_i).
     """
     n, m = inst.num_agents, inst.num_chores
@@ -297,24 +297,19 @@ def lift_allocation(
         for j in bundle:
             owner[j] = i
 
-    # Each agent's chores by ascending value, ties as in source_ranks,
-    # sorted at their first pick; a pointer skips chores others have taken.
-    ascending: List[Optional[List[int]]] = [None] * n
-    cursor = [0] * n
+    # Each owner's cursor moves from the cheap end of their row past
+    # chores other owners have taken.
+    cursor = [m - 1] * n
     taken = [False] * m
     picked: List[List[int]] = [[] for _ in range(n)]
     for j in range(m - 1, -1, -1):
         agent = owner[j]
-        mine = ascending[agent]
-        if mine is None:
-            mine = ascending[agent] = sorted(
-                ordd.source_ranks[agent], key=inst.valuations[agent].__getitem__
-            )
+        mine = ordd.source_ranks[agent]
         at = cursor[agent]
         while taken[mine[at]]:
-            at += 1
+            at -= 1
         chore = mine[at]
-        cursor[agent] = at + 1
+        cursor[agent] = at - 1
         taken[chore] = True
         picked[agent].append(chore)
     return Allocation(

@@ -9,8 +9,9 @@ which FFD packs every job onto the machines is MULTIFIT (Coffman, Garey
 search lands on an s* with 9*s* <= 11*OPT, and the packing at s* is a
 schedule within it. A classic longest-processing-time baseline is
 included for comparison. Both check the jobs with the package's value
-rule, sort them once, run ``_first_fit_decreasing`` or ``_lpt`` on the
-sorted positions and map those back to jobs with ``_chore_allocation``.
+rule, sort them once with ``_descending`` (equal jobs lowest index
+first), run ``_first_fit_decreasing`` or ``_lpt`` on the sorted positions
+and map those back to jobs with ``_chore_allocation``.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ def _pigeonhole(values: Sequence[int], bins: int) -> int:
 
 def _sweep(
     desc: Sequence[int], queue: Sequence[int], load: int, cap: int
-) -> Tuple[List[int], List[int], int]:
+) -> Tuple[List[int], List[int]]:
     """One largest-first pass of a bin over the positions in ``queue``.
 
     Starting from ``load``, the bin keeps every position of ``desc`` that
-    still fits under ``cap``. Returns the positions taken, the positions
-    left over in their original order, and the bin's final load.
+    still fits under ``cap``. Returns the positions taken and the
+    positions left over in their original order.
     """
     taken: List[int] = []
     rest: List[int] = []
@@ -70,7 +71,7 @@ def _sweep(
             taken.append(pos)
         else:
             rest.append(pos)
-    return taken, rest, load
+    return taken, rest
 
 
 def _first_fit_decreasing(
@@ -85,7 +86,7 @@ def _first_fit_decreasing(
     remaining = list(range(len(desc_values)))
     packed: List[List[int]] = []
     for _ in range(bins):
-        bundle, remaining, _ = _sweep(desc_values, remaining, 0, cap)
+        bundle, remaining = _sweep(desc_values, remaining, 0, cap)
         packed.append(bundle)
     return packed, remaining
 
@@ -130,14 +131,13 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     MULTIFIT: binary-searches the smallest cap in the pigeonhole bracket
     [lower, 2*lower] at which first-fit-decreasing packs every job, then
     returns that packing. Its makespan never exceeds the cap, and the
-    cap never exceeds 11/9 of the optimal makespan.
+    cap never exceeds 11/9 of the optimal makespan. The bundles are those
+    of the paper's construction: clone the jobs into one row per machine,
+    run the greedy at the cap, and lift the result back to the jobs.
     """
     values = list(values)
     _check_jobs(values, machines)
-    # Equal jobs go highest index first, so bundles match the schedules
-    # this function has always returned.
-    order = sorted(range(len(values)), key=lambda j: (-values[j], -j))
-    desc = [values[j] for j in order]
+    order, desc = _descending(values)
 
     lo = _pigeonhole(desc, machines)
     threshold = _boundary_search(

@@ -139,9 +139,9 @@ def _pack_large(
         if not queue:
             break
         if t < k:
-            taken, queue, _ = _sweep(desc, queue, desc[t], s)
+            taken, queue = _sweep(desc, queue, desc[t], s)
         else:
-            taken, queue, _ = _sweep(desc, queue, 0, 5 * s // 4)
+            taken, queue = _sweep(desc, queue, 0, 5 * s // 4)
         bundles[t] += taken
     return bundles, queue, k
 

@@ -293,6 +293,28 @@ class TestSolveAndVerify:
         )
         capsys.readouterr()
 
+    def test_verify_rejects_a_bad_alpha(self, tmp_path, capsys):
+        inst_path = fixture_file(tmp_path, 0)
+        alloc_path = write_json(
+            tmp_path / "alloc.json", {"bundles": [list(range(14)), [], [], []], "leftover": []}
+        )
+        argv = ["verify", "--instance", inst_path, "--allocation", alloc_path]
+        assert run_cli(argv + ["--alpha", "x"]) == 2
+        assert capsys.readouterr().err == "error: invalid --alpha value 'x'\n"
+
+    def test_verify_alpha_on_an_incomplete_allocation(self, tmp_path, capsys):
+        inst_path = write_json(
+            tmp_path / "inst.json",
+            {"agents": 2, "chores": 2, "valuations": [[5, 5], [5, 5]]},
+        )
+        alloc_path = write_json(
+            tmp_path / "alloc.json", {"bundles": [[0], []], "leftover": [1]}
+        )
+        argv = ["verify", "--instance", inst_path, "--allocation", alloc_path]
+        assert run_cli(argv + ["--alpha", "5/4"]) == 2
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "alpha check at 5/4: fail (incomplete allocation)"
+
     def test_verify_rejects_a_chore_listed_twice(self, tmp_path, capsys):
         inst_path = write_json(
             tmp_path / "inst.json",

@@ -172,3 +172,9 @@ class TestCheckAmms:
         partial = Allocation(bundles=(frozenset(),), leftover=frozenset({0}))
         with pytest.raises(InputError):
             check_amms(inst, partial, MmsProfile(values=(5,)), Fraction(1))
+
+    def test_short_profile_rejected(self):
+        inst = Instance.from_rows([[5], [5]])
+        alloc = Allocation(bundles=(frozenset({0}), frozenset()), leftover=frozenset())
+        with pytest.raises(InputError, match="^profile does not match the instance$"):
+            check_amms(inst, alloc, MmsProfile(values=(5,)), Fraction(1))

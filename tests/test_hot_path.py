@@ -8,6 +8,11 @@ bisection greedy no longer does. The current layers must agree
 with them exactly on a seeded corpus, the builtin fixtures and random
 instances with zero values, ties, fewer chores than agents and no
 chores at all.
+
+``reference_lift_allocation`` breaks ties between equal chores highest
+index first: the lift reads each owner's ``ordered_instance`` row from
+its cheap end, and ``_descending`` lists equal chores lowest index
+first, so from that end the highest index comes first.
 """
 
 from __future__ import annotations
@@ -159,7 +164,7 @@ def reference_lift_allocation(
     for j in range(m - 1, -1, -1):
         agent = owner[j]
         row = inst.valuations[agent]
-        chore = min(remaining, key=lambda c: (row[c], c))
+        chore = min(remaining, key=lambda c: (row[c], -c))
         picked[agent].append(chore)
         remaining.remove(chore)
     return Allocation(

@@ -79,6 +79,12 @@ class TestInstance:
         with pytest.raises(InputError):
             make_instance([[2**63]])
 
+    def test_rejects_bad_counts(self):
+        with pytest.raises(InputError, match="^an instance needs at least one agent$"):
+            Instance(num_agents=0, num_chores=0, valuations=())
+        with pytest.raises(InputError, match="^num_chores must be non-negative$"):
+            Instance(num_agents=1, num_chores=-1, valuations=((),))
+
     def test_agent_index_checked(self):
         inst = make_instance([[1, 2]])
         with pytest.raises(InputError):
@@ -137,6 +143,11 @@ class TestOrderedInstance:
         with pytest.raises(InputError):
             OrderedInstance(instance=good, source_ranks=((0, 0),))
 
+    def test_one_source_ranks_row_per_agent(self):
+        good = make_instance([[3, 2], [2, 1]])
+        with pytest.raises(InputError, match="^source_ranks must have one row per agent$"):
+            OrderedInstance(instance=good, source_ranks=((0, 1),))
+
     @settings(max_examples=60)
     @given(instances())
     def test_idempotent_on_own_output(self, inst):
@@ -194,6 +205,19 @@ class TestLiftAllocation:
         assert inst.value(0, lifted.bundles[0]) == 2
         assert inst.value(1, lifted.bundles[1]) == 3
 
+    def test_equal_chores_go_highest_index_first(self):
+        # Agent 0 values chores 1 and 2 equally; agent 1 finds chore 2 costliest.
+        inst = make_instance([[5, 2, 2], [1, 3, 4]])
+        ordd = ordered_instance(inst)
+        ord_alloc = Allocation(
+            bundles=(frozenset({2}), frozenset({0, 1})), leftover=frozenset()
+        )
+        lifted = lift_allocation(inst, ordd, ord_alloc)
+        # Position 2: agent 0 takes chore 2 of their tie {1, 2}. Positions 1
+        # and 0: agent 1 takes chore 0 (cost 1), then chore 1 (cost 3).
+        assert lifted.bundles == (frozenset({2}), frozenset({0, 1}))
+        assert inst.value(1, lifted.bundles[1]) == 4
+
     def test_identical_rows_preserve_loads(self):
         inst = make_instance([[9, 7, 4, 4], [9, 7, 4, 4]])
         ordd = ordered_instance(inst)
@@ -213,6 +237,17 @@ class TestLiftAllocation:
         )
         with pytest.raises(InputError):
             lift_allocation(inst, ordd, partial)
+
+    def test_rejects_mismatched_shapes(self):
+        inst = make_instance([[3, 1], [1, 3]])
+        ordd = ordered_instance(inst)
+        whole = Allocation(bundles=(frozenset({0}), frozenset({1})), leftover=frozenset())
+        other = ordered_instance(make_instance([[3, 1, 2], [1, 3, 2]]))
+        with pytest.raises(InputError, match="^ordered instance does not match"):
+            lift_allocation(inst, other, whole)
+        one_bundle = Allocation(bundles=(frozenset({0, 1}),), leftover=frozenset())
+        with pytest.raises(InputError, match="^ordered allocation does not match"):
+            lift_allocation(inst, ordd, one_bundle)
 
     def test_dominance_on_seeded_instances(self):
         rng = random.Random(1234)
@@ -259,6 +294,12 @@ class TestVerifyAllocation:
         short = Allocation(bundles=(frozenset({0}), frozenset()), leftover=frozenset())
         with pytest.raises(InputError):
             verify_allocation(inst, short, ThresholdVector.uniform(2, 10))
+
+    def test_short_threshold_vector(self):
+        inst = make_instance([[5, 5], [5, 5]])
+        alloc = Allocation(bundles=(frozenset({0}), frozenset({1})), leftover=frozenset())
+        with pytest.raises(InputError, match="^threshold vector length"):
+            verify_allocation(inst, alloc, ThresholdVector.uniform(1, 10))
 
 
 class TestClassifyChores:
@@ -325,3 +366,15 @@ class TestJsonInterchange:
         # Repeats across parts keep their own message.
         with pytest.raises(InputError, match="pairwise disjoint"):
             allocation_from_json({"bundles": [[0], [0, 1]], "leftover": []})
+
+    def test_malformed_fields_rejected(self):
+        with pytest.raises(InputError, match="^agents must be an integer"):
+            instance_from_json({"agents": "2", "chores": 1, "valuations": [[1], [1]]})
+        with pytest.raises(InputError, match="^valuations must be a list of rows$"):
+            instance_from_json({"agents": 1, "chores": 1, "valuations": [1]})
+        with pytest.raises(InputError, match="^allocation JSON must be an object$"):
+            allocation_from_json([[0]])
+        with pytest.raises(InputError, match="^allocation JSON missing key 'leftover'$"):
+            allocation_from_json({"bundles": [[0]]})
+        with pytest.raises(InputError, match="^leftover must be an index list$"):
+            allocation_from_json({"bundles": [[0]], "leftover": 1})
