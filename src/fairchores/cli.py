@@ -128,7 +128,7 @@ def cmd_mms(args: argparse.Namespace) -> int:
     profile = mms_profile(inst, _limits(args))
     for i, value in enumerate(profile.values):
         print(f"agent {i}: mms {value}")
-    if args.witness and profile.witnesses is not None:
+    if args.witness:
         for i, witness in enumerate(profile.witnesses):
             bundles = [sorted(b) for b in witness.bundles]
             print(f"agent {i}: witness {json.dumps(bundles)}")
@@ -163,6 +163,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         num, den = args.alpha.split("/") if "/" in args.alpha else (args.alpha, "1")
         alpha = Fraction(int(num), int(den))
+        if alpha < 0:
+            raise ValueError("a negative factor bounds nothing")
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"invalid --alpha value {args.alpha!r}") from exc
     if not alloc.complete:

@@ -9,14 +9,15 @@ agent (sorted by ``_descending``, its bins mapped back to chores by
 ``_chore_allocation``), ``optimal_makespan`` on a job list with one bin
 per machine. The problem is NP-hard, so the search is a bounded
 branch-and-bound meant for ground truth on small instances, not for
-production-sized inputs. It keeps its state in lists, not on the call
-stack, so only its own limits bound the row length it accepts.
+production-sized inputs. Its state is two lists, ``assign`` and
+``loads``, not the call stack, so only its own limits bound the row
+length it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, InstanceTooLargeError, NodeBudgetError
 from .instances import Allocation, Instance, _chore_allocation, _descending
@@ -60,14 +61,14 @@ def _min_makespan(
     Returns the makespan and the bin of each position. The incumbent
     starts at the row's longest-processing-time schedule, ``_lpt``.
     Branch-and-bound then places positions in order, depth first: a
-    placement never pushes a bin to or past the incumbent, and bins
-    whose load repeats a load already tried at that depth are skipped.
-    Values are nonincreasing and only the first empty bin ever opens, so
-    the empty bins are always the last ones and that rule alone skips
-    every empty bin after the first. The search stops once the incumbent
-    reaches the pigeonhole bound, which cannot be beaten. It keeps its
-    state in per-depth lists rather than on the call stack, so no row
-    length reaches the recursion limit.
+    placement never pushes a bin to or past the incumbent, and a bin is
+    skipped when an earlier bin has the same load, as that bin was
+    already tried at this depth with it (so only the first empty bin
+    ever opens). The search stops once the incumbent reaches the
+    pigeonhole bound, which cannot be beaten. Its state is ``assign``
+    (the bin of each placed position) and ``loads``: an exhausted depth
+    undoes the placement one depth up and resumes there after that
+    placement's bin, so no row length reaches the recursion limit.
     """
     m = len(desc)
     if m > limits.max_chores:
@@ -88,45 +89,41 @@ def _min_makespan(
     nodes = 0
     loads = [0] * n
     assign = [0] * m
-    # Per depth: an iterator over the bins it has still to try, and the
-    # bin loads it has already tried.
-    next_bins: List[Iterator[int]] = [iter(range(n)) for _ in range(m)]
-    tried: List[set] = [set() for _ in range(m)]
     last = m - 1
     k = 0
+    start = 0
     while True:
         value = desc[k]
-        seen = tried[k]
-        for b in next_bins[k]:
+        for b in range(start, n):
             load = loads[b]
-            if load in seen:
+            if load + value >= incumbent or loads.index(load) < b:
                 continue
-            seen.add(load)
-            if load + value < incumbent:
-                nodes += 1
-                if nodes > budget:
-                    raise NodeBudgetError(
-                        f"node budget {budget} exhausted on a "
-                        f"{n}-agent, {m}-chore search"
-                    )
-                loads[b] = load + value
-                assign[k] = b
-                if k < last:
-                    k += 1
-                    next_bins[k] = iter(range(n))
-                    tried[k].clear()
-                    break
-                incumbent = max(loads)
-                best = assign.copy()
-                loads[b] = load
-                if incumbent == lower:
-                    return incumbent, best
+            nodes += 1
+            if nodes > budget:
+                raise NodeBudgetError(
+                    f"node budget {budget} exhausted on a "
+                    f"{n}-agent, {m}-chore search"
+                )
+            loads[b] = load + value
+            assign[k] = b
+            if k < last:
+                k += 1
+                start = 0
+                break
+            incumbent = max(loads)
+            best = assign.copy()
+            loads[b] = load
+            if incumbent == lower:
+                return incumbent, best
         else:
-            # Depth k is done: undo the placement of the depth above.
+            # Depth k is exhausted: undo the placement of depth k - 1
+            # and resume that depth after the bin it used.
             k -= 1
             if k < 0:
                 return incumbent, best
-            loads[assign[k]] -= desc[k]
+            b = assign[k]
+            loads[b] -= desc[k]
+            start = b + 1
 
 
 def exact_mms(

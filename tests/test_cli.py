@@ -299,8 +299,15 @@ class TestSolveAndVerify:
             tmp_path / "alloc.json", {"bundles": [list(range(14)), [], [], []], "leftover": []}
         )
         argv = ["verify", "--instance", inst_path, "--allocation", alloc_path]
-        assert run_cli(argv + ["--alpha", "x"]) == 2
-        assert capsys.readouterr().err == "error: invalid --alpha value 'x'\n"
+        for flag, value in (
+            (["--alpha", "x"], "x"),
+            (["--alpha", "5/-4"], "5/-4"),
+            (["--alpha=-1/9"], "-1/9"),
+        ):
+            assert run_cli(argv + flag) == 2
+            assert capsys.readouterr().err == f"error: invalid --alpha value {value!r}\n"
+        # With a space, argparse reads a leading minus as an option: usage error.
+        assert run_cli(argv + ["--alpha", "-1/9"]) == 1
 
     def test_verify_alpha_on_an_incomplete_allocation(self, tmp_path, capsys):
         inst_path = write_json(

@@ -268,6 +268,26 @@ def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
     return value, witness.bundles, witness.leftover
 
 
+def smallest_budget(oracle, inst: Instance, agent: int) -> int:
+    """The smallest node budget the search finishes in: double, then bisect."""
+
+    def completes(budget: int) -> bool:
+        limits = OracleLimits(max_chores=17, node_budget=budget)
+        return not isinstance(outcome(oracle, inst, agent, limits), str)
+
+    high = 1
+    while not completes(high):
+        high *= 2
+    low = high // 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if completes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
 class TestAgainstRecursiveOracle:
     def test_corpus_covers_the_edge_cases(self):
         shapes = [(inst.num_agents, inst.num_chores) for inst in oracle_corpus()]
@@ -290,3 +310,24 @@ class TestAgainstRecursiveOracle:
                     assert outcome(exact_mms, inst, agent, small) == outcome(
                         reference_exact_mms, inst, agent, small
                     )
+
+    def test_node_counts_match(self):
+        # 2 bins x eleven chores of value 2: LPT is optimal, but the
+        # pigeonhole bound sits one below it, so the whole tree is searched.
+        twos = identical([2] * 11, n=2)
+        assert smallest_budget(exact_mms, twos, 0) == 195
+        assert smallest_budget(reference_exact_mms, twos, 0) == 195
+        # Agents of instances with at most 14 chores: the two 17-chore
+        # fixtures need up to 66,420 nodes an agent, seconds each.
+        agents = [
+            (inst, agent)
+            for inst in oracle_corpus()
+            if inst.num_chores <= 14
+            for agent in range(inst.num_agents)
+        ]
+        counts = []
+        for inst, agent in random.Random(SEED_ORACLE_CORPUS).sample(agents, 300):
+            count = smallest_budget(exact_mms, inst, agent)
+            assert count == smallest_budget(reference_exact_mms, inst, agent)
+            counts.append(count)
+        assert max(counts) > 1000
