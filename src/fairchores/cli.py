@@ -152,21 +152,23 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     limits = _limits(args)
+    alpha = None
+    if args.alpha is not None:
+        try:
+            num, den = args.alpha.split("/") if "/" in args.alpha else (args.alpha, "1")
+            alpha = Fraction(int(num), int(den))
+            if alpha < 0:
+                raise ValueError("a negative factor bounds nothing")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"invalid --alpha value {args.alpha!r}") from exc
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
     for i, load in enumerate(allocation_loads(inst, alloc)):
         print(f"agent {i}: load {load}")
     print(f"complete {str(alloc.complete).lower()}")
-    if args.alpha is None:
+    if alpha is None:
         return EXIT_OK
 
-    try:
-        num, den = args.alpha.split("/") if "/" in args.alpha else (args.alpha, "1")
-        alpha = Fraction(int(num), int(den))
-        if alpha < 0:
-            raise ValueError("a negative factor bounds nothing")
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid --alpha value {args.alpha!r}") from exc
     if not alloc.complete:
         print(f"alpha check at {alpha}: fail (incomplete allocation)")
         return EXIT_INPUT

@@ -10,15 +10,18 @@ search lands on an s* with 9*s* <= 11*OPT, and the packing at s* is a
 schedule within it. A classic longest-processing-time baseline is
 included for comparison. Both check the jobs with the package's value
 rule, sort them once with ``_descending`` (equal jobs lowest index
-first), run ``_first_fit_decreasing`` or ``_lpt`` on the sorted positions
-and map those back to jobs with ``_chore_allocation``.
+first), run ``_first_fit`` (one empty bin of the cap per machine) or
+``_lpt`` on the sorted positions and map those back to jobs with
+``_chore_allocation``. ``_first_fit`` is the one first-fit packer:
+``naive_test`` and the 5/4 solver's two-stage test fill their bins
+through it too.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .instances import Allocation, _check_values, _chore_allocation, _descending
@@ -54,41 +57,31 @@ def _pigeonhole(values: Sequence[int], bins: int) -> int:
     return max(-(-sum(values) // bins), max(values, default=0))
 
 
-def _sweep(
-    desc: Sequence[int], queue: Sequence[int], load: int, cap: int
-) -> Tuple[List[int], List[int]]:
-    """One largest-first pass of a bin over the positions in ``queue``.
-
-    Starting from ``load``, the bin keeps every position of ``desc`` that
-    still fits under ``cap``. Returns the positions taken and the
-    positions left over in their original order.
-    """
-    taken: List[int] = []
-    rest: List[int] = []
-    for pos in queue:
-        if load + desc[pos] <= cap:
-            load += desc[pos]
-            taken.append(pos)
-        else:
-            rest.append(pos)
-    return taken, rest
-
-
-def _first_fit_decreasing(
-    desc_values: Sequence[int], bins: int, cap: int
+def _first_fit(
+    desc: Sequence[int], queue: Iterable[int], bins: Sequence[Tuple[int, int]]
 ) -> Tuple[List[List[int]], List[int]]:
-    """Pack nonincreasing values into bins under one cap, bin by bin.
+    """Fill bins in turn, each with one largest-first pass over ``queue``.
 
-    Each bin takes one ``_sweep`` over the positions still unplaced.
-    Returns the positions in each bin and the positions no bin could
-    take.
+    ``queue`` lists positions of the nonincreasing row ``desc``, and each
+    bin is a (starting load, cap) pair. A bin keeps every position still
+    unplaced that fits under its cap on top of its load. Filling stops
+    once nothing is left, so the bins after that stay empty. Returns each
+    bin's positions and the positions no bin took, in their given order.
     """
-    remaining = list(range(len(desc_values)))
-    packed: List[List[int]] = []
-    for _ in range(bins):
-        bundle, remaining = _sweep(desc_values, remaining, 0, cap)
-        packed.append(bundle)
-    return packed, remaining
+    packed: List[List[int]] = [[] for _ in bins]
+    leftover = list(queue)
+    for taken, (load, cap) in zip(packed, bins):
+        if not leftover:
+            break
+        rest: List[int] = []
+        for pos in leftover:
+            if load + desc[pos] <= cap:
+                load += desc[pos]
+                taken.append(pos)
+            else:
+                rest.append(pos)
+        leftover = rest
+    return packed, leftover
 
 
 def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
@@ -139,12 +132,12 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     _check_jobs(values, machines)
     order, desc = _descending(values)
 
-    lo = _pigeonhole(desc, machines)
-    threshold = _boundary_search(
-        lambda s: not _first_fit_decreasing(desc, machines, s)[1], lo, 2 * lo
-    )
+    def pack(s: int) -> Tuple[List[List[int]], List[int]]:
+        return _first_fit(desc, range(len(desc)), [(0, s)] * machines)
 
-    packed, leftover = _first_fit_decreasing(desc, machines, threshold)
+    lo = _pigeonhole(desc, machines)
+    threshold = _boundary_search(lambda s: not pack(s)[1], lo, 2 * lo)
+    packed, leftover = pack(threshold)
     loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
     if leftover or max(loads) > threshold:
         raise SolverInvariantError(

@@ -21,8 +21,10 @@ nothing for fair division; on identical machines, searching it is the
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
@@ -39,7 +41,7 @@ from .instances import (
     ordered_instance,
 )
 from .oracle import MmsProfile, OracleLimits, mms_profile
-from .scheduling import _boundary_search, _first_fit_decreasing, _pigeonhole, _sweep
+from .scheduling import _boundary_search, _first_fit, _pigeonhole
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,14 @@ class PolyResult:
 def naive_test(inst: Instance, agent: int, s: int) -> bool:
     """Pack one agent's valuation first-fit-decreasing into n bins of cap s.
 
-    The same packing as the greedy at uniform s on n clones of the row.
+    ``_first_fit`` fills n empty bins of cap s on the sorted row: the
+    same packing as the greedy at uniform s on n clones of the row.
     True iff everything gets allocated. Not monotone in s.
     """
     if s < 0:
         raise InputError("threshold s must be non-negative")
     row = sorted(inst.row(agent), reverse=True)
-    return not _first_fit_decreasing(row, inst.num_agents, s)[1]
+    return not _first_fit(row, range(len(row)), [(0, s)] * inst.num_agents)[1]
 
 
 def _pack_large(
@@ -114,36 +117,26 @@ def _pack_large(
     """Two-stage large-chore packing of a row sorted nonincreasing.
 
     The chores strictly above s/4 are a prefix of the row, and the k
-    strictly above s/2 a prefix of that. Returns the positions in each
-    of the n bundles, the positions left unplaced, and k. When k > n
-    nothing is packed and every large position is unplaced.
+    strictly above s/2 a prefix of that. ``_first_fit`` packs the rest
+    of the prefix into bundles k..1, each seeded with its own position,
+    under cap s, then into fresh bundles k+1..n under 5s/4, whose floor
+    integer loads meet exactly when they meet it. Returns the positions
+    in each of the n bundles, the positions left unplaced, and k. When
+    k > n nothing is packed and every large position is unplaced.
     """
-    large = 0
-    while large < len(desc) and 4 * desc[large] > s:
-        large += 1
-    k = 0
-    while k < large and 2 * desc[k] > s:
-        k += 1
+    # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
+    large = bisect_left(desc, -(s // 4), key=neg)
+    k = bisect_left(desc, -(s // 2), hi=large, key=neg)
     if k > n:
         # More chores above s/2 than bundles: certainly below the share.
         return [[] for _ in range(n)], list(range(large)), k
 
-    bundles: List[List[int]] = [[pos] for pos in range(k)]
-    bundles += [[] for _ in range(n - k)]
-    queue = list(range(k, large))
-
-    # Stage one: bundles k..1, one sweep each on top of their seed, cap s.
-    # Stage two: fresh bundles k+1..n under the relaxed cap 5s/4, which
-    # loads, being integers, meet exactly when they meet its floor.
-    for t in [*range(k - 1, -1, -1), *range(k, n)]:
-        if not queue:
-            break
-        if t < k:
-            taken, queue = _sweep(desc, queue, desc[t], s)
-        else:
-            taken, queue = _sweep(desc, queue, 0, 5 * s // 4)
-        bundles[t] += taken
-    return bundles, queue, k
+    seeded = [(desc[t], s) for t in reversed(range(k))]
+    packed, leftover = _first_fit(
+        desc, range(k, large), seeded + [(0, 5 * s // 4)] * (n - k)
+    )
+    bundles = [[t] + packed[k - 1 - t] for t in range(k)] + packed[k:]
+    return bundles, leftover, k
 
 
 def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:

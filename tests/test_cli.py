@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairchores import builtin_fixtures, run_cli
+from fairchores import SolverInvariantError, builtin_fixtures, cli, run_cli
 from fairchores.instances import instance_to_json
 
 # A --count above sys.maxsize, the most itertools.islice accepts.
@@ -56,6 +56,17 @@ class TestExitCodes:
         inst = {"agents": 2, "chores": 30, "valuations": [[1] * 30] * 2}
         path = write_json(tmp_path / "big.json", inst)
         assert run_cli(["mms", "--input", path]) == 4
+
+    def test_solver_invariant_violation(self, tmp_path, capsys, monkeypatch):
+        def broken(inst):
+            raise SolverInvariantError("greedy left chores over at the solver's caps")
+
+        monkeypatch.setattr(cli, "solve_poly_54", broken)
+        inst_path = fixture_file(tmp_path, 2)
+        assert run_cli(["solve", "--input", inst_path, "--algo", "poly-54"]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "internal invariant violated: greedy left chores over at the solver's caps"
+        ]
 
     def test_negative_count(self, capsys):
         assert run_cli(["gen", "--seed", "1", "--count", "-1"]) == 2
@@ -305,7 +316,10 @@ class TestSolveAndVerify:
             (["--alpha=-1/9"], "-1/9"),
         ):
             assert run_cli(argv + flag) == 2
-            assert capsys.readouterr().err == f"error: invalid --alpha value {value!r}\n"
+            captured = capsys.readouterr()
+            # The flag is parsed before the files are read: no load lines.
+            assert captured.out == ""
+            assert captured.err == f"error: invalid --alpha value {value!r}\n"
         # With a space, argparse reads a leading minus as an option: usage error.
         assert run_cli(argv + ["--alpha", "-1/9"]) == 1
 

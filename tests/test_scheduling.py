@@ -10,11 +10,13 @@ from conftest import SEED_SCHED_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairchores import scheduling
 from fairchores import (
     InputError,
     Instance,
     OracleLimits,
     ScheduleResult,
+    SolverInvariantError,
     ThresholdVector,
     builtin_fixtures,
     greedy_fill,
@@ -91,6 +93,16 @@ class TestSchedule119:
         assert opt == 150
         assert 9 * result.makespan <= 11 * opt
         assert result.makespan <= result.threshold
+
+    def test_searched_threshold_that_does_not_pack(self, monkeypatch):
+        # The bracket starts at 5, the largest job; one below it, the
+        # packing leaves that job over and the re-check catches it.
+        monkeypatch.setattr(scheduling, "_boundary_search", lambda passes, lo, hi: lo - 1)
+        with pytest.raises(
+            SolverInvariantError,
+            match="^packing at the searched threshold 4 is incomplete or over it$",
+        ):
+            schedule_119([5, 1], 2)
 
     def test_input_validation(self):
         with pytest.raises(InputError):

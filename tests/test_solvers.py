@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 
 from fairchores import solvers
 from fairchores import (
+    Allocation,
     InputError,
     Instance,
     MmsProfile,
     OracleLimits,
+    SolverInvariantError,
+    ThresholdVector,
     builtin_fixtures,
     exact_mms,
     mms_profile,
@@ -267,3 +270,40 @@ class TestSolvePoly54:
                 assert cert.satisfied
                 assert 4 * cert.load <= 5 * result.s_values[cert.agent]
                 assert result.s_values[cert.agent] <= profile.values[cert.agent]
+
+
+class TestInvariantRechecks:
+    """Each re-check fires, with its message, when a layer breaks its promise."""
+
+    def test_greedy_leaving_chores_over(self, monkeypatch):
+        greedy = solvers.greedy_fill
+
+        def at_zero_caps(ordd, caps):
+            return greedy(ordd, ThresholdVector.uniform(len(caps.thresholds), 0))
+
+        monkeypatch.setattr(solvers, "greedy_fill", at_zero_caps)
+        with pytest.raises(SolverInvariantError, match="^greedy left chores over"):
+            solve_poly_54(identical([3, 2, 1], n=2))
+
+    def test_lift_loading_an_agent_past_the_cap(self, monkeypatch):
+        def all_to_agent_0(inst, ordd, allocation):
+            rest = [()] * (inst.num_agents - 1)
+            return Allocation((range(inst.num_chores), *rest), ())
+
+        monkeypatch.setattr(solvers, "lift_allocation", all_to_agent_0)
+        # s = 3 for both agents, so the caps are 15/4 and agent 0 carries 6.
+        with pytest.raises(
+            SolverInvariantError, match="^agent 0 carries 6 above their cap 15/4$"
+        ):
+            solve_poly_54(identical([3, 2, 1], n=2))
+
+    def test_search_failing_at_the_top_of_its_bracket(self, monkeypatch):
+        monkeypatch.setattr(
+            solvers, "_pack_large", lambda desc, n, s: ([[]] * n, [0], 0)
+        )
+        # The bracket is [3, 6]; the probe at 3 fails, then the top at 6.
+        with pytest.raises(
+            SolverInvariantError,
+            match=r"^test fails at the top of its bracket \(s=6\)$",
+        ):
+            search_threshold(identical([3, 2, 1], n=2), 0)
