@@ -6,18 +6,19 @@ optimal makespan of scheduling their chores on n identical machines.
 Both questions therefore run one search, ``_min_makespan``, on a row
 sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
 agent (sorted by ``_descending``, its bins mapped back to chores by
-``_chore_allocation``), ``optimal_makespan`` on a job list with one bin
-per machine. The problem is NP-hard, so the search is a bounded
-branch-and-bound meant for ground truth on small instances, not for
-production-sized inputs. Its state is two lists, ``assign`` and
-``loads``, not the call stack, so only its own limits bound the row
-length it accepts.
+``_witness``), ``mms_profile`` once per distinct sorted row of an
+instance, ``optimal_makespan`` on a job list with one bin per machine.
+The problem is NP-hard, so the search is a bounded branch-and-bound
+meant for ground truth on small instances, not for production-sized
+inputs. Its state is two lists, ``assign`` and ``loads``, not the call
+stack, so only its own limits bound the row length it accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InstanceTooLargeError, NodeBudgetError
 from .instances import Allocation, Instance, _chore_allocation, _descending
@@ -32,7 +33,8 @@ class OracleLimits:
     """Hard resource limits for the exact search.
 
     Exceeding either limit raises; the oracle never silently degrades to
-    an approximation.
+    an approximation. ``node_budget`` bounds the placements of one
+    search, so ``mms_profile`` grants it to each distinct sorted row.
     """
 
     max_chores: int = DEFAULT_MAX_CHORES
@@ -64,11 +66,18 @@ def _min_makespan(
     placement never pushes a bin to or past the incumbent, and a bin is
     skipped when an earlier bin has the same load, as that bin was
     already tried at this depth with it (so only the first empty bin
-    ever opens). The search stops once the incumbent reaches the
-    pigeonhole bound, which cannot be beaten. Its state is ``assign``
-    (the bin of each placed position) and ``loads``: an exhausted depth
-    undoes the placement one depth up and resumes there after that
-    placement's bin, so no row length reaches the recursion limit.
+    ever opens). Every leaf beats the incumbent and becomes it. A bin of
+    that leaf at the new incumbent would make every schedule below it a
+    tie, so the search then undoes placements from the leaf up until no
+    bin's load equals the incumbent, and resumes that depth after the
+    bin it had used. The witness is thus the first schedule, in
+    depth-first order, that reaches the optimum, or the LPT schedule when
+    that is already optimal. The search stops once the incumbent reaches
+    the lower bound: the pigeonhole bound rounded up to a multiple of the
+    row's gcd, which divides every load. Its state is ``assign`` (the bin
+    of each placed position) and ``loads``: an exhausted depth undoes the
+    placement one depth up and resumes there after that placement's bin,
+    so no row length reaches the recursion limit.
     """
     m = len(desc)
     if m > limits.max_chores:
@@ -82,6 +91,9 @@ def _min_makespan(
         for pos in bundle:
             best[pos] = b
     lower = _pigeonhole(desc, n)
+    g = gcd(*desc)
+    if g:
+        lower = -(-lower // g) * g
     if incumbent == lower:
         return incumbent, best
 
@@ -112,9 +124,22 @@ def _min_makespan(
                 break
             incumbent = max(loads)
             best = assign.copy()
-            loads[b] = load
             if incumbent == lower:
                 return incumbent, best
+            # Undo up to the placement whose undo takes the last bin at
+            # the incumbent below it; a zero value moves no load.
+            full = loads.count(incumbent)
+            while True:
+                b = assign[k]
+                value = desc[k]
+                if value and loads[b] == incumbent:
+                    full -= 1
+                loads[b] -= value
+                if not full:
+                    break
+                k -= 1
+            start = b + 1
+            break
         else:
             # Depth k is exhausted: undo the placement of depth k - 1
             # and resume that depth after the bin it used.
@@ -126,6 +151,14 @@ def _min_makespan(
             start = b + 1
 
 
+def _witness(order: Sequence[int], bins: Sequence[int], n: int) -> Allocation:
+    """The partition that puts chore ``order[p]`` in bundle ``bins[p]``."""
+    bundles: List[List[int]] = [[] for _ in range(n)]
+    for pos, b in enumerate(bins):
+        bundles[b].append(pos)
+    return _chore_allocation(order, bundles)
+
+
 def exact_mms(
     inst: Instance, agent: int, limits: OracleLimits = OracleLimits()
 ) -> Tuple[int, Allocation]:
@@ -133,25 +166,34 @@ def exact_mms(
 
     The share is the optimal makespan of the agent's row on n identical
     bins: ``_descending`` sorts the row, ``_min_makespan`` searches it,
-    and ``_chore_allocation`` maps the bins of its positions back to the
-    chores behind them.
+    and ``_witness`` maps the bins of its positions back to the chores
+    behind them.
     """
     order, desc = _descending(inst.row(agent))
     value, bins = _min_makespan(desc, inst.num_agents, limits)
-    bundles = [[] for _ in range(inst.num_agents)]
-    for pos, b in enumerate(bins):
-        bundles[b].append(pos)
-    return value, _chore_allocation(order, bundles)
+    return value, _witness(order, bins, inst.num_agents)
 
 
 def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:
-    """Run the exact oracle for every agent."""
+    """Run the exact oracle for every agent.
+
+    Agents whose rows sort to the same values share one search, kept in
+    a dict for this call only, and each maps its bins back to chores
+    through its own order; ``limits.node_budget`` holds for each
+    distinct sorted row. Every value and witness equals ``exact_mms``'s.
+    """
+    n = inst.num_agents
+    searched: Dict[Tuple[int, ...], Tuple[int, List[int]]] = {}
     values: List[int] = []
     witnesses: List[Allocation] = []
-    for agent in range(inst.num_agents):
-        value, witness = exact_mms(inst, agent, limits)
+    for agent in range(n):
+        order, desc = _descending(inst.row(agent))
+        key = tuple(desc)
+        if key not in searched:
+            searched[key] = _min_makespan(desc, n, limits)
+        value, bins = searched[key]
         values.append(value)
-        witnesses.append(witness)
+        witnesses.append(_witness(order, bins, n))
     return MmsProfile(values=tuple(values), witnesses=tuple(witnesses))
 
 

@@ -121,7 +121,8 @@ class TestExitCodes:
     # The oracle places one chore per search depth, so rows longer than
     # Python's recursion limit must still end in a share or an exit code.
     def test_long_row_exhausts_the_node_budget(self, tmp_path, capsys):
-        inst = {"agents": 2, "chores": 1201, "valuations": [[2] * 1201] * 2}
+        row = [5] * 400 + [4] * 400 + [3] * 401
+        inst = {"agents": 2, "chores": len(row), "valuations": [row, row]}
         path = write_json(tmp_path / "long.json", inst)
         argv = ["mms", "--input", path, "--max-chores", "5000", "--node-budget", "100000"]
         assert run_cli(argv) == 4
@@ -129,12 +130,34 @@ class TestExitCodes:
         assert err.startswith("oracle limit: node budget 100000 exhausted")
         assert err.count("\n") == 1
 
+    # Every load is a multiple of the row's gcd, so the bound rounded up
+    # to it meets LPT's 1202 and the search places no chore.
+    def test_long_row_of_twos_gets_its_share(self, tmp_path, capsys):
+        inst = {"agents": 2, "chores": 1201, "valuations": [[2] * 1201] * 2}
+        path = write_json(tmp_path / "twos.json", inst)
+        argv = ["mms", "--input", path, "--max-chores", "5000", "--node-budget", "1"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == "agent 0: mms 1202\nagent 1: mms 1202\n"
+
     def test_long_row_of_zeros_gets_its_share(self, tmp_path, capsys):
         row = [3, 3, 2, 2, 2] + [0] * 1200
         inst = {"agents": 2, "chores": len(row), "valuations": [row, row]}
         path = write_json(tmp_path / "zeros.json", inst)
         assert run_cli(["mms", "--input", path, "--max-chores", "5000"]) == 0
         assert capsys.readouterr().out == "agent 0: mms 6\nagent 1: mms 6\n"
+
+    # Rows a and b search 50 and 32 nodes. Agents 0 and 2 share a's
+    # sorted row, so it is searched once, and the budget holds per row.
+    def test_node_budget_holds_per_distinct_row(self, tmp_path, capsys):
+        a = [20, 9, 24, 12, 26, 23, 27, 24]
+        b = [24, 11, 16, 9, 10, 16, 13, 29]
+        inst = {"agents": 3, "chores": 8, "valuations": [a, b, a[::-1]]}
+        path = write_json(tmp_path / "rows.json", inst)
+        assert run_cli(["mms", "--input", path, "--node-budget", "50"]) == 0
+        out = "agent 0: mms 56\nagent 1: mms 43\nagent 2: mms 56\n"
+        assert capsys.readouterr().out == out
+        assert run_cli(["mms", "--input", path, "--node-budget", "49"]) == 4
+        assert capsys.readouterr().err.startswith("oracle limit: node budget 49 exhausted")
 
 
 # Value pools per flag, one pool per argument the flag takes. "@a" and
