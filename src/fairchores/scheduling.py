@@ -14,14 +14,17 @@ first), run ``_first_fit`` (one empty bin of the cap per machine) or
 ``_lpt`` on the sorted positions and map those back to jobs with
 ``_chore_allocation``. ``_first_fit`` is the one first-fit packer:
 ``naive_test`` and the 5/4 solver's two-stage test fill their bins
-through it too.
+through it too. Each bin takes the largest leftover job that fits, at
+one C-level bisection and one list deletion per placed position, or
+one ``pop`` when the largest leftover fits.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .instances import Allocation, _check_values, _chore_allocation, _descending
@@ -58,30 +61,36 @@ def _pigeonhole(values: Sequence[int], bins: int) -> int:
 
 
 def _first_fit(
-    desc: Sequence[int], queue: Iterable[int], bins: Sequence[Tuple[int, int]]
+    desc: Sequence[int], lo: int, hi: int, bins: Sequence[Tuple[int, int]]
 ) -> Tuple[List[List[int]], List[int]]:
-    """Fill bins in turn, each with one largest-first pass over ``queue``.
+    """Fill bins in turn, each with one largest-first pass over desc[lo:hi].
 
-    ``queue`` lists positions of the nonincreasing row ``desc``, and each
-    bin is a (starting load, cap) pair. A bin keeps every position still
-    unplaced that fits under its cap on top of its load. Filling stops
-    once nothing is left, so the bins after that stay empty. Returns each
-    bin's positions and the positions no bin took, in their given order.
+    ``desc`` is nonincreasing and each bin is a (starting load, cap) pair.
+    A bin takes the largest unplaced value that fits its room, the lowest
+    position among equal values, until none fits. The leftover is an
+    ascending copy of the values with a parallel list of positions (equal
+    values lowest position last), so a placement is one ``pop`` when the
+    largest fits, else one C-level bisection and one list deletion.
+    Filling stops once nothing is left; later bins stay empty. Returns
+    each bin's positions and the unplaced positions, both ascending.
     """
+    vals = list(reversed(desc[lo:hi]))
+    left = list(range(hi - 1, lo - 1, -1))
     packed: List[List[int]] = [[] for _ in bins]
-    leftover = list(queue)
     for taken, (load, cap) in zip(packed, bins):
-        if not leftover:
+        if not vals:
             break
-        rest: List[int] = []
-        for pos in leftover:
-            if load + desc[pos] <= cap:
-                load += desc[pos]
-                taken.append(pos)
+        room = cap - load
+        while vals:
+            if vals[-1] <= room:
+                room -= vals.pop()
+                taken.append(left.pop())
+            elif i := bisect_right(vals, room):
+                room -= vals.pop(i - 1)
+                taken.append(left.pop(i - 1))
             else:
-                rest.append(pos)
-        leftover = rest
-    return packed, leftover
+                break
+    return packed, left[::-1]
 
 
 def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
@@ -133,7 +142,7 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     order, desc = _descending(values)
 
     def pack(s: int) -> Tuple[List[List[int]], List[int]]:
-        return _first_fit(desc, range(len(desc)), [(0, s)] * machines)
+        return _first_fit(desc, 0, len(desc), [(0, s)] * machines)
 
     lo = _pigeonhole(desc, machines)
     threshold = _boundary_search(lambda s: not pack(s)[1], lo, 2 * lo)

@@ -102,13 +102,15 @@ def naive_test(inst: Instance, agent: int, s: int) -> bool:
     """Pack one agent's valuation first-fit-decreasing into n bins of cap s.
 
     ``_first_fit`` fills n empty bins of cap s on the sorted row: the
-    same packing as the greedy at uniform s on n clones of the row.
-    True iff everything gets allocated. Not monotone in s.
+    same packing as the greedy at uniform s on n clones of the row. Each
+    bin takes the largest leftover chore that fits, by one bisection and
+    one deletion per placed chore. True iff everything gets allocated.
+    Not monotone in s.
     """
     if s < 0:
         raise InputError("threshold s must be non-negative")
     row = sorted(inst.row(agent), reverse=True)
-    return not _first_fit(row, range(len(row)), [(0, s)] * inst.num_agents)[1]
+    return not _first_fit(row, 0, len(row), [(0, s)] * inst.num_agents)[1]
 
 
 def _pack_large(
@@ -120,9 +122,11 @@ def _pack_large(
     strictly above s/2 a prefix of that. ``_first_fit`` packs the rest
     of the prefix into bundles k..1, each seeded with its own position,
     under cap s, then into fresh bundles k+1..n under 5s/4, whose floor
-    integer loads meet exactly when they meet it. Returns the positions
-    in each of the n bundles, the positions left unplaced, and k. When
-    k > n nothing is packed and every large position is unplaced.
+    integer loads meet exactly when they meet it; each bundle takes the
+    largest leftover chore that fits, one bisection and one deletion per
+    placed chore. Returns the positions in each of the n bundles, the
+    positions left unplaced, and k. When k > n nothing is packed and
+    every large position is unplaced.
     """
     # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
     large = bisect_left(desc, -(s // 4), key=neg)
@@ -132,9 +136,7 @@ def _pack_large(
         return [[] for _ in range(n)], list(range(large)), k
 
     seeded = [(desc[t], s) for t in reversed(range(k))]
-    packed, leftover = _first_fit(
-        desc, range(k, large), seeded + [(0, 5 * s // 4)] * (n - k)
-    )
+    packed, leftover = _first_fit(desc, k, large, seeded + [(0, 5 * s // 4)] * (n - k))
     bundles = [[t] + packed[k - 1 - t] for t in range(k)] + packed[k:]
     return bundles, leftover, k
 

@@ -1,4 +1,4 @@
-"""Differential tests: the one first-fit packer against the two it replaced.
+"""Differential tests: the one first-fit packer against the loops it replaced.
 
 ``reference_sweep``, ``reference_first_fit_decreasing`` and
 ``reference_pack_large`` are frozen copies of the bin loops MULTIFIT,
@@ -6,13 +6,20 @@
 their bins through ``scheduling._first_fit``. Each caller must give the
 same result as its frozen loop: ``schedule_119`` the same schedule,
 ``naive_test`` the same verdict and ``_pack_large`` the same bundles,
-leftover and k, on pinned edge cases and random rows.
+leftover and k, on pinned edge cases, random rows of up to 14 chores and
+seeded rows of up to 100 agents x 1000 chores.
+
+``reference_first_fit`` is a frozen copy of the sweep packer that
+``_first_fit`` replaced, which passed every still-unplaced position once
+per bin. ``_first_fit`` itself, which takes each bin's largest fitting
+leftover by bisection, must return the same bins and leftover for every
+range of a nonincreasing row and every list of (load, cap) bins.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +27,28 @@ from hypothesis import strategies as st
 
 from fairchores import Instance, ScheduleResult, naive_test, schedule_119
 from fairchores.instances import _chore_allocation, _descending
-from fairchores.scheduling import _boundary_search, _pigeonhole
+from fairchores.scheduling import _boundary_search, _first_fit, _pigeonhole
 from fairchores.solvers import _pack_large
+
+
+def reference_first_fit(
+    desc: Sequence[int], queue: Iterable[int], bins: Sequence[Tuple[int, int]]
+) -> Tuple[List[List[int]], List[int]]:
+    """One largest-first pass per bin over the positions still unplaced."""
+    packed: List[List[int]] = [[] for _ in bins]
+    leftover = list(queue)
+    for taken, (load, cap) in zip(packed, bins):
+        if not leftover:
+            break
+        rest: List[int] = []
+        for pos in leftover:
+            if load + desc[pos] <= cap:
+                load += desc[pos]
+                taken.append(pos)
+            else:
+                rest.append(pos)
+        leftover = rest
+    return packed, leftover
 
 
 def reference_sweep(
@@ -149,3 +176,101 @@ class TestFirstFitCallers:
     )
     def test_random_rows(self, row, n, s):
         assert_callers_match(row, n, [s])
+
+
+def assert_packers_match(
+    desc: Sequence[int], lo: int, hi: int, bins: Sequence[Tuple[int, int]]
+) -> None:
+    """The bisection packer and the frozen sweep agree on one range."""
+    expected = reference_first_fit(desc, range(lo, hi), bins)
+    assert _first_fit(desc, lo, hi, bins) == expected
+
+
+# (desc, lo, hi, bins): empty ranges, a seeded bin already over its cap
+# (negative room, as threshold_test reaches at small s), zero values
+# under zero caps, a run of equal values split across two bins, and more
+# bins than positions.
+PACKER_PINNED = [
+    ([5, 3, 1], 1, 1, [(0, 9)]),
+    ([5, 3, 1], 3, 3, [(0, 9), (0, 9)]),
+    ([], 0, 0, [(0, 0)]),
+    ([6, 5, 2, 0], 1, 4, [(6, 4), (0, 5)]),
+    ([6, 5, 2, 0], 1, 4, [(6, 4)]),
+    ([0, 0, 0], 0, 3, [(0, 0), (0, 0)]),
+    ([3, 0, 0], 0, 3, [(0, 0), (1, 0)]),
+    ([4, 4, 4, 4, 4], 0, 5, [(0, 8), (0, 12)]),
+    ([9, 4, 4, 4, 4, 1], 1, 6, [(0, 9), (0, 9)]),
+    ([3, 2], 0, 2, [(0, 5)] * 5),
+    ([7, 7, 3], 0, 3, [(0, 7)] * 4),
+]
+
+
+class TestFirstFitPacker:
+    @pytest.mark.parametrize("desc, lo, hi, bins", PACKER_PINNED)
+    def test_pinned_cases(self, desc, lo, hi, bins):
+        assert_packers_match(desc, lo, hi, bins)
+
+    def test_equal_values_split_lowest_positions_first(self):
+        packed, leftover = _first_fit([4, 4, 4, 4, 4], 0, 5, [(0, 8), (0, 8)])
+        assert (packed, leftover) == ([[0, 1], [2, 3]], [4])
+
+    def test_overfull_seeded_bin_takes_nothing(self):
+        packed, leftover = _first_fit([6, 5, 2, 0], 1, 4, [(6, 4), (0, 7)])
+        assert (packed, leftover) == ([[], [1, 2, 3]], [])
+
+    def test_seeded_corpus(self):
+        rng = random.Random(1212)
+        for _ in range(2000):
+            top = rng.choice((0, 3, 10, 100))
+            m = rng.randint(0, 30)
+            desc = sorted((rng.randint(0, top) for _ in range(m)), reverse=True)
+            lo = rng.randint(0, m)
+            hi = rng.randint(lo, m)
+            bins = [
+                (rng.randint(0, 2 * top + 1), rng.randint(0, 3 * top + 1))
+                for _ in range(rng.randint(0, 7))
+            ]
+            assert_packers_match(desc, lo, hi, bins)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        row=st.lists(st.integers(0, 30), max_size=20),
+        bins=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 60)), max_size=8),
+    )
+    def test_random_ranges(self, data, row, bins):
+        desc = sorted(row, reverse=True)
+        lo = data.draw(st.integers(0, len(desc)))
+        hi = data.draw(st.integers(lo, len(desc)))
+        assert_packers_match(desc, lo, hi, bins)
+
+
+# (agents, chores) up to the largest size the benchmarks time.
+LARGE_SIZES = [(5, 50), (20, 200), (50, 500), (100, 1000)]
+
+
+class TestFirstFitCallersOnLargeRows:
+    @pytest.mark.parametrize("top", [1000, 10])
+    def test_callers_match_their_frozen_loops(self, top):
+        """Wide values (0..1000) and tie-heavy ones (0..10) at every size.
+
+        The thresholds are the pigeonhole bound, the searched MULTIFIT
+        cap and the one below it, and a few just at and above twice the (n+1)-th largest
+        value, where the two-stage test seeds up to n bundles and packs
+        a long prefix of the row.
+        """
+        rng = random.Random(1313 + top)
+        for n, m in LARGE_SIZES:
+            row = [rng.randint(0, top) for _ in range(m)]
+            expected = reference_schedule_119(row, n)
+            assert schedule_119(row, n) == expected
+            desc = sorted(row, reverse=True)
+            seeds = 2 * desc[n]
+            thresholds = {_pigeonhole(desc, n), expected.threshold}
+            thresholds |= {expected.threshold - 1, seeds, seeds + 1, seeds + top // 3}
+            thresholds.add(2 * seeds)
+            inst = Instance.from_rows([row] * n)
+            for s in sorted(thresholds):
+                assert _pack_large(desc, n, s) == reference_pack_large(desc, n, s)
+                verdict = not reference_first_fit_decreasing(desc, n, s)[1]
+                assert naive_test(inst, 0, s) == verdict
