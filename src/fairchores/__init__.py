@@ -26,7 +26,6 @@ from .instances import (
     Ratio,
     ThresholdVector,
     VerificationReport,
-    classify_chores,
     ido_order,
     is_ido,
     lift_allocation,
@@ -39,10 +38,8 @@ from .solvers import (
     BoundCertificate,
     ExistenceResult,
     PolyResult,
-    SearchBounds,
     TestOutcome,
     naive_test,
-    search_bounds,
     search_threshold,
     solve_existence_119,
     solve_poly_54,
@@ -82,7 +79,6 @@ __all__ = [
     "PolyResult",
     "Ratio",
     "ScheduleResult",
-    "SearchBounds",
     "SolverInvariantError",
     "TestOutcome",
     "ThresholdVector",
@@ -90,7 +86,6 @@ __all__ = [
     "VerificationReport",
     "builtin_fixtures",
     "check_amms",
-    "classify_chores",
     "exact_mms",
     "generate",
     "greedy_fill",
@@ -104,7 +99,6 @@ __all__ = [
     "run_cli",
     "schedule_119",
     "schedule_lpt",
-    "search_bounds",
     "search_threshold",
     "solve_existence_119",
     "solve_poly_54",

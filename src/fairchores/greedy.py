@@ -1,17 +1,20 @@
-"""Threshold-greedy bundle filling on identically-ordered instances.
+"""Threshold-greedy bundle filling on an ordered instance.
 
-One bundle is built per round by a single pass over the remaining
-chores, largest first: a chore joins the bundle as long as some still
-unassigned agent could accept the grown bundle within their threshold.
-The finished bundle then goes to the lowest-index unassigned agent it
-fits. Whatever no round could place is reported as leftover rather than
-raised, because the interesting counterexamples live exactly there.
+The greedy runs on ``ordered_instance(inst)``, whose rows are each
+sorted nonincreasing, so it is identically ordered whatever ``inst`` is;
+``lift_allocation`` maps its result back to the original chores (the
+reduction of Barman & Krishna Murthy 2017). One bundle is built per
+round by a single pass over the remaining positions, largest first: a
+chore joins the bundle as long as some still unassigned agent could
+accept the grown bundle within their threshold. The finished bundle
+then goes to the lowest-index unassigned agent it fits. Whatever no
+round could place is reported as leftover rather than raised, because
+the interesting counterexamples live exactly there.
 
-The pass does not visit the chores it rejects. Every row of an
-identically-ordered instance is nonincreasing in the shared order, so
-the chores an agent's room still absorbs are a suffix of that order,
-found by bisection; the next chore the pass accepts is the first one
-left in any unassigned agent's suffix.
+The pass does not visit the chores it rejects. The chores an agent's
+room still absorbs are a suffix of their nonincreasing row, found by
+bisection; the next chore the pass accepts is the first one left in
+any unassigned agent's suffix.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .instances import (
@@ -31,7 +34,6 @@ from .instances import (
     ThresholdVector,
     _chore_allocation,
     allocation_loads,
-    ido_order,
 )
 from .oracle import MmsProfile
 
@@ -40,12 +42,10 @@ from .oracle import MmsProfile
 class TraceEntry:
     """One accepted chore: which round took it, who vouched for it.
 
-    ``chore`` is the chore as the greedy scanned it. Both solvers run the
-    greedy on ``ordered_instance``, so there it is a position in the
-    ordered instance (the j-th largest value in every row), not an
-    original chore index. ``witness_load`` is the witnessing agent's
-    bundle cost right after the insertion. Debugging aid only; no
-    equality contract.
+    ``chore`` is a position in the ordered instance (the j-th largest
+    value in every row), not an original chore index. ``witness_load``
+    is the witnessing agent's bundle cost right after the insertion.
+    Debugging aid only; no equality contract.
     """
 
     round_index: int
@@ -79,19 +79,15 @@ class GreedyResult:
         return tuple(self.allocation.bundles[i] for i in self.assignment)
 
 
-def greedy_fill(
-    target: Union[OrderedInstance, Instance], thresholds: ThresholdVector
-) -> GreedyResult:
-    """Run the n-round threshold greedy on an IDO instance.
+def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyResult:
+    """Run the n-round threshold greedy on ``ordd = ordered_instance(inst)``.
 
-    Accepts an OrderedInstance (scanned by position) or a raw instance
-    that must already share one descending chore order; a raw instance
-    is first permuted into that order, and its chores are mapped back at
-    the end, so both run the same scan. Within a round the scan never
-    revisits earlier chores; acceptance asks, in ascending agent index,
-    whether anyone unassigned could absorb the grown bundle. The round's
-    bundle always has a feasible taker: the last accepted chore's
-    witness still qualifies, and an empty bundle fits anyone.
+    Chores are scanned, traced and allocated as positions of the ordered
+    instance; any other argument is rejected. Within a round the scan
+    never revisits earlier chores; acceptance asks, in ascending agent
+    index, whether anyone unassigned could absorb the grown bundle. The
+    round's bundle always has a feasible taker: the last accepted
+    chore's witness still qualifies, and an empty bundle fits anyone.
     Deterministic given its inputs.
 
     Every row is nonincreasing by position, so the positions an agent's
@@ -102,16 +98,10 @@ def greedy_fill(
     taken by earlier rounds are skipped through a "next free position"
     union-find, for O(n*(n + m)*log m) overall.
     """
-    if isinstance(target, OrderedInstance):
-        inst = target.instance
-        order: Sequence[int] = range(inst.num_chores)
-        rows: Sequence[Sequence[int]] = inst.valuations
-    else:
-        inst = target
-        order = ido_order(inst)
-        if order is None:
-            raise InputError("greedy_fill needs an identically-ordered instance")
-        rows = [[row[c] for c in order] for row in inst.valuations]
+    if not isinstance(ordd, OrderedInstance):
+        raise InputError("greedy_fill needs ordered_instance(inst), not a raw instance")
+    inst = ordd.instance
+    rows = inst.valuations
     n, m = inst.num_agents, inst.num_chores
     if len(thresholds) != n:
         raise InputError("threshold vector length does not match agent count")
@@ -163,7 +153,7 @@ def greedy_fill(
             room = [r - row[best] for r, row in zip(room, active)]
             agent = unassigned[witness]
             trace.append(
-                TraceEntry(round_index, order[best], agent, caps[agent] - room[witness])
+                TraceEntry(round_index, best, agent, caps[agent] - room[witness])
             )
             start = free(best + 1)
         owner = next((unassigned[k] for k, r in enumerate(room) if r >= 0), None)
@@ -176,7 +166,7 @@ def greedy_fill(
         unassigned.remove(owner)
 
     return GreedyResult(
-        allocation=_chore_allocation(order, bundles),
+        allocation=_chore_allocation(range(m), bundles),
         assignment=tuple(assignment),
         trace=tuple(trace),
     )

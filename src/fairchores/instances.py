@@ -348,21 +348,6 @@ def verify_allocation(
     )
 
 
-def classify_chores(
-    inst: Instance, agent: int, cutoff: Union[int, Fraction]
-) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-    """Split chores into (large, small) for one agent.
-
-    Large means strictly above the cutoff; small is the complement, so
-    the two sets always partition 0..m-1.
-    """
-    row = inst.row(agent)
-    bound = Fraction(cutoff)
-    large = frozenset(c for c in range(inst.num_chores) if row[c] > bound)
-    small = frozenset(range(inst.num_chores)) - large
-    return large, small
-
-
 # -- JSON interchange ---------------------------------------------------------
 #
 # Instance files:   {"agents": n, "chores": m, "valuations": [[int, ...], ...]}

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InstanceTooLargeError, NodeBudgetError
 from .instances import Allocation, Instance, _chore_allocation, _descending
-from .scheduling import _lpt, _pigeonhole
+from .scheduling import _check_machines, _lpt, _pigeonhole
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -202,11 +202,11 @@ def optimal_makespan(
 ) -> int:
     """Exact minimum makespan of jobs on identical machines.
 
-    The jobs are validated as one row of valuations, so the 64-bit cap
-    applies, and their descending sort goes straight to the search that
-    ``exact_mms`` runs for each agent's row.
+    The machine count follows the schedulers' rule, the jobs are
+    validated as one row of valuations, so the 64-bit cap applies, and
+    their descending sort goes straight to the search that ``exact_mms``
+    runs for each agent's row.
     """
-    if machines < 1:
-        raise InputError("machines must be at least 1")
+    _check_machines(machines)
     row = Instance.from_rows([values]).row(0)
     return _min_makespan(sorted(row, reverse=True), machines, limits)[0]

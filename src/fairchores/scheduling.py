@@ -22,6 +22,7 @@ one ``pop`` when the largest leftover fits.
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
@@ -49,9 +50,16 @@ class LptResult:
     makespan: int
 
 
-def _check_jobs(values: Sequence[int], machines: int) -> None:
+def _check_machines(machines: int) -> None:
+    """The one machine-count rule: 1 to ``sys.maxsize``, as for ``--count``."""
     if machines < 1:
         raise InputError("machines must be at least 1")
+    if machines > sys.maxsize:
+        raise InputError(f"machines must be at most {sys.maxsize}")
+
+
+def _check_jobs(values: Sequence[int], machines: int) -> None:
+    _check_machines(machines)
     _check_values(values, "job {}")
 
 

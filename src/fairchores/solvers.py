@@ -28,7 +28,7 @@ from operator import neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
-from .greedy import GreedyResult, TraceEntry, greedy_fill
+from .greedy import TraceEntry, greedy_fill
 from .instances import (
     Allocation,
     Instance,
@@ -42,14 +42,6 @@ from .instances import (
 )
 from .oracle import MmsProfile, OracleLimits, mms_profile
 from .scheduling import _boundary_search, _first_fit, _pigeonhole
-
-
-@dataclass(frozen=True)
-class SearchBounds:
-    """Pigeonhole bracket [lower, 2*lower] around an agent's share."""
-
-    lower: int
-    upper: int
 
 
 @dataclass(frozen=True)
@@ -163,35 +155,29 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     return TestOutcome(passed=not queue, benchmark=benchmark, really_large_count=k)
 
 
-def search_bounds(inst: Instance, agent: int) -> SearchBounds:
-    """Pigeonhole bracket: lower = max(ceil(total/n), max value)."""
-    lower = _pigeonhole(inst.row(agent), inst.num_agents)
-    return SearchBounds(lower=lower, upper=2 * lower)
-
-
 def search_threshold(inst: Instance, agent: int) -> int:
     """Certified integer underestimate of one agent's maximin share.
 
-    The pigeonhole bound ``lower`` never exceeds the share, so when
+    The row is sorted once (one linear pass when it is already sorted,
+    as in ``solve_poly_54``), and its pigeonhole bound ``lower``,
+    max(ceil(total/n), max value), never exceeds the share, so when
     threshold_test passes there it is returned after that one probe.
     Otherwise a boundary binary search over [lower, 2*lower] keeps
     "high passes" invariant; the returned s* passes and has a failing
     predecessor. Because the pass-set contains the whole ray above the
-    share, s* never exceeds the share. The row is sorted once (one
-    linear pass when it is already sorted, as in ``solve_poly_54``),
-    and each probe runs threshold_test's packer, ``_pack_large``, on it
-    for pass/fail alone.
+    share, s* never exceeds the share. Each probe runs threshold_test's
+    packer, ``_pack_large``, on the sorted row for pass/fail alone.
     """
-    bounds = search_bounds(inst, agent)
     desc = sorted(inst.row(agent), reverse=True)
     n = inst.num_agents
+    lower = _pigeonhole(desc, n)
 
     def passes(s: int) -> bool:
         return not _pack_large(desc, n, s)[1]
 
-    if passes(bounds.lower):
-        return bounds.lower
-    return _boundary_search(passes, bounds.lower, bounds.upper)
+    if passes(lower):
+        return lower
+    return _boundary_search(passes, lower, 2 * lower)
 
 
 def _allocate_within(

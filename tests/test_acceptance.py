@@ -32,12 +32,12 @@ from fairchores import (
     ordered_instance,
     schedule_119,
     schedule_lpt,
-    search_bounds,
     search_threshold,
     solve_existence_119,
     solve_poly_54,
     threshold_test,
 )
+from fairchores.scheduling import _pigeonhole
 
 TIMING_REPEATS = 9
 
@@ -115,8 +115,8 @@ def test_criterion_2_non_monotone_fixture():
 def per_agent_naive_threshold(inst: Instance, agent: int) -> int:
     # Smallest passing point; the naive test is non-monotone, so a binary
     # search could overshoot it.
-    bounds = search_bounds(inst, agent)
-    for s in range(bounds.lower, bounds.upper + 1):
+    lower = _pigeonhole(inst.row(agent), inst.num_agents)
+    for s in range(lower, 2 * lower + 1):
         if naive_test(inst, agent, s):
             return s
     raise AssertionError(f"no naive pass point in [l, 2l] for agent {agent}")
@@ -183,7 +183,7 @@ def test_criterion_5_threshold_test_ray(corpus_500, profiles_500):
                 checked += 1
                 if not threshold_test(inst, i, s).passed:
                     ray_violations += 1
-            lo = search_bounds(inst, i).lower
+            lo = _pigeonhole(inst.row(i), inst.num_agents)
             star = search_threshold(inst, i)
             if not lo <= star <= mu:
                 search_violations += 1
@@ -256,7 +256,7 @@ def test_criterion_8_oracle_self_consistency(corpus_500, profiles_500):
     pigeonhole_violations = 0
     for inst, profile in zip(corpus_500, profiles):
         for i in range(inst.num_agents):
-            lo = search_bounds(inst, i).lower
+            lo = _pigeonhole(inst.row(i), inst.num_agents)
             if not lo <= profile.values[i] <= 2 * lo:
                 pigeonhole_violations += 1
     ok = mismatches == 0 and pigeonhole_violations == 0

@@ -13,10 +13,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairchores import SolverInvariantError, builtin_fixtures, cli, run_cli
+from fairchores import SolverInvariantError, builtin_fixtures, cli, run_cli, scheduling
 from fairchores.instances import instance_to_json
 
-# A --count above sys.maxsize, the most itertools.islice accepts.
+# A --count or --machines above sys.maxsize, the most either accepts.
 HUGE = "100000000000000000000"
 
 
@@ -429,6 +429,20 @@ class TestSchedule:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: job 0 exceeds 64-bit range\n"
+
+    def test_machines_beyond_sys_maxsize(self, tmp_path, capsys, monkeypatch):
+        def core(*args):
+            raise AssertionError("a scheduler ran with a huge machine count")
+
+        monkeypatch.setattr(scheduling, "_first_fit", core)
+        monkeypatch.setattr(scheduling, "_lpt", core)
+        jobs_path = write_json(tmp_path / "jobs.json", [3, 2, 1])
+        for algo in ("greedy-119", "lpt"):
+            argv = ["schedule", "--input", jobs_path, "--machines", HUGE, "--algo", algo]
+            assert run_cli(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: machines must be at most {sys.maxsize}\n"
 
 
 class TestGenAndFixtures:

@@ -97,7 +97,7 @@ class TestTrialFailsFixture:
         caps = ThresholdVector(
             tuple(Fraction(s) for s in fixture.expected["naive_thresholds"])
         )
-        result = greedy_fill(fixture.instance, caps)
+        result = greedy_fill(ordered_instance(fixture.instance), caps)
         assert len(result.allocation.leftover) == fixture.expected["trial_leftover"]
         # Only the fourth agent can afford the opening bundle.
         assert result.assignment[0] == 3

@@ -84,15 +84,13 @@ class TestGreedyFill:
         assert result.allocation.leftover == frozenset({0, 1})
         assert result.assignment == (0, 1)
 
-    def test_raw_ido_instance_accepted(self):
-        inst = Instance.from_rows([[3, 2, 1], [6, 4, 2]])
-        result = greedy_fill(inst, ThresholdVector.uniform(2, 6))
-        assert result.allocation.num_chores == 3
-
-    def test_non_ido_rejected(self):
-        inst = Instance.from_rows([[3, 1], [1, 3]])
-        with pytest.raises(InputError):
-            greedy_fill(inst, ThresholdVector.uniform(2, 10))
+    def test_raw_instance_rejected(self):
+        # Identically ordered or not, a raw instance goes through
+        # ordered_instance first.
+        for rows in ([[3, 2, 1], [6, 4, 2]], [[3, 1], [1, 3]]):
+            inst = Instance.from_rows(rows)
+            with pytest.raises(InputError, match=r"ordered_instance\(inst\)"):
+                greedy_fill(inst, ThresholdVector.uniform(2, 10))
 
     def test_threshold_length_checked(self):
         inst = Instance.from_rows([[3, 2], [3, 2]])

@@ -9,6 +9,12 @@ with them exactly on a seeded corpus, the builtin fixtures and random
 instances with zero values, ties, fewer chores than agents and no
 chores at all.
 
+``reference_greedy_fill`` still scans a raw identically-ordered instance
+in ``ido_order``, as ``greedy_fill`` once did. ``greedy_fill`` now takes
+only ``ordered_instance(inst)``, and on such instances its result, with
+each position p read as chore ``ido_order(inst)[p]``, must equal the
+raw scan's.
+
 ``reference_lift_allocation`` breaks ties between equal chores highest
 index first: the lift reads each owner's ``ordered_instance`` row from
 its cheap end, and ``_descending`` lists equal chores lowest index
@@ -18,8 +24,9 @@ first, so from that end the highest index comes first.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from conftest import SEED_HOT_PATH_CORPUS
 from hypothesis import given, settings
@@ -39,10 +46,10 @@ from fairchores import (
     lift_allocation,
     mms_profile,
     ordered_instance,
-    search_bounds,
     search_threshold,
     threshold_test,
 )
+from fairchores.scheduling import _pigeonhole
 
 
 def reference_greedy_fill(target, thresholds: ThresholdVector) -> GreedyResult:
@@ -136,10 +143,10 @@ def reference_threshold_test(inst: Instance, agent: int, s: int) -> Outcome:
 
 def reference_search_threshold(inst: Instance, agent: int) -> int:
     """Boundary search over [lower, 2*lower] calling the reference test."""
-    bounds = search_bounds(inst, agent)
-    if bounds.lower == 0:
+    lower = _pigeonhole(inst.row(agent), inst.num_agents)
+    if lower == 0:
         return 0
-    lo, hi = bounds.lower, bounds.upper
+    lo, hi = lower, 2 * lower
     assert reference_threshold_test(inst, agent, hi).passed
     while lo < hi:
         mid = (lo + hi) // 2
@@ -248,7 +255,7 @@ def ido_cases(draw):
     inst = Instance.from_rows([[row[labels[c]] for c in range(m)] for row in rows])
     caps = []
     for agent in range(n):
-        top = 2 * max(1, search_bounds(inst, agent).lower)
+        top = 2 * max(1, _pigeonhole(inst.row(agent), n))
         caps.append(
             draw(
                 st.one_of(
@@ -279,7 +286,7 @@ def ido_edge_cases() -> List[tuple]:
 
 def sweep(inst: Instance, agent: int) -> range:
     """Every s in [lower, 2*lower], with lower 0 read as 1 (s must be >= 1)."""
-    lower = max(search_bounds(inst, agent).lower, 1)
+    lower = max(_pigeonhole(inst.row(agent), inst.num_agents), 1)
     return range(lower, 2 * lower + 1)
 
 
@@ -314,18 +321,36 @@ def cap_vectors(inst: Instance, rng: random.Random) -> List[ThresholdVector]:
             ThresholdVector(
                 tuple(
                     Fraction(rng.randint(0, 2 * den * max(1, lower)), den)
-                    for lower in (search_bounds(inst, i).lower for i in range(n))
+                    for lower in (_pigeonhole(inst.row(i), n) for i in range(n))
                 )
             )
         )
     return caps
 
 
+def as_chores(result: GreedyResult, order: Sequence[int]) -> GreedyResult:
+    """The ordered-instance result with each position p read as order[p]."""
+
+    def chores(positions) -> frozenset:
+        return frozenset(order[p] for p in positions)
+
+    alloc = result.allocation
+    return GreedyResult(
+        allocation=Allocation(
+            bundles=tuple(map(chores, alloc.bundles)), leftover=chores(alloc.leftover)
+        ),
+        assignment=result.assignment,
+        trace=tuple(replace(e, chore=order[e.chore]) for e in result.trace),
+    )
+
+
 def assert_greedy_matches(inst: Instance, caps: ThresholdVector) -> None:
     ordd = ordered_instance(inst)
-    assert greedy_fill(ordd, caps) == reference_greedy_fill(ordd, caps)
-    if ido_order(inst) is not None:
-        assert greedy_fill(inst, caps) == reference_greedy_fill(inst, caps)
+    result = greedy_fill(ordd, caps)
+    assert result == reference_greedy_fill(ordd, caps)
+    order = ido_order(inst)
+    if order is not None:
+        assert as_chores(result, order) == reference_greedy_fill(inst, caps)
 
 
 def assert_lift_matches(inst: Instance, owners: List[int]) -> None:
@@ -398,7 +423,8 @@ class TestGreedyFill:
             caps = ThresholdVector(caps)
             assert ido_order(inst) is not None
             assert_greedy_matches(inst, caps)
-            stranded += bool(greedy_fill(inst, caps).allocation.leftover)
+            result = greedy_fill(ordered_instance(inst), caps)
+            stranded += bool(result.allocation.leftover)
         assert stranded >= 3
 
     @settings(max_examples=300, deadline=None)

@@ -16,7 +16,6 @@ from fairchores import (
     Instance,
     OrderedInstance,
     ThresholdVector,
-    classify_chores,
     ido_order,
     is_ido,
     lift_allocation,
@@ -300,34 +299,6 @@ class TestVerifyAllocation:
         alloc = Allocation(bundles=(frozenset({0}), frozenset({1})), leftover=frozenset())
         with pytest.raises(InputError, match="^threshold vector length"):
             verify_allocation(inst, alloc, ThresholdVector.uniform(1, 10))
-
-
-class TestClassifyChores:
-    def test_zero_cutoff(self):
-        inst = make_instance([[0, 3, 0, 1]])
-        large, small = classify_chores(inst, 0, 0)
-        assert large == frozenset({1, 3})
-        assert small == frozenset({0, 2})
-
-    def test_cutoff_at_or_above_max(self):
-        inst = make_instance([[2, 3]])
-        large, _ = classify_chores(inst, 0, 3)
-        assert large == frozenset()
-
-    def test_fractional_cutoff_exact(self):
-        row = [9, 7, 6, 5, 5] + [4] * 9
-        inst = make_instance([row] * 4)
-        large, small = classify_chores(inst, 0, Fraction(34, 9))
-        assert large == frozenset(range(14))
-        assert small == frozenset()
-
-    @settings(max_examples=60)
-    @given(instances(max_agents=3, max_chores=6), st.integers(0, 40))
-    def test_partition(self, inst, cutoff):
-        for agent in range(inst.num_agents):
-            large, small = classify_chores(inst, agent, cutoff)
-            assert large | small == frozenset(range(inst.num_chores))
-            assert not large & small
 
 
 class TestJsonInterchange:

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
 
 import pytest
 from conftest import SEED_SCHED_CORPUS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairchores import scheduling
+from fairchores import oracle, scheduling
 from fairchores import (
     InputError,
     Instance,
@@ -26,8 +27,8 @@ from fairchores import (
     ordered_instance,
     schedule_119,
     schedule_lpt,
-    search_bounds,
 )
+from fairchores.scheduling import _pigeonhole
 
 
 def clone_greedy(row, machines, s):
@@ -139,9 +140,9 @@ class TestFirstFitDecreasingMatchesCloneAndLift:
             inst = fixture.instance
             n = inst.num_agents
             for agent in range(n):
-                bounds = search_bounds(inst, agent)
                 row = inst.row(agent)
-                for s in range(bounds.lower, bounds.upper + 1):
+                lower = _pigeonhole(row, n)
+                for s in range(lower, 2 * lower + 1):
                     complete = clone_greedy(row, n, s)[2].allocation.complete
                     assert naive_test(inst, agent, s) == complete, (
                         fixture.name,
@@ -225,6 +226,20 @@ def test_jobs_above_64_bit_range_are_rejected(schedule):
     with pytest.raises(InputError, match=r"^job 0 exceeds 64-bit range$"):
         schedule([2**63, 1], 2)
     assert schedule([2**63 - 1, 1], 2).makespan == 2**63 - 1
+
+
+@pytest.mark.parametrize("solve", [schedule_119, schedule_lpt, optimal_makespan])
+def test_machine_counts_above_sys_maxsize_are_rejected(solve, monkeypatch):
+    # Were the check missing, these stubs would fail the test before a
+    # core builds one entry per machine.
+    def core(*args):
+        raise AssertionError("a core ran with 2**63 machines")
+
+    monkeypatch.setattr(scheduling, "_first_fit", core)
+    monkeypatch.setattr(scheduling, "_lpt", core)
+    monkeypatch.setattr(oracle, "_min_makespan", core)
+    with pytest.raises(InputError, match=rf"^machines must be at most {sys.maxsize}$"):
+        solve([3, 2, 1], 2**63)
 
 
 class TestCorpusComparison:

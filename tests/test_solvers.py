@@ -22,12 +22,12 @@ from fairchores import (
     exact_mms,
     mms_profile,
     naive_test,
-    search_bounds,
     search_threshold,
     solve_existence_119,
     solve_poly_54,
     threshold_test,
 )
+from fairchores.scheduling import _pigeonhole
 
 
 def identical(row, n=4) -> Instance:
@@ -128,11 +128,20 @@ class TestThresholdTest:
 
 
 class TestSearchThreshold:
-    def test_bounds(self):
+    def test_bounds(self, monkeypatch):
         inst = identical([9, 7, 6, 5, 5] + [4] * 9, n=4)
-        bounds = search_bounds(inst, 0)
-        assert bounds.lower == 17
-        assert bounds.upper == 34
+        assert _pigeonhole(inst.row(0), 4) == 17
+        # A packer failing everywhere shows the bracket: lower, then top.
+        probes = []
+
+        def failing(desc, n, s):
+            probes.append(s)
+            return [[]] * n, [0], 0
+
+        monkeypatch.setattr(solvers, "_pack_large", failing)
+        with pytest.raises(SolverInvariantError):
+            search_threshold(inst, 0)
+        assert probes == [17, 34]
 
     def test_forced_lower_bound(self):
         inst = identical([10, 10, 10], n=3)
@@ -152,7 +161,7 @@ class TestSearchThreshold:
             inst = fixture.instance
             for agent in range(inst.num_agents):
                 probes.clear()
-                lower = search_bounds(inst, agent).lower
+                lower = _pigeonhole(inst.row(agent), inst.num_agents)
                 assert search_threshold(inst, agent) == lower
                 assert probes == [lower]
 
@@ -180,7 +189,7 @@ class TestSearchThreshold:
     def test_bracket_top_passes(self, inst):
         # Both searches rely on this instead of widening the bracket.
         for agent in range(inst.num_agents):
-            top = search_bounds(inst, agent).upper
+            top = 2 * _pigeonhole(inst.row(agent), inst.num_agents)
             if top > 0:
                 assert threshold_test(inst, agent, top).passed
                 assert naive_test(inst, agent, top)
@@ -191,7 +200,7 @@ class TestSearchThreshold:
         for agent in range(inst.num_agents):
             mu, _ = exact_mms(inst, agent)
             s_star = search_threshold(inst, agent)
-            assert search_bounds(inst, agent).lower <= s_star <= mu
+            assert _pigeonhole(inst.row(agent), inst.num_agents) <= s_star <= mu
 
 
 class TestSolveExistence119:
