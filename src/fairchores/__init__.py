@@ -5,7 +5,7 @@ agent could guarantee themselves if they cut the chores into n bundles and
 received the heaviest. The package provides an exact oracle for that
 share, a threshold-greedy allocator, an oracle-backed solver meeting
 11/9 of each share, a polynomial-time solver meeting 5/4, and an
-identical-machines scheduler within 11/9 of the optimal makespan.
+identical-machines scheduler within 13/11 of the optimal makespan.
 """
 
 from .errors import (

@@ -13,8 +13,8 @@ the interesting counterexamples live exactly there.
 
 The pass does not visit the chores it rejects. The chores an agent's
 room still absorbs are a suffix of their nonincreasing row, found by
-bisection; the next chore the pass accepts is the first one left in
-any unassigned agent's suffix.
+bisection; the next chore the pass accepts is the first untaken one in
+any unassigned agent's suffix, found by bisecting the untaken positions.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import neg
 from typing import List, Optional, Tuple
 
-from .errors import InputError, SolverInvariantError
+from .errors import InputError
 from .instances import (
     Allocation,
     Instance,
@@ -92,11 +92,11 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
 
     Every row is nonincreasing by position, so the positions an agent's
     room can absorb are a suffix of the row, found by one bisection.
-    The next accepted chore is the first free position any agent can
-    absorb, and its witness the lowest-index agent that can: each
-    accepted chore costs one bounded bisection per agent, and positions
-    taken by earlier rounds are skipped through a "next free position"
-    union-find, for O(n*(n + m)*log m) overall.
+    The next accepted chore is the first untaken position any agent can
+    absorb, found by a second bisection in the ascending list of untaken
+    positions, and its witness the lowest-index agent that can. That is
+    O(n*(n + m)*log m) Python steps, plus one C-level list deletion of
+    up to m entries per accepted chore.
     """
     if not isinstance(ordd, OrderedInstance):
         raise InputError("greedy_fill needs ordered_instance(inst), not a raw instance")
@@ -108,59 +108,42 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
 
     # Loads are integers, so load <= t is the same test as load <= floor(t).
     caps = [t.numerator // t.denominator for t in thresholds.thresholds]
-    # nxt[p] leads to the first position >= p that no round has taken.
-    nxt = list(range(m + 1))
-
-    def free(p: int) -> int:
-        root = p
-        while nxt[root] != root:
-            root = nxt[root]
-        while nxt[p] != root:
-            nxt[p], p = root, nxt[p]
-        return root
-
+    left = list(range(m))  # the positions no round has taken, ascending
     unassigned = list(range(n))
     bundles: List[List[int]] = [[] for _ in range(n)]
     assignment: List[int] = []
     trace: List[TraceEntry] = []
     for round_index in range(n):
-        # The unassigned agents' rows and their room under their caps,
-        # both in ascending agent index.
-        active = [rows[i] for i in unassigned]
-        room = [caps[i] for i in unassigned]
+        # (room, row, agent) for each unassigned agent the bundle still
+        # fits, in ascending agent index.
+        live = [(caps[i], rows[i], i) for i in unassigned]
         bundle: List[int] = []
-        start = free(0)
-        while start < m:
-            best, witness = m, -1
-            for k, r in enumerate(room):
-                row = active[k]
+        at = 0
+        while at < len(left):
+            start = left[at]
+            best, hit, witness = m, len(left), -1
+            for r, row, agent in live:
                 if row[start] <= r:
                     # This agent takes the chore at start; nobody does better.
-                    best, witness = start, k
+                    best, hit, witness, room = start, at, agent, r
                     break
-                if r < 0:
-                    continue
                 # The first position in [start, best) whose value r absorbs.
                 pos = bisect_left(row, -r, start, best, key=neg)
                 if pos < best:
-                    pos = free(pos)
-                    if pos < best:
-                        best, witness = pos, k
+                    i = bisect_left(left, pos, at, hit)
+                    if i < hit:
+                        best, hit, witness, room = left[i], i, agent, r
             if witness < 0:
                 break
+            del left[hit]
             bundle.append(best)
-            nxt[best] = best + 1
-            room = [r - row[best] for r, row in zip(room, active)]
-            agent = unassigned[witness]
-            trace.append(
-                TraceEntry(round_index, best, agent, caps[agent] - room[witness])
-            )
-            start = free(best + 1)
-        owner = next((unassigned[k] for k, r in enumerate(room) if r >= 0), None)
-        if owner is None:
-            raise SolverInvariantError(
-                "no unassigned agent accepts the finished bundle"
-            )
+            load = caps[witness] - room + rows[witness][best]
+            trace.append(TraceEntry(round_index, best, witness, load))
+            live = [(r - row[best], row, a) for r, row, a in live if row[best] <= r]
+            at = hit
+        # Caps are never negative, so every unassigned agent starts the
+        # round in live, and the last chore's witness never leaves it.
+        owner = live[0][2]
         bundles[owner] = bundle
         assignment.append(owner)
         unassigned.remove(owner)

@@ -5,9 +5,12 @@ coincide, and the paper's single-agent greedy at a uniform cap is
 first-fit-decreasing (FFD): each round fills one machine with exactly
 the jobs FFD would place there. Binary-searching the smallest cap at
 which FFD packs every job onto the machines is MULTIFIT (Coffman, Garey
-& Johnson 1978). Every cap at or above 11/9 of the optimum packs, so the
-search lands on an s* with 9*s* <= 11*OPT, and the packing at s* is a
-schedule within it. A classic longest-processing-time baseline is
+& Johnson 1978). FFD packs at every cap at or above 13/11 of the optimum
+(Yue 1990; the ratio is tight), and with integer loads cap C is the same
+test as floor(C), so every integer from floor(13*OPT/11) up packs. The
+searched s* is either the pigeonhole bound, at most OPT, or has a failing
+predecessor, so 11*s* <= 13*OPT, and the packing at s* is a schedule
+within it. A classic longest-processing-time baseline is
 included for comparison. Both check the jobs with the package's value
 rule, sort them once with ``_descending`` (equal jobs lowest index
 first), run ``_first_fit`` (one empty bin of the cap per machine) or
@@ -136,14 +139,15 @@ def _boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
 
 
 def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
-    """Schedule jobs on identical machines within 11/9 of optimal.
+    """Schedule jobs on identical machines within 13/11 of optimal.
 
     MULTIFIT: binary-searches the smallest cap in the pigeonhole bracket
     [lower, 2*lower] at which first-fit-decreasing packs every job, then
     returns that packing. Its makespan never exceeds the cap, and the
-    cap never exceeds 11/9 of the optimal makespan. The bundles are those
-    of the paper's construction: clone the jobs into one row per machine,
-    run the greedy at the cap, and lift the result back to the jobs.
+    cap never exceeds 13/11 of the optimal makespan (the module docstring
+    has the proof), inside the paper's 11/9. The bundles are those of the
+    paper's construction: clone the jobs into one row per machine, run
+    the greedy at the cap, and lift the result back to the jobs.
     """
     values = list(values)
     _check_jobs(values, machines)

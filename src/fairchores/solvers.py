@@ -16,7 +16,7 @@ The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap. It is cheaper but its pass-set has
 holes above the share (see the "non-monotone" fixture), so it certifies
 nothing for fair division; on identical machines, searching it is the
-11/9 MULTIFIT scheduler in ``scheduling``.
+MULTIFIT scheduler in ``scheduling``, within 13/11 of the optimal makespan.
 """
 
 from __future__ import annotations

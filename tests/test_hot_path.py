@@ -236,9 +236,10 @@ def ido_cases(draw):
     """An identically-ordered instance under shuffled chore labels, and caps.
 
     Each agent's row is either one value repeated (so every round starts
-    on the block of positions earlier rounds took, which the union-find
-    skips) or a shared descending profile nudged per agent. Caps are zero or fractions up to twice the
-    pigeonhole bound, so many rounds strand chores in the leftover.
+    past the block of positions earlier rounds took, which the list of
+    untaken positions leaves out) or a shared descending profile nudged
+    per agent. Caps are zero or fractions up to twice the pigeonhole
+    bound, so many rounds strand chores in the leftover.
     """
     n = draw(st.integers(1, 6))
     m = draw(st.integers(0, 14))

@@ -92,7 +92,7 @@ class TestSchedule119:
         result = schedule_119(jobs, 4)
         opt = optimal_makespan(jobs, 4, OracleLimits(max_chores=17))
         assert opt == 150
-        assert 9 * result.makespan <= 11 * opt
+        assert 11 * result.threshold <= 13 * opt
         assert result.makespan <= result.threshold
 
     def test_searched_threshold_that_does_not_pack(self, monkeypatch):
@@ -119,7 +119,7 @@ class TestSchedule119:
     def test_within_bound_and_partitions(self, jobs, machines):
         result = schedule_119(jobs, machines)
         opt = optimal_makespan(jobs, machines)
-        assert 9 * result.makespan <= 11 * opt
+        assert 11 * result.threshold <= 13 * opt
         assert result.makespan <= result.threshold
         assert result.allocation.complete
         assert sum(len(b) for b in result.allocation.bundles) == len(jobs)
@@ -252,5 +252,6 @@ class TestCorpusComparison:
             opt = optimal_makespan(jobs, machines)
             greedy = schedule_119(jobs, machines)
             lpt = schedule_lpt(jobs, machines)
-            assert 9 * greedy.makespan <= 11 * opt
+            assert 11 * greedy.threshold <= 13 * opt
+            assert greedy.makespan <= greedy.threshold
             assert 3 * lpt.makespan <= 4 * opt
