@@ -10,12 +10,17 @@ agent (sorted by ``_descending``, its bins mapped back to chores by
 instance, ``optimal_makespan`` on a job list with one bin per machine.
 The problem is NP-hard, so the search is a bounded branch-and-bound
 meant for ground truth on small instances, not for production-sized
-inputs. Its state is two lists, ``assign`` and ``loads``, not the call
+inputs. Besides the incumbent and a lower bound it prunes by wasted
+room: a placement after which the bins' room that no later value can
+fill exceeds the slack leads to no schedule that beats the incumbent,
+so skipping it changes only the node count, never the share or the
+witness. Its state is two lists, ``assign`` and ``loads``, not the call
 stack, so only its own limits bound the row length it accepts.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -57,15 +62,14 @@ class MmsProfile:
 
 def _min_makespan(
     desc: Sequence[int], n: int, limits: OracleLimits
-) -> Tuple[int, List[int]]:
+) -> Tuple[int, List[int], int]:
     """Optimal makespan of a nonincreasing row on n identical bins.
 
-    Returns the makespan and the bin of each position. The incumbent
-    starts at the row's longest-processing-time schedule, ``_lpt``.
-    Branch-and-bound then places positions in order, depth first: a
-    placement never pushes a bin to or past the incumbent, and a bin is
-    skipped when an earlier bin has the same load, as that bin was
-    already tried at this depth with it (so only the first empty bin
+    The incumbent starts at the row's longest-processing-time schedule,
+    ``_lpt``. Branch-and-bound then places positions in order, depth
+    first: a placement never pushes a bin to or past the incumbent, and
+    a bin is skipped when an earlier bin has the same load, as that bin
+    was already tried at this depth with it (so only the first empty bin
     ever opens). Every leaf beats the incumbent and becomes it. A bin of
     that leaf at the new incumbent would make every schedule below it a
     tie, so the search then undoes placements from the leaf up until no
@@ -74,10 +78,26 @@ def _min_makespan(
     depth-first order, that reaches the optimum, or the LPT schedule when
     that is already optimal. The search stops once the incumbent reaches
     the lower bound: the pigeonhole bound rounded up to a multiple of the
-    row's gcd, which divides every load. Its state is ``assign`` (the bin
-    of each placed position) and ``loads``: an exhausted depth undoes the
-    placement one depth up and resumes there after that placement's bin,
-    so no row length reaches the recursion limit.
+    row's gcd, which divides every load.
+
+    Wasted room, the bound of bin completion (Korf 2003), prunes. With
+    ``cap`` one below the incumbent and ``p`` the row's smallest positive
+    value, a placement short of the last depth that leaves its bin less
+    than ``2 * p`` of room sums each bin's room that the later values
+    cannot use: room below ``p`` takes only zeros, and room below
+    ``2 * p`` at most one more positive value, so it wastes the room
+    minus the largest later value that fits. When that waste exceeds
+    ``n * cap - total``, no completion beats the incumbent, and the
+    placement counts as a node but is not descended into. The subtrees
+    it closes hold no improving leaf, so the search meets the same
+    leaves in the same order: the witness and the makespan are those of
+    the search without it, and only the node count falls.
+
+    Returns the makespan, the bin of each position and the node count.
+    Its state is ``assign`` (the bin of each placed position) and
+    ``loads``: an exhausted depth undoes the placement one depth up and
+    resumes there after that placement's bin, so no row length reaches
+    the recursion limit.
     """
     m = len(desc)
     if m > limits.max_chores:
@@ -95,20 +115,33 @@ def _min_makespan(
     if g:
         lower = -(-lower // g) * g
     if incumbent == lower:
-        return incumbent, best
+        return incumbent, best, 0
 
     budget = limits.node_budget
     nodes = 0
     loads = [0] * n
     assign = [0] * m
     last = m - 1
+    total = sum(desc)
+    # The row negated, so ascending, with a trailing 0: the first entry
+    # at or above -room from depth k + 1 on is minus the largest later
+    # value that fits in room, or 0 when none does. The search runs only
+    # when the row has a positive value, and p is the smallest one.
+    negs = [-v for v in desc]
+    negs.append(0)
+    p = desc[bisect_left(negs, 0) - 1]
+    twice = 2 * p
+    cap = incumbent - 1
+    slack = n * cap - total
+    edge = cap - twice
     k = 0
     start = 0
     while True:
         value = desc[k]
         for b in range(start, n):
             load = loads[b]
-            if load + value >= incumbent or loads.index(load) < b:
+            placed = load + value
+            if placed > cap or loads.index(load) < b:
                 continue
             nodes += 1
             if nodes > budget:
@@ -116,16 +149,32 @@ def _min_makespan(
                     f"node budget {budget} exhausted on a "
                     f"{n}-agent, {m}-chore search"
                 )
-            loads[b] = load + value
+            loads[b] = placed
             assign[k] = b
             if k < last:
+                if placed > edge:
+                    # Less than 2p of room left in this bin: skip the
+                    # placement if the bins waste more than the slack.
+                    waste = 0
+                    for used in loads:
+                        room = cap - used
+                        if room < p:
+                            waste += room
+                        elif room < twice:
+                            waste += room + negs[bisect_left(negs, -room, k + 1)]
+                    if waste > slack:
+                        loads[b] = load
+                        continue
                 k += 1
                 start = 0
                 break
             incumbent = max(loads)
             best = assign.copy()
             if incumbent == lower:
-                return incumbent, best
+                return incumbent, best, nodes
+            cap = incumbent - 1
+            slack = n * cap - total
+            edge = cap - twice
             # Undo up to the placement whose undo takes the last bin at
             # the incumbent below it; a zero value moves no load.
             full = loads.count(incumbent)
@@ -145,7 +194,7 @@ def _min_makespan(
             # and resume that depth after the bin it used.
             k -= 1
             if k < 0:
-                return incumbent, best
+                return incumbent, best, nodes
             b = assign[k]
             loads[b] -= desc[k]
             start = b + 1
@@ -170,7 +219,7 @@ def exact_mms(
     behind them.
     """
     order, desc = _descending(inst.row(agent))
-    value, bins = _min_makespan(desc, inst.num_agents, limits)
+    value, bins, _ = _min_makespan(desc, inst.num_agents, limits)
     return value, _witness(order, bins, inst.num_agents)
 
 
@@ -183,7 +232,7 @@ def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsPro
     distinct sorted row. Every value and witness equals ``exact_mms``'s.
     """
     n = inst.num_agents
-    searched: Dict[Tuple[int, ...], Tuple[int, List[int]]] = {}
+    searched: Dict[Tuple[int, ...], Tuple[int, List[int], int]] = {}
     values: List[int] = []
     witnesses: List[Allocation] = []
     for agent in range(n):
@@ -191,7 +240,7 @@ def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsPro
         key = tuple(desc)
         if key not in searched:
             searched[key] = _min_makespan(desc, n, limits)
-        value, bins = searched[key]
+        value, bins, _ = searched[key]
         values.append(value)
         witnesses.append(_witness(order, bins, n))
     return MmsProfile(values=tuple(values), witnesses=tuple(witnesses))

@@ -110,13 +110,13 @@ class TestLimits:
         assert value == 13
 
     def test_node_budget_is_a_hard_error(self):
-        # LPT yields 11 here while the bracket floor is 10, so the
+        # LPT yields 7 here while the bracket floor is 6, so the
         # search must actually branch and trips a one-node budget.
-        inst = identical([7, 5, 4, 4], n=2)
+        inst = identical([3, 3, 2, 2, 2], n=2)
         with pytest.raises(NodeBudgetError):
             exact_mms(inst, 0, OracleLimits(node_budget=1))
         value, _ = exact_mms(inst, 0)
-        assert value == 11
+        assert value == 6
 
     def test_limit_validation(self):
         with pytest.raises(InputError):
@@ -186,6 +186,16 @@ class TestOptimalMakespan:
         row = builtin_fixtures()[1].instance.row(0)
         assert optimal_makespan(row, 4, OracleLimits(max_chores=17)) == 150
 
+    # 2 machines x 400 fives, 400 fours and 401 threes: LPT misses the
+    # pigeonhole bound 2402, and the search without the waste rule took
+    # 167,052 nodes. Trailing zeros leave the smallest positive value,
+    # 3, as the rule's unit, so the rule still fires.
+    @pytest.mark.parametrize("zeros", [0, 1, 5])
+    def test_five_four_three_row_fits_a_small_budget(self, zeros):
+        row = [5] * 400 + [4] * 400 + [3] * 401 + [0] * zeros
+        limits = OracleLimits(max_chores=5000, node_budget=10_000)
+        assert optimal_makespan(row, 2, limits) == 2402
+
     def test_machine_count_checked(self):
         with pytest.raises(InputError):
             optimal_makespan([1, 2], 0)
@@ -210,16 +220,22 @@ class TestOptimalMakespan:
 
 
 def recursive_search(
-    inst: Instance, agent: int, limits: OracleLimits, tie_rule: bool
+    inst: Instance, agent: int, limits: OracleLimits, tie_rule: bool, waste_rule: bool
 ) -> Tuple[int, Allocation, int]:
     """The recursive branch-and-bound, with its node count.
 
-    With ``tie_rule`` it is the current search: the lower bound is the
-    pigeonhole bound rounded up to a multiple of the row's gcd, and a
-    depth returns as soon as a bin carries the incumbent, so the witness
-    is the first schedule in depth-first order that reaches the optimum.
-    Without it, it is the search as it was before both: it completes every
-    subtree that can only tie the incumbent and keeps the last such tie.
+    With both rules it is the current search. With ``tie_rule`` the lower
+    bound is the pigeonhole bound rounded up to a multiple of the row's
+    gcd, and a depth returns as soon as a bin carries the incumbent, so
+    the witness is the first schedule in depth-first order that reaches
+    the optimum. Without it, it is the search as it was before both: it
+    completes every subtree that can only tie the incumbent and keeps the
+    last such tie. With ``waste_rule``, a placement short of the last
+    depth that leaves its bin less than twice the smallest positive value
+    below the incumbent is counted but not descended into when the bins'
+    unusable room exceeds the slack: room below that value takes no
+    positive value, room below twice it at most the largest remaining
+    value that fits.
     """
     row = inst.row(agent)
     n, m = inst.num_agents, inst.num_chores
@@ -235,10 +251,23 @@ def recursive_search(
     g = math.gcd(*values)
     if tie_rule and g:
         lower = -(-lower // g) * g
+    p = min((v for v in values if v), default=0)
 
     seed = schedule_lpt(row, n)
     incumbent, witness = seed.makespan, seed.allocation
     nodes = 0
+
+    def wasted(k: int) -> int:
+        """Room in the bins that the values after depth k cannot use."""
+        cap = incumbent - 1
+        waste = 0
+        for load in loads:
+            room = cap - load
+            if room < p:
+                waste += room
+            elif room < 2 * p:
+                waste += room - max((v for v in values[k + 1 :] if v <= room), default=0)
+        return waste
 
     if m and incumbent > lower:
         loads = [0] * n
@@ -268,7 +297,14 @@ def recursive_search(
                         )
                     loads[b] = load + value
                     assign[k] = b
-                    descend(k + 1)
+                    prune = (
+                        waste_rule
+                        and k < m - 1
+                        and incumbent - 1 - loads[b] < 2 * p
+                        and wasted(k) > n * (incumbent - 1) - total
+                    )
+                    if not prune:
+                        descend(k + 1)
                     loads[b] = load
                     if incumbent == lower or (tie_rule and incumbent in loads):
                         return
@@ -291,14 +327,7 @@ def reference_exact_mms(
     inst: Instance, agent: int, limits: OracleLimits
 ) -> Tuple[int, Allocation]:
     """The current search, written recursively."""
-    return recursive_search(inst, agent, limits, tie_rule=True)[:2]
-
-
-def tie_search_reference(
-    inst: Instance, agent: int, limits: OracleLimits
-) -> Tuple[int, Allocation]:
-    """The search before the tie rule and the gcd bound."""
-    return recursive_search(inst, agent, limits, tie_rule=False)[:2]
+    return recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)[:2]
 
 
 def oracle_corpus() -> List[Instance]:
@@ -341,26 +370,6 @@ def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
     return value, witness.bundles, witness.leftover
 
 
-def smallest_budget(oracle, inst: Instance, agent: int) -> int:
-    """The smallest node budget the search finishes in: double, then bisect."""
-
-    def completes(budget: int) -> bool:
-        limits = OracleLimits(max_chores=17, node_budget=budget)
-        return not isinstance(outcome(oracle, inst, agent, limits), str)
-
-    high = 1
-    while not completes(high):
-        high *= 2
-    low = high // 2
-    while high - low > 1:
-        mid = (low + high) // 2
-        if completes(mid):
-            high = mid
-        else:
-            low = mid
-    return high
-
-
 class TestAgainstRecursiveOracle:
     def test_corpus_covers_the_edge_cases(self):
         shapes = [(inst.num_agents, inst.num_chores) for inst in oracle_corpus()]
@@ -389,21 +398,29 @@ class TestAgainstRecursiveOracle:
         # pigeonhole bound sits one below it, so the search before the
         # gcd bound searched the whole tree. The gcd bound closes it.
         twos = identical([2] * 11, n=2)
-        assert smallest_budget(tie_search_reference, twos, 0) == 195
-        assert recursive_search(twos, 0, OracleLimits(), tie_rule=True)[2] == 0
+        limits = OracleLimits()
+        assert recursive_search(twos, 0, limits, tie_rule=False, waste_rule=False)[2] == 195
+        assert recursive_search(twos, 0, limits, tie_rule=True, waste_rule=False)[2] == 0
         assert exact_mms(twos, 0, OracleLimits(node_budget=1))[0] == 12
-        agents = [
-            (inst, agent)
-            for inst in oracle_corpus()
-            for agent in range(inst.num_agents)
-        ]
+        agents = random.Random(SEED_ORACLE_CORPUS).sample(
+            [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)],
+            300,
+        )
+        # The waste rule keeps the corpus below 1000 nodes a row; 3 bins
+        # x 7 sevens, 7 fives and 8 threes still takes 1,235.
+        agents.append((identical([7] * 7 + [5] * 7 + [3] * 8, n=3), 0))
         counts = []
-        limits = OracleLimits(max_chores=17)
-        for inst, agent in random.Random(SEED_ORACLE_CORPUS).sample(agents, 300):
-            count = smallest_budget(exact_mms, inst, agent)
-            nodes = recursive_search(inst, agent, limits, tie_rule=True)[2]
-            assert count == max(nodes, 1)
-            counts.append(count)
+        for inst, agent in agents:
+            desc = sorted(inst.row(agent), reverse=True)
+            nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
+            expected = recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)
+            assert nodes == expected[2]
+            # The count is the budget the search needs, and no less.
+            exact_mms(inst, agent, OracleLimits(node_budget=max(nodes, 1)))
+            if nodes > 1:
+                with pytest.raises(NodeBudgetError):
+                    exact_mms(inst, agent, OracleLimits(node_budget=nodes - 1))
+            counts.append(nodes)
         assert max(counts) > 1000
 
     def test_tie_rule_keeps_shares_and_only_prunes(self):
@@ -411,8 +428,10 @@ class TestAgainstRecursiveOracle:
         witnesses_differ = fewer_nodes = 0
         for inst in oracle_corpus():
             for agent in range(inst.num_agents):
-                value, witness, nodes = recursive_search(inst, agent, limits, tie_rule=True)
-                before = recursive_search(inst, agent, limits, tie_rule=False)
+                value, witness, nodes = recursive_search(
+                    inst, agent, limits, tie_rule=True, waste_rule=False
+                )
+                before = recursive_search(inst, agent, limits, tie_rule=False, waste_rule=False)
                 assert value == before[0]
                 assert nodes <= before[2]
                 witnesses_differ += witness != before[1]
@@ -420,4 +439,20 @@ class TestAgainstRecursiveOracle:
         # The corpus holds rows on which the two rules return different
         # witnesses, so the witness checks above tell them apart.
         assert witnesses_differ > 0
+        assert fewer_nodes > 0
+
+    # The waste rule closes only subtrees without an improving leaf, so
+    # the search meets the same leaves in the same order.
+    def test_waste_rule_keeps_shares_and_witnesses_and_only_prunes(self):
+        limits = OracleLimits(max_chores=17)
+        fewer_nodes = 0
+        for inst in oracle_corpus():
+            for agent in range(inst.num_agents):
+                value, witness, nodes = recursive_search(
+                    inst, agent, limits, tie_rule=True, waste_rule=True
+                )
+                before = recursive_search(inst, agent, limits, tie_rule=True, waste_rule=False)
+                assert (value, witness) == before[:2]
+                assert nodes <= before[2]
+                fewer_nodes += nodes < before[2]
         assert fewer_nodes > 0
