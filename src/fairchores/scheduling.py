@@ -9,8 +9,16 @@ which FFD packs every job onto the machines is MULTIFIT (Coffman, Garey
 (Yue 1990; the ratio is tight), and with integer loads cap C is the same
 test as floor(C), so every integer from floor(13*OPT/11) up packs. The
 searched s* is either the pigeonhole bound, at most OPT, or has a failing
-predecessor, so 11*s* <= 13*OPT, and the packing at s* is a schedule
-within it. A classic longest-processing-time baseline is
+predecessor, so 11*s* <= 13*OPT.
+
+The makespan M of the packing at s* is s* itself. If FFD packs every job
+at cap s with makespan M, every cap in [M, s] gives the same packing: a
+job accepted at s still fits at M, as its bin ends at or below M; a job
+rejected at s is rejected at any smaller cap; so each bin's largest
+fitting leftover at s is still its largest at M. The pigeonhole bound is
+at most any makespan, and a failing predecessor of s* cannot lie in
+[M, s*], so M == s* and 11*makespan <= 13*OPT. The search hands back the
+packing it made at s*. A classic longest-processing-time baseline is
 included for comparison. Both check the jobs with the package's value
 rule, sort them once with ``_descending`` (equal jobs lowest index
 first), run ``_first_fit`` (one empty bin of the cap per machine) or
@@ -31,31 +39,32 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
-from .instances import Allocation, _check_values, _chore_allocation, _descending
+from .instances import (
+    Allocation,
+    _as_int,
+    _check_values,
+    _chore_allocation,
+    _descending,
+)
 
 
 @dataclass(frozen=True)
 class ScheduleResult:
-    """Machine bundles, their loads, the makespan, and the threshold used."""
-
-    allocation: Allocation
-    loads: Tuple[int, ...]
-    makespan: int
-    threshold: int
-
-
-@dataclass(frozen=True)
-class LptResult:
     """Machine bundles, their loads, and the makespan."""
 
     allocation: Allocation
     loads: Tuple[int, ...]
     makespan: int
 
+    @property
+    def threshold(self) -> int:
+        """MULTIFIT's searched cap, which is its makespan."""
+        return self.makespan
+
 
 def _check_machines(machines: int) -> None:
-    """The one machine-count rule: 1 to ``sys.maxsize``, as for ``--count``."""
-    if machines < 1:
+    """The one machine-count rule: an integer from 1 to ``sys.maxsize``."""
+    if _as_int(machines, "machines") < 1:
         raise InputError("machines must be at least 1")
     if machines > sys.maxsize:
         raise InputError(f"machines must be at most {sys.maxsize}")
@@ -121,56 +130,56 @@ def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
     return packed, loads
 
 
-def _boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
+def _boundary_search(
+    pack: Callable[[int], tuple], lo: int, hi: int
+) -> Tuple[int, tuple]:
     """Smallest passing point of [lo, hi] under the "high passes" invariant.
 
-    ``passes(hi)`` must hold; the search then returns an s that passes
-    and either equals ``lo`` or has a failing predecessor.
+    ``pack(s)`` returns a packing with its unplaced positions at index 1,
+    and s passes when there are none. ``pack(hi)`` must pass; the search
+    then returns an s that passes and either equals ``lo`` or has a
+    failing predecessor, with the packing it made at s.
     """
-    if not passes(hi):
+    found = pack(hi)
+    if found[1]:
         raise SolverInvariantError(f"test fails at the top of its bracket (s={hi})")
     while lo < hi:
         mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
+        packing = pack(mid)
+        if packing[1]:
             lo = mid + 1
-    return lo
+        else:
+            hi, found = mid, packing
+    return lo, found
 
 
 def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     """Schedule jobs on identical machines within 13/11 of optimal.
 
     MULTIFIT: binary-searches the smallest cap in the pigeonhole bracket
-    [lower, 2*lower] at which first-fit-decreasing packs every job, then
-    returns that packing. Its makespan never exceeds the cap, and the
-    cap never exceeds 13/11 of the optimal makespan (the module docstring
-    has the proof), inside the paper's 11/9. The bundles are those of the
-    paper's construction: clone the jobs into one row per machine, run
-    the greedy at the cap, and lift the result back to the jobs.
+    [lower, 2*lower] at which first-fit-decreasing packs every job, and
+    returns the packing the search made there. Its makespan is that cap,
+    and 11*makespan <= 13*OPT (the module docstring has the proof),
+    inside the paper's 11/9. The bundles are those of the paper's
+    construction: clone the jobs into one row per machine, run the
+    greedy at the cap, and lift the result back to the jobs.
     """
     values = list(values)
     _check_jobs(values, machines)
     order, desc = _descending(values)
-
-    def pack(s: int) -> Tuple[List[List[int]], List[int]]:
-        return _first_fit(desc, 0, len(desc), [(0, s)] * machines)
-
     lo = _pigeonhole(desc, machines)
-    threshold = _boundary_search(lambda s: not pack(s)[1], lo, 2 * lo)
-    packed, leftover = pack(threshold)
-    loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
-    if leftover or max(loads) > threshold:
-        raise SolverInvariantError(
-            f"packing at the searched threshold {threshold} is incomplete or over it"
-        )
-    allocation = _chore_allocation(order, packed)
-    return ScheduleResult(
-        allocation=allocation, loads=loads, makespan=max(loads), threshold=threshold
+    makespan, (packed, _) = _boundary_search(
+        lambda s: _first_fit(desc, 0, len(desc), [(0, s)] * machines), lo, 2 * lo
     )
+    loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
+    if max(loads) != makespan:
+        raise SolverInvariantError(
+            f"packing at the searched cap {makespan} has makespan {max(loads)}"
+        )
+    return ScheduleResult(_chore_allocation(order, packed), loads, makespan)
 
 
-def schedule_lpt(values: Sequence[int], machines: int) -> LptResult:
+def schedule_lpt(values: Sequence[int], machines: int) -> ScheduleResult:
     """Longest processing time baseline: 4/3 of optimal, one pass.
 
     Jobs in nonincreasing order each go to the currently least-loaded
@@ -180,5 +189,4 @@ def schedule_lpt(values: Sequence[int], machines: int) -> LptResult:
     _check_jobs(values, machines)
     order, desc = _descending(values)
     packed, loads = _lpt(desc, machines)
-    allocation = _chore_allocation(order, packed)
-    return LptResult(allocation=allocation, loads=tuple(loads), makespan=max(loads))
+    return ScheduleResult(_chore_allocation(order, packed), tuple(loads), max(loads))

@@ -24,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import neg
 from typing import List, Optional, Sequence, Tuple
 
@@ -70,23 +71,13 @@ class ExistenceResult:
 
 
 @dataclass(frozen=True)
-class BoundCertificate:
-    """One agent's load against their 5/4 cap: 4*load <= 5*s_agent."""
-
-    agent: int
-    load: int
-    cap: Fraction
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class PolyResult:
-    """Complete allocation, the caps used, and per-agent certificates."""
+    """Complete allocation, the caps used, and each agent's load within its cap."""
 
     allocation: Allocation
     thresholds: ThresholdVector
     s_values: Tuple[int, ...]
-    certificates: Tuple[BoundCertificate, ...]
+    loads: Tuple[int, ...]
     trace: Tuple[TraceEntry, ...]
 
 
@@ -171,13 +162,10 @@ def search_threshold(inst: Instance, agent: int) -> int:
     desc = sorted(inst.row(agent), reverse=True)
     n = inst.num_agents
     lower = _pigeonhole(desc, n)
-
-    def passes(s: int) -> bool:
-        return not _pack_large(desc, n, s)[1]
-
-    if passes(lower):
+    pack = partial(_pack_large, desc, n)
+    if not pack(lower)[1]:
         return lower
-    return _boundary_search(passes, lower, 2 * lower)
+    return _boundary_search(pack, lower, 2 * lower)[0]
 
 
 def _allocate_within(
@@ -248,15 +236,10 @@ def solve_poly_54(inst: Instance) -> PolyResult:
     )
     caps = ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))
     allocation, loads, trace = _allocate_within(inst, ordd, caps)
-    # _allocate_within has checked every load against its cap.
-    certificates = tuple(
-        BoundCertificate(agent=i, load=load, cap=cap, satisfied=True)
-        for i, (load, cap) in enumerate(zip(loads, caps.thresholds))
-    )
     return PolyResult(
         allocation=allocation,
         thresholds=caps,
         s_values=s_values,
-        certificates=certificates,
+        loads=loads,
         trace=trace,
     )

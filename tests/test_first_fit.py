@@ -7,19 +7,24 @@ their bins through ``scheduling._first_fit``. Each caller must give the
 same result as its frozen loop: ``schedule_119`` the same schedule,
 ``naive_test`` the same verdict and ``_pack_large`` the same bundles,
 leftover and k, on pinned edge cases, random rows of up to 14 chores and
-seeded rows of up to 100 agents x 1000 chores.
+seeded rows of up to 100 agents x 1000 chores. ``reference_schedule_119``
+also keeps the pass/fail bisection MULTIFIT ran before its search
+returned the packing it found, and the repack at the searched threshold;
+``schedule_119`` must report that threshold too.
 
 ``reference_first_fit`` is a frozen copy of the sweep packer that
 ``_first_fit`` replaced, which passed every still-unplaced position once
 per bin. ``_first_fit`` itself, which takes each bin's largest fitting
 leftover by bisection, must return the same bins and leftover for every
-range of a nonincreasing row and every list of (load, cap) bins.
+range of a nonincreasing row and every list of (load, cap) bins. With
+uniform bins, every cap from the largest load at cap s up to s packs as s
+does, which is why MULTIFIT's makespan equals its searched cap.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +32,7 @@ from hypothesis import strategies as st
 
 from fairchores import Instance, ScheduleResult, naive_test, schedule_119
 from fairchores.instances import _chore_allocation, _descending
-from fairchores.scheduling import _boundary_search, _first_fit, _pigeonhole
+from fairchores.scheduling import _first_fit, _pigeonhole
 from fairchores.solvers import _pack_large
 
 
@@ -105,28 +110,49 @@ def reference_pack_large(
     return bundles, queue, k
 
 
-def reference_schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
-    """MULTIFIT on the frozen first-fit-decreasing loop."""
+def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
+    """The pass/fail bisection MULTIFIT ran before the search kept its packing."""
+    assert passes(hi)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def reference_schedule_119(
+    values: Sequence[int], machines: int
+) -> Tuple[ScheduleResult, int]:
+    """MULTIFIT on the frozen first-fit-decreasing loop, with a repack at
+    the searched threshold. Returns the schedule and that threshold."""
     order, desc = _descending(values)
     lo = _pigeonhole(desc, machines)
-    threshold = _boundary_search(
+    threshold = reference_boundary_search(
         lambda s: not reference_first_fit_decreasing(desc, machines, s)[1],
         lo,
         2 * lo,
     )
     packed, _ = reference_first_fit_decreasing(desc, machines, threshold)
     loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
-    return ScheduleResult(
-        allocation=_chore_allocation(order, packed),
-        loads=loads,
-        makespan=max(loads),
-        threshold=threshold,
-    )
+    schedule = ScheduleResult(_chore_allocation(order, packed), loads, max(loads))
+    return schedule, threshold
+
+
+def assert_schedule_matches(row: Sequence[int], n: int) -> int:
+    """schedule_119 gives the frozen schedule, and its threshold is the
+    frozen search's. Returns that threshold."""
+    result = schedule_119(row, n)
+    expected, threshold = reference_schedule_119(row, n)
+    assert result == expected
+    assert result.threshold == threshold
+    return threshold
 
 
 def assert_callers_match(row: Sequence[int], n: int, thresholds: Sequence[int]) -> None:
     """All three callers agree with their frozen loops on one row."""
-    assert schedule_119(row, n) == reference_schedule_119(row, n)
+    assert_schedule_matches(row, n)
     desc = sorted(row, reverse=True)
     inst = Instance.from_rows([list(row)] * n)
     for s in thresholds:
@@ -244,6 +270,21 @@ class TestFirstFitPacker:
         hi = data.draw(st.integers(lo, len(desc)))
         assert_packers_match(desc, lo, hi, bins)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        row=st.lists(st.integers(0, 30), max_size=16),
+        n=st.integers(1, 5),
+        s=st.integers(0, 80),
+    )
+    def test_caps_from_the_makespan_up_pack_alike(self, row, n, s):
+        """Uniform bins of cap s whose largest load is M: every cap in
+        [M, s] gives the same bins and leftover."""
+        desc = sorted(row, reverse=True)
+        packing = _first_fit(desc, 0, len(desc), [(0, s)] * n)
+        makespan = max(sum(desc[pos] for pos in bin_) for bin_ in packing[0])
+        for cap in range(makespan, s + 1):
+            assert _first_fit(desc, 0, len(desc), [(0, cap)] * n) == packing
+
 
 # (agents, chores) up to the largest size the benchmarks time.
 LARGE_SIZES = [(5, 50), (20, 200), (50, 500), (100, 1000)]
@@ -262,12 +303,11 @@ class TestFirstFitCallersOnLargeRows:
         rng = random.Random(1313 + top)
         for n, m in LARGE_SIZES:
             row = [rng.randint(0, top) for _ in range(m)]
-            expected = reference_schedule_119(row, n)
-            assert schedule_119(row, n) == expected
+            searched = assert_schedule_matches(row, n)
             desc = sorted(row, reverse=True)
             seeds = 2 * desc[n]
-            thresholds = {_pigeonhole(desc, n), expected.threshold}
-            thresholds |= {expected.threshold - 1, seeds, seeds + 1, seeds + top // 3}
+            thresholds = {_pigeonhole(desc, n), searched}
+            thresholds |= {searched - 1, seeds, seeds + 1, seeds + top // 3}
             thresholds.add(2 * seeds)
             inst = Instance.from_rows([row] * n)
             for s in sorted(thresholds):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import re
 import sys
 
 import pytest
@@ -39,7 +40,8 @@ def clone_greedy(row, machines, s):
 
 
 def reference_schedule_119(jobs, machines):
-    """schedule_119 built from the public primitives: clone, greedy, lift."""
+    """schedule_119 built from the public primitives: clone, greedy, lift.
+    Returns the schedule and the searched threshold."""
     lo = max(-(-sum(jobs) // machines), max(jobs, default=0))
     hi = 2 * lo
     assert clone_greedy(jobs, machines, hi)[2].allocation.complete
@@ -52,9 +54,7 @@ def reference_schedule_119(jobs, machines):
     inst, ordd, result = clone_greedy(jobs, machines, lo)
     lifted = lift_allocation(inst, ordd, result.allocation)
     loads = tuple(inst.value(b, lifted.bundles[b]) for b in range(machines))
-    return ScheduleResult(
-        allocation=lifted, loads=loads, makespan=max(loads), threshold=lo
-    )
+    return ScheduleResult(lifted, loads, max(loads)), lo
 
 
 def sched_corpus():
@@ -93,17 +93,40 @@ class TestSchedule119:
         opt = optimal_makespan(jobs, 4, OracleLimits(max_chores=17))
         assert opt == 150
         assert 11 * result.threshold <= 13 * opt
-        assert result.makespan <= result.threshold
+        assert result.makespan == result.threshold
 
     def test_searched_threshold_that_does_not_pack(self, monkeypatch):
-        # The bracket starts at 5, the largest job; one below it, the
-        # packing leaves that job over and the re-check catches it.
-        monkeypatch.setattr(scheduling, "_boundary_search", lambda passes, lo, hi: lo - 1)
+        # A search that stops at the top of the bracket [5, 10] returns a
+        # packing whose makespan, 6, is below its cap; the re-check
+        # catches that the cap was not the smallest.
+        monkeypatch.setattr(
+            scheduling, "_boundary_search", lambda pack, lo, hi: (hi, pack(hi))
+        )
         with pytest.raises(
             SolverInvariantError,
-            match="^packing at the searched threshold 4 is incomplete or over it$",
+            match="^packing at the searched cap 10 has makespan 6$",
         ):
             schedule_119([5, 1], 2)
+
+    def test_no_packing_after_the_search(self, monkeypatch):
+        # The schedule is the packing the search made at its cap.
+        calls = []
+        first_fit, search = scheduling._first_fit, scheduling._boundary_search
+
+        def recording_first_fit(desc, lo, hi, bins):
+            calls.append(bins[0][1])
+            return first_fit(desc, lo, hi, bins)
+
+        def recording_search(pack, lo, hi):
+            found = search(pack, lo, hi)
+            calls.append("searched")
+            return found
+
+        monkeypatch.setattr(scheduling, "_first_fit", recording_first_fit)
+        monkeypatch.setattr(scheduling, "_boundary_search", recording_search)
+        assert schedule_119([3, 3, 2, 2, 2], 2).makespan == 6
+        assert 6 in calls
+        assert calls[-1] == "searched"
 
     def test_input_validation(self):
         with pytest.raises(InputError):
@@ -120,7 +143,7 @@ class TestSchedule119:
         result = schedule_119(jobs, machines)
         opt = optimal_makespan(jobs, machines)
         assert 11 * result.threshold <= 13 * opt
-        assert result.makespan <= result.threshold
+        assert result.makespan == result.threshold
         assert result.allocation.complete
         assert sum(len(b) for b in result.allocation.bundles) == len(jobs)
         assert result.loads == tuple(
@@ -131,9 +154,10 @@ class TestSchedule119:
 class TestFirstFitDecreasingMatchesCloneAndLift:
     def test_schedule_119_equals_reference(self):
         for jobs, machines in sched_corpus():
-            assert schedule_119(jobs, machines) == reference_schedule_119(
-                jobs, machines
-            ), (jobs, machines)
+            result = schedule_119(jobs, machines)
+            expected, threshold = reference_schedule_119(jobs, machines)
+            assert result == expected, (jobs, machines)
+            assert result.threshold == threshold, (jobs, machines)
 
     def test_naive_test_equals_clone_greedy_on_fixtures(self):
         for fixture in builtin_fixtures():
@@ -228,6 +252,14 @@ def test_jobs_above_64_bit_range_are_rejected(schedule):
     assert schedule([2**63 - 1, 1], 2).makespan == 2**63 - 1
 
 
+@pytest.mark.parametrize("machines", [True, 2.0, "2"])
+@pytest.mark.parametrize("solve", [schedule_119, schedule_lpt, optimal_makespan])
+def test_machine_counts_that_are_not_integers_are_rejected(solve, machines):
+    message = f"^machines must be an integer, got {re.escape(repr(machines))}$"
+    with pytest.raises(InputError, match=message):
+        solve([3, 2, 1], machines)
+
+
 @pytest.mark.parametrize("solve", [schedule_119, schedule_lpt, optimal_makespan])
 def test_machine_counts_above_sys_maxsize_are_rejected(solve, monkeypatch):
     # Were the check missing, these stubs would fail the test before a
@@ -253,5 +285,5 @@ class TestCorpusComparison:
             greedy = schedule_119(jobs, machines)
             lpt = schedule_lpt(jobs, machines)
             assert 11 * greedy.threshold <= 13 * opt
-            assert greedy.makespan <= greedy.threshold
+            assert greedy.makespan == greedy.threshold
             assert 3 * lpt.makespan <= 4 * opt

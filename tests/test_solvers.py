@@ -262,7 +262,7 @@ class TestSolvePoly54:
         result = solve_poly_54(inst)
         assert result.allocation.complete
         assert result.s_values == (0, 0)
-        assert all(cert.load == 0 for cert in result.certificates)
+        assert result.loads == (0, 0)
 
     def test_certificates_exact(self):
         rng = random.Random(545)
@@ -275,10 +275,12 @@ class TestSolvePoly54:
             result = solve_poly_54(inst)
             assert result.allocation.complete
             profile = mms_profile(inst)
-            for cert in result.certificates:
-                assert cert.satisfied
-                assert 4 * cert.load <= 5 * result.s_values[cert.agent]
-                assert result.s_values[cert.agent] <= profile.values[cert.agent]
+            for i, (load, cap) in enumerate(zip(result.loads, result.thresholds)):
+                s = result.s_values[i]
+                assert load == inst.value(i, result.allocation.bundles[i])
+                assert cap == Fraction(5 * s, 4)
+                assert 4 * load <= 5 * s
+                assert s <= profile.values[i]
 
 
 class TestInvariantRechecks:
