@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import random
-import sys
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Iterator, Optional, Tuple
 
-from .errors import InputError
-from .instances import Instance
+from .instances import MAX_VALUE, Instance, _as_int
 
 
 @dataclass(frozen=True)
@@ -30,12 +28,9 @@ class GeneratorConfig:
     ido_only: bool = False
 
     def __post_init__(self) -> None:
-        if self.agents[0] < 1 or self.agents[0] > self.agents[1]:
-            raise InputError("agents range must be non-empty and start at 1+")
-        if self.chores[0] < 0 or self.chores[0] > self.chores[1]:
-            raise InputError("chores range must be non-empty and non-negative")
-        if self.value_max < 1:
-            raise InputError("value_max must be positive")
+        _as_int(self.agents[1], "agents[1]", _as_int(self.agents[0], "agents[0]", 1))
+        _as_int(self.chores[1], "chores[1]", _as_int(self.chores[0], "chores[0]"))
+        _as_int(self.value_max, "value_max", 1, MAX_VALUE)
 
 
 def _one(rng: random.Random, config: GeneratorConfig) -> Instance:
@@ -64,13 +59,11 @@ def _one(rng: random.Random, config: GeneratorConfig) -> Instance:
 def generate(config: GeneratorConfig, count_limit: Optional[int] = None) -> Iterator[Instance]:
     """Deterministic instance stream; same config, same stream.
 
-    Unbounded unless ``count_limit`` is given, which ``islice`` needs
-    to be at most ``sys.maxsize``.
+    Unbounded unless ``count_limit`` is given, an integer from 0 to
+    ``sys.maxsize``, the most ``islice`` takes.
     """
-    if count_limit is not None and count_limit < 0:
-        raise InputError("count must be non-negative")
-    if count_limit is not None and count_limit > sys.maxsize:
-        raise InputError(f"count must be at most {sys.maxsize}")
     rng = random.Random(config.seed)
     stream = (_one(rng, config) for _ in count())
-    return islice(stream, count_limit) if count_limit is not None else stream
+    if count_limit is None:
+        return stream
+    return islice(stream, _as_int(count_limit, "count"))

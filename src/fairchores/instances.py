@@ -6,6 +6,11 @@ thresholds are rationals, and since loads are integers, code that
 compares loads against a rational cap t may compare them against the
 integer floor(t) instead, which is the same test.
 
+The package has two input rules. ``_as_int`` is the integer rule for
+every count, index, limit and threshold a caller passes: a non-bool
+integer from a lower to an upper bound, ``sys.maxsize`` unless the site
+says less. ``_check_values`` is the value rule for every row of values.
+
 Every per-row entry point in the package runs four steps: check the
 values (``_check_values``), sort the row (``_descending``), run a core on
 the positions of the sorted row, map them back (``_chore_allocation``).
@@ -14,6 +19,7 @@ the positions of the sorted row, map them back (``_chore_allocation``).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
@@ -52,9 +58,14 @@ def _trusted(cls, **fields):
     return obj
 
 
-def _as_int(value: object, what: str) -> int:
+def _as_int(value: object, what: str, lo: int = 0, hi: int = sys.maxsize) -> int:
+    """The one integer rule: a non-bool integer from ``lo`` to ``hi``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
+    if value < lo:
+        raise InputError(f"{what} must be at least {lo}")
+    if value > hi:
+        raise InputError(f"{what} must be at most {hi}")
     return value
 
 
@@ -97,10 +108,8 @@ class Instance:
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.valuations)
         object.__setattr__(self, "valuations", rows)
-        if _as_int(self.num_agents, "num_agents") < 1:
-            raise InputError("an instance needs at least one agent")
-        if _as_int(self.num_chores, "num_chores") < 0:
-            raise InputError("num_chores must be non-negative")
+        _as_int(self.num_agents, "num_agents", 1)
+        _as_int(self.num_chores, "num_chores")
         if len(rows) != self.num_agents:
             raise InputError(
                 f"expected {self.num_agents} valuation rows, got {len(rows)}"
@@ -120,8 +129,7 @@ class Instance:
         return cls(num_agents=len(rows), num_chores=len(rows[0]), valuations=rows)
 
     def row(self, agent: int) -> Tuple[int, ...]:
-        self._check_agent(agent)
-        return self.valuations[agent]
+        return self.valuations[_as_int(agent, "agent index", 0, self.num_agents - 1)]
 
     def value(self, agent: int, chores: Iterable[int]) -> int:
         """Total cost of a set of chores for one agent."""
@@ -130,10 +138,6 @@ class Instance:
 
     def total(self, agent: int) -> int:
         return sum(self.row(agent))
-
-    def _check_agent(self, agent: int) -> None:
-        if not 0 <= agent < self.num_agents:
-            raise InputError(f"agent index {agent} out of range")
 
 
 @dataclass(frozen=True)
@@ -377,7 +381,7 @@ def instance_from_json(obj: object) -> Instance:
     ):
         raise InputError("valuations must be a list of rows")
     return Instance(
-        num_agents=_as_int(agents, "agents"),
+        num_agents=_as_int(agents, "agents", 1),
         num_chores=_as_int(chores, "chores"),
         valuations=valuations,
     )

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InputError, InstanceTooLargeError, NodeBudgetError
-from .instances import Allocation, Instance, _chore_allocation, _descending
-from .scheduling import _check_machines, _lpt, _pigeonhole
+from .errors import InstanceTooLargeError, NodeBudgetError
+from .instances import Allocation, Instance, _as_int, _chore_allocation, _descending
+from .scheduling import _check_jobs, _lpt, _pigeonhole
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
@@ -46,10 +46,8 @@ class OracleLimits:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
-        if self.max_chores < 1:
-            raise InputError("max_chores must be at least 1")
-        if self.node_budget < 1:
-            raise InputError("node_budget must be at least 1")
+        _as_int(self.max_chores, "max_chores", 1)
+        _as_int(self.node_budget, "node_budget", 1)
 
 
 @dataclass(frozen=True)
@@ -251,11 +249,10 @@ def optimal_makespan(
 ) -> int:
     """Exact minimum makespan of jobs on identical machines.
 
-    The machine count follows the schedulers' rule, the jobs are
-    validated as one row of valuations, so the 64-bit cap applies, and
-    their descending sort goes straight to the search that ``exact_mms``
-    runs for each agent's row.
+    The machines and jobs are checked as the schedulers check them, and
+    the jobs' descending sort goes straight to the search that
+    ``exact_mms`` runs for each agent's row.
     """
-    _check_machines(machines)
-    row = Instance.from_rows([values]).row(0)
-    return _min_makespan(sorted(row, reverse=True), machines, limits)[0]
+    values = list(values)
+    _check_jobs(values, machines)
+    return _min_makespan(sorted(values, reverse=True), machines, limits)[0]

@@ -33,12 +33,11 @@ one ``pop`` when the largest leftover fits.
 from __future__ import annotations
 
 import heapq
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from .errors import InputError, SolverInvariantError
+from .errors import SolverInvariantError
 from .instances import (
     Allocation,
     _as_int,
@@ -62,16 +61,9 @@ class ScheduleResult:
         return self.makespan
 
 
-def _check_machines(machines: int) -> None:
-    """The one machine-count rule: an integer from 1 to ``sys.maxsize``."""
-    if _as_int(machines, "machines") < 1:
-        raise InputError("machines must be at least 1")
-    if machines > sys.maxsize:
-        raise InputError(f"machines must be at most {sys.maxsize}")
-
-
 def _check_jobs(values: Sequence[int], machines: int) -> None:
-    _check_machines(machines)
+    """A machine count from 1 up, then every job under the value rule."""
+    _as_int(machines, "machines", 1)
     _check_values(values, "job {}")
 
 

@@ -35,6 +35,7 @@ from .instances import (
     Instance,
     OrderedInstance,
     ThresholdVector,
+    _as_int,
     _chore_allocation,
     _descending,
     allocation_loads,
@@ -90,8 +91,7 @@ def naive_test(inst: Instance, agent: int, s: int) -> bool:
     one deletion per placed chore. True iff everything gets allocated.
     Not monotone in s.
     """
-    if s < 0:
-        raise InputError("threshold s must be non-negative")
+    _as_int(s, "threshold s")
     row = sorted(inst.row(agent), reverse=True)
     return not _first_fit(row, 0, len(row), [(0, s)] * inst.num_agents)[1]
 
@@ -138,8 +138,7 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     ``_pack_large`` on it, and ``_chore_allocation`` maps the packed
     positions back to chores; ``search_threshold`` runs the same packer.
     """
-    if s < 1:
-        raise InputError("threshold s must be at least 1")
+    _as_int(s, "threshold s", 1)
     order, desc = _descending(inst.row(agent))
     bundles, queue, k = _pack_large(desc, inst.num_agents, s)
     benchmark = _chore_allocation(order, bundles)

@@ -80,6 +80,13 @@ class TestExitCodes:
             assert captured.out == ""
             assert captured.err == f"error: count must be at most {sys.maxsize}\n"
 
+    def test_value_max_beyond_the_value_cap(self, capsys):
+        value_max = "99999999999999999999"
+        assert run_cli(["gen", "--seed", "1", "--count", "1", "--value-max", value_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: value_max must be at most 9223372036854775807\n"
+
     def test_limits_checked_whatever_the_branch(self, tmp_path, capsys):
         inst_path = fixture_file(tmp_path, 0)
         alloc_path = write_json(

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,17 +14,25 @@ from hypothesis import strategies as st
 
 from fairchores import (
     Allocation,
+    GeneratorConfig,
     InputError,
     Instance,
+    OracleLimits,
     OrderedInstance,
     ThresholdVector,
+    exact_mms,
+    generate,
     ido_order,
     is_ido,
     lift_allocation,
+    naive_test,
     ordered_instance,
+    search_threshold,
+    threshold_test,
     verify_allocation,
 )
 from fairchores.instances import (
+    MAX_VALUE,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -79,15 +89,50 @@ class TestInstance:
             make_instance([[2**63]])
 
     def test_rejects_bad_counts(self):
-        with pytest.raises(InputError, match="^an instance needs at least one agent$"):
+        with pytest.raises(InputError, match="^num_agents must be at least 1$"):
             Instance(num_agents=0, num_chores=0, valuations=())
-        with pytest.raises(InputError, match="^num_chores must be non-negative$"):
+        with pytest.raises(InputError, match="^num_chores must be at least 0$"):
             Instance(num_agents=1, num_chores=-1, valuations=((),))
 
     def test_agent_index_checked(self):
         inst = make_instance([[1, 2]])
         with pytest.raises(InputError):
             inst.row(1)
+
+
+# The one integer rule at every public entry point that takes a count,
+# an index, a limit or a threshold: (id, what, call, lo, hi).
+_TWO = Instance.from_rows([[3, 2, 1], [3, 2, 1]])
+_INTEGER_SITES = [
+    ("row", "agent index", _TWO.row, 0, 1),
+    ("exact_mms", "agent index", lambda a: exact_mms(_TWO, a), 0, 1),
+    ("search_threshold", "agent index", lambda a: search_threshold(_TWO, a), 0, 1),
+    ("naive_test", "threshold s", lambda s: naive_test(_TWO, 0, s), 0, sys.maxsize),
+    ("threshold_test", "threshold s", lambda s: threshold_test(_TWO, 0, s), 1, sys.maxsize),
+    ("max_chores", "max_chores", lambda v: OracleLimits(max_chores=v), 1, sys.maxsize),
+    ("node_budget", "node_budget", lambda v: OracleLimits(node_budget=v), 1, sys.maxsize),
+    ("agents0", "agents[0]", lambda v: GeneratorConfig(1, agents=(v, 5)), 1, sys.maxsize),
+    ("agents1", "agents[1]", lambda v: GeneratorConfig(1, agents=(2, v)), 2, sys.maxsize),
+    ("chores0", "chores[0]", lambda v: GeneratorConfig(1, chores=(v, 14)), 0, sys.maxsize),
+    ("chores1", "chores[1]", lambda v: GeneratorConfig(1, chores=(2, v)), 2, sys.maxsize),
+    ("value_max", "value_max", lambda v: GeneratorConfig(1, value_max=v), 1, MAX_VALUE),
+    ("generate", "count", lambda v: generate(GeneratorConfig(1), v), 0, sys.maxsize),
+]
+
+
+def _integer_rule_cases():
+    for site, what, call, lo, hi in _INTEGER_SITES:
+        for bad in (True, 2.5, "2"):
+            message = f"{what} must be an integer, got {bad!r}"
+            yield pytest.param(call, bad, message, id=f"{site}-{bad!r}")
+        yield pytest.param(call, lo - 1, f"{what} must be at least {lo}", id=f"{site}-below")
+        yield pytest.param(call, hi + 1, f"{what} must be at most {hi}", id=f"{site}-above")
+
+
+@pytest.mark.parametrize("call, bad, message", _integer_rule_cases())
+def test_integer_rule(call, bad, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(bad)
 
 
 class TestAllocation:

@@ -204,17 +204,18 @@ class TestOptimalMakespan:
         with pytest.raises(InputError, match="machines must be at least 1"):
             optimal_makespan([True, -1, 2**63], 0)
 
-    # The jobs are one row of valuations: the 64-bit cap applies and the
-    # messages name the cell, as they did when the oracle cloned the row.
+    # The jobs are checked as the schedulers check them: the 64-bit cap
+    # applies and the messages name the job.
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (True, r"valuations\[0\]\[1\] must be an integer, got True"),
-            (-1, r"valuations\[0\]\[1\] is negative"),
-            (2**63, r"valuations\[0\]\[1\] exceeds 64-bit range"),
+            (True, r"^job 1 must be an integer, got True$"),
+            (-1, r"^job 1 is negative$"),
+            (2**63, r"^job 1 exceeds 64-bit range$"),
         ],
+        ids=["True", "-1", "2**63"],
     )
-    def test_jobs_are_checked_as_a_valuation_row(self, bad, message):
+    def test_jobs_are_checked_as_a_job_list(self, bad, message):
         with pytest.raises(InputError, match=message):
             optimal_makespan([4, bad, 1], 2)
 
