@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from itertools import count, islice
@@ -28,6 +29,7 @@ class GeneratorConfig:
     ido_only: bool = False
 
     def __post_init__(self) -> None:
+        _as_int(self.seed, "seed", -math.inf, math.inf)
         _as_int(self.agents[1], "agents[1]", _as_int(self.agents[0], "agents[0]", 1))
         _as_int(self.chores[1], "chores[1]", _as_int(self.chores[0], "chores[0]"))
         _as_int(self.value_max, "value_max", 1, MAX_VALUE)

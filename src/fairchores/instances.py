@@ -134,7 +134,8 @@ class Instance:
     def value(self, agent: int, chores: Iterable[int]) -> int:
         """Total cost of a set of chores for one agent."""
         row = self.row(agent)
-        return sum(row[c] for c in chores)
+        last = self.num_chores - 1
+        return sum(row[_as_int(c, "chore index", 0, last)] for c in chores)
 
     def total(self, agent: int) -> int:
         return sum(self.row(agent))
@@ -331,12 +332,16 @@ class VerificationReport:
 
 
 def allocation_loads(inst: Instance, alloc: Allocation) -> Tuple[int, ...]:
-    """Each agent's bundle cost, once the allocation fits the instance."""
+    """Each agent's bundle cost, once the allocation fits the instance,
+    whose chores 0..m-1 then index the rows unchecked."""
     if len(alloc.bundles) != inst.num_agents:
         raise InputError("allocation bundle count does not match agent count")
     if alloc.num_chores != inst.num_chores:
         raise InputError("allocation chore universe does not match the instance")
-    return tuple(inst.value(i, alloc.bundles[i]) for i in range(inst.num_agents))
+    return tuple(
+        sum(map(row.__getitem__, bundle))
+        for row, bundle in zip(inst.valuations, alloc.bundles)
+    )
 
 
 def verify_allocation(

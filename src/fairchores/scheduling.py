@@ -3,11 +3,13 @@
 With one shared valuation the maximin share and the optimal makespan
 coincide, and the paper's single-agent greedy at a uniform cap is
 first-fit-decreasing (FFD): each round fills one machine with exactly
-the jobs FFD would place there. Binary-searching the smallest cap at
-which FFD packs every job onto the machines is MULTIFIT (Coffman, Garey
-& Johnson 1978). FFD packs at every cap at or above 13/11 of the optimum
-(Yue 1990; the ratio is tight), and with integer loads cap C is the same
-test as floor(C), so every integer from floor(13*OPT/11) up packs. The
+the jobs FFD would place there. MULTIFIT (Coffman, Garey & Johnson 1978)
+searches the smallest cap at which FFD packs every job onto the
+machines; here the search gallops from the pigeonhole bound ``lower``
+(lower, lower+1, lower+3, lower+7, ... up to 2*lower), then bisects the
+last gap. FFD packs at every cap at or above 13/11 of the optimum (Yue
+1990; the ratio is tight), and with integer loads cap C is the same test
+as floor(C), so every integer from floor(13*OPT/11) up packs. The
 searched s* is either the pigeonhole bound, at most OPT, or has a failing
 predecessor, so 11*s* <= 13*OPT.
 
@@ -125,32 +127,30 @@ def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
 def _boundary_search(
     pack: Callable[[int], tuple], lo: int, hi: int
 ) -> Tuple[int, tuple]:
-    """Smallest passing point of [lo, hi] under the "high passes" invariant.
-
-    ``pack(s)`` returns a packing with its unplaced positions at index 1,
-    and s passes when there are none. ``pack(hi)`` must pass; the search
-    then returns an s that passes and either equals ``lo`` or has a
-    failing predecessor, with the packing it made at s.
-    """
-    found = pack(hi)
-    if found[1]:
-        raise SolverInvariantError(f"test fails at the top of its bracket (s={hi})")
-    while lo < hi:
-        mid = (lo + hi) // 2
+    """Gallop from lo by steps 1, 2, 4, ... up to hi, then bisect the last
+    gap; s passes when ``pack(s)[1]``, its unplaced positions, is empty."""
+    top, step = lo, 1
+    while (found := pack(top))[1]:
+        if top >= hi:
+            raise SolverInvariantError(f"test fails at the top of its bracket (s={hi})")
+        lo, top, step = top + 1, min(top + step, hi), 2 * step
+    while lo < top:
+        mid = (lo + top) // 2
         packing = pack(mid)
         if packing[1]:
             lo = mid + 1
         else:
-            hi, found = mid, packing
-    return lo, found
+            top, found = mid, packing
+    return top, found
 
 
 def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     """Schedule jobs on identical machines within 13/11 of optimal.
 
-    MULTIFIT: binary-searches the smallest cap in the pigeonhole bracket
-    [lower, 2*lower] at which first-fit-decreasing packs every job, and
-    returns the packing the search made there. Its makespan is that cap,
+    MULTIFIT: in the pigeonhole bracket [lower, 2*lower], gallops from
+    ``lower``, then bisects the last gap, to a cap at which
+    first-fit-decreasing packs every job, and returns the packing the
+    search made there. Its makespan is that cap,
     and 11*makespan <= 13*OPT (the module docstring has the proof),
     inside the paper's 11/9. The bundles are those of the paper's
     construction: clone the jobs into one row per machine, run the

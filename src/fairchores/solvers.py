@@ -7,10 +7,10 @@ Two routes to a complete allocation:
   leftover is provably empty at those caps, so the result is always an
   11/9-approximate allocation.
 * ``solve_poly_54`` needs no oracle. A per-agent threshold test whose
-  pass-set contains every value at or above the agent's share is probed
-  at the pigeonhole bound and, only where that fails, binary-searched
-  for a certified underestimate s_i; the greedy runs at caps 5/4 of
-  those. Polynomial time, 5/4 guarantee.
+  pass-set contains every value at or above the agent's share is
+  searched, galloping from the pigeonhole bound and then bisecting the
+  last gap, for a certified underestimate s_i; the greedy runs at caps
+  5/4 of those. Polynomial time, 5/4 guarantee.
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap. It is cheaper but its pass-set has
@@ -150,10 +150,10 @@ def search_threshold(inst: Instance, agent: int) -> int:
 
     The row is sorted once (one linear pass when it is already sorted,
     as in ``solve_poly_54``), and its pigeonhole bound ``lower``,
-    max(ceil(total/n), max value), never exceeds the share, so when
-    threshold_test passes there it is returned after that one probe.
-    Otherwise a boundary binary search over [lower, 2*lower] keeps
-    "high passes" invariant; the returned s* passes and has a failing
+    max(ceil(total/n), max value), never exceeds the share. The search
+    over [lower, 2*lower] gallops from ``lower``, then bisects the last
+    gap, so when threshold_test passes at ``lower`` that one probe
+    returns it; otherwise the returned s* passes and has a failing
     predecessor. Because the pass-set contains the whole ray above the
     share, s* never exceeds the share. Each probe runs threshold_test's
     packer, ``_pack_large``, on the sorted row for pass/fail alone.
@@ -161,10 +161,7 @@ def search_threshold(inst: Instance, agent: int) -> int:
     desc = sorted(inst.row(agent), reverse=True)
     n = inst.num_agents
     lower = _pigeonhole(desc, n)
-    pack = partial(_pack_large, desc, n)
-    if not pack(lower)[1]:
-        return lower
-    return _boundary_search(pack, lower, 2 * lower)[0]
+    return _boundary_search(partial(_pack_large, desc, n), lower, 2 * lower)[0]
 
 
 def _allocate_within(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -23,6 +23,24 @@ SEED_SCHED_CORPUS = 7007
 SEED_ENUM_CORPUS = 8008
 SEED_HOT_PATH_CORPUS = 9009
 SEED_ORACLE_CORPUS = 10010
+SEED_PROBE_CORPUS = 11011
+
+
+def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
+    """MULTIFIT's search on pass/fail alone, frozen: probe lo, lo+1, lo+3,
+    lo+7, ... (capped at hi) until one passes, then bisect the gap
+    between the last failing probe and that pass."""
+    failed, s, step = lo - 1, lo, 1
+    while not passes(s):
+        assert s < hi, "the top of the bracket fails"
+        failed, s, step = s, min(s + step, hi), 2 * step
+    while s - failed > 1:
+        mid = (failed + 1 + s) // 2
+        if passes(mid):
+            s = mid
+        else:
+            failed = mid
+    return s
 
 
 def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:

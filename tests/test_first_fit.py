@@ -8,9 +8,9 @@ same result as its frozen loop: ``schedule_119`` the same schedule,
 ``naive_test`` the same verdict and ``_pack_large`` the same bundles,
 leftover and k, on pinned edge cases, random rows of up to 14 chores and
 seeded rows of up to 100 agents x 1000 chores. ``reference_schedule_119``
-also keeps the pass/fail bisection MULTIFIT ran before its search
-returned the packing it found, and the repack at the searched threshold;
-``schedule_119`` must report that threshold too.
+also runs MULTIFIT's search on pass/fail alone (``conftest``'s frozen
+galloping loop) and repacks at the searched threshold; ``schedule_119``
+must report that threshold too.
 
 ``reference_first_fit`` is a frozen copy of the sweep packer that
 ``_first_fit`` replaced, which passed every still-unplaced position once
@@ -24,9 +24,10 @@ does, which is why MULTIFIT's makespan equals its searched cap.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import pytest
+from conftest import reference_boundary_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,18 +109,6 @@ def reference_pack_large(
             taken, queue = reference_sweep(desc, queue, 0, 5 * s // 4)
         bundles[t] += taken
     return bundles, queue, k
-
-
-def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
-    """The pass/fail bisection MULTIFIT ran before the search kept its packing."""
-    assert passes(hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if passes(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
 
 
 def reference_schedule_119(

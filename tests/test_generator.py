@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import random
+import sys
+
 import pytest
 
 from fairchores import GeneratorConfig, InputError, generate, is_ido
+from fairchores.generator import _one
 
 
 class TestGenerate:
@@ -44,3 +48,12 @@ class TestGenerate:
             GeneratorConfig(seed=1, chores=(5, 4))
         with pytest.raises(InputError):
             GeneratorConfig(seed=1, value_max=0)
+
+    def test_every_integer_seed_seeds_the_stream(self):
+        # Negative seeds and seeds past sys.maxsize, which the CLI takes
+        # too, go to random.Random unchanged.
+        for seed in (-7, 0, sys.maxsize + 1, 2**200):
+            config = GeneratorConfig(seed=seed)
+            rng = random.Random(seed)
+            expected = [_one(rng, config) for _ in range(3)]
+            assert list(generate(config, 3)) == expected

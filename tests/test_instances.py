@@ -101,10 +101,13 @@ class TestInstance:
 
 
 # The one integer rule at every public entry point that takes a count,
-# an index, a limit or a threshold: (id, what, call, lo, hi).
+# an index, a limit or a threshold: (id, what, call, lo, hi), where a
+# bound of None means the site takes every integer on that side.
 _TWO = Instance.from_rows([[3, 2, 1], [3, 2, 1]])
 _INTEGER_SITES = [
     ("row", "agent index", _TWO.row, 0, 1),
+    ("value", "chore index", lambda c: _TWO.value(0, [0, c]), 0, 2),
+    ("seed", "seed", GeneratorConfig, None, None),
     ("exact_mms", "agent index", lambda a: exact_mms(_TWO, a), 0, 1),
     ("search_threshold", "agent index", lambda a: search_threshold(_TWO, a), 0, 1),
     ("naive_test", "threshold s", lambda s: naive_test(_TWO, 0, s), 0, sys.maxsize),
@@ -125,8 +128,12 @@ def _integer_rule_cases():
         for bad in (True, 2.5, "2"):
             message = f"{what} must be an integer, got {bad!r}"
             yield pytest.param(call, bad, message, id=f"{site}-{bad!r}")
-        yield pytest.param(call, lo - 1, f"{what} must be at least {lo}", id=f"{site}-below")
-        yield pytest.param(call, hi + 1, f"{what} must be at most {hi}", id=f"{site}-above")
+        if lo is not None:
+            below = f"{what} must be at least {lo}"
+            yield pytest.param(call, lo - 1, below, id=f"{site}-below")
+        if hi is not None:
+            above = f"{what} must be at most {hi}"
+            yield pytest.param(call, hi + 1, above, id=f"{site}-above")
 
 
 @pytest.mark.parametrize("call, bad, message", _integer_rule_cases())

@@ -8,12 +8,17 @@ import re
 import sys
 
 import pytest
-from conftest import SEED_SCHED_CORPUS
+from conftest import (
+    SEED_PROBE_CORPUS,
+    SEED_SCHED_CORPUS,
+    reference_boundary_search,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairchores import oracle, scheduling
 from fairchores import (
+    GeneratorConfig,
     InputError,
     Instance,
     OracleLimits,
@@ -21,6 +26,7 @@ from fairchores import (
     SolverInvariantError,
     ThresholdVector,
     builtin_fixtures,
+    generate,
     greedy_fill,
     lift_allocation,
     naive_test,
@@ -29,7 +35,7 @@ from fairchores import (
     schedule_119,
     schedule_lpt,
 )
-from fairchores.scheduling import _pigeonhole
+from fairchores.scheduling import _boundary_search, _first_fit, _pigeonhole
 
 
 def clone_greedy(row, machines, s):
@@ -42,19 +48,16 @@ def clone_greedy(row, machines, s):
 def reference_schedule_119(jobs, machines):
     """schedule_119 built from the public primitives: clone, greedy, lift.
     Returns the schedule and the searched threshold."""
-    lo = max(-(-sum(jobs) // machines), max(jobs, default=0))
-    hi = 2 * lo
-    assert clone_greedy(jobs, machines, hi)[2].allocation.complete
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if clone_greedy(jobs, machines, mid)[2].allocation.complete:
-            hi = mid
-        else:
-            lo = mid + 1
-    inst, ordd, result = clone_greedy(jobs, machines, lo)
+    lower = max(-(-sum(jobs) // machines), max(jobs, default=0))
+    cap = reference_boundary_search(
+        lambda s: clone_greedy(jobs, machines, s)[2].allocation.complete,
+        lower,
+        2 * lower,
+    )
+    inst, ordd, result = clone_greedy(jobs, machines, cap)
     lifted = lift_allocation(inst, ordd, result.allocation)
     loads = tuple(inst.value(b, lifted.bundles[b]) for b in range(machines))
-    return ScheduleResult(lifted, loads, max(loads)), lo
+    return ScheduleResult(lifted, loads, max(loads)), cap
 
 
 def sched_corpus():
@@ -173,6 +176,88 @@ class TestFirstFitDecreasingMatchesCloneAndLift:
                         agent,
                         s,
                     )
+
+
+def ffd_packs(desc, machines, s):
+    return not _first_fit(desc, 0, len(desc), [(0, s)] * machines)[1]
+
+
+# (generator seed, machines, jobs, cap): one list of the 1-s
+# sched-identical benchmark corpus at seed 4 (case j35) and one at seed 16
+# (case j12), values 0..1000. Bisecting the whole bracket [lower, 2*lower]
+# stopped at caps 6945 and 10065; the gallop from lower stops at 6942,
+# lower, and at 10067, higher. Both are valid searched caps.
+GALLOP_PINS = [
+    (133025523677587366, 10, 145, 6942),
+    (11106931077284914532, 6, 112, 10067),
+]
+
+
+class TestGallopingSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lo=st.integers(0, 50),
+        width=st.integers(0, 60),
+        passing=st.sets(st.integers(0, 110)),
+    )
+    def test_any_pass_set(self, lo, width, passing):
+        """On any pass-set whose top passes, the search returns a passing
+        point that is lo or has a failing predecessor, with its packing."""
+        hi = lo + width
+        passing = passing | {hi}
+        probes = []
+
+        def pack(s):
+            probes.append(s)
+            return s, [] if s in passing else [s]
+
+        s, found = _boundary_search(pack, lo, hi)
+        assert s in passing and found == (s, [])
+        assert s == lo or s - 1 not in passing
+        assert len(probes) == len(set(probes))
+        assert s == reference_boundary_search(passing.__contains__, lo, hi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), max_size=16),
+        st.integers(1, 5),
+    )
+    def test_searched_cap_passes_and_its_predecessor_fails(self, jobs, machines):
+        desc = sorted(jobs, reverse=True)
+        lower = _pigeonhole(desc, machines)
+        cap = schedule_119(jobs, machines).makespan
+        assert lower <= cap <= 2 * lower
+        assert ffd_packs(desc, machines, cap)
+        assert cap == lower or not ffd_packs(desc, machines, cap - 1)
+
+    @pytest.mark.parametrize("seed, machines, m, cap", GALLOP_PINS)
+    def test_benchmark_lists_whose_cap_moved(self, seed, machines, m, cap):
+        config = GeneratorConfig(seed, agents=(1, 1), chores=(m, m), value_max=1000)
+        jobs = list(next(generate(config, 1)).valuations[0])
+        desc = sorted(jobs, reverse=True)
+        result = schedule_119(jobs, machines)
+        assert result.makespan == max(result.loads) == cap
+        assert not ffd_packs(desc, machines, cap - 1)
+        assert (result, cap) == reference_schedule_119(jobs, machines)
+
+    def test_probes_per_list(self, monkeypatch):
+        """FFD probes per list at the benchmark's sizes: the cap sits a
+        few units above lower, so the gallop makes 5.8 here, where
+        bisecting all of [lower, 2*lower] would make 13.4."""
+        calls = []
+        first_fit = scheduling._first_fit
+
+        def counted(*args):
+            calls.append(args)
+            return first_fit(*args)
+
+        monkeypatch.setattr(scheduling, "_first_fit", counted)
+        rng = random.Random(SEED_PROBE_CORPUS)
+        lists = 300
+        for _ in range(lists):
+            machines, m = rng.randint(5, 20), rng.randint(50, 200)
+            schedule_119([rng.randint(0, 1000) for _ in range(m)], machines)
+        assert len(calls) <= 7 * lists
 
 
 class TestScheduleLpt:

@@ -1,4 +1,4 @@
-"""Solvers: naive test, threshold test, binary search, both pipelines."""
+"""Solvers: naive test, threshold test, threshold search, both pipelines."""
 
 from __future__ import annotations
 
@@ -131,7 +131,8 @@ class TestSearchThreshold:
     def test_bounds(self, monkeypatch):
         inst = identical([9, 7, 6, 5, 5] + [4] * 9, n=4)
         assert _pigeonhole(inst.row(0), 4) == 17
-        # A packer failing everywhere shows the bracket: lower, then top.
+        # A packer failing everywhere shows the gallop: lower, then steps
+        # of 1, 2, 4 and 8, then the top of the bracket.
         probes = []
 
         def failing(desc, n, s):
@@ -141,7 +142,7 @@ class TestSearchThreshold:
         monkeypatch.setattr(solvers, "_pack_large", failing)
         with pytest.raises(SolverInvariantError):
             search_threshold(inst, 0)
-        assert probes == [17, 34]
+        assert probes == [17, 18, 20, 24, 32, 34]
 
     def test_forced_lower_bound(self):
         inst = identical([10, 10, 10], n=3)
@@ -171,9 +172,9 @@ class TestSearchThreshold:
         probes = count_probes(monkeypatch)
         inst = identical([2, 2, 2], n=2)
         assert search_threshold(inst, 0) == 4
-        # The probe at lower, then the boundary search over [3, 6]: its
-        # top, then the midpoints 4 (passes) and 3 (fails).
-        assert probes == [3, 6, 4, 3]
+        # The probe at lower fails and the first gallop step, 4, passes;
+        # no gap is left to bisect.
+        assert probes == [3, 4]
 
     def test_zero_rows_settle_at_the_first_probe(self, monkeypatch):
         # The pigeonhole bound of an all-zero or empty row is 0, and no
@@ -193,6 +194,16 @@ class TestSearchThreshold:
             if top > 0:
                 assert threshold_test(inst, agent, top).passed
                 assert naive_test(inst, agent, top)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_instances(max_agents=5, max_chores=12, max_value=60))
+    def test_searched_point_passes_and_its_predecessor_fails(self, inst):
+        for agent in range(inst.num_agents):
+            lower = _pigeonhole(inst.row(agent), inst.num_agents)
+            s_star = search_threshold(inst, agent)
+            assert s_star == 0 or threshold_test(inst, agent, s_star).passed
+            if s_star > lower:
+                assert not threshold_test(inst, agent, s_star - 1).passed
 
     @settings(max_examples=40, deadline=None)
     @given(small_instances(max_agents=3, max_chores=6, max_value=25))
@@ -312,7 +323,7 @@ class TestInvariantRechecks:
         monkeypatch.setattr(
             solvers, "_pack_large", lambda desc, n, s: ([[]] * n, [0], 0)
         )
-        # The bracket is [3, 6]; the probe at 3 fails, then the top at 6.
+        # The bracket is [3, 6]; the gallop probes 3 and 4, then the top at 6.
         with pytest.raises(
             SolverInvariantError,
             match=r"^test fails at the top of its bracket \(s=6\)$",
