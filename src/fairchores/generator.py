@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import count, islice
-from typing import Iterator, Optional, Tuple
+from itertools import count, islice, repeat
+from typing import Iterator, List, Optional, Tuple
 
 from .instances import MAX_VALUE, Instance, _as_int
 
@@ -35,31 +35,48 @@ class GeneratorConfig:
         _as_int(self.value_max, "value_max", 1, MAX_VALUE)
 
 
+def _below(rng: random.Random, bound: int, size: int) -> List[int]:
+    """``size`` values of ``rng.randint(0, bound - 1)``, drawn in bulk.
+
+    randint draws ``bound.bit_length()`` bits, again while the draw is at
+    or above ``bound``. Each batch makes as many draws as values are still
+    missing and keeps those below ``bound``: the same values, and since
+    the last batch keeps all its draws, none is drawn past the last one
+    randint takes, so ``rng`` ends in the same state.
+    """
+    k = bound.bit_length()
+    kept: List[int] = []
+    while len(kept) < size:
+        kept += filter(bound.__gt__, map(rng.getrandbits, repeat(k, size - len(kept))))
+    return kept
+
+
 def _one(rng: random.Random, config: GeneratorConfig) -> Instance:
     n = rng.randint(*config.agents)
     m_lo = max(config.chores[0], n)
     m_hi = max(config.chores[1], m_lo)
     m = rng.randint(m_lo, m_hi)
+    top = config.value_max
     if config.ido_only:
-        base = sorted((rng.randint(0, config.value_max) for _ in range(m)), reverse=True)
-        spread = max(1, config.value_max // 10)
+        base = sorted(_below(rng, top + 1, m), reverse=True)
+        spread = max(1, top // 10)
         rows = []
         for _ in range(n):
-            row = [
-                min(config.value_max, max(0, v + rng.randint(-spread, spread)))
-                for v in base
-            ]
+            shifts = _below(rng, 2 * spread + 1, m)
+            row = [min(top, max(0, v + d - spread)) for v, d in zip(base, shifts)]
             row.sort(reverse=True)
             rows.append(row)
     else:
-        rows = [
-            [rng.randint(0, config.value_max) for _ in range(m)] for _ in range(n)
-        ]
+        rows = [_below(rng, top + 1, m) for _ in range(n)]
     return Instance.from_rows(rows)
 
 
 def generate(config: GeneratorConfig, count_limit: Optional[int] = None) -> Iterator[Instance]:
     """Deterministic instance stream; same config, same stream.
+
+    A seed's stream equals its ``random.Random(seed).randint`` draws:
+    each instance draws its agent count, its chore count, then its
+    values row by row, the values drawn in bulk by ``_below``.
 
     Unbounded unless ``count_limit`` is given, an integer from 0 to
     ``sys.maxsize``, the most ``islice`` takes.

@@ -69,11 +69,20 @@ def _as_int(value: object, what: str, lo: int = 0, hi: int = sys.maxsize) -> int
     return value
 
 
-def _check_values(values: Iterable[object], label: str) -> None:
+def _check_values(values: Sequence[object], label: str) -> None:
     """The one value rule: a non-bool integer in [0, MAX_VALUE].
 
-    ``label.format(c)`` names value c, and only once it has failed.
+    A row of plain ints passes in three C-level passes (types, min,
+    max). Any other row is walked value by value, so an int subclass
+    such as an ``IntEnum`` still passes, and ``label.format(c)`` names
+    the first value c that fails.
     """
+    if (
+        set(map(type, values)) <= {int}
+        and min(values, default=0) >= 0
+        and max(values, default=0) <= MAX_VALUE
+    ):
+        return
     for c, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, int):
             raise InputError(f"{label.format(c)} must be an integer, got {value!r}")

@@ -69,9 +69,14 @@ def _check_jobs(values: Sequence[int], machines: int) -> None:
     _check_values(values, "job {}")
 
 
-def _pigeonhole(values: Sequence[int], bins: int) -> int:
-    """max(ceil(total/bins), max value): no packing into bins does better."""
-    return max(-(-sum(values) // bins), max(values, default=0))
+def _pigeonhole(desc: Sequence[int], bins: int) -> int:
+    """max(ceil(total/bins), max value): no packing into bins does better.
+
+    ``desc`` is nonincreasing, as all three callers hold it
+    (``schedule_119``, the oracle's ``_min_makespan`` and the threshold
+    search), so its max is ``desc[0]``, or 0 when it is empty.
+    """
+    return max(-(-sum(desc) // bins), desc[0] if desc else 0)
 
 
 def _first_fit(

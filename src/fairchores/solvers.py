@@ -148,18 +148,23 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
 def search_threshold(inst: Instance, agent: int) -> int:
     """Certified integer underestimate of one agent's maximin share.
 
-    The row is sorted once (one linear pass when it is already sorted,
-    as in ``solve_poly_54``), and its pigeonhole bound ``lower``,
-    max(ceil(total/n), max value), never exceeds the share. The search
-    over [lower, 2*lower] gallops from ``lower``, then bisects the last
-    gap, so when threshold_test passes at ``lower`` that one probe
-    returns it; otherwise the returned s* passes and has a failing
-    predecessor. Because the pass-set contains the whole ray above the
-    share, s* never exceeds the share. Each probe runs threshold_test's
-    packer, ``_pack_large``, on the sorted row for pass/fail alone.
+    Sorts the row and runs ``_search_sorted`` on it.
     """
-    desc = sorted(inst.row(agent), reverse=True)
-    n = inst.num_agents
+    return _search_sorted(sorted(inst.row(agent), reverse=True), inst.num_agents)
+
+
+def _search_sorted(desc: Sequence[int], n: int) -> int:
+    """``search_threshold`` on a row already sorted nonincreasing.
+
+    The pigeonhole bound ``lower``, max(ceil(total/n), max value), never
+    exceeds the share. The search over [lower, 2*lower] gallops from
+    ``lower``, then bisects the last gap, so when threshold_test passes
+    at ``lower`` that one probe returns it; otherwise the returned s*
+    passes and has a failing predecessor. Because the pass-set contains
+    the whole ray above the share, s* never exceeds the share. Each
+    probe runs threshold_test's packer, ``_pack_large``, on the sorted
+    row for pass/fail alone.
+    """
     lower = _pigeonhole(desc, n)
     return _boundary_search(partial(_pack_large, desc, n), lower, 2 * lower)[0]
 
@@ -222,14 +227,14 @@ def solve_poly_54(inst: Instance) -> PolyResult:
 
     Polynomial time: no oracle anywhere. The rows are sorted once, by
     ``ordered_instance``; each agent's certified threshold s_i is
-    searched on its sorted row, the greedy runs on the same ordered
-    instance at caps 5*s_i/4, and since s_i never exceeds the true
-    share, 4*load <= 5*s_i certifies the 5/4 bound.
+    searched on its sorted row, which ``_search_sorted`` takes as it
+    is, the greedy runs on the same ordered instance at caps 5*s_i/4,
+    and since s_i never exceeds the true share, 4*load <= 5*s_i
+    certifies the 5/4 bound.
     """
     ordd = ordered_instance(inst)
-    s_values = tuple(
-        search_threshold(ordd.instance, i) for i in range(inst.num_agents)
-    )
+    n = inst.num_agents
+    s_values = tuple(_search_sorted(desc, n) for desc in ordd.instance.valuations)
     caps = ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))
     allocation, loads, trace = _allocate_within(inst, ordd, caps)
     return PolyResult(

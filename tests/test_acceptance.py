@@ -115,7 +115,7 @@ def test_criterion_2_non_monotone_fixture():
 def per_agent_naive_threshold(inst: Instance, agent: int) -> int:
     # Smallest passing point; the naive test is non-monotone, so a binary
     # search could overshoot it.
-    lower = _pigeonhole(inst.row(agent), inst.num_agents)
+    lower = _pigeonhole(sorted(inst.row(agent), reverse=True), inst.num_agents)
     for s in range(lower, 2 * lower + 1):
         if naive_test(inst, agent, s):
             return s
@@ -183,7 +183,7 @@ def test_criterion_5_threshold_test_ray(corpus_500, profiles_500):
                 checked += 1
                 if not threshold_test(inst, i, s).passed:
                     ray_violations += 1
-            lo = _pigeonhole(inst.row(i), inst.num_agents)
+            lo = _pigeonhole(sorted(inst.row(i), reverse=True), inst.num_agents)
             star = search_threshold(inst, i)
             if not lo <= star <= mu:
                 search_violations += 1
@@ -256,7 +256,7 @@ def test_criterion_8_oracle_self_consistency(corpus_500, profiles_500):
     pigeonhole_violations = 0
     for inst, profile in zip(corpus_500, profiles):
         for i in range(inst.num_agents):
-            lo = _pigeonhole(inst.row(i), inst.num_agents)
+            lo = _pigeonhole(sorted(inst.row(i), reverse=True), inst.num_agents)
             if not lo <= profile.values[i] <= 2 * lo:
                 pigeonhole_violations += 1
     ok = mismatches == 0 and pigeonhole_violations == 0

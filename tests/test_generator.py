@@ -7,8 +7,32 @@ import sys
 
 import pytest
 
-from fairchores import GeneratorConfig, InputError, generate, is_ido
+from fairchores import GeneratorConfig, InputError, Instance, generate, is_ido
 from fairchores.generator import _one
+
+
+def randint_one(rng: random.Random, config: GeneratorConfig) -> Instance:
+    """The generator's instance draw frozen as one ``randint`` call per value."""
+    n = rng.randint(*config.agents)
+    m_lo = max(config.chores[0], n)
+    m_hi = max(config.chores[1], m_lo)
+    m = rng.randint(m_lo, m_hi)
+    if config.ido_only:
+        base = sorted((rng.randint(0, config.value_max) for _ in range(m)), reverse=True)
+        spread = max(1, config.value_max // 10)
+        rows = []
+        for _ in range(n):
+            row = [
+                min(config.value_max, max(0, v + rng.randint(-spread, spread)))
+                for v in base
+            ]
+            row.sort(reverse=True)
+            rows.append(row)
+    else:
+        rows = [
+            [rng.randint(0, config.value_max) for _ in range(m)] for _ in range(n)
+        ]
+    return Instance.from_rows(rows)
 
 
 class TestGenerate:
@@ -57,3 +81,26 @@ class TestGenerate:
             rng = random.Random(seed)
             expected = [_one(rng, config) for _ in range(3)]
             assert list(generate(config, 3)) == expected
+
+
+# randint(0, value_max) draws (value_max + 1).bit_length() bits and
+# rejects draws above value_max: a quarter of them at 2, few at 1000 and
+# about half at the others. Each draw takes one 32-bit word of the
+# generator up to 2**31 and two from 2**32 on.
+VALUE_MAXES = (1, 2, 3, 1000, 2**31, 2**32, 2**32 + 1, 2**63 - 1)
+
+
+@pytest.mark.parametrize("chores", [(0, 0), (0, 9)])
+@pytest.mark.parametrize("ido_only", [False, True])
+@pytest.mark.parametrize("value_max", VALUE_MAXES)
+def test_stream_equals_randint_draws(value_max, ido_only, chores):
+    config = GeneratorConfig(
+        seed=value_max, agents=(1, 4), chores=chores, value_max=value_max, ido_only=ido_only
+    )
+    rng, frozen = random.Random(config.seed), random.Random(config.seed)
+    expected = []
+    for _ in range(30):
+        expected.append(randint_one(frozen, config))
+        assert _one(rng, config) == expected[-1]
+        assert rng.getstate() == frozen.getstate()
+    assert list(generate(config, 30)) == expected

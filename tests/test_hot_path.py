@@ -143,7 +143,7 @@ def reference_threshold_test(inst: Instance, agent: int, s: int) -> Outcome:
 
 def reference_search_threshold(inst: Instance, agent: int) -> int:
     """Boundary search over [lower, 2*lower] calling the reference test."""
-    lower = _pigeonhole(inst.row(agent), inst.num_agents)
+    lower = _pigeonhole(sorted(inst.row(agent), reverse=True), inst.num_agents)
     if lower == 0:
         return 0
     lo, hi = lower, 2 * lower
@@ -256,7 +256,7 @@ def ido_cases(draw):
     inst = Instance.from_rows([[row[labels[c]] for c in range(m)] for row in rows])
     caps = []
     for agent in range(n):
-        top = 2 * max(1, _pigeonhole(inst.row(agent), n))
+        top = 2 * max(1, _pigeonhole(sorted(inst.row(agent), reverse=True), n))
         caps.append(
             draw(
                 st.one_of(
@@ -287,7 +287,7 @@ def ido_edge_cases() -> List[tuple]:
 
 def sweep(inst: Instance, agent: int) -> range:
     """Every s in [lower, 2*lower], with lower 0 read as 1 (s must be >= 1)."""
-    lower = max(_pigeonhole(inst.row(agent), inst.num_agents), 1)
+    lower = max(_pigeonhole(sorted(inst.row(agent), reverse=True), inst.num_agents), 1)
     return range(lower, 2 * lower + 1)
 
 
@@ -316,13 +316,14 @@ def cap_vectors(inst: Instance, rng: random.Random) -> List[ThresholdVector]:
     n = inst.num_agents
     s_values = [search_threshold(inst, i) for i in range(n)]
     caps = [ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))]
+    lowers = [_pigeonhole(sorted(row, reverse=True), n) for row in inst.valuations]
     for _ in range(3):
         den = rng.randint(2, 12)
         caps.append(
             ThresholdVector(
                 tuple(
                     Fraction(rng.randint(0, 2 * den * max(1, lower)), den)
-                    for lower in (_pigeonhole(inst.row(i), n) for i in range(n))
+                    for lower in lowers
                 )
             )
         )

@@ -6,6 +6,7 @@ import json
 import random
 import re
 import sys
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,10 @@ from fairchores import (
     is_ido,
     lift_allocation,
     naive_test,
+    optimal_makespan,
     ordered_instance,
+    schedule_119,
+    schedule_lpt,
     search_threshold,
     threshold_test,
     verify_allocation,
@@ -140,6 +144,60 @@ def _integer_rule_cases():
 def test_integer_rule(call, bad, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+# The one value rule at every public entry point that takes a row of
+# values: (id, call on one row, label of value c in that row).
+_VALUE_SITES = [
+    ("Instance", lambda row: Instance(2, len(row), ([0] * len(row), row)), "valuations[1][{}]"),
+    ("from_rows", lambda row: Instance.from_rows([row]), "valuations[0][{}]"),
+    (
+        "instance_from_json",
+        lambda row: instance_from_json({"agents": 1, "chores": len(row), "valuations": [row]}),
+        "valuations[0][{}]",
+    ),
+    ("schedule_119", lambda row: schedule_119(row, 2), "job {}"),
+    ("schedule_lpt", lambda row: schedule_lpt(row, 2), "job {}"),
+    ("optimal_makespan", lambda row: optimal_makespan(row, 2), "job {}"),
+]
+
+
+# Each bad value with the end of its message.
+_BAD_VALUES = [
+    (True, "must be an integer, got True"),
+    (1.5, "must be an integer, got 1.5"),
+    ("3", "must be an integer, got '3'"),
+    (None, "must be an integer, got None"),
+    (-1, "is negative"),
+    (2**63, "exceeds 64-bit range"),
+]
+
+
+def _value_rule_cases():
+    for site, call, label in _VALUE_SITES:
+        for bad, end in _BAD_VALUES:
+            for c in (0, 2, 4):
+                message = f"{label.format(c)} {end}"
+                yield pytest.param(call, bad, c, message, id=f"{site}-{bad!r}-at-{c}")
+
+
+@pytest.mark.parametrize("call, bad, c, message", _value_rule_cases())
+def test_value_rule(call, bad, c, message):
+    # The row is otherwise valid, so the first bad value is the one at c.
+    row = [4, 3, 2, 1, MAX_VALUE]
+    row[c] = bad
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call(row)
+
+
+class _Level(IntEnum):
+    HIGH = 7
+
+
+@pytest.mark.parametrize("call", [call for _, call, _ in _VALUE_SITES])
+def test_value_rule_accepts_int_subclasses_and_empty_rows(call):
+    assert call([5, _Level.HIGH, 0]) == call([5, 7, 0])
+    call([])
 
 
 class TestAllocation:

@@ -168,7 +168,7 @@ class TestFirstFitDecreasingMatchesCloneAndLift:
             n = inst.num_agents
             for agent in range(n):
                 row = inst.row(agent)
-                lower = _pigeonhole(row, n)
+                lower = _pigeonhole(sorted(row, reverse=True), n)
                 for s in range(lower, 2 * lower + 1):
                     complete = clone_greedy(row, n, s)[2].allocation.complete
                     assert naive_test(inst, agent, s) == complete, (

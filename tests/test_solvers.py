@@ -34,6 +34,11 @@ def identical(row, n=4) -> Instance:
     return Instance.from_rows([list(row)] * n)
 
 
+def lower_of(inst: Instance, agent: int) -> int:
+    """The pigeonhole bound of one agent's row, sorted as ``_pigeonhole`` takes it."""
+    return _pigeonhole(sorted(inst.row(agent), reverse=True), inst.num_agents)
+
+
 def count_probes(monkeypatch) -> list:
     """Record the threshold of every ``_pack_large`` call the search makes."""
     probes: list = []
@@ -162,7 +167,7 @@ class TestSearchThreshold:
             inst = fixture.instance
             for agent in range(inst.num_agents):
                 probes.clear()
-                lower = _pigeonhole(inst.row(agent), inst.num_agents)
+                lower = lower_of(inst, agent)
                 assert search_threshold(inst, agent) == lower
                 assert probes == [lower]
 
@@ -190,7 +195,7 @@ class TestSearchThreshold:
     def test_bracket_top_passes(self, inst):
         # Both searches rely on this instead of widening the bracket.
         for agent in range(inst.num_agents):
-            top = 2 * _pigeonhole(inst.row(agent), inst.num_agents)
+            top = 2 * lower_of(inst, agent)
             if top > 0:
                 assert threshold_test(inst, agent, top).passed
                 assert naive_test(inst, agent, top)
@@ -199,7 +204,7 @@ class TestSearchThreshold:
     @given(small_instances(max_agents=5, max_chores=12, max_value=60))
     def test_searched_point_passes_and_its_predecessor_fails(self, inst):
         for agent in range(inst.num_agents):
-            lower = _pigeonhole(inst.row(agent), inst.num_agents)
+            lower = lower_of(inst, agent)
             s_star = search_threshold(inst, agent)
             assert s_star == 0 or threshold_test(inst, agent, s_star).passed
             if s_star > lower:
@@ -211,7 +216,7 @@ class TestSearchThreshold:
         for agent in range(inst.num_agents):
             mu, _ = exact_mms(inst, agent)
             s_star = search_threshold(inst, agent)
-            assert _pigeonhole(inst.row(agent), inst.num_agents) <= s_star <= mu
+            assert lower_of(inst, agent) <= s_star <= mu
 
 
 class TestSolveExistence119:
