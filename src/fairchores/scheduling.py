@@ -19,17 +19,18 @@ job accepted at s still fits at M, as its bin ends at or below M; a job
 rejected at s is rejected at any smaller cap; so each bin's largest
 fitting leftover at s is still its largest at M. The pigeonhole bound is
 at most any makespan, and a failing predecessor of s* cannot lie in
-[M, s*], so M == s* and 11*makespan <= 13*OPT. The search hands back the
-packing it made at s*. A classic longest-processing-time baseline is
-included for comparison. Both check the jobs with the package's value
-rule, sort them once with ``_descending`` (equal jobs lowest index
-first), run ``_first_fit`` (one empty bin of the cap per machine) or
-``_lpt`` on the sorted positions and map those back to jobs with
-``_chore_allocation``. ``_first_fit`` is the one first-fit packer:
-``naive_test`` and the 5/4 solver's two-stage test fill their bins
-through it too. Each bin takes the largest leftover job that fits, at
-one C-level bisection and one list deletion per placed position, or
-one ``pop`` when the largest leftover fits.
+[M, s*], so M == s* and 11*makespan <= 13*OPT.
+
+The probes answer pass/fail on the values alone: ``_ffd_fits`` runs FFD
+with no positions and stops once the unplaced total exceeds the cap times
+the bins not yet filled, as no bin holds more than the cap (an exact fill
+still packs, so the test is strict). ``_first_fit`` packs positions once,
+at s*, and is also the 5/4 solver's packer: each bin takes the largest
+leftover that fits, by one ``pop`` or one C-level bisection and list
+deletion. Both schedulers, this and the longest-processing-time baseline
+(``_lpt``), check the jobs with the value rule, sort them once with
+``_descending`` (equal jobs lowest index first) and map positions back
+to jobs with ``_chore_allocation``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import SolverInvariantError
@@ -112,6 +114,31 @@ def _first_fit(
     return packed, left[::-1]
 
 
+def _ffd_fits(desc: Sequence[int], bins: int, cap: int) -> bool:
+    """Does ``_first_fit`` pack all of desc into ``bins`` empty bins of cap?
+
+    The same pass on an ascending copy of the values alone; False once
+    the unplaced total exceeds the cap times the bins not yet filled.
+    A check after every placement would stop no sooner: within a bin the
+    total and the room fall alike.
+    """
+    vals = list(reversed(desc))
+    left = sum(vals)
+    for empty in range(bins, 0, -1):
+        if not vals or left > cap * empty:
+            break
+        room = cap
+        while vals:
+            if vals[-1] <= room:
+                room -= vals.pop()
+            elif i := bisect_right(vals, room):
+                room -= vals.pop(i - 1)
+            else:
+                break
+        left -= cap - room
+    return not vals
+
+
 def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
     """Longest-processing-time list scheduling of a nonincreasing row.
 
@@ -129,24 +156,21 @@ def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
     return packed, loads
 
 
-def _boundary_search(
-    pack: Callable[[int], tuple], lo: int, hi: int
-) -> Tuple[int, tuple]:
+def _boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
     """Gallop from lo by steps 1, 2, 4, ... up to hi, then bisect the last
-    gap; s passes when ``pack(s)[1]``, its unplaced positions, is empty."""
+    gap; returns a passing s that is lo or whose predecessor fails."""
     top, step = lo, 1
-    while (found := pack(top))[1]:
+    while not passes(top):
         if top >= hi:
             raise SolverInvariantError(f"test fails at the top of its bracket (s={hi})")
         lo, top, step = top + 1, min(top + step, hi), 2 * step
     while lo < top:
         mid = (lo + top) // 2
-        packing = pack(mid)
-        if packing[1]:
-            lo = mid + 1
+        if passes(mid):
+            top = mid
         else:
-            top, found = mid, packing
-    return top, found
+            lo = mid + 1
+    return top
 
 
 def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
@@ -154,8 +178,8 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
 
     MULTIFIT: in the pigeonhole bracket [lower, 2*lower], gallops from
     ``lower``, then bisects the last gap, to a cap at which
-    first-fit-decreasing packs every job, and returns the packing the
-    search made there. Its makespan is that cap,
+    first-fit-decreasing packs every job, probing with ``_ffd_fits``,
+    and packs the jobs once at that cap. Its makespan is that cap,
     and 11*makespan <= 13*OPT (the module docstring has the proof),
     inside the paper's 11/9. The bundles are those of the paper's
     construction: clone the jobs into one row per machine, run the
@@ -165,10 +189,11 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     _check_jobs(values, machines)
     order, desc = _descending(values)
     lo = _pigeonhole(desc, machines)
-    makespan, (packed, _) = _boundary_search(
-        lambda s: _first_fit(desc, 0, len(desc), [(0, s)] * machines), lo, 2 * lo
-    )
-    loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
+    makespan = _boundary_search(partial(_ffd_fits, desc, machines), lo, 2 * lo)
+    packed, left = _first_fit(desc, 0, len(desc), [(0, makespan)] * machines)
+    if left:
+        raise SolverInvariantError(f"jobs left over at the searched cap {makespan}")
+    loads = tuple(sum(map(desc.__getitem__, bundle)) for bundle in packed)
     if max(loads) != makespan:
         raise SolverInvariantError(
             f"packing at the searched cap {makespan} has makespan {max(loads)}"

@@ -13,10 +13,11 @@ Two routes to a complete allocation:
   5/4 of those. Polynomial time, 5/4 guarantee.
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
-agent's row into n bins at one cap. It is cheaper but its pass-set has
-holes above the share (see the "non-monotone" fixture), so it certifies
-nothing for fair division; on identical machines, searching it is the
-MULTIFIT scheduler in ``scheduling``, within 13/11 of the optimal makespan.
+agent's row into n bins at one cap, on the values alone. It is cheaper
+but its pass-set has holes above the share (see the "non-monotone"
+fixture), so it certifies nothing for fair division; on identical
+machines, searching it is the MULTIFIT scheduler in ``scheduling``,
+within 13/11 of the optimal makespan. Search probes answer pass/fail.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import neg
 from typing import List, Optional, Sequence, Tuple
 
@@ -43,7 +43,7 @@ from .instances import (
     ordered_instance,
 )
 from .oracle import MmsProfile, OracleLimits, mms_profile
-from .scheduling import _boundary_search, _first_fit, _pigeonhole
+from .scheduling import _boundary_search, _ffd_fits, _first_fit, _pigeonhole
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,14 @@ class PolyResult:
 def naive_test(inst: Instance, agent: int, s: int) -> bool:
     """Pack one agent's valuation first-fit-decreasing into n bins of cap s.
 
-    ``_first_fit`` fills n empty bins of cap s on the sorted row: the
-    same packing as the greedy at uniform s on n clones of the row. Each
-    bin takes the largest leftover chore that fits, by one bisection and
-    one deletion per placed chore. True iff everything gets allocated.
-    Not monotone in s.
+    ``_ffd_fits`` makes ``_first_fit``'s pass into n empty bins of cap s
+    on the sorted row (the greedy at uniform s on n clones of the row)
+    on the values alone, and stops once the chores left outweigh the
+    room of the bins left. True iff everything gets allocated. Not
+    monotone in s.
     """
     _as_int(s, "threshold s")
-    row = sorted(inst.row(agent), reverse=True)
-    return not _first_fit(row, 0, len(row), [(0, s)] * inst.num_agents)[1]
+    return _ffd_fits(sorted(inst.row(agent), reverse=True), inst.num_agents, s)
 
 
 def _pack_large(
@@ -166,7 +165,7 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
     row for pass/fail alone.
     """
     lower = _pigeonhole(desc, n)
-    return _boundary_search(partial(_pack_large, desc, n), lower, 2 * lower)[0]
+    return _boundary_search(lambda s: not _pack_large(desc, n, s)[1], lower, 2 * lower)
 
 
 def _allocate_within(

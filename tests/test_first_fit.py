@@ -19,11 +19,17 @@ leftover by bisection, must return the same bins and leftover for every
 range of a nonincreasing row and every list of (load, cap) bins. With
 uniform bins, every cap from the largest load at cap s up to s packs as s
 does, which is why MULTIFIT's makespan equals its searched cap.
+
+``_ffd_fits``, the value-only pass that answers MULTIFIT's and
+``naive_test``'s probes and stops once the unplaced total outweighs the
+room of the bins not yet filled, must give ``_first_fit``'s verdict on
+empty bins of one cap.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from typing import Iterable, List, Sequence, Tuple
 
 import pytest
@@ -31,9 +37,9 @@ from conftest import reference_boundary_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairchores import Instance, ScheduleResult, naive_test, schedule_119
+from fairchores import Instance, ScheduleResult, naive_test, schedule_119, scheduling
 from fairchores.instances import _chore_allocation, _descending
-from fairchores.scheduling import _first_fit, _pigeonhole
+from fairchores.scheduling import _ffd_fits, _first_fit, _pigeonhole
 from fairchores.solvers import _pack_large
 
 
@@ -273,6 +279,59 @@ class TestFirstFitPacker:
         makespan = max(sum(desc[pos] for pos in bin_) for bin_ in packing[0])
         for cap in range(makespan, s + 1):
             assert _first_fit(desc, 0, len(desc), [(0, cap)] * n) == packing
+
+
+def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
+    return not _first_fit(desc, 0, len(desc), [(0, cap)] * bins)[1]
+
+
+class TestFfdFits:
+    def test_an_exact_fill_packs(self):
+        # 3 + 3 and 2 + 2 + 2 fill both bins to the cap: the unplaced
+        # total equals the room left before each bin, and still packs.
+        assert _ffd_fits([3, 3, 2, 2, 2], 2, 6)
+        assert first_fit_packs([3, 3, 2, 2, 2], 2, 6)
+        assert not _ffd_fits([3, 3, 2, 2, 2], 2, 5)
+
+    def test_no_bin_opens_once_failure_is_certain(self, monkeypatch):
+        # Bin 1 takes 6 + 1, bin 2 takes 6; the 12 left outweigh bin 3's
+        # room of 10, so bin 3 is never opened. Each bin ends at a
+        # bisection that finds nothing: 2 in bin 1, 1 in bin 2.
+        calls = []
+
+        def counted(vals, room):
+            calls.append(room)
+            return bisect_right(vals, room)
+
+        monkeypatch.setattr(scheduling, "bisect_right", counted)
+        assert not _ffd_fits([6, 6, 6, 6, 1], 3, 10)
+        assert calls == [4, 3, 4]
+        calls.clear()
+        assert not _ffd_fits([5] * 6, 3, 9)
+        assert calls == []
+
+    def test_seeded_corpus_at_every_cap(self):
+        rng = random.Random(1414)
+        for _ in range(400):
+            bins = rng.randint(0, 6)
+            top = rng.choice((0, 2, 9, 60))
+            m = rng.randint(0, 18)
+            desc = sorted((rng.randint(0, top) for _ in range(m)), reverse=True)
+            for cap in range(2 * top + 3):
+                assert _ffd_fits(desc, bins, cap) == first_fit_packs(desc, bins, cap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        row=st.lists(st.integers(0, 25), max_size=16),
+        bins=st.integers(0, 7),
+    )
+    def test_random_rows(self, data, row, bins):
+        """Zeros, ties, no values at all and fewer values than bins, at
+        caps from 0 to twice the largest value plus 2."""
+        desc = sorted(row, reverse=True)
+        cap = data.draw(st.integers(0, 2 * max(desc, default=0) + 2))
+        assert _ffd_fits(desc, bins, cap) == first_fit_packs(desc, bins, cap)
 
 
 # (agents, chores) up to the largest size the benchmarks time.

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     SEED_PROBE_CORPUS,
     SEED_SCHED_CORPUS,
+    enumerate_min_makespan,
     reference_boundary_search,
 )
 from hypothesis import given, settings
@@ -60,6 +61,10 @@ def reference_schedule_119(jobs, machines):
     return ScheduleResult(lifted, loads, max(loads)), cap
 
 
+# Found by a hill-climb over small lists against optimal_makespan.
+NEAR_TIGHT = ([18, 18, 14, 13, 13, 12, 12, 12, 12, 1, 1], 3)
+
+
 def sched_corpus():
     """Seeded job lists with zero jobs, empty lists, ties and spare machines."""
     cases = [([], 1), ([], 4), ([0, 0, 0], 2), ([0, 5, 0, 5], 3), ([7, 2], 5)]
@@ -99,12 +104,10 @@ class TestSchedule119:
         assert result.makespan == result.threshold
 
     def test_searched_threshold_that_does_not_pack(self, monkeypatch):
-        # A search that stops at the top of the bracket [5, 10] returns a
+        # A search that stops at the top of the bracket [5, 10] yields a
         # packing whose makespan, 6, is below its cap; the re-check
         # catches that the cap was not the smallest.
-        monkeypatch.setattr(
-            scheduling, "_boundary_search", lambda pack, lo, hi: (hi, pack(hi))
-        )
+        monkeypatch.setattr(scheduling, "_boundary_search", lambda passes, lo, hi: hi)
         with pytest.raises(
             SolverInvariantError,
             match="^packing at the searched cap 10 has makespan 6$",
@@ -112,7 +115,8 @@ class TestSchedule119:
             schedule_119([5, 1], 2)
 
     def test_no_packing_after_the_search(self, monkeypatch):
-        # The schedule is the packing the search made at its cap.
+        # The probes answer pass/fail without packing positions; one
+        # packing, at the searched cap, follows the search.
         calls = []
         first_fit, search = scheduling._first_fit, scheduling._boundary_search
 
@@ -120,16 +124,41 @@ class TestSchedule119:
             calls.append(bins[0][1])
             return first_fit(desc, lo, hi, bins)
 
-        def recording_search(pack, lo, hi):
-            found = search(pack, lo, hi)
-            calls.append("searched")
+        def recording_search(passes, lo, hi):
+            found = search(passes, lo, hi)
+            calls.append(("searched", found))
             return found
 
         monkeypatch.setattr(scheduling, "_first_fit", recording_first_fit)
         monkeypatch.setattr(scheduling, "_boundary_search", recording_search)
         assert schedule_119([3, 3, 2, 2, 2], 2).makespan == 6
-        assert 6 in calls
-        assert calls[-1] == "searched"
+        assert calls == [("searched", 6), 6]
+        # Here the search fails several probes before it settles on 48.
+        calls.clear()
+        assert schedule_119(*NEAR_TIGHT).makespan == 48
+        assert calls == [("searched", 48), 48]
+
+    def test_jobs_left_over_at_the_searched_cap(self, monkeypatch):
+        # Were the probes to pass a cap at which first-fit leaves a job
+        # over, the packing at the searched cap would not be a schedule.
+        monkeypatch.setattr(scheduling, "_ffd_fits", lambda desc, bins, cap: True)
+        with pytest.raises(
+            SolverInvariantError, match="^jobs left over at the searched cap 8$"
+        ):
+            schedule_119([5, 5, 5], 2)
+
+    def test_near_tight_list(self):
+        """MULTIFIT's cap is 48 where the optimum is 42: 8/7 ~ 1.143, the
+        largest ratio seen (the seeded lists reach 106/97), under the
+        proved 13/11."""
+        jobs, machines = NEAR_TIGHT
+        result = schedule_119(jobs, machines)
+        assert result.makespan == max(result.loads) == 48
+        assert optimal_makespan(jobs, machines) == 42
+        assert enumerate_min_makespan(jobs, machines) == 42
+        assert 11 * 48 <= 13 * 42
+        assert not ffd_packs(sorted(jobs, reverse=True), machines, 47)
+        assert (result, 48) == reference_schedule_119(jobs, machines)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
@@ -201,18 +230,18 @@ class TestGallopingSearch:
         passing=st.sets(st.integers(0, 110)),
     )
     def test_any_pass_set(self, lo, width, passing):
-        """On any pass-set whose top passes, the search returns a passing
-        point that is lo or has a failing predecessor, with its packing."""
+        """On any pass-set whose top passes, the search returns a point it
+        probed and saw pass, which is lo or has a failing predecessor."""
         hi = lo + width
         passing = passing | {hi}
         probes = []
 
-        def pack(s):
+        def passes(s):
             probes.append(s)
-            return s, [] if s in passing else [s]
+            return s in passing
 
-        s, found = _boundary_search(pack, lo, hi)
-        assert s in passing and found == (s, [])
+        s = _boundary_search(passes, lo, hi)
+        assert s in passing and s in probes
         assert s == lo or s - 1 not in passing
         assert len(probes) == len(set(probes))
         assert s == reference_boundary_search(passing.__contains__, lo, hi)
