@@ -18,7 +18,7 @@ from .errors import (
 )
 from .fixtures import Fixture, builtin_fixtures
 from .generator import GeneratorConfig, generate
-from .greedy import AmmsReport, GreedyResult, TraceEntry, check_amms, greedy_fill
+from .greedy import AmmsReport, GreedyResult, check_amms, greedy_fill, greedy_trace
 from .instances import (
     Allocation,
     Instance,
@@ -79,13 +79,13 @@ __all__ = [
     "SolverInvariantError",
     "TestOutcome",
     "ThresholdVector",
-    "TraceEntry",
     "VerificationReport",
     "builtin_fixtures",
     "check_amms",
     "exact_mms",
     "generate",
     "greedy_fill",
+    "greedy_trace",
     "ido_order",
     "is_ido",
     "lift_allocation",

@@ -13,12 +13,12 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, OracleLimitError, SolverInvariantError
 from .fixtures import builtin_fixtures
 from .generator import GeneratorConfig, generate
-from .greedy import check_amms
+from .greedy import check_amms, greedy_trace
 from .instances import (
     Instance,
     _load_json,
@@ -27,6 +27,7 @@ from .instances import (
     instance_to_json,
     load_allocation,
     load_instance,
+    ordered_instance,
 )
 from .oracle import OracleLimits, mms_profile
 from .scheduling import schedule_119, schedule_lpt
@@ -67,12 +68,13 @@ def _dump_json(obj: object, path: Optional[str]) -> None:
             handle.write(text + "\n")
 
 
-def _export(directory: str, named: Sequence[Tuple[str, Instance]], noun: str) -> None:
-    """Write each instance to ``directory/<name>.json`` and say how many."""
+def _export(directory: str, named: Iterable[Tuple[str, Instance]], noun: str) -> None:
+    """Write each instance to ``directory/<name>.json`` as it comes; say how many."""
     os.makedirs(directory, exist_ok=True)
-    for name, inst in named:
+    written = 0
+    for written, (name, inst) in enumerate(named, 1):
         _dump_json(instance_to_json(inst), os.path.join(directory, f"{name}.json"))
-    print(f"wrote {len(named)} {noun} to {directory}")
+    print(f"wrote {written} {noun} to {directory}")
 
 
 def _load_jobs(path: str) -> List[int]:
@@ -82,12 +84,6 @@ def _load_jobs(path: str) -> List[int]:
     if not isinstance(obj, list):
         raise InputError(f"{path}: expected a job list or an object with 'jobs'")
     return list(obj)
-
-
-def _write_trace(trace, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for entry in trace:
-            handle.write(json.dumps(entry.to_json(), sort_keys=True) + "\n")
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -111,7 +107,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     report_lines.append(f"complete {str(alloc.complete).lower()}")
 
     if args.trace:
-        _write_trace(result.trace, args.trace)
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            for record in greedy_trace(ordered_instance(inst), result.thresholds):
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
     _dump_json(allocation_to_json(alloc), args.output)
     # With the allocation on stdout, the report goes to stderr.
     report = sys.stdout if args.output else sys.stderr
@@ -187,9 +185,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
         value_max=args.value_max,
         ido_only=args.ido_only,
     )
-    instances = list(generate(config, args.count))
+    instances = generate(config, args.count)
     if args.output_dir:
-        named = [(f"instance_{idx:03d}", inst) for idx, inst in enumerate(instances)]
+        named = ((f"instance_{idx:03d}", inst) for idx, inst in enumerate(instances))
         _export(args.output_dir, named, "instances")
     else:
         for inst in instances:

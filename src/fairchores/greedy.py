@@ -15,6 +15,8 @@ The pass does not visit the chores it rejects. The chores an agent's
 room still absorbs are a suffix of their nonincreasing row, found by
 bisection; the next chore the pass accepts is the first untaken one in
 any unassigned agent's suffix, found by bisecting the untaken positions.
+It records nothing but the bundles and who took them; ``greedy_trace``
+replays that result into the per-chore trace when one is asked for.
 """
 
 from __future__ import annotations
@@ -39,32 +41,8 @@ from .oracle import MmsProfile
 
 
 @dataclass(frozen=True)
-class TraceEntry:
-    """One accepted chore: which round took it, who vouched for it.
-
-    ``chore`` is a position in the ordered instance (the j-th largest
-    value in every row), not an original chore index. ``witness_load``
-    is the witnessing agent's bundle cost right after the insertion.
-    Debugging aid only; no equality contract.
-    """
-
-    round_index: int
-    chore: int
-    witness: int
-    witness_load: int
-
-    def to_json(self) -> dict:
-        return {
-            "round": self.round_index,
-            "chore": self.chore,
-            "witness": self.witness,
-            "load": self.witness_load,
-        }
-
-
-@dataclass(frozen=True)
 class GreedyResult:
-    """Allocation (bundles indexed by agent), round ownership, and trace.
+    """Allocation (bundles indexed by agent) and round ownership.
 
     ``assignment[k]`` is the agent who received the bundle built in
     round k, so ``allocation.bundles[assignment[k]]`` recovers bundles
@@ -73,7 +51,6 @@ class GreedyResult:
 
     allocation: Allocation
     assignment: Tuple[int, ...]
-    trace: Tuple[TraceEntry, ...]
 
     def round_bundles(self) -> Tuple[frozenset, ...]:
         return tuple(self.allocation.bundles[i] for i in self.assignment)
@@ -82,7 +59,7 @@ class GreedyResult:
 def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyResult:
     """Run the n-round threshold greedy on ``ordd = ordered_instance(inst)``.
 
-    Chores are scanned, traced and allocated as positions of the ordered
+    Chores are scanned and allocated as positions of the ordered
     instance; any other argument is rejected. Within a round the scan
     never revisits earlier chores; acceptance asks, in ascending agent
     index, whether anyone unassigned could absorb the grown bundle. The
@@ -112,8 +89,7 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     unassigned = list(range(n))
     bundles: List[List[int]] = [[] for _ in range(n)]
     assignment: List[int] = []
-    trace: List[TraceEntry] = []
-    for round_index in range(n):
+    for _ in range(n):
         # (room, row, agent) for each unassigned agent the bundle still
         # fits, in ascending agent index.
         live = [(caps[i], rows[i], i) for i in unassigned]
@@ -121,24 +97,22 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
         at = 0
         while at < len(left):
             start = left[at]
-            best, hit, witness = m, len(left), -1
-            for r, row, agent in live:
+            best, hit = m, len(left)
+            for r, row, _ in live:
                 if row[start] <= r:
                     # This agent takes the chore at start; nobody does better.
-                    best, hit, witness, room = start, at, agent, r
+                    best, hit = start, at
                     break
                 # The first position in [start, best) whose value r absorbs.
                 pos = bisect_left(row, -r, start, best, key=neg)
                 if pos < best:
                     i = bisect_left(left, pos, at, hit)
                     if i < hit:
-                        best, hit, witness, room = left[i], i, agent, r
-            if witness < 0:
+                        best, hit = left[i], i
+            if best == m:
                 break
             del left[hit]
             bundle.append(best)
-            load = caps[witness] - room + rows[witness][best]
-            trace.append(TraceEntry(round_index, best, witness, load))
             live = [(r - row[best], row, a) for r, row, a in live if row[best] <= r]
             at = hit
         # Caps are never negative, so every unassigned agent starts the
@@ -151,8 +125,33 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     return GreedyResult(
         allocation=_chore_allocation(range(m), bundles),
         assignment=tuple(assignment),
-        trace=tuple(trace),
     )
+
+
+def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dict]:
+    """Each chore ``greedy_fill(ordd, thresholds)`` accepts, in order.
+
+    One record per accepted chore: its ``round``, the ``chore`` as a
+    position in the ordered instance, the ``witness`` who vouched for it
+    and that agent's ``load`` on the bundle so far. The records are
+    replayed from the greedy's result, so a solve pays nothing for them:
+    a round takes its positions in ascending order, and a chore's witness
+    is the lowest-index agent not yet served whose cap still covers the
+    bundle with that chore in it.
+    """
+    result = greedy_fill(ordd, thresholds)
+    rows = ordd.instance.valuations
+    unserved = list(range(len(rows)))
+    records: List[dict] = []
+    for round_index, owner in enumerate(result.assignment):
+        loads = dict.fromkeys(unserved, 0)
+        for chore in sorted(result.allocation.bundles[owner]):
+            for i in unserved:
+                loads[i] += rows[i][chore]
+            witness = next(i for i in unserved if loads[i] <= thresholds[i])
+            records.append(dict(round=round_index, chore=chore, witness=witness, load=loads[witness]))
+        unserved.remove(owner)
+    return records
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from operator import neg
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverInvariantError
-from .greedy import TraceEntry, greedy_fill
+from .greedy import greedy_fill
 from .instances import (
     Allocation,
     Instance,
@@ -68,7 +68,7 @@ class ExistenceResult:
     allocation: Allocation
     profile: MmsProfile
     ratios: Tuple[Fraction, ...]
-    trace: Tuple[TraceEntry, ...]
+    thresholds: ThresholdVector
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,6 @@ class PolyResult:
     thresholds: ThresholdVector
     s_values: Tuple[int, ...]
     loads: Tuple[int, ...]
-    trace: Tuple[TraceEntry, ...]
 
 
 def naive_test(inst: Instance, agent: int, s: int) -> bool:
@@ -170,14 +169,14 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
 
 def _allocate_within(
     inst: Instance, ordd: OrderedInstance, caps: ThresholdVector
-) -> Tuple[Allocation, Tuple[int, ...], Tuple[TraceEntry, ...]]:
+) -> Tuple[Allocation, Tuple[int, ...]]:
     """Greedy on the ordered instance at ``caps``, lifted and re-checked.
 
     ``ordd`` is ``ordered_instance(inst)``, which the caller builds once.
     Both solvers choose caps at which the greedy provably places every
     chore and the lift keeps every load within its cap; both facts are
     checked here rather than assumed. Returns the allocation of the
-    original chores, each agent's load and the greedy trace.
+    original chores and each agent's load.
     """
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
@@ -189,7 +188,7 @@ def _allocate_within(
             raise SolverInvariantError(
                 f"agent {i} carries {load} above their cap {cap}"
             )
-    return lifted, loads, result.trace
+    return lifted, loads
 
 
 def solve_existence_119(
@@ -211,13 +210,13 @@ def solve_existence_119(
     elif len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
     caps = ThresholdVector(tuple(Fraction(11 * mu, 9) for mu in profile.values))
-    allocation, loads, trace = _allocate_within(inst, ordered_instance(inst), caps)
+    allocation, loads = _allocate_within(inst, ordered_instance(inst), caps)
     ratios = tuple(
         Fraction(load, mu) if mu else Fraction(0)
         for load, mu in zip(loads, profile.values)
     )
     return ExistenceResult(
-        allocation=allocation, profile=profile, ratios=ratios, trace=trace
+        allocation=allocation, profile=profile, ratios=ratios, thresholds=caps
     )
 
 
@@ -235,11 +234,10 @@ def solve_poly_54(inst: Instance) -> PolyResult:
     n = inst.num_agents
     s_values = tuple(_search_sorted(desc, n) for desc in ordd.instance.valuations)
     caps = ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))
-    allocation, loads, trace = _allocate_within(inst, ordd, caps)
+    allocation, loads = _allocate_within(inst, ordd, caps)
     return PolyResult(
         allocation=allocation,
         thresholds=caps,
         s_values=s_values,
         loads=loads,
-        trace=trace,
     )

@@ -15,6 +15,7 @@ from fairchores import (
     generate,
     mms_profile,
 )
+from fairchores.scheduling import _first_fit
 
 # Frozen corpus seeds; changing any of these invalidates pinned expectations.
 SEED_MAIN_CORPUS = 41119
@@ -41,6 +42,11 @@ def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -
         else:
             failed = mid
     return s
+
+
+def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
+    """Does ``_first_fit`` place all of desc into ``bins`` empty bins of cap?"""
+    return not _first_fit(desc, 0, len(desc), [(0, cap)] * bins)[1]
 
 
 def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import tempfile
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -310,6 +312,26 @@ class TestSolveAndVerify:
         entry = json.loads(lines[0])
         assert set(entry) == {"round", "chore", "witness", "load"}
 
+    @pytest.mark.parametrize(
+        "index, algo, digest",
+        [
+            (0, "poly-54", "936d74391b6d661bea9eb70f2eb1fb387671afa5f9da13a82d8586c777df46d8"),
+            (0, "exact-119", "fe608b9b3d05ec15f9b5692d1809a76b31fe5b95273c01c166cbb5f537e843e1"),
+            (1, "poly-54", "bea00151f2200690b00cf4e995969818830adcde1e2ead111b84f8c04b37d8bb"),
+            (1, "exact-119", "2236cd135f61a48c22a706ac3a1abed0a8ca458710cab86dd947370e0dd88baa"),
+            (2, "poly-54", "c6099d073a37dffe08595666a9511cfdd31122ebece02b07a73073242c6dd2e7"),
+            (2, "exact-119", "c2cd68310f3c373da8a7e84d139f01993166b4aea1f5b769feabd8216598e1c4"),
+        ],
+    )
+    def test_trace_file_bytes_on_the_fixtures(self, tmp_path, capsys, index, algo, digest):
+        trace_path = tmp_path / "trace.jsonl"
+        args = ["solve", "--input", fixture_file(tmp_path, index), "--algo", algo,
+                "--max-chores", "17", "--output", str(tmp_path / "a.json"),
+                "--trace", str(trace_path)]
+        assert run_cli(args) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(trace_path.read_bytes()).hexdigest() == digest
+
     def test_allocation_to_stdout_without_output(self, tmp_path, capsys):
         inst_path = fixture_file(tmp_path, 0)
         assert run_cli(["solve", "--input", inst_path, "--algo", "poly-54"]) == 0
@@ -474,6 +496,24 @@ class TestGenAndFixtures:
         capsys.readouterr()
         files = sorted(p.name for p in out_dir.iterdir())
         assert files == ["instance_000.json", "instance_001.json", "instance_002.json"]
+
+    def test_gen_writes_each_instance_as_it_is_generated(self, tmp_path, capsys, monkeypatch):
+        made = [f.instance for f in builtin_fixtures()[:2]]
+
+        def two_then_broken(config, count):
+            yield from made
+            raise RuntimeError("generator broke after two instances")
+
+        monkeypatch.setattr(cli, "generate", two_then_broken)
+        with pytest.raises(RuntimeError):
+            run_cli(["gen", "--seed", "1", "--count", "5"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line) for line in lines] == [instance_to_json(i) for i in made]
+        out_dir = tmp_path / "corpus"
+        with pytest.raises(RuntimeError):
+            run_cli(["gen", "--seed", "1", "--count", "5", "--output-dir", str(out_dir)])
+        files = sorted(p.name for p in out_dir.iterdir())
+        assert files == ["instance_000.json", "instance_001.json"]
 
     def test_fixtures_table(self, capsys):
         assert run_cli(["fixtures"]) == 0

@@ -33,7 +33,7 @@ from bisect import bisect_right
 from typing import Iterable, List, Sequence, Tuple
 
 import pytest
-from conftest import reference_boundary_search
+from conftest import first_fit_packs, reference_boundary_search
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -279,10 +279,6 @@ class TestFirstFitPacker:
         makespan = max(sum(desc[pos] for pos in bin_) for bin_ in packing[0])
         for cap in range(makespan, s + 1):
             assert _first_fit(desc, 0, len(desc), [(0, cap)] * n) == packing
-
-
-def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
-    return not _first_fit(desc, 0, len(desc), [(0, cap)] * bins)[1]
 
 
 class TestFfdFits:

@@ -17,6 +17,7 @@ from fairchores import (
     builtin_fixtures,
     check_amms,
     greedy_fill,
+    greedy_trace,
     mms_profile,
     ordered_instance,
 )
@@ -24,6 +25,12 @@ from fairchores import (
 
 def uniform_fill(inst: Instance, threshold) -> "GreedyResult":
     return greedy_fill(
+        ordered_instance(inst), ThresholdVector.uniform(inst.num_agents, threshold)
+    )
+
+
+def uniform_trace(inst: Instance, threshold):
+    return greedy_trace(
         ordered_instance(inst), ThresholdVector.uniform(inst.num_agents, threshold)
     )
 
@@ -112,10 +119,10 @@ class TestGreedyFill:
         for i in range(inst.num_agents):
             assert inst.value(i, alloc.bundles[i]) <= threshold
         # Within a round, accepted values never increase.
+        trace = uniform_trace(inst, threshold)
+        ordered_row = ordered_instance(inst).instance.row(0)
         for k in range(inst.num_agents):
-            entries = [e for e in result.trace if e.round_index == k]
-            ordered_row = ordered_instance(inst).instance.row(0)
-            values = [ordered_row[e.chore] for e in entries]
+            values = [ordered_row[e["chore"]] for e in trace if e["round"] == k]
             assert values == sorted(values, reverse=True)
 
     @settings(max_examples=30, deadline=None)

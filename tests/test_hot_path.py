@@ -24,9 +24,8 @@ first, so from that end the highest index comes first.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from conftest import SEED_HOT_PATH_CORPUS
 from hypothesis import given, settings
@@ -39,9 +38,9 @@ from fairchores import (
     OrderedInstance,
     TestOutcome as Outcome,
     ThresholdVector,
-    TraceEntry,
     builtin_fixtures,
     greedy_fill,
+    greedy_trace,
     ido_order,
     lift_allocation,
     mms_profile,
@@ -52,8 +51,14 @@ from fairchores import (
 from fairchores.scheduling import _pigeonhole
 
 
-def reference_greedy_fill(target, thresholds: ThresholdVector) -> GreedyResult:
-    """The round greedy comparing integer loads against ``Fraction`` caps."""
+def reference_greedy_fill(
+    target, thresholds: ThresholdVector
+) -> Tuple[GreedyResult, List[dict]]:
+    """The round greedy comparing integer loads against ``Fraction`` caps.
+
+    Returns the result and, apart from it, the trace ``greedy_trace``
+    gives: one record per accepted chore, in acceptance order.
+    """
     if isinstance(target, OrderedInstance):
         inst = target.instance
         scan = list(range(inst.num_chores))
@@ -65,7 +70,7 @@ def reference_greedy_fill(target, thresholds: ThresholdVector) -> GreedyResult:
     unassigned = list(range(n))
     bundles: List[frozenset] = [frozenset()] * n
     assignment: List[int] = []
-    trace: List[TraceEntry] = []
+    trace: List[dict] = []
     for round_index in range(n):
         loads = {i: 0 for i in unassigned}
         bundle: List[int] = []
@@ -82,16 +87,17 @@ def reference_greedy_fill(target, thresholds: ThresholdVector) -> GreedyResult:
             bundle.append(chore)
             for i in unassigned:
                 loads[i] += rows[i][chore]
-            trace.append(TraceEntry(round_index, chore, witness, loads[witness]))
+            trace.append(
+                {"round": round_index, "chore": chore, "witness": witness,
+                 "load": loads[witness]}
+            )
         owner = next(i for i in unassigned if loads[i] <= thresholds[i])
         bundles[owner] = frozenset(bundle)
         assignment.append(owner)
         unassigned.remove(owner)
         scan = kept
     allocation = Allocation(bundles=tuple(bundles), leftover=frozenset(scan))
-    return GreedyResult(
-        allocation=allocation, assignment=tuple(assignment), trace=tuple(trace)
-    )
+    return GreedyResult(allocation=allocation, assignment=tuple(assignment)), trace
 
 
 def reference_threshold_test(inst: Instance, agent: int, s: int) -> Outcome:
@@ -330,29 +336,31 @@ def cap_vectors(inst: Instance, rng: random.Random) -> List[ThresholdVector]:
     return caps
 
 
-def as_chores(result: GreedyResult, order: Sequence[int]) -> GreedyResult:
-    """The ordered-instance result with each position p read as order[p]."""
+def as_chores(
+    result: GreedyResult, trace: List[dict], order: Sequence[int]
+) -> Tuple[GreedyResult, List[dict]]:
+    """The ordered-instance result and trace with each position p read as order[p]."""
 
     def chores(positions) -> frozenset:
         return frozenset(order[p] for p in positions)
 
     alloc = result.allocation
-    return GreedyResult(
+    mapped = GreedyResult(
         allocation=Allocation(
             bundles=tuple(map(chores, alloc.bundles)), leftover=chores(alloc.leftover)
         ),
         assignment=result.assignment,
-        trace=tuple(replace(e, chore=order[e.chore]) for e in result.trace),
     )
+    return mapped, [{**e, "chore": order[e["chore"]]} for e in trace]
 
 
 def assert_greedy_matches(inst: Instance, caps: ThresholdVector) -> None:
     ordd = ordered_instance(inst)
-    result = greedy_fill(ordd, caps)
-    assert result == reference_greedy_fill(ordd, caps)
+    got = greedy_fill(ordd, caps), greedy_trace(ordd, caps)
+    assert got == reference_greedy_fill(ordd, caps)
     order = ido_order(inst)
     if order is not None:
-        assert as_chores(result, order) == reference_greedy_fill(inst, caps)
+        assert as_chores(*got, order) == reference_greedy_fill(inst, caps)
 
 
 def assert_lift_matches(inst: Instance, owners: List[int]) -> None:

@@ -12,6 +12,7 @@ from conftest import (
     SEED_PROBE_CORPUS,
     SEED_SCHED_CORPUS,
     enumerate_min_makespan,
+    first_fit_packs,
     reference_boundary_search,
 )
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from fairchores import (
     schedule_119,
     schedule_lpt,
 )
-from fairchores.scheduling import _boundary_search, _first_fit, _pigeonhole
+from fairchores.scheduling import _boundary_search, _pigeonhole
 
 
 def clone_greedy(row, machines, s):
@@ -157,7 +158,7 @@ class TestSchedule119:
         assert optimal_makespan(jobs, machines) == 42
         assert enumerate_min_makespan(jobs, machines) == 42
         assert 11 * 48 <= 13 * 42
-        assert not ffd_packs(sorted(jobs, reverse=True), machines, 47)
+        assert not first_fit_packs(sorted(jobs, reverse=True), machines, 47)
         assert (result, 48) == reference_schedule_119(jobs, machines)
 
     def test_input_validation(self):
@@ -207,10 +208,6 @@ class TestFirstFitDecreasingMatchesCloneAndLift:
                     )
 
 
-def ffd_packs(desc, machines, s):
-    return not _first_fit(desc, 0, len(desc), [(0, s)] * machines)[1]
-
-
 # (generator seed, machines, jobs, cap): one list of the 1-s
 # sched-identical benchmark corpus at seed 4 (case j35) and one at seed 16
 # (case j12), values 0..1000. Bisecting the whole bracket [lower, 2*lower]
@@ -256,8 +253,8 @@ class TestGallopingSearch:
         lower = _pigeonhole(desc, machines)
         cap = schedule_119(jobs, machines).makespan
         assert lower <= cap <= 2 * lower
-        assert ffd_packs(desc, machines, cap)
-        assert cap == lower or not ffd_packs(desc, machines, cap - 1)
+        assert first_fit_packs(desc, machines, cap)
+        assert cap == lower or not first_fit_packs(desc, machines, cap - 1)
 
     @pytest.mark.parametrize("seed, machines, m, cap", GALLOP_PINS)
     def test_benchmark_lists_whose_cap_moved(self, seed, machines, m, cap):
@@ -266,7 +263,7 @@ class TestGallopingSearch:
         desc = sorted(jobs, reverse=True)
         result = schedule_119(jobs, machines)
         assert result.makespan == max(result.loads) == cap
-        assert not ffd_packs(desc, machines, cap - 1)
+        assert not first_fit_packs(desc, machines, cap - 1)
         assert (result, cap) == reference_schedule_119(jobs, machines)
 
     def test_probes_per_list(self, monkeypatch):
@@ -274,19 +271,20 @@ class TestGallopingSearch:
         few units above lower, so the gallop makes 5.8 here, where
         bisecting all of [lower, 2*lower] would make 13.4."""
         calls = []
-        first_fit = scheduling._first_fit
+        ffd_fits = scheduling._ffd_fits
 
         def counted(*args):
             calls.append(args)
-            return first_fit(*args)
+            return ffd_fits(*args)
 
-        monkeypatch.setattr(scheduling, "_first_fit", counted)
+        monkeypatch.setattr(scheduling, "_ffd_fits", counted)
         rng = random.Random(SEED_PROBE_CORPUS)
         lists = 300
         for _ in range(lists):
             machines, m = rng.randint(5, 20), rng.randint(50, 200)
             schedule_119([rng.randint(0, 1000) for _ in range(m)], machines)
-        assert len(calls) <= 7 * lists
+        # Every list makes at least one probe, so the patch took.
+        assert lists <= len(calls) <= 7 * lists
 
 
 class TestScheduleLpt:
