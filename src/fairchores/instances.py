@@ -6,14 +6,21 @@ thresholds are rationals, and since loads are integers, code that
 compares loads against a rational cap t may compare them against the
 integer floor(t) instead, which is the same test.
 
-The package has two input rules. ``_as_int`` is the integer rule for
-every count, index, limit and threshold a caller passes: a non-bool
-integer from a lower to an upper bound, ``sys.maxsize`` unless the site
-says less. ``_check_values`` is the value rule for every row of values.
+The package has three input rules. ``_as_int`` is the integer rule for
+every count, index, limit, threshold and share a caller passes: a
+non-bool integer from a lower to an upper bound, ``sys.maxsize`` unless
+the site says otherwise. ``_check_values`` is the value rule for every
+row of values. ``ThresholdVector`` is the caps rule: each cap a non-bool
+``int`` or a ``Fraction``, at least 0.
 
 Every per-row entry point in the package runs four steps: check the
 values (``_check_values``), sort the row (``_descending``), run a core on
 the positions of the sorted row, map them back (``_chore_allocation``).
+A whole instance is checked once, by ``Instance``, and sorted once, by
+``ordered_instance``; the solvers and ``mms_profile`` run every per-row
+core on that one ordered instance and map positions back through its
+``source_ranks``, so no row is sorted twice. What those steps derive is
+built through ``_trusted``, not re-checked.
 """
 
 from __future__ import annotations
@@ -48,9 +55,21 @@ MAX_VALUE = 2**63 - 1
 def _trusted(cls, **fields):
     """Build a frozen dataclass without running its ``__post_init__`` checks.
 
-    Only for values this module has just derived from an already
+    Only for values the package has just derived from an already
     validated instance; anything from outside goes through the public
-    constructors, which check every field.
+    constructors, which check every field. The derived values are:
+
+    - ``ordered_instance``'s rows and ranks: sorted permutations of
+      checked rows.
+    - ``_chore_allocation``'s allocations (every greedy result, share
+      witness and schedule): disjoint position bundles mapped through a
+      permutation, with every other chore in the leftover, so they are
+      disjoint and cover 0..m-1 by construction.
+    - ``lift_allocation``'s result: each position's owner takes one
+      untaken chore, so every chore is taken once.
+    - ``ThresholdVector.uniform``'s repeated cap, checked once, and the
+      solvers' caps: 11/9 of a share or 5/4 of a searched threshold,
+      both non-negative integers, as a ``Fraction`` each.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -220,15 +239,24 @@ class ThresholdVector:
     thresholds: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(Fraction(t) for t in self.thresholds)
-        object.__setattr__(self, "thresholds", values)
-        for i, t in enumerate(values):
+        values = []
+        for i, t in enumerate(self.thresholds):
+            # A bool is an int, and a float or a string would convert
+            # inexactly or not at all: only exact rationals are caps.
+            if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
+                raise InputError(
+                    f"threshold {i} must be an integer or a Fraction, got {t!r}"
+                )
             if t < 0:
                 raise InputError(f"threshold {i} is negative")
+            values.append(Fraction(t))
+        object.__setattr__(self, "thresholds", tuple(values))
 
     @classmethod
     def uniform(cls, n: int, value: Union[int, Fraction]) -> "ThresholdVector":
-        return cls(tuple(Fraction(value) for _ in range(n)))
+        """n copies of one cap, checked once."""
+        n = _as_int(n, "threshold count")
+        return _trusted(cls, thresholds=cls((value,)).thresholds * n)
 
     def __len__(self) -> int:
         return len(self.thresholds)
@@ -260,7 +288,8 @@ def _chore_allocation(order: Sequence[int], bundles: Iterable[List[int]]) -> All
     chores in no bundle become the leftover."""
     chosen = tuple(frozenset(map(order.__getitem__, bundle)) for bundle in bundles)
     leftover = frozenset(range(len(order))).difference(*chosen)
-    return Allocation(bundles=chosen, leftover=leftover)
+    # Disjoint positions through a permutation: disjoint chores.
+    return _trusted(Allocation, bundles=chosen, leftover=leftover)
 
 
 def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
@@ -297,6 +326,9 @@ def lift_allocation(
     their cheapest remaining original chore, equal chores highest index
     first. Each agent ends up no worse off than their ordered bundle:
     v_i(result_i) <= v*_i(ord_alloc_i).
+
+    ``ord_alloc`` is checked against the instance; the result, one
+    untaken chore per position, is built without re-checking.
     """
     n, m = inst.num_agents, inst.num_chores
     if ordd.instance.num_agents != n or ordd.instance.num_chores != m:
@@ -326,8 +358,8 @@ def lift_allocation(
         cursor[agent] = at - 1
         taken[chore] = True
         picked[agent].append(chore)
-    return Allocation(
-        bundles=tuple(frozenset(b) for b in picked), leftover=frozenset()
+    return _trusted(
+        Allocation, bundles=tuple(map(frozenset, picked)), leftover=frozenset()
     )
 
 

@@ -6,8 +6,9 @@ optimal makespan of scheduling their chores on n identical machines.
 Both questions therefore run one search, ``_min_makespan``, on a row
 sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
 agent (sorted by ``_descending``, its bins mapped back to chores by
-``_witness``), ``mms_profile`` once per distinct sorted row of an
-instance, ``optimal_makespan`` on a job list with one bin per machine.
+``_witness``), ``_profile`` once per distinct row of an ordered instance
+(for ``mms_profile`` and ``solve_existence_119`` alike),
+``optimal_makespan`` on a job list with one bin per machine.
 The problem is NP-hard, so the search is a bounded branch-and-bound
 meant for ground truth on small instances, not for production-sized
 inputs. Besides the incumbent and a lower bound it prunes by wasted
@@ -26,7 +27,15 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InstanceTooLargeError, NodeBudgetError
-from .instances import Allocation, Instance, _as_int, _chore_allocation, _descending
+from .instances import (
+    Allocation,
+    Instance,
+    OrderedInstance,
+    _as_int,
+    _chore_allocation,
+    _descending,
+    ordered_instance,
+)
 from .scheduling import _check_jobs, _lpt, _pigeonhole
 
 DEFAULT_MAX_CHORES = 24
@@ -221,27 +230,37 @@ def exact_mms(
     return value, _witness(order, bins, inst.num_agents)
 
 
-def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:
-    """Run the exact oracle for every agent.
+def _profile(ordd: OrderedInstance, limits: OracleLimits) -> MmsProfile:
+    """Every agent's exact share and witness on ``ordered_instance(inst)``.
 
-    Agents whose rows sort to the same values share one search, kept in
-    a dict for this call only, and each maps its bins back to chores
-    through its own order; ``limits.node_budget`` holds for each
-    distinct sorted row. Every value and witness equals ``exact_mms``'s.
+    The sorted rows are searched as they are, each distinct row once (a
+    dict for this call only), and each agent maps its bins back to
+    chores through its own ``ordd.source_ranks`` row, which is the order
+    ``_descending`` gives ``exact_mms``.
     """
-    n = inst.num_agents
+    n = ordd.instance.num_agents
     searched: Dict[Tuple[int, ...], Tuple[int, List[int], int]] = {}
     values: List[int] = []
     witnesses: List[Allocation] = []
-    for agent in range(n):
-        order, desc = _descending(inst.row(agent))
-        key = tuple(desc)
-        if key not in searched:
-            searched[key] = _min_makespan(desc, n, limits)
-        value, bins, _ = searched[key]
-        values.append(value)
-        witnesses.append(_witness(order, bins, n))
+    for order, desc in zip(ordd.source_ranks, ordd.instance.valuations):
+        found = searched.get(desc)
+        if found is None:
+            found = searched[desc] = _min_makespan(desc, n, limits)
+        values.append(found[0])
+        witnesses.append(_witness(order, found[1], n))
     return MmsProfile(values=tuple(values), witnesses=tuple(witnesses))
+
+
+def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:
+    """Run the exact oracle for every agent.
+
+    ``ordered_instance`` sorts each row once and ``_profile`` searches
+    the sorted rows, the same core ``solve_existence_119`` runs on its
+    own ordered instance. Agents whose rows sort to the same values
+    share one search; ``limits.node_budget`` holds for each distinct
+    sorted row. Every value and witness equals ``exact_mms``'s.
+    """
+    return _profile(ordered_instance(inst), limits)
 
 
 def optimal_makespan(

@@ -38,11 +38,12 @@ from .instances import (
     _as_int,
     _chore_allocation,
     _descending,
+    _trusted,
     allocation_loads,
     lift_allocation,
     ordered_instance,
 )
-from .oracle import MmsProfile, OracleLimits, mms_profile
+from .oracle import MmsProfile, OracleLimits, _profile
 from .scheduling import _boundary_search, _ffd_fits, _first_fit, _pigeonhole
 
 
@@ -199,18 +200,30 @@ def solve_existence_119(
 ) -> ExistenceResult:
     """Complete allocation with every load at most 11/9 of the share.
 
-    Exact shares come from the oracle; the greedy runs on the ordered
-    instance at caps 11*share/9 and provably leaves nothing over, and
-    the result is mapped back to the original chores without any agent
-    getting worse off. A caller who already holds the exact profile may
-    pass it to skip the oracle re-run.
+    ``ordered_instance`` sorts every row once. Exact shares come from
+    the oracle's ``_profile`` on those sorted rows, the core of
+    ``mms_profile``, so the profile equals ``mms_profile(inst, limits)``;
+    the greedy runs on the same ordered instance at caps 11*share/9 and
+    provably leaves nothing over, and the result is mapped back to the
+    original chores without any agent getting worse off. A caller who
+    already holds the exact profile may pass it to skip the oracle
+    re-run. Each of its values must be an integer from its row's
+    pigeonhole bound, below which no share lies, up to the row's total.
     """
+    ordd = ordered_instance(inst)
     if profile is None:
-        profile = mms_profile(inst, limits)
+        profile = _profile(ordd, limits)
     elif len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
-    caps = ThresholdVector(tuple(Fraction(11 * mu, 9) for mu in profile.values))
-    allocation, loads = _allocate_within(inst, ordered_instance(inst), caps)
+    else:
+        n = inst.num_agents
+        for i, (mu, desc) in enumerate(zip(profile.values, ordd.instance.valuations)):
+            _as_int(mu, f"profile value {i}", _pigeonhole(desc, n), sum(desc))
+    # Shares are checked integers from 0 up: caps need no second check.
+    caps = _trusted(
+        ThresholdVector, thresholds=tuple(Fraction(11 * mu, 9) for mu in profile.values)
+    )
+    allocation, loads = _allocate_within(inst, ordd, caps)
     ratios = tuple(
         Fraction(load, mu) if mu else Fraction(0)
         for load, mu in zip(loads, profile.values)
@@ -233,7 +246,10 @@ def solve_poly_54(inst: Instance) -> PolyResult:
     ordd = ordered_instance(inst)
     n = inst.num_agents
     s_values = tuple(_search_sorted(desc, n) for desc in ordd.instance.valuations)
-    caps = ThresholdVector(tuple(Fraction(5 * s, 4) for s in s_values))
+    # Searched thresholds are integers from 0 up: caps need no second check.
+    caps = _trusted(
+        ThresholdVector, thresholds=tuple(Fraction(5 * s, 4) for s in s_values)
+    )
     allocation, loads = _allocate_within(inst, ordd, caps)
     return PolyResult(
         allocation=allocation,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from typing import Callable, List, Sequence, Tuple
 
@@ -12,6 +13,7 @@ from fairchores import (
     GeneratorConfig,
     Instance,
     MmsProfile,
+    builtin_fixtures,
     generate,
     mms_profile,
 )
@@ -25,6 +27,7 @@ SEED_ENUM_CORPUS = 8008
 SEED_HOT_PATH_CORPUS = 9009
 SEED_ORACLE_CORPUS = 10010
 SEED_PROBE_CORPUS = 11011
+SEED_PROFILE_CORPUS = 12012
 
 
 def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -72,6 +75,38 @@ def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:
         low = int(worst.min())
         best = low if best is None else min(best, low)
     return int(best) if best is not None else 0
+
+
+def oracle_corpus() -> List[Instance]:
+    """Seeded rows with zeros and ties; every second instance shares one row.
+
+    Covers one agent, no chores and fewer chores than agents. Then come
+    40 instances of 12-14 values up to 1000, a quarter of them zeros:
+    on these the tie rule picks other witnesses than the search before
+    it, which short rows from four-value pools never showed, and it
+    backjumps past zeros. Then the three builtin fixtures.
+    """
+    rng = random.Random(SEED_ORACLE_CORPUS)
+    corpus = []
+    for k in range(300):
+        n = rng.randint(1, 5)
+        m = rng.randint(0, 11)
+        pool = [0, rng.randint(1, 6), rng.randint(1, 60), rng.randint(1, 60)]
+        rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
+        if k % 2 == 0:
+            rows = [rows[0]] * n
+        corpus.append(Instance.from_rows(rows))
+    for k in range(40):
+        n = rng.randint(2, 5)
+        m = rng.randint(12, 14)
+        rows = [
+            [rng.randint(1, 1000) if rng.random() < 0.75 else 0 for _ in range(m)]
+            for _ in range(n)
+        ]
+        if k % 2 == 0:
+            rows = [rows[0]] * n
+        corpus.append(Instance.from_rows(rows))
+    return corpus + [f.instance for f in builtin_fixtures()]
 
 
 def main_corpus_config() -> GeneratorConfig:

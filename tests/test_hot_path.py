@@ -23,11 +23,12 @@ first, so from that end the highest index comes first.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from conftest import SEED_HOT_PATH_CORPUS
+from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from fairchores import (
     Allocation,
     GreedyResult,
     Instance,
+    OracleLimits,
     OrderedInstance,
     TestOutcome as Outcome,
     ThresholdVector,
@@ -45,9 +47,14 @@ from fairchores import (
     lift_allocation,
     mms_profile,
     ordered_instance,
+    schedule_119,
+    schedule_lpt,
     search_threshold,
+    solve_existence_119,
+    solve_poly_54,
     threshold_test,
 )
+from fairchores import instances, solvers
 from fairchores.scheduling import _pigeonhole
 
 
@@ -475,3 +482,38 @@ class TestLiftAllocation:
         )
         assert_lift_matches(inst, owners)
 
+
+class TestTrustedBuilds:
+    """Every object built through ``instances._trusted`` passes its checks.
+
+    ``_trusted`` skips ``__post_init__`` for what the package derives
+    from a checked instance: allocations from ``_chore_allocation`` (the
+    greedy's, each share witness, both schedules and threshold_test's
+    benchmark) and from ``lift_allocation``, ordered instances and caps.
+    Rebuilding each through its public constructor must give it back
+    unchanged, so the skipped checks are shown to be redundant.
+    """
+
+    def test_corpora_and_fixtures(self, monkeypatch):
+        built = []
+        trusted = instances._trusted
+
+        def recorded(cls, **fields):
+            obj = trusted(cls, **fields)
+            built.append(obj)
+            return obj
+
+        for module in (instances, solvers):
+            monkeypatch.setattr(module, "_trusted", recorded)
+        limits = OracleLimits(max_chores=20)
+        for inst in oracle_corpus() + CORPUS:
+            solve_existence_119(inst, limits)
+            solve_poly_54(inst)
+            for i, row in enumerate(inst.valuations):
+                schedule_119(row, inst.num_agents)
+                schedule_lpt(row, inst.num_agents)
+                threshold_test(inst, i, max(1, search_threshold(inst, i)))
+        kinds = {type(obj) for obj in built}
+        assert kinds == {Allocation, Instance, OrderedInstance, ThresholdVector}
+        for obj in built:
+            assert dataclasses.replace(obj) == obj

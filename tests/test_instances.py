@@ -225,8 +225,36 @@ class TestThresholdVector:
         assert caps[2] == Fraction(11, 9)
 
     def test_negative_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^threshold 0 is negative$"):
             ThresholdVector((Fraction(-1),))
+
+    def test_ints_become_fractions(self):
+        caps = ThresholdVector((3, Fraction(5, 4), 0))
+        assert caps.thresholds == (Fraction(3), Fraction(5, 4), Fraction(0))
+        assert all(type(t) is Fraction for t in caps.thresholds)
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 0.1, 1.0, float("nan"), "x", "5/4", None]
+    )
+    def test_only_ints_and_fractions_are_caps(self, bad):
+        # A bool would read as 0 or 1, a float as a long binary fraction,
+        # and a string is not a number: each is refused, not converted.
+        message = f"^threshold 1 must be an integer or a Fraction, got {re.escape(repr(bad))}$"
+        with pytest.raises(InputError, match=message):
+            ThresholdVector((Fraction(1), bad))
+
+    def test_uniform_checks_its_count_and_value(self):
+        assert ThresholdVector.uniform(0, 5).thresholds == ()
+        with pytest.raises(InputError, match="^threshold count must be an integer, got 2.0$"):
+            ThresholdVector.uniform(2.0, 5)
+        with pytest.raises(InputError, match="^threshold count must be an integer, got True$"):
+            ThresholdVector.uniform(True, 5)
+        with pytest.raises(InputError, match="^threshold count must be at least 0$"):
+            ThresholdVector.uniform(-1, 5)
+        with pytest.raises(InputError, match="^threshold 0 is negative$"):
+            ThresholdVector.uniform(2, -1)
+        with pytest.raises(InputError, match="^threshold 0 must be an integer or a Fraction, got 0.5$"):
+            ThresholdVector.uniform(2, 0.5)
 
 
 class TestOrderedInstance:

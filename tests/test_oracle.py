@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from typing import List, Optional, Tuple
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from fairchores import (
     Allocation,
+    GeneratorConfig,
     InputError,
     Instance,
     InstanceTooLargeError,
@@ -19,12 +22,20 @@ from fairchores import (
     OracleLimits,
     builtin_fixtures,
     exact_mms,
+    generate,
     mms_profile,
     optimal_makespan,
     schedule_lpt,
+    solve_existence_119,
 )
-from fairchores import oracle
-from conftest import SEED_ORACLE_CORPUS, enumerate_min_makespan
+from fairchores import instances, oracle, scheduling, solvers
+from fairchores.instances import allocation_to_json
+from conftest import (
+    SEED_ORACLE_CORPUS,
+    SEED_PROFILE_CORPUS,
+    enumerate_min_makespan,
+    oracle_corpus,
+)
 
 
 def identical(row, n=4) -> Instance:
@@ -167,12 +178,47 @@ class TestProfile:
         limits = OracleLimits(max_chores=17)
         for inst in oracle_corpus() + [Instance.from_rows(permuted)]:
             profile = mms_profile(inst, limits)
+            # The solver searches its own ordered instance with the same core.
+            assert solve_existence_119(inst, limits).profile == profile
             for agent, (value, witness) in enumerate(
                 zip(profile.values, profile.witnesses)
             ):
                 assert (value, witness) == exact_mms(inst, agent, limits)
                 assert witness.complete
                 assert max(inst.value(agent, b) for b in witness.bundles) == value
+
+    # Every (share, witness) pair of solve_existence_119 on 300 generated
+    # instances (n 2-5, m 12-14, values 0-1000). allocation_sha256 pins
+    # only the allocations, so this pins the witnesses the oracle picks.
+    PROFILE_SHA256 = "5ce76fb0fa23e46acbe10f48444fa1f352b6a049d34a9ccd2afff789f743ebec"
+
+    def test_profile_digest_is_pinned(self):
+        config = GeneratorConfig(
+            seed=SEED_PROFILE_CORPUS, agents=(2, 5), chores=(12, 14), value_max=1000
+        )
+        digest = hashlib.sha256()
+        for inst in generate(config, 300):
+            profile = solve_existence_119(inst).profile
+            for share, witness in zip(profile.values, profile.witnesses):
+                line = json.dumps([share, allocation_to_json(witness)])
+                digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == self.PROFILE_SHA256
+
+    def test_solver_sorts_each_row_once(self, monkeypatch):
+        calls = []
+        sort = instances._descending
+
+        def counted(row):
+            calls.append(len(row))
+            return sort(row)
+
+        # Every module that binds the sort, so a second sort anywhere counts.
+        for module in (instances, oracle, solvers, scheduling):
+            monkeypatch.setattr(module, "_descending", counted)
+        for inst in oracle_corpus():
+            calls.clear()
+            solve_existence_119(inst, OracleLimits(max_chores=17))
+            assert calls == [inst.num_chores] * inst.num_agents
 
 
 class TestOptimalMakespan:
@@ -329,38 +375,6 @@ def reference_exact_mms(
 ) -> Tuple[int, Allocation]:
     """The current search, written recursively."""
     return recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)[:2]
-
-
-def oracle_corpus() -> List[Instance]:
-    """Seeded rows with zeros and ties; every second instance shares one row.
-
-    Covers one agent, no chores and fewer chores than agents. Then come
-    40 instances of 12-14 values up to 1000, a quarter of them zeros:
-    on these the tie rule picks other witnesses than the search before
-    it, which short rows from four-value pools never showed, and it
-    backjumps past zeros. Then the three builtin fixtures.
-    """
-    rng = random.Random(SEED_ORACLE_CORPUS)
-    corpus = []
-    for k in range(300):
-        n = rng.randint(1, 5)
-        m = rng.randint(0, 11)
-        pool = [0, rng.randint(1, 6), rng.randint(1, 60), rng.randint(1, 60)]
-        rows = [[rng.choice(pool) for _ in range(m)] for _ in range(n)]
-        if k % 2 == 0:
-            rows = [rows[0]] * n
-        corpus.append(Instance.from_rows(rows))
-    for k in range(40):
-        n = rng.randint(2, 5)
-        m = rng.randint(12, 14)
-        rows = [
-            [rng.randint(1, 1000) if rng.random() < 0.75 else 0 for _ in range(m)]
-            for _ in range(n)
-        ]
-        if k % 2 == 0:
-            rows = [rows[0]] * n
-        corpus.append(Instance.from_rows(rows))
-    return corpus + [f.instance for f in builtin_fixtures()]
 
 
 def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):

@@ -249,8 +249,36 @@ class TestSolveExistence119:
 
     def test_precomputed_profile_checked(self):
         inst = Instance.from_rows([[1, 2], [2, 1]])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^profile does not match the instance$"):
             solve_existence_119(inst, profile=MmsProfile(values=(1,)))
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0.5, 2), "profile value 0 must be an integer, got 0.5"),
+            ((True, 2), "profile value 0 must be an integer, got True"),
+            ((2, "2"), "profile value 1 must be an integer, got '2'"),
+            # Both rows' pigeonhole bound is max(ceil(3/2), 2) = 2, and
+            # no share lies below it: the caller's profile is wrong.
+            ((1, 1), "profile value 0 must be at least 2"),
+            ((2, 1), "profile value 1 must be at least 2"),
+            # No share exceeds its row's total.
+            ((2, 4), "profile value 1 must be at most 3"),
+        ],
+    )
+    def test_precomputed_profile_values_follow_the_integer_rule(self, values, message):
+        inst = Instance.from_rows([[1, 2], [2, 1]])
+        with pytest.raises(InputError, match=f"^{message}$"):
+            solve_existence_119(inst, profile=MmsProfile(values=values))
+
+    def test_precomputed_profile_at_the_bounds_is_accepted(self):
+        # Shares above sys.maxsize are real: one agent's share is the total.
+        big = Instance.from_rows([[2**63 - 1, 2**63 - 1]])
+        result = solve_existence_119(big, profile=MmsProfile(values=(2**64 - 2,)))
+        assert result.ratios == (Fraction(1),)
+        inst = Instance.from_rows([[1, 2], [2, 1]])
+        result = solve_existence_119(inst, profile=MmsProfile(values=(2, 3)))
+        assert result.allocation.complete
 
     def test_oracle_limits_propagate(self):
         from fairchores import InstanceTooLargeError
