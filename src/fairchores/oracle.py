@@ -15,8 +15,10 @@ inputs. Besides the incumbent and a lower bound it prunes by wasted
 room: a placement after which the bins' room that no later value can
 fill exceeds the slack leads to no schedule that beats the incumbent,
 so skipping it changes only the node count, never the share or the
-witness. Its state is two lists, ``assign`` and ``loads``, not the call
-stack, so only its own limits bound the row length it accepts.
+witness. Room below ``p + p'``, the sum of the row's two smallest
+positive values, holds at most one more positive value. Its state is
+two lists, ``assign`` and ``loads``, not the call stack, so only its own
+limits bound the row length it accepts.
 """
 
 from __future__ import annotations
@@ -88,12 +90,13 @@ def _min_makespan(
     row's gcd, which divides every load.
 
     Wasted room, the bound of bin completion (Korf 2003), prunes. With
-    ``cap`` one below the incumbent and ``p`` the row's smallest positive
-    value, a placement short of the last depth that leaves its bin less
-    than ``2 * p`` of room sums each bin's room that the later values
-    cannot use: room below ``p`` takes only zeros, and room below
-    ``2 * p`` at most one more positive value, so it wastes the room
-    minus the largest later value that fits. When that waste exceeds
+    ``cap`` one below the incumbent and ``p`` and ``p'`` the row's
+    smallest and second-smallest positive values, a placement short of
+    the last depth that leaves its bin less than ``p + p'`` of room sums
+    each bin's room that the later values cannot use: room below ``p``
+    takes only zeros, and room below ``p + p'`` at most one more positive
+    value (Martello & Toth 1990), so it wastes the room minus the
+    largest later value that fits. When that waste exceeds
     ``n * cap - total``, no completion beats the incumbent, and the
     placement counts as a node but is not descended into. The subtrees
     it closes hold no improving leaf, so the search meets the same
@@ -133,14 +136,17 @@ def _min_makespan(
     # The row negated, so ascending, with a trailing 0: the first entry
     # at or above -room from depth k + 1 on is minus the largest later
     # value that fits in room, or 0 when none does. The search runs only
-    # when the row has a positive value, and p is the smallest one.
+    # when the row has two positive values (a lone one is the pigeonhole
+    # bound): p is the smallest, at ip, and pair adds the next smallest,
+    # desc[ip - 1], so no two positive values fit in less room than pair.
     negs = [-v for v in desc]
     negs.append(0)
-    p = desc[bisect_left(negs, 0) - 1]
-    twice = 2 * p
+    ip = bisect_left(negs, 0) - 1
+    p = desc[ip]
+    pair = p + desc[ip - 1]
     cap = incumbent - 1
     slack = n * cap - total
-    edge = cap - twice
+    edge = cap - pair
     k = 0
     start = 0
     while True:
@@ -160,14 +166,14 @@ def _min_makespan(
             assign[k] = b
             if k < last:
                 if placed > edge:
-                    # Less than 2p of room left in this bin: skip the
+                    # Less than pair of room left in this bin: skip the
                     # placement if the bins waste more than the slack.
                     waste = 0
                     for used in loads:
                         room = cap - used
                         if room < p:
                             waste += room
-                        elif room < twice:
+                        elif room < pair:
                             waste += room + negs[bisect_left(negs, -room, k + 1)]
                     if waste > slack:
                         loads[b] = load
@@ -181,7 +187,7 @@ def _min_makespan(
                 return incumbent, best, nodes
             cap = incumbent - 1
             slack = n * cap - total
-            edge = cap - twice
+            edge = cap - pair
             # Undo up to the placement whose undo takes the last bin at
             # the incumbent below it; a zero value moves no load.
             full = loads.count(incumbent)

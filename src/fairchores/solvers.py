@@ -169,18 +169,28 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
 
 
 def _allocate_within(
-    inst: Instance, ordd: OrderedInstance, caps: ThresholdVector
+    inst: Instance,
+    ordd: OrderedInstance,
+    caps: ThresholdVector,
+    given_profile: bool = False,
 ) -> Tuple[Allocation, Tuple[int, ...]]:
     """Greedy on the ordered instance at ``caps``, lifted and re-checked.
 
     ``ordd`` is ``ordered_instance(inst)``, which the caller builds once.
     Both solvers choose caps at which the greedy provably places every
     chore and the lift keeps every load within its cap; both facts are
-    checked here rather than assumed. Returns the allocation of the
+    checked here rather than assumed. The greedy places every chore at
+    11/9 of any profile at or above the shares, so with
+    ``given_profile`` (caps from a caller's profile) chores left over
+    mean that profile is below the shares. Returns the allocation of the
     original chores and each agent's load.
     """
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
+        if given_profile:
+            raise InputError(
+                "profile is below the shares: the greedy left chores over at 11/9 of it"
+            )
         raise SolverInvariantError("greedy left chores over at the solver's caps")
     lifted = lift_allocation(inst, ordd, result.allocation)
     loads = allocation_loads(inst, lifted)
@@ -208,9 +218,12 @@ def solve_existence_119(
     original chores without any agent getting worse off. A caller who
     already holds the exact profile may pass it to skip the oracle
     re-run. Each of its values must be an integer from its row's
-    pigeonhole bound, below which no share lies, up to the row's total.
+    pigeonhole bound, below which no share lies, up to the row's total,
+    and a profile below the shares that leaves the greedy chores over
+    is an ``InputError`` too.
     """
     ordd = ordered_instance(inst)
+    given_profile = profile is not None
     if profile is None:
         profile = _profile(ordd, limits)
     elif len(profile.values) != inst.num_agents:
@@ -223,7 +236,7 @@ def solve_existence_119(
     caps = _trusted(
         ThresholdVector, thresholds=tuple(Fraction(11 * mu, 9) for mu in profile.values)
     )
-    allocation, loads = _allocate_within(inst, ordd, caps)
+    allocation, loads = _allocate_within(inst, ordd, caps, given_profile)
     ratios = tuple(
         Fraction(load, mu) if mu else Fraction(0)
         for load, mu in zip(loads, profile.values)

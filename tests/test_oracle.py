@@ -191,8 +191,20 @@ class TestProfile:
     # instances (n 2-5, m 12-14, values 0-1000). allocation_sha256 pins
     # only the allocations, so this pins the witnesses the oracle picks.
     PROFILE_SHA256 = "5ce76fb0fa23e46acbe10f48444fa1f352b6a049d34a9ccd2afff789f743ebec"
+    # The nodes the searches of those solves take, one search per distinct
+    # sorted row: the work a pruning rule saves, which no clock can blur.
+    PROFILE_NODES = 178_440
 
-    def test_profile_digest_is_pinned(self):
+    def test_profile_digest_is_pinned(self, monkeypatch):
+        nodes = []
+        search = oracle._min_makespan
+
+        def counted(desc, n, limits):
+            found = search(desc, n, limits)
+            nodes.append(found[2])
+            return found
+
+        monkeypatch.setattr(oracle, "_min_makespan", counted)
         config = GeneratorConfig(
             seed=SEED_PROFILE_CORPUS, agents=(2, 5), chores=(12, 14), value_max=1000
         )
@@ -203,6 +215,7 @@ class TestProfile:
                 line = json.dumps([share, allocation_to_json(witness)])
                 digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == self.PROFILE_SHA256
+        assert sum(nodes) == self.PROFILE_NODES
 
     def test_solver_sorts_each_row_once(self, monkeypatch):
         calls = []
@@ -234,13 +247,15 @@ class TestOptimalMakespan:
 
     # 2 machines x 400 fives, 400 fours and 401 threes: LPT misses the
     # pigeonhole bound 2402, and the search without the waste rule took
-    # 167,052 nodes. Trailing zeros leave the smallest positive value,
-    # 3, as the rule's unit, so the rule still fires.
+    # 167,052 nodes. Trailing zeros leave the two smallest positive
+    # values, 3 and 3, as the rule's window, so the rule still fires; the
+    # search takes 1,502 nodes plus one per zero.
     @pytest.mark.parametrize("zeros", [0, 1, 5])
     def test_five_four_three_row_fits_a_small_budget(self, zeros):
         row = [5] * 400 + [4] * 400 + [3] * 401 + [0] * zeros
         limits = OracleLimits(max_chores=5000, node_budget=10_000)
         assert optimal_makespan(row, 2, limits) == 2402
+        assert oracle._min_makespan(row, 2, limits)[2] == 1502 + zeros
 
     def test_machine_count_checked(self):
         with pytest.raises(InputError):
@@ -267,14 +282,19 @@ class TestOptimalMakespan:
 
 
 def recursive_search(
-    inst: Instance, agent: int, limits: OracleLimits, tie_rule: bool, waste_rule: bool
+    inst: Instance,
+    agent: int,
+    limits: OracleLimits,
+    tie_rule: bool,
+    waste_rule: bool,
+    pair_rule: bool = False,
 ) -> Tuple[int, Allocation, int]:
     """The recursive branch-and-bound, with its node count.
 
-    With both rules it is the current search. With ``tie_rule`` the lower
-    bound is the pigeonhole bound rounded up to a multiple of the row's
-    gcd, and a depth returns as soon as a bin carries the incumbent, so
-    the witness is the first schedule in depth-first order that reaches
+    With all three rules it is the current search. With ``tie_rule`` the
+    lower bound is the pigeonhole bound rounded up to a multiple of the
+    row's gcd, and a depth returns as soon as a bin carries the incumbent,
+    so the witness is the first schedule in depth-first order that reaches
     the optimum. Without it, it is the search as it was before both: it
     completes every subtree that can only tie the incumbent and keeps the
     last such tie. With ``waste_rule``, a placement short of the last
@@ -282,7 +302,10 @@ def recursive_search(
     below the incumbent is counted but not descended into when the bins'
     unusable room exceeds the slack: room below that value takes no
     positive value, room below twice it at most the largest remaining
-    value that fits.
+    value that fits. With ``pair_rule`` that window is ``p + p'``, the
+    smallest positive value plus the second smallest (still ``2p`` when
+    the row has one positive value): no two positive values fit in less
+    room, so it too holds at most one more.
     """
     row = inst.row(agent)
     n, m = inst.num_agents, inst.num_chores
@@ -298,7 +321,9 @@ def recursive_search(
     g = math.gcd(*values)
     if tie_rule and g:
         lower = -(-lower // g) * g
-    p = min((v for v in values if v), default=0)
+    positives = sorted(v for v in values if v)
+    p = positives[0] if positives else 0
+    window = p + positives[1] if pair_rule and len(positives) > 1 else 2 * p
 
     seed = schedule_lpt(row, n)
     incumbent, witness = seed.makespan, seed.allocation
@@ -312,7 +337,7 @@ def recursive_search(
             room = cap - load
             if room < p:
                 waste += room
-            elif room < 2 * p:
+            elif room < window:
                 waste += room - max((v for v in values[k + 1 :] if v <= room), default=0)
         return waste
 
@@ -347,7 +372,7 @@ def recursive_search(
                     prune = (
                         waste_rule
                         and k < m - 1
-                        and incumbent - 1 - loads[b] < 2 * p
+                        and incumbent - 1 - loads[b] < window
                         and wasted(k) > n * (incumbent - 1) - total
                     )
                     if not prune:
@@ -374,7 +399,9 @@ def reference_exact_mms(
     inst: Instance, agent: int, limits: OracleLimits
 ) -> Tuple[int, Allocation]:
     """The current search, written recursively."""
-    return recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)[:2]
+    return recursive_search(
+        inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
+    )[:2]
 
 
 def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
@@ -428,7 +455,9 @@ class TestAgainstRecursiveOracle:
         for inst, agent in agents:
             desc = sorted(inst.row(agent), reverse=True)
             nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
-            expected = recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)
+            expected = recursive_search(
+                inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
+            )
             assert nodes == expected[2]
             # The count is the budget the search needs, and no less.
             exact_mms(inst, agent, OracleLimits(node_budget=max(nodes, 1)))
@@ -471,3 +500,45 @@ class TestAgainstRecursiveOracle:
                 assert nodes <= before[2]
                 fewer_nodes += nodes < before[2]
         assert fewer_nodes > 0
+
+    # Room below p + p' holds at most one more positive value too, so the
+    # pair window also closes only subtrees without an improving leaf.
+    def test_pair_window_keeps_shares_and_witnesses_and_only_prunes(self):
+        limits = OracleLimits(max_chores=17)
+        fewer_nodes = 0
+        for inst in oracle_corpus():
+            for agent in range(inst.num_agents):
+                value, witness, nodes = recursive_search(
+                    inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
+                )
+                before = recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)
+                assert (value, witness) == before[:2]
+                assert nodes <= before[2]
+                fewer_nodes += nodes < before[2]
+        assert fewer_nodes > 0
+
+    # (row, bins, share, nodes with the 2p window, nodes with p + p').
+    # A lone positive value is the pigeonhole bound, so nothing is
+    # searched; p' is the second-smallest positive value, never a
+    # trailing zero; and when the two smallest values are equal the
+    # window is 2p, as before.
+    @pytest.mark.parametrize(
+        "row, n, share, nodes_2p, nodes_pair",
+        [
+            ([0, 9, 0], 3, 9, 0, 0),
+            ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 4),
+            ([7] * 7 + [5] * 7 + [3] * 8, 3, 36, 1235, 1235),
+        ],
+        ids=["one-positive", "trailing-zeros", "equal-smallest"],
+    )
+    def test_pair_window_edge_rows(self, row, n, share, nodes_2p, nodes_pair):
+        inst = identical(row, n)
+        limits = OracleLimits()
+        before = recursive_search(inst, 0, limits, tie_rule=True, waste_rule=True)
+        after = recursive_search(
+            inst, 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
+        )
+        assert before[:2] == after[:2]
+        assert (after[0], before[2], after[2]) == (share, nodes_2p, nodes_pair)
+        desc = sorted(row, reverse=True)
+        assert oracle._min_makespan(desc, n, limits)[::2] == (share, nodes_pair)

@@ -280,6 +280,36 @@ class TestSolveExistence119:
         result = solve_existence_119(inst, profile=MmsProfile(values=(2, 3)))
         assert result.allocation.complete
 
+    # Each value is at or above its row's pigeonhole bound, so the check
+    # above passes it, but the true shares are (20, 33, 9, 29) and the
+    # greedy leaves chores over at 11/9 of the passed values: the fault is
+    # the caller's, not a broken invariant.
+    BELOW_SHARES = (
+        [
+            [11, 1, 15, 16, 7, 17, 5],
+            [15, 16, 18, 18, 19, 3, 16],
+            [2, 6, 4, 9, 5, 4, 0],
+            [13, 19, 17, 19, 5, 16, 0],
+        ],
+        (18, 27, 9, 23),
+    )
+
+    def test_precomputed_profile_below_the_shares(self):
+        rows, values = self.BELOW_SHARES
+        inst = Instance.from_rows(rows)
+        assert mms_profile(inst).values == (20, 33, 9, 29)
+        with pytest.raises(InputError, match="^profile is below the shares: "):
+            solve_existence_119(inst, profile=MmsProfile(values=values))
+
+    def test_oracle_profile_below_the_shares_is_an_invariant_error(self, monkeypatch):
+        # Only a caller's profile is an input: the oracle's must hold.
+        rows, values = self.BELOW_SHARES
+        monkeypatch.setattr(
+            solvers, "_profile", lambda ordd, limits: MmsProfile(values=values)
+        )
+        with pytest.raises(SolverInvariantError, match="^greedy left chores over"):
+            solve_existence_119(Instance.from_rows(rows))
+
     def test_oracle_limits_propagate(self):
         from fairchores import InstanceTooLargeError
 
