@@ -93,11 +93,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.algo == "exact-119":
         result = solve_existence_119(inst, limits)
         alloc = result.allocation
-        for i, ratio in enumerate(result.ratios):
-            report_lines.append(
-                f"agent {i}: load {inst.value(i, alloc.bundles[i])}, "
-                f"share {result.profile.values[i]}, ratio {ratio}"
-            )
+        loads = allocation_loads(inst, alloc)
+        for i, (load, share, ratio) in enumerate(zip(loads, result.profile.values, result.ratios)):
+            report_lines.append(f"agent {i}: load {load}, share {share}, ratio {ratio}")
         report_lines.append(f"max ratio {max(result.ratios, default=Fraction(0))}")
     else:
         result = solve_poly_54(inst)

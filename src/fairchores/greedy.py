@@ -13,8 +13,9 @@ the interesting counterexamples live exactly there.
 
 The pass does not visit the chores it rejects. The chores an agent's
 room still absorbs are a suffix of their nonincreasing row, found by
-bisection; the next chore the pass accepts is the first untaken one in
-any unassigned agent's suffix, found by bisecting the untaken positions.
+bisection, and a union of suffixes is a suffix: the next chore the pass
+accepts is the first untaken position at or after the earliest suffix
+start, found by at most one bisection of the untaken positions.
 It records nothing but the bundles and who took them; ``greedy_trace``
 replays that result into the per-chore trace when one is asked for.
 """
@@ -68,12 +69,13 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     Deterministic given its inputs.
 
     Every row is nonincreasing by position, so the positions an agent's
-    room can absorb are a suffix of the row, found by one bisection.
-    The next accepted chore is the first untaken position any agent can
-    absorb, found by a second bisection in the ascending list of untaken
-    positions, and its witness the lowest-index agent that can. That is
-    O(n*(n + m)*log m) Python steps, plus one C-level list deletion of
-    up to m entries per accepted chore.
+    room can absorb are a suffix of the row, and so is their union over
+    the live agents. Each next chore costs one row bisection per live
+    agent, bounded by the earliest suffix start so far, then at most one
+    bisection of the ascending untaken positions (none when an agent
+    takes the chore at the scan pointer); its witness is the lowest-index
+    agent that can absorb it. That is O(n*(n + m)*log m) Python steps,
+    plus one C-level list deletion of up to m entries per accepted chore.
     """
     if not isinstance(ordd, OrderedInstance):
         raise InputError("greedy_fill needs ordered_instance(inst), not a raw instance")
@@ -96,25 +98,20 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
         bundle: List[int] = []
         at = 0
         while at < len(left):
-            start = left[at]
-            best, hit = m, len(left)
+            start, lo = left[at], m
             for r, row, _ in live:
                 if row[start] <= r:
-                    # This agent takes the chore at start; nobody does better.
-                    best, hit = start, at
+                    break  # this agent takes the chore at start
+                # The first position in [start, lo) whose value r absorbs, if any.
+                lo = bisect_left(row, -r, start, lo, key=neg)
+            else:
+                # Nobody absorbs a position in [start, lo); someone, all from lo on.
+                at = bisect_left(left, lo, at)
+                if at == len(left):
                     break
-                # The first position in [start, best) whose value r absorbs.
-                pos = bisect_left(row, -r, start, best, key=neg)
-                if pos < best:
-                    i = bisect_left(left, pos, at, hit)
-                    if i < hit:
-                        best, hit = left[i], i
-            if best == m:
-                break
-            del left[hit]
+            best = left.pop(at)
             bundle.append(best)
             live = [(r - row[best], row, a) for r, row, a in live if row[best] <= r]
-            at = hit
         # Caps are never negative, so every unassigned agent starts the
         # round in live, and the last chore's witness never leaves it.
         owner = live[0][2]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,15 @@ from hypothesis import strategies as st
 
 from fairchores import (
     Allocation,
+    GeneratorConfig,
     InputError,
     Instance,
     MmsProfile,
     ThresholdVector,
     builtin_fixtures,
     check_amms,
+    generate,
+    greedy,
     greedy_fill,
     greedy_trace,
     mms_profile,
@@ -133,6 +138,72 @@ class TestGreedyFill:
             caps = ThresholdVector(tuple(factor * mu for mu in profile.values))
             result = greedy_fill(ordered_instance(inst), caps)
             assert result.allocation.complete
+
+
+def untaken_bisections(ordd, result) -> int:
+    """Bisections of the untaken positions that ``result`` took.
+
+    Each round's scan pointer starts at the first untaken position. A
+    chore accepted at the pointer needs none; any other accepted chore,
+    and the search that ends a round short of the untaken list's end,
+    need one each.
+    """
+    left = list(range(ordd.instance.num_chores))
+    count = 0
+    for owner in result.assignment:
+        at = 0
+        for chore in sorted(result.allocation.bundles[owner]):
+            count += left[at] != chore
+            at = left.index(chore)
+            del left[at]
+        count += at < len(left)
+    return count
+
+
+def test_untaken_positions_bisected_only_off_the_pointer(monkeypatch):
+    calls = {"row": 0, "untaken": 0}
+
+    def counting(seq, x, lo=0, hi=None, *, key=None):
+        calls["untaken" if key is None else "row"] += 1
+        return bisect.bisect_left(seq, x, lo, len(seq) if hi is None else hi, key=key)
+
+    monkeypatch.setattr(greedy, "bisect_left", counting)
+    rng = random.Random(2025)
+    config = GeneratorConfig(seed=2025, agents=(1, 5), chores=(0, 20), value_max=50)
+    corpus = [f.instance for f in builtin_fixtures()] + list(generate(config, 200))
+    accepted = incomplete = 0
+    for inst in corpus:
+        ordd = ordered_instance(inst)
+        n = inst.num_agents
+        caps = ThresholdVector(
+            tuple(Fraction(rng.randint(7, 14) * sum(row), 10 * n) for row in inst.valuations)
+        )
+        before = calls["untaken"]
+        result = greedy_fill(ordd, caps)
+        assert calls["untaken"] - before == untaken_bisections(ordd, result)
+        accepted += inst.num_chores - len(result.allocation.leftover)
+        incomplete += not result.allocation.complete
+    # The corpus takes chores both at and off the pointer, and strands some.
+    assert 0 < calls["untaken"] < accepted
+    assert calls["row"] > 0 and incomplete > 0
+
+
+def test_greedy_completes_at_13_11_of_the_shares():
+    """Observed on a pinned corpus; Huang & Segal-Halevi (2023) prove it.
+
+    The 11/9 solver's caps stay the bound this library proves.
+    """
+    config = GeneratorConfig(seed=2024, agents=(2, 5), chores=(12, 14), value_max=1000)
+    corpus = [f.instance for f in builtin_fixtures()]
+    for k, inst in enumerate(generate(config, 400)):
+        # Every second instance gives all agents one shared row.
+        corpus.append(Instance.from_rows([inst.row(0)] * inst.num_agents) if k % 2 == 0 else inst)
+    stranded = []
+    for inst in corpus:
+        caps = ThresholdVector(tuple(Fraction(13 * mu, 11) for mu in mms_profile(inst).values))
+        if not greedy_fill(ordered_instance(inst), caps).allocation.complete:
+            stranded.append(inst)
+    assert len(corpus) == 403 and stranded == []
 
 
 class TestCheckAmms:
