@@ -234,7 +234,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for algo, alpha in (("exact-119", Fraction(11, 9)), ("poly-54", Fraction(5, 4))):
             started = time.perf_counter()
             if algo == "exact-119":
-                alloc = solve_existence_119(inst, limits, profile=profile).allocation
+                alloc = solve_existence_119(inst, limits).allocation
             else:
                 alloc = solve_poly_54(inst).allocation
             solver_ms = (time.perf_counter() - started) * 1000.0

@@ -22,6 +22,7 @@ replays that result into the per-chore trace when one is asked for.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +36,8 @@ from .instances import (
     OrderedInstance,
     Ratio,
     ThresholdVector,
+    _as_cap,
+    _as_int,
     _chore_allocation,
     allocation_loads,
 )
@@ -168,12 +171,18 @@ class AmmsReport:
 def check_amms(
     inst: Instance, alloc: Allocation, profile: MmsProfile, alpha: Ratio
 ) -> AmmsReport:
-    """Does every agent carry at most alpha times their maximin share?"""
+    """Does every agent carry at most alpha times their maximin share?
+
+    ``alpha`` follows the caps rule, and each share the integer rule from
+    0 with no upper cap: a share can be a row total above ``sys.maxsize``."""
     if not alloc.complete:
         raise InputError("check_amms needs a complete allocation")
     loads = allocation_loads(inst, alloc)
     if len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")
+    for i, share in enumerate(profile.values):
+        _as_int(share, f"profile value {i}", 0, math.inf)
+    alpha = _as_cap(alpha, "alpha")
 
     pairs = list(zip(loads, profile.values))
     within = tuple(load <= alpha * share for load, share in pairs)

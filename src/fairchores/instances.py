@@ -10,8 +10,8 @@ The package has three input rules. ``_as_int`` is the integer rule for
 every count, index, limit, threshold and share a caller passes: a
 non-bool integer from a lower to an upper bound, ``sys.maxsize`` unless
 the site says otherwise. ``_check_values`` is the value rule for every
-row of values. ``ThresholdVector`` is the caps rule: each cap a non-bool
-``int`` or a ``Fraction``, at least 0.
+row of values. ``_as_cap`` is the caps rule for ``ThresholdVector`` and
+``check_amms``'s alpha: a non-bool ``int`` or ``Fraction``, at least 0.
 
 Every per-row entry point in the package runs four steps: check the
 values (``_check_values``), sort the row (``_descending``), run a core on
@@ -88,6 +88,32 @@ def _as_int(value: object, what: str, lo: int = 0, hi: int = sys.maxsize) -> int
     return value
 
 
+def _as_cap(value: object, what: str) -> Fraction:
+    """The one caps rule: a non-bool ``int`` or a ``Fraction``, at least 0."""
+    # A bool is an int, and a float or a string would convert
+    # inexactly or not at all: only exact rationals are caps.
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise InputError(f"{what} must be an integer or a Fraction, got {value!r}")
+    if value < 0:
+        raise InputError(f"{what} is negative")
+    return Fraction(value)
+
+
+def _row_tuples(rows: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Each row as a tuple. Only a failed build looks for the first agent
+    whose row is not iterable, to name it in the ``InputError``."""
+    try:
+        return tuple(tuple(row) for row in rows)
+    except TypeError:
+        message = "valuations must be a sequence of rows"
+        if isinstance(rows, Iterable):
+            for i, row in enumerate(rows):
+                if not isinstance(row, Iterable):
+                    message = f"agent {i}: expected a row of values, got {row!r}"
+                    break
+        raise InputError(message) from None
+
+
 def _check_values(values: Sequence[object], label: str) -> None:
     """The one value rule: a non-bool integer in [0, MAX_VALUE].
 
@@ -134,7 +160,7 @@ class Instance:
     valuations: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.valuations)
+        rows = _row_tuples(self.valuations)
         object.__setattr__(self, "valuations", rows)
         _as_int(self.num_agents, "num_agents", 1)
         _as_int(self.num_chores, "num_chores")
@@ -151,7 +177,7 @@ class Instance:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "Instance":
-        rows = tuple(tuple(row) for row in rows)  # the only copy of each row
+        rows = _row_tuples(rows)  # the only copy of each row
         if not rows:
             raise InputError("an instance needs at least one agent")
         return cls(num_agents=len(rows), num_chores=len(rows[0]), valuations=rows)
@@ -239,18 +265,8 @@ class ThresholdVector:
     thresholds: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = []
-        for i, t in enumerate(self.thresholds):
-            # A bool is an int, and a float or a string would convert
-            # inexactly or not at all: only exact rationals are caps.
-            if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
-                raise InputError(
-                    f"threshold {i} must be an integer or a Fraction, got {t!r}"
-                )
-            if t < 0:
-                raise InputError(f"threshold {i} is negative")
-            values.append(Fraction(t))
-        object.__setattr__(self, "thresholds", tuple(values))
+        caps = (_as_cap(t, f"threshold {i}") for i, t in enumerate(self.thresholds))
+        object.__setattr__(self, "thresholds", tuple(caps))
 
     @classmethod
     def uniform(cls, n: int, value: Union[int, Fraction]) -> "ThresholdVector":

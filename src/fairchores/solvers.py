@@ -26,9 +26,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .errors import InputError, SolverInvariantError
+from .errors import SolverInvariantError
 from .greedy import greedy_fill
 from .instances import (
     Allocation,
@@ -169,28 +169,18 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
 
 
 def _allocate_within(
-    inst: Instance,
-    ordd: OrderedInstance,
-    caps: ThresholdVector,
-    given_profile: bool = False,
+    inst: Instance, ordd: OrderedInstance, caps: ThresholdVector
 ) -> Tuple[Allocation, Tuple[int, ...]]:
     """Greedy on the ordered instance at ``caps``, lifted and re-checked.
 
     ``ordd`` is ``ordered_instance(inst)``, which the caller builds once.
     Both solvers choose caps at which the greedy provably places every
     chore and the lift keeps every load within its cap; both facts are
-    checked here rather than assumed. The greedy places every chore at
-    11/9 of any profile at or above the shares, so with
-    ``given_profile`` (caps from a caller's profile) chores left over
-    mean that profile is below the shares. Returns the allocation of the
+    checked here rather than assumed. Returns the allocation of the
     original chores and each agent's load.
     """
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
-        if given_profile:
-            raise InputError(
-                "profile is below the shares: the greedy left chores over at 11/9 of it"
-            )
         raise SolverInvariantError("greedy left chores over at the solver's caps")
     lifted = lift_allocation(inst, ordd, result.allocation)
     loads = allocation_loads(inst, lifted)
@@ -203,10 +193,7 @@ def _allocate_within(
 
 
 def solve_existence_119(
-    inst: Instance,
-    limits: OracleLimits = OracleLimits(),
-    *,
-    profile: Optional[MmsProfile] = None,
+    inst: Instance, limits: OracleLimits = OracleLimits()
 ) -> ExistenceResult:
     """Complete allocation with every load at most 11/9 of the share.
 
@@ -215,28 +202,15 @@ def solve_existence_119(
     ``mms_profile``, so the profile equals ``mms_profile(inst, limits)``;
     the greedy runs on the same ordered instance at caps 11*share/9 and
     provably leaves nothing over, and the result is mapped back to the
-    original chores without any agent getting worse off. A caller who
-    already holds the exact profile may pass it to skip the oracle
-    re-run. Each of its values must be an integer from its row's
-    pigeonhole bound, below which no share lies, up to the row's total,
-    and a profile below the shares that leaves the greedy chores over
-    is an ``InputError`` too.
+    original chores without any agent getting worse off.
     """
     ordd = ordered_instance(inst)
-    given_profile = profile is not None
-    if profile is None:
-        profile = _profile(ordd, limits)
-    elif len(profile.values) != inst.num_agents:
-        raise InputError("profile does not match the instance")
-    else:
-        n = inst.num_agents
-        for i, (mu, desc) in enumerate(zip(profile.values, ordd.instance.valuations)):
-            _as_int(mu, f"profile value {i}", _pigeonhole(desc, n), sum(desc))
-    # Shares are checked integers from 0 up: caps need no second check.
+    profile = _profile(ordd, limits)
+    # The oracle's shares are integers from 0 up: caps need no second check.
     caps = _trusted(
         ThresholdVector, thresholds=tuple(Fraction(11 * mu, 9) for mu in profile.values)
     )
-    allocation, loads = _allocate_within(inst, ordd, caps, given_profile)
+    allocation, loads = _allocate_within(inst, ordd, caps)
     ratios = tuple(
         Fraction(load, mu) if mu else Fraction(0)
         for load, mu in zip(loads, profile.values)

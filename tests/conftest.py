@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-import time
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 import pytest
@@ -122,9 +121,6 @@ def corpus_500() -> List[Instance]:
 
 
 @pytest.fixture(scope="session")
-def profiles_500(corpus_500) -> Tuple[List[MmsProfile], float]:
-    """Exact share profiles for the shared corpus plus oracle wall time."""
-    started = time.perf_counter()
-    profiles = [mms_profile(inst) for inst in corpus_500]
-    elapsed = time.perf_counter() - started
-    return profiles, elapsed
+def profiles_500(corpus_500) -> List[MmsProfile]:
+    """Exact share profiles for the shared corpus."""
+    return [mms_profile(inst) for inst in corpus_500]

@@ -149,28 +149,32 @@ def test_criterion_3_trial_fails_poly_rescues():
 
 
 def test_criterion_4_existence_bound_corpus(corpus_500, profiles_500):
-    profiles, oracle_seconds = profiles_500
+    profiles = profiles_500
     violations = 0
+    mismatches = 0
     started = time.perf_counter()
     for inst, profile in zip(corpus_500, profiles):
-        result = solve_existence_119(inst, profile=profile)
+        result = solve_existence_119(inst)
+        # The solver's own oracle run must give mms_profile's shares.
+        if result.profile.values != profile.values:
+            mismatches += 1
         for i in range(inst.num_agents):
             load = inst.value(i, result.allocation.bundles[i])
             if 9 * load > 11 * profile.values[i]:
                 violations += 1
-    solver_seconds = time.perf_counter() - started
-    total = oracle_seconds + solver_seconds
-    ok = violations == 0 and total < 120.0
+    total = time.perf_counter() - started
+    ok = violations == 0 and mismatches == 0 and total < 120.0
     verdict(
         4,
         ok,
         f"{len(corpus_500)} instances, {violations} bound violations, "
+        f"{mismatches} profiles unlike mms_profile's, "
         f"{total:.1f} s including the oracle",
     )
 
 
 def test_criterion_5_threshold_test_ray(corpus_500, profiles_500):
-    profiles, _ = profiles_500
+    profiles = profiles_500
     ray_violations = 0
     search_violations = 0
     checked = 0
@@ -252,7 +256,7 @@ def test_criterion_8_oracle_self_consistency(corpus_500, profiles_500):
             if exact_mms(inst, i)[0] != enumerate_min_makespan(row, inst.num_agents):
                 mismatches += 1
 
-    profiles, _ = profiles_500
+    profiles = profiles_500
     pigeonhole_violations = 0
     for inst, profile in zip(corpus_500, profiles):
         for i in range(inst.num_agents):

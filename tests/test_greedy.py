@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,3 +255,21 @@ class TestCheckAmms:
         alloc = Allocation(bundles=(frozenset({0}), frozenset()), leftover=frozenset())
         with pytest.raises(InputError, match="^profile does not match the instance$"):
             check_amms(inst, alloc, MmsProfile(values=(5,)), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "values, alpha, message",
+        [
+            ((5, 5), "5/4", "alpha must be an integer or a Fraction, got '5/4'"),
+            ((5, 5), None, "alpha must be an integer or a Fraction, got None"),
+            ((5, 5), 1.5, "alpha must be an integer or a Fraction, got 1.5"),
+            ((5, 5), True, "alpha must be an integer or a Fraction, got True"),
+            ((1.5, 5), Fraction(1), "profile value 0 must be an integer, got 1.5"),
+            ((5, "2"), Fraction(1), "profile value 1 must be an integer, got '2'"),
+            ((-3, 5), Fraction(1), "profile value 0 must be at least 0"),
+        ],
+    )
+    def test_inputs_follow_the_caps_and_integer_rules(self, values, alpha, message):
+        inst = Instance.from_rows([[5], [5]])
+        alloc = Allocation(bundles=(frozenset({0}), frozenset()), leftover=frozenset())
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            check_amms(inst, alloc, MmsProfile(values=values), alpha)

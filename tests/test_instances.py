@@ -92,6 +92,21 @@ class TestInstance:
         with pytest.raises(InputError):
             make_instance([[2**63]])
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Instance.from_rows([5]), "agent 0: expected a row of values, got 5"),
+            (lambda: Instance.from_rows([[1, 2], 3]), "agent 1: expected a row of values, got 3"),
+            (lambda: Instance.from_rows([None]), "agent 0: expected a row of values, got None"),
+            (lambda: Instance(1, 1, [None]), "agent 0: expected a row of values, got None"),
+            (lambda: Instance.from_rows(5), "valuations must be a sequence of rows"),
+        ],
+        ids=["int-row", "second-int-row", "None-row", "Instance-None-row", "int-rows"],
+    )
+    def test_rejects_rows_that_are_not_iterable(self, build, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            build()
+
     def test_rejects_bad_counts(self):
         with pytest.raises(InputError, match="^num_agents must be at least 1$"):
             Instance(num_agents=0, num_chores=0, valuations=())

@@ -247,43 +247,14 @@ class TestSolveExistence119:
                 load = inst.value(i, result.allocation.bundles[i])
                 assert 9 * load <= 11 * result.profile.values[i]
 
-    def test_precomputed_profile_checked(self):
-        inst = Instance.from_rows([[1, 2], [2, 1]])
-        with pytest.raises(InputError, match="^profile does not match the instance$"):
-            solve_existence_119(inst, profile=MmsProfile(values=(1,)))
-
-    @pytest.mark.parametrize(
-        "values, message",
-        [
-            ((0.5, 2), "profile value 0 must be an integer, got 0.5"),
-            ((True, 2), "profile value 0 must be an integer, got True"),
-            ((2, "2"), "profile value 1 must be an integer, got '2'"),
-            # Both rows' pigeonhole bound is max(ceil(3/2), 2) = 2, and
-            # no share lies below it: the caller's profile is wrong.
-            ((1, 1), "profile value 0 must be at least 2"),
-            ((2, 1), "profile value 1 must be at least 2"),
-            # No share exceeds its row's total.
-            ((2, 4), "profile value 1 must be at most 3"),
-        ],
-    )
-    def test_precomputed_profile_values_follow_the_integer_rule(self, values, message):
-        inst = Instance.from_rows([[1, 2], [2, 1]])
-        with pytest.raises(InputError, match=f"^{message}$"):
-            solve_existence_119(inst, profile=MmsProfile(values=values))
-
-    def test_precomputed_profile_at_the_bounds_is_accepted(self):
+    def test_share_above_maxsize(self):
         # Shares above sys.maxsize are real: one agent's share is the total.
         big = Instance.from_rows([[2**63 - 1, 2**63 - 1]])
-        result = solve_existence_119(big, profile=MmsProfile(values=(2**64 - 2,)))
-        assert result.ratios == (Fraction(1),)
-        inst = Instance.from_rows([[1, 2], [2, 1]])
-        result = solve_existence_119(inst, profile=MmsProfile(values=(2, 3)))
-        assert result.allocation.complete
+        assert solve_existence_119(big).ratios == (Fraction(1),)
 
-    # Each value is at or above its row's pigeonhole bound, so the check
-    # above passes it, but the true shares are (20, 33, 9, 29) and the
-    # greedy leaves chores over at 11/9 of the passed values: the fault is
-    # the caller's, not a broken invariant.
+    # Each value is at or above its row's pigeonhole bound, but the true
+    # shares are (20, 33, 9, 29) and the greedy leaves chores over at 11/9
+    # of these values.
     BELOW_SHARES = (
         [
             [11, 1, 15, 16, 7, 17, 5],
@@ -294,16 +265,10 @@ class TestSolveExistence119:
         (18, 27, 9, 23),
     )
 
-    def test_precomputed_profile_below_the_shares(self):
-        rows, values = self.BELOW_SHARES
-        inst = Instance.from_rows(rows)
-        assert mms_profile(inst).values == (20, 33, 9, 29)
-        with pytest.raises(InputError, match="^profile is below the shares: "):
-            solve_existence_119(inst, profile=MmsProfile(values=values))
-
     def test_oracle_profile_below_the_shares_is_an_invariant_error(self, monkeypatch):
-        # Only a caller's profile is an input: the oracle's must hold.
+        # The solver takes its shares only from its oracle, which must hold.
         rows, values = self.BELOW_SHARES
+        assert mms_profile(Instance.from_rows(rows)).values == (20, 33, 9, 29)
         monkeypatch.setattr(
             solvers, "_profile", lambda ordd, limits: MmsProfile(values=values)
         )
