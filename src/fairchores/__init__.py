@@ -23,11 +23,9 @@ from .instances import (
     Allocation,
     Instance,
     OrderedInstance,
-    Ratio,
     ThresholdVector,
     VerificationReport,
     ido_order,
-    is_ido,
     lift_allocation,
     ordered_instance,
     verify_allocation,
@@ -74,7 +72,6 @@ __all__ = [
     "OracleLimits",
     "OrderedInstance",
     "PolyResult",
-    "Ratio",
     "ScheduleResult",
     "SolverInvariantError",
     "TestOutcome",
@@ -87,7 +84,6 @@ __all__ = [
     "greedy_fill",
     "greedy_trace",
     "ido_order",
-    "is_ido",
     "lift_allocation",
     "mms_profile",
     "naive_test",

@@ -21,6 +21,7 @@ from .generator import GeneratorConfig, generate
 from .greedy import check_amms, greedy_trace
 from .instances import (
     Instance,
+    _as_cap,
     _load_json,
     allocation_loads,
     allocation_to_json,
@@ -150,10 +151,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             num, den = args.alpha.split("/") if "/" in args.alpha else (args.alpha, "1")
             alpha = Fraction(int(num), int(den))
-            if alpha < 0:
-                raise ValueError("a negative factor bounds nothing")
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"invalid --alpha value {args.alpha!r}") from exc
+        alpha = _as_cap(alpha, "--alpha")
     inst = load_instance(args.instance)
     alloc = load_allocation(args.allocation)
     for i, load in enumerate(allocation_loads(inst, alloc)):

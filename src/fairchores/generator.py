@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import count, islice, repeat
-from typing import Iterator, List, Optional, Tuple
+from itertools import repeat
+from typing import Iterator, List, Tuple
 
 from .instances import MAX_VALUE, Instance, _as_int
 
@@ -71,18 +71,16 @@ def _one(rng: random.Random, config: GeneratorConfig) -> Instance:
     return Instance.from_rows(rows)
 
 
-def generate(config: GeneratorConfig, count_limit: Optional[int] = None) -> Iterator[Instance]:
+def generate(config: GeneratorConfig, count_limit: int) -> Iterator[Instance]:
     """Deterministic instance stream; same config, same stream.
 
     A seed's stream equals its ``random.Random(seed).randint`` draws:
     each instance draws its agent count, its chore count, then its
     values row by row, the values drawn in bulk by ``_below``.
 
-    Unbounded unless ``count_limit`` is given, an integer from 0 to
-    ``sys.maxsize``, the most ``islice`` takes.
+    It holds ``count_limit`` instances, a required integer from 0 to
+    ``sys.maxsize`` checked when ``generate`` is called; each instance is
+    built as the stream reaches it.
     """
     rng = random.Random(config.seed)
-    stream = (_one(rng, config) for _ in count())
-    if count_limit is None:
-        return stream
-    return islice(stream, _as_int(count_limit, "count"))
+    return (_one(rng, config) for _ in range(_as_int(count_limit, "count")))

@@ -34,7 +34,6 @@ from .instances import (
     Allocation,
     Instance,
     OrderedInstance,
-    Ratio,
     ThresholdVector,
     _as_cap,
     _as_int,
@@ -55,9 +54,6 @@ class GreedyResult:
 
     allocation: Allocation
     assignment: Tuple[int, ...]
-
-    def round_bundles(self) -> Tuple[frozenset, ...]:
-        return tuple(self.allocation.bundles[i] for i in self.assignment)
 
 
 def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyResult:
@@ -82,6 +78,8 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     """
     if not isinstance(ordd, OrderedInstance):
         raise InputError("greedy_fill needs ordered_instance(inst), not a raw instance")
+    if not isinstance(thresholds, ThresholdVector):
+        raise InputError(f"thresholds must be a ThresholdVector, got {type(thresholds).__name__}")
     inst = ordd.instance
     rows = inst.valuations
     n, m = inst.num_agents, inst.num_chores
@@ -169,7 +167,7 @@ class AmmsReport:
 
 
 def check_amms(
-    inst: Instance, alloc: Allocation, profile: MmsProfile, alpha: Ratio
+    inst: Instance, alloc: Allocation, profile: MmsProfile, alpha: Fraction
 ) -> AmmsReport:
     """Does every agent carry at most alpha times their maximin share?
 
@@ -177,6 +175,8 @@ def check_amms(
     0 with no upper cap: a share can be a row total above ``sys.maxsize``."""
     if not alloc.complete:
         raise InputError("check_amms needs a complete allocation")
+    if not isinstance(profile, MmsProfile):
+        raise InputError(f"profile must be an MmsProfile, got {type(profile).__name__}")
     loads = allocation_loads(inst, alloc)
     if len(profile.values) != inst.num_agents:
         raise InputError("profile does not match the instance")

@@ -42,11 +42,6 @@ from typing import (
 
 from .errors import InputError
 
-# Exact rational used for thresholds such as 11/9 of a maximin share.
-# Fraction keeps lowest terms; hot loops compare integer loads against
-# its floor, which decides load <= t exactly.
-Ratio = Fraction
-
 # Valuations must fit in a signed 64-bit word so serialized instances
 # stay portable to fixed-width consumers.
 MAX_VALUE = 2**63 - 1
@@ -191,9 +186,6 @@ class Instance:
         last = self.num_chores - 1
         return sum(row[_as_int(c, "chore index", 0, last)] for c in chores)
 
-    def total(self, agent: int) -> int:
-        return sum(self.row(agent))
-
 
 @dataclass(frozen=True)
 class OrderedInstance:
@@ -325,11 +317,6 @@ def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
     return tuple(order)
 
 
-def is_ido(inst: Instance) -> bool:
-    """True iff all agents rank chores identically by value."""
-    return ido_order(inst) is not None
-
-
 def lift_allocation(
     inst: Instance, ordd: OrderedInstance, ord_alloc: Allocation
 ) -> Allocation:
@@ -347,6 +334,8 @@ def lift_allocation(
     untaken chore per position, is built without re-checking.
     """
     n, m = inst.num_agents, inst.num_chores
+    if not isinstance(ordd, OrderedInstance):
+        raise InputError("lift_allocation needs ordered_instance(inst), not a raw instance")
     if ordd.instance.num_agents != n or ordd.instance.num_chores != m:
         raise InputError("ordered instance does not match the original")
     if ord_alloc.leftover:
@@ -405,6 +394,8 @@ def verify_allocation(
     inst: Instance, alloc: Allocation, thresholds: ThresholdVector
 ) -> VerificationReport:
     """Check an allocation against an instance and per-agent caps."""
+    if not isinstance(thresholds, ThresholdVector):
+        raise InputError(f"thresholds must be a ThresholdVector, got {type(thresholds).__name__}")
     loads = allocation_loads(inst, alloc)
     if len(thresholds) != inst.num_agents:
         raise InputError("threshold vector length does not match agent count")

@@ -278,6 +278,5 @@ def optimal_makespan(
     the jobs' descending sort goes straight to the search that
     ``exact_mms`` runs for each agent's row.
     """
-    values = list(values)
-    _check_jobs(values, machines)
-    return _min_makespan(sorted(values, reverse=True), machines, limits)[0]
+    jobs = _check_jobs(values, machines)
+    return _min_makespan(sorted(jobs, reverse=True), machines, limits)[0]

@@ -39,9 +39,9 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Sequence, Tuple
 
-from .errors import SolverInvariantError
+from .errors import InputError, SolverInvariantError
 from .instances import (
     Allocation,
     _as_int,
@@ -65,10 +65,16 @@ class ScheduleResult:
         return self.makespan
 
 
-def _check_jobs(values: Sequence[int], machines: int) -> None:
-    """A machine count from 1 up, then every job under the value rule."""
+def _check_jobs(values: Iterable[int], machines: int) -> List[int]:
+    """The jobs as a list, a machine count from 1 up, then every job
+    under the value rule; returns the list."""
+    try:
+        jobs = list(values)
+    except TypeError:
+        raise InputError(f"jobs must be a sequence of values, got {values!r}") from None
     _as_int(machines, "machines", 1)
-    _check_values(values, "job {}")
+    _check_values(jobs, "job {}")
+    return jobs
 
 
 def _pigeonhole(desc: Sequence[int], bins: int) -> int:
@@ -185,9 +191,7 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     construction: clone the jobs into one row per machine, run the
     greedy at the cap, and lift the result back to the jobs.
     """
-    values = list(values)
-    _check_jobs(values, machines)
-    order, desc = _descending(values)
+    order, desc = _descending(_check_jobs(values, machines))
     lo = _pigeonhole(desc, machines)
     makespan = _boundary_search(partial(_ffd_fits, desc, machines), lo, 2 * lo)
     packed, left = _first_fit(desc, 0, len(desc), [(0, makespan)] * machines)
@@ -207,8 +211,6 @@ def schedule_lpt(values: Sequence[int], machines: int) -> ScheduleResult:
     Jobs in nonincreasing order each go to the currently least-loaded
     machine, ties to the lowest machine index.
     """
-    values = list(values)
-    _check_jobs(values, machines)
-    order, desc = _descending(values)
+    order, desc = _descending(_check_jobs(values, machines))
     packed, loads = _lpt(desc, machines)
     return ScheduleResult(_chore_allocation(order, packed), tuple(loads), max(loads))

@@ -70,7 +70,8 @@ def test_criterion_1_lower_bound_fixture():
     at_19 = greedy_fill(ordd, ThresholdVector.uniform(n, 19))
     at_20 = greedy_fill(ordd, ThresholdVector.uniform(n, 20))
     rounds = tuple(
-        sorted_values(ordd.instance, b) for b in at_19.round_bundles()[:3]
+        sorted_values(ordd.instance, at_19.allocation.bundles[i])
+        for i in at_19.assignment[:3]
     )
     ok = (
         len(at_19.allocation.leftover) > 0

@@ -362,16 +362,18 @@ class TestSolveAndVerify:
             tmp_path / "alloc.json", {"bundles": [list(range(14)), [], [], []], "leftover": []}
         )
         argv = ["verify", "--instance", inst_path, "--allocation", alloc_path]
-        for flag, value in (
-            (["--alpha", "x"], "x"),
-            (["--alpha", "5/-4"], "5/-4"),
-            (["--alpha=-1/9"], "-1/9"),
+        for flag, message in (
+            (["--alpha", "x"], "invalid --alpha value 'x'"),
+            (["--alpha", "1/0"], "invalid --alpha value '1/0'"),
+            # A negative factor fails the caps rule, as in check_amms.
+            (["--alpha", "5/-4"], "--alpha is negative"),
+            (["--alpha=-1/9"], "--alpha is negative"),
         ):
             assert run_cli(argv + flag) == 2
             captured = capsys.readouterr()
-            # The flag is parsed before the files are read: no load lines.
+            # The flag is checked before the files are read: no load lines.
             assert captured.out == ""
-            assert captured.err == f"error: invalid --alpha value {value!r}\n"
+            assert captured.err == f"error: {message}\n"
         # With a space, argparse reads a leading minus as an option: usage error.
         assert run_cli(argv + ["--alpha", "-1/9"]) == 1
 

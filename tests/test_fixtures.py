@@ -9,7 +9,7 @@ from fairchores import (
     ThresholdVector,
     builtin_fixtures,
     greedy_fill,
-    is_ido,
+    ido_order,
     mms_profile,
     naive_test,
     ordered_instance,
@@ -39,7 +39,7 @@ class TestCatalog:
 
     def test_all_fixtures_share_one_order(self):
         for fixture in builtin_fixtures():
-            assert is_ido(fixture.instance)
+            assert ido_order(fixture.instance) is not None
 
     def test_pinned_share_values(self):
         for fixture in builtin_fixtures():
@@ -59,8 +59,8 @@ class TestLowerBoundFixture:
         result = fill(fixture.instance, 19)
         row = ordered_instance(fixture.instance).instance.row(0)
         observed = tuple(
-            tuple(sorted((row[c] for c in b), reverse=True))
-            for b in result.round_bundles()
+            tuple(sorted((row[c] for c in result.allocation.bundles[i]), reverse=True))
+            for i in result.assignment
         )
         assert observed == fixture.expected["round_bundle_values"]
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from fairchores import GeneratorConfig, InputError, Instance, generate, is_ido
+from fairchores import GeneratorConfig, InputError, Instance, generate, ido_order
 from fairchores.generator import _one
 
 
@@ -50,7 +50,7 @@ class TestGenerate:
     def test_ido_only(self):
         config = GeneratorConfig(seed=5, ido_only=True)
         for inst in generate(config, 30):
-            assert is_ido(inst)
+            assert ido_order(inst) is not None
 
     def test_value_max_one(self):
         config = GeneratorConfig(seed=9, value_max=1)

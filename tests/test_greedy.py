@@ -44,8 +44,8 @@ def uniform_trace(inst: Instance, threshold):
 def bundle_values(inst: Instance, result, agent_view=0):
     ordered = ordered_instance(inst).instance.row(agent_view)
     return [
-        tuple(sorted((ordered[c] for c in b), reverse=True))
-        for b in result.round_bundles()
+        tuple(sorted((ordered[c] for c in result.allocation.bundles[i]), reverse=True))
+        for i in result.assignment
     ]
 
 

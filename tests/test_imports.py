@@ -63,6 +63,19 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
 
 
+def test_every_exported_name_is_the_package_own_and_distinct():
+    # An alias of another module's object, or a second name for one of
+    # ours, adds a public name without adding a capability.
+    exported = {name: getattr(fairchores, name) for name in fairchores.__all__}
+    foreign = [
+        name
+        for name, obj in exported.items()
+        if not getattr(obj, "__module__", "").startswith("fairchores")
+    ]
+    assert foreign == []
+    assert len({id(obj) for obj in exported.values()}) == len(exported)
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in fairchores.__all__ if not hasattr(fairchores, name)]
     assert missing == []

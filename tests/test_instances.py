@@ -21,10 +21,12 @@ from fairchores import (
     OracleLimits,
     OrderedInstance,
     ThresholdVector,
+    check_amms,
     exact_mms,
     generate,
+    greedy_fill,
+    greedy_trace,
     ido_order,
-    is_ido,
     lift_allocation,
     naive_test,
     optimal_makespan,
@@ -68,7 +70,7 @@ class TestInstance:
         assert inst.num_agents == 2
         assert inst.num_chores == 3
         assert inst.value(0, {0, 2}) == 5
-        assert inst.total(1) == 6
+        assert sum(inst.row(1)) == 6
 
     def test_rejects_empty_agent_list(self):
         with pytest.raises(InputError):
@@ -215,6 +217,47 @@ def test_value_rule_accepts_int_subclasses_and_empty_rows(call):
     call([])
 
 
+# Each entry point that takes a checked object refuses a look-alike with
+# an InputError, rather than reading it unchecked or failing on a missing
+# attribute: (id, call, message).
+_WHOLE = Allocation(bundles=(frozenset({0}), frozenset({1, 2})), leftover=frozenset())
+_OBJECT_SITES = [
+    (
+        "verify_allocation",
+        lambda: verify_allocation(_TWO, _WHOLE, [0.5, 0.5]),
+        "thresholds must be a ThresholdVector, got list",
+    ),
+    (
+        "greedy_fill",
+        lambda: greedy_fill(ordered_instance(_TWO), [Fraction(5)] * 2),
+        "thresholds must be a ThresholdVector, got list",
+    ),
+    (
+        "greedy_trace",
+        lambda: greedy_trace(ordered_instance(_TWO), [Fraction(5)] * 2),
+        "thresholds must be a ThresholdVector, got list",
+    ),
+    (
+        "check_amms",
+        lambda: check_amms(_TWO, _WHOLE, (3, 3), Fraction(1)),
+        "profile must be an MmsProfile, got tuple",
+    ),
+    (
+        "lift_allocation",
+        lambda: lift_allocation(_TWO, _TWO, _WHOLE),
+        "lift_allocation needs ordered_instance(inst), not a raw instance",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", [pytest.param(c, m, id=site) for site, c, m in _OBJECT_SITES]
+)
+def test_argument_objects_are_checked(call, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestAllocation:
     def test_overlap_rejected(self):
         with pytest.raises(InputError):
@@ -313,16 +356,16 @@ class TestOrderedInstance:
 
 class TestIsIdo:
     def test_shared_order(self):
-        assert is_ido(make_instance([[3, 2, 1], [6, 4, 2]]))
+        assert ido_order(make_instance([[3, 2, 1], [6, 4, 2]])) is not None
 
     def test_opposite_orders(self):
-        assert not is_ido(make_instance([[3, 1], [1, 3]]))
+        assert ido_order(make_instance([[3, 1], [1, 3]])) is None
 
     def test_tie_conflict(self):
-        assert not is_ido(make_instance([[2, 2, 1], [1, 2, 2]]))
+        assert ido_order(make_instance([[2, 2, 1], [1, 2, 2]])) is None
 
     def test_tie_resolvable(self):
-        assert is_ido(make_instance([[2, 2, 1], [3, 2, 2]]))
+        assert ido_order(make_instance([[2, 2, 1], [3, 2, 2]])) is not None
 
     def test_ido_order_is_valid_when_present(self):
         inst = make_instance([[2, 2, 1], [3, 2, 2]])
@@ -333,7 +376,7 @@ class TestIsIdo:
     @settings(max_examples=60)
     @given(instances())
     def test_ordered_instance_always_ido(self, inst):
-        assert is_ido(ordered_instance(inst).instance)
+        assert ido_order(ordered_instance(inst).instance) is not None
 
 
 def random_complete_ordered_allocation(

@@ -386,6 +386,15 @@ def test_machine_counts_above_sys_maxsize_are_rejected(solve, monkeypatch):
         solve([3, 2, 1], 2**63)
 
 
+@pytest.mark.parametrize("jobs", [None, 5])
+@pytest.mark.parametrize("solve", [schedule_119, schedule_lpt, optimal_makespan])
+def test_job_lists_that_are_not_iterable_are_rejected(solve, jobs):
+    # The job list is checked first, before the machine count.
+    message = f"^jobs must be a sequence of values, got {jobs!r}$"
+    with pytest.raises(InputError, match=message):
+        solve(jobs, 0)
+
+
 class TestCorpusComparison:
     def test_both_schedulers_beat_their_bounds(self):
         rng = random.Random(717)
