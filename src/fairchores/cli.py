@@ -18,7 +18,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import InputError, OracleLimitError, SolverInvariantError
 from .fixtures import builtin_fixtures
 from .generator import GeneratorConfig, generate
-from .greedy import check_amms, greedy_trace
+from .greedy import _ratio, check_amms, greedy_trace
 from .instances import (
     Instance,
     _as_cap,
@@ -220,6 +220,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for idx, inst in enumerate(generate(config, args.count)):
         corpus.append((f"rand-{args.seed}-{idx:03d}", inst))
 
+    algos = (("exact-119", lambda i: solve_existence_119(i, limits)), ("poly-54", solve_poly_54))
     rows = [
         ("instance_id", "n", "m", "algo", "max_ratio_num", "max_ratio_den",
          "mms_oracle_ms", "solver_ms", "complete")
@@ -231,14 +232,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile = mms_profile(inst, limits)
         oracle_ms = (time.perf_counter() - started) * 1000.0
 
-        for algo, alpha in (("exact-119", Fraction(11, 9)), ("poly-54", Fraction(5, 4))):
+        for algo, solve in algos:
             started = time.perf_counter()
-            if algo == "exact-119":
-                alloc = solve_existence_119(inst, limits).allocation
-            else:
-                alloc = solve_poly_54(inst).allocation
+            alloc = solve(inst).allocation
             solver_ms = (time.perf_counter() - started) * 1000.0
-            ratio = max(check_amms(inst, alloc, profile, alpha).ratios)
+            ratio = max(map(_ratio, allocation_loads(inst, alloc), profile.values))
             rows.append(
                 (
                     name,

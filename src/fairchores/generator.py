@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator, List, Tuple
 
-from .instances import MAX_VALUE, Instance, _as_int
+from .instances import MAX_VALUE, Instance, _as_int, _as_type
 
 
 @dataclass(frozen=True)
@@ -82,5 +82,5 @@ def generate(config: GeneratorConfig, count_limit: int) -> Iterator[Instance]:
     ``sys.maxsize`` checked when ``generate`` is called; each instance is
     built as the stream reaches it.
     """
-    rng = random.Random(config.seed)
+    rng = random.Random(_as_type(config, GeneratorConfig, "config").seed)
     return (_one(rng, config) for _ in range(_as_int(count_limit, "count")))

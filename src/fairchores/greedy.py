@@ -22,7 +22,6 @@ replays that result into the per-chore trace when one is asked for.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ from .instances import (
     OrderedInstance,
     ThresholdVector,
     _as_cap,
-    _as_int,
+    _as_type,
     _chore_allocation,
     allocation_loads,
 )
@@ -78,12 +77,10 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     """
     if not isinstance(ordd, OrderedInstance):
         raise InputError("greedy_fill needs ordered_instance(inst), not a raw instance")
-    if not isinstance(thresholds, ThresholdVector):
-        raise InputError(f"thresholds must be a ThresholdVector, got {type(thresholds).__name__}")
     inst = ordd.instance
     rows = inst.valuations
     n, m = inst.num_agents, inst.num_chores
-    if len(thresholds) != n:
+    if len(_as_type(thresholds, ThresholdVector, "thresholds")) != n:
         raise InputError("threshold vector length does not match agent count")
 
     # Loads are integers, so load <= t is the same test as load <= floor(t).
@@ -152,6 +149,11 @@ def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dic
     return records
 
 
+def _ratio(load: int, share: int) -> Optional[Fraction]:
+    """The exact load/share ratio: 0 when both are 0, None for a load on a zero share."""
+    return Fraction(load, share) if share else None if load else Fraction(0)
+
+
 @dataclass(frozen=True)
 class AmmsReport:
     """Outcome of checking loads against alpha times each maximin share.
@@ -171,23 +173,14 @@ def check_amms(
 ) -> AmmsReport:
     """Does every agent carry at most alpha times their maximin share?
 
-    ``alpha`` follows the caps rule, and each share the integer rule from
-    0 with no upper cap: a share can be a row total above ``sys.maxsize``."""
+    ``alpha`` follows the caps rule; ``MmsProfile`` has checked each share."""
+    loads = allocation_loads(inst, alloc)
     if not alloc.complete:
         raise InputError("check_amms needs a complete allocation")
-    if not isinstance(profile, MmsProfile):
-        raise InputError(f"profile must be an MmsProfile, got {type(profile).__name__}")
-    loads = allocation_loads(inst, alloc)
-    if len(profile.values) != inst.num_agents:
+    if len(_as_type(profile, MmsProfile, "profile").values) != inst.num_agents:
         raise InputError("profile does not match the instance")
-    for i, share in enumerate(profile.values):
-        _as_int(share, f"profile value {i}", 0, math.inf)
     alpha = _as_cap(alpha, "alpha")
 
-    pairs = list(zip(loads, profile.values))
-    within = tuple(load <= alpha * share for load, share in pairs)
-    ratios = tuple(
-        Fraction(load, share) if share > 0 else Fraction(0) if load == 0 else None
-        for load, share in pairs
-    )
+    within = tuple(load <= alpha * share for load, share in zip(loads, profile.values))
+    ratios = tuple(map(_ratio, loads, profile.values))
     return AmmsReport(passed=all(within), within=within, ratios=ratios)

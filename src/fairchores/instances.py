@@ -6,16 +6,19 @@ thresholds are rationals, and since loads are integers, code that
 compares loads against a rational cap t may compare them against the
 integer floor(t) instead, which is the same test.
 
-The package has three input rules. ``_as_int`` is the integer rule for
-every count, index, limit, threshold and share a caller passes: a
-non-bool integer from a lower to an upper bound, ``sys.maxsize`` unless
-the site says otherwise. ``_check_values`` is the value rule for every
-row of values. ``_as_cap`` is the caps rule for ``ThresholdVector`` and
-``check_amms``'s alpha: a non-bool ``int`` or ``Fraction``, at least 0.
+The package has four input rules. ``_as_int`` is the integer rule for
+every count, index, limit, threshold and share a caller passes, and for
+each chore index of an ``Allocation``: a non-bool integer from a lower
+to an upper bound, ``sys.maxsize`` unless the site says otherwise.
+``_check_values`` is the value rule for every row of values. ``_as_cap``
+is the caps rule for ``ThresholdVector`` and ``check_amms``'s alpha: a
+non-bool ``int`` or ``Fraction``, at least 0. ``_as_type`` is the object
+rule for every argument that must be one of the package's objects.
 
 Every per-row entry point in the package runs four steps: check the
 values (``_check_values``), sort the row (``_descending``), run a core on
-the positions of the sorted row, map them back (``_chore_allocation``).
+the positions of the sorted row, map them back (``_chore_allocation``
+for bundles of positions, ``_witness`` for the bin of each position).
 A whole instance is checked once, by ``Instance``, and sorted once, by
 ``ordered_instance``; the solvers and ``mms_profile`` run every per-row
 core on that one ordered instance and map positions back through its
@@ -56,10 +59,12 @@ def _trusted(cls, **fields):
 
     - ``ordered_instance``'s rows and ranks: sorted permutations of
       checked rows.
-    - ``_chore_allocation``'s allocations (every greedy result, share
-      witness and schedule): disjoint position bundles mapped through a
-      permutation, with every other chore in the leftover, so they are
-      disjoint and cover 0..m-1 by construction.
+    - ``_chore_allocation``'s allocations (every greedy result and
+      schedule, and through ``_witness`` every share witness): disjoint
+      position bundles mapped through a permutation, with every other
+      chore in the leftover, so they are disjoint and cover 0..m-1.
+    - ``_profile``'s ``MmsProfile``: the search's makespans, integers
+      from 0, and its witnesses.
     - ``lift_allocation``'s result: each position's owner takes one
       untaken chore, so every chore is taken once.
     - ``ThresholdVector.uniform``'s repeated cap, checked once, and the
@@ -92,6 +97,14 @@ def _as_cap(value: object, what: str) -> Fraction:
     if value < 0:
         raise InputError(f"{what} is negative")
     return Fraction(value)
+
+
+def _as_type(value: object, cls: type, what: str):
+    """The one object rule: an instance of ``cls`` ("an MmsProfile": M reads "em")."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIMOU" else "a"
+        raise InputError(f"{what} must be {article} {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _row_tuples(rows: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
@@ -202,7 +215,7 @@ class OrderedInstance:
     def __post_init__(self) -> None:
         ranks = tuple(tuple(row) for row in self.source_ranks)
         object.__setattr__(self, "source_ranks", ranks)
-        inst = self.instance
+        inst = _as_type(self.instance, Instance, "instance")
         if len(ranks) != inst.num_agents:
             raise InputError("source_ranks must have one row per agent")
         full = set(range(inst.num_chores))
@@ -227,16 +240,23 @@ class Allocation:
     leftover: FrozenSet[int]
 
     def __post_init__(self) -> None:
-        bundles = tuple(frozenset(b) for b in self.bundles)
-        leftover = frozenset(self.leftover)
-        object.__setattr__(self, "bundles", bundles)
-        object.__setattr__(self, "leftover", leftover)
-        seen: set = set()
-        count = 0
-        for part in (*bundles, leftover):
-            seen.update(part)
-            count += len(part)
-        if count != len(seen):
+        try:
+            parts = [*map(list, self.bundles), list(self.leftover)]
+        except TypeError:
+            raise InputError("bundles and leftover must be collections of chore indices") from None
+        for part in parts:
+            for c in part:
+                _as_int(c, "chore index")
+        chosen = list(map(frozenset, parts))
+        # A frozenset would merge a repeat silently.
+        for b, (part, chores) in enumerate(zip(parts, chosen)):
+            if len(chores) < len(part):
+                where = "leftover" if b == len(parts) - 1 else f"bundle {b}"
+                raise InputError(f"{where} lists a chore more than once")
+        object.__setattr__(self, "bundles", tuple(chosen[:-1]))
+        object.__setattr__(self, "leftover", chosen[-1])
+        seen = frozenset().union(*chosen)
+        if sum(map(len, chosen)) != len(seen):
             raise InputError("bundles and leftover must be pairwise disjoint")
         if seen != set(range(len(seen))):
             raise InputError("allocation must cover chores 0..m-1 exactly")
@@ -279,7 +299,7 @@ def ordered_instance(inst: Instance) -> OrderedInstance:
     Ties are broken by ascending original chore index, so the result is
     reproducible and ``ordered_instance`` is idempotent on its output.
     """
-    sorts = [_descending(row) for row in inst.valuations]
+    sorts = [_descending(row) for row in _as_type(inst, Instance, "inst").valuations]
     # Sorted permutations of validated rows: nothing left to re-check.
     ordered = _trusted(
         Instance,
@@ -300,6 +320,14 @@ def _chore_allocation(order: Sequence[int], bundles: Iterable[List[int]]) -> All
     return _trusted(Allocation, bundles=chosen, leftover=leftover)
 
 
+def _witness(order: Sequence[int], bins: Sequence[int], n: int) -> Allocation:
+    """The partition that puts chore ``order[p]`` in bundle ``bins[p]``."""
+    bundles: List[List[int]] = [[] for _ in range(n)]
+    for pos, b in enumerate(bins):
+        bundles[b].append(pos)
+    return _chore_allocation(order, bundles)
+
+
 def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
     """A chore order that is nonincreasing for every agent, if one exists.
 
@@ -309,7 +337,7 @@ def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
     lexicographic sort respects that dominance.
     """
     # Column c holds every agent's value for chore c.
-    order, _ = _descending(list(zip(*inst.valuations)))
+    order, _ = _descending(list(zip(*_as_type(inst, Instance, "inst").valuations)))
     for row in inst.valuations:
         for a, b in zip(order, order[1:]):
             if row[a] < row[b]:
@@ -333,12 +361,12 @@ def lift_allocation(
     ``ord_alloc`` is checked against the instance; the result, one
     untaken chore per position, is built without re-checking.
     """
-    n, m = inst.num_agents, inst.num_chores
+    n, m = _as_type(inst, Instance, "inst").num_agents, inst.num_chores
     if not isinstance(ordd, OrderedInstance):
         raise InputError("lift_allocation needs ordered_instance(inst), not a raw instance")
     if ordd.instance.num_agents != n or ordd.instance.num_chores != m:
         raise InputError("ordered instance does not match the original")
-    if ord_alloc.leftover:
+    if _as_type(ord_alloc, Allocation, "ord_alloc").leftover:
         raise InputError("lift_allocation needs a complete ordered allocation")
     if len(ord_alloc.bundles) != n or ord_alloc.num_chores != m:
         raise InputError("ordered allocation does not match the instance")
@@ -380,7 +408,8 @@ class VerificationReport:
 def allocation_loads(inst: Instance, alloc: Allocation) -> Tuple[int, ...]:
     """Each agent's bundle cost, once the allocation fits the instance,
     whose chores 0..m-1 then index the rows unchecked."""
-    if len(alloc.bundles) != inst.num_agents:
+    _as_type(inst, Instance, "inst")
+    if len(_as_type(alloc, Allocation, "alloc").bundles) != inst.num_agents:
         raise InputError("allocation bundle count does not match agent count")
     if alloc.num_chores != inst.num_chores:
         raise InputError("allocation chore universe does not match the instance")
@@ -394,8 +423,7 @@ def verify_allocation(
     inst: Instance, alloc: Allocation, thresholds: ThresholdVector
 ) -> VerificationReport:
     """Check an allocation against an instance and per-agent caps."""
-    if not isinstance(thresholds, ThresholdVector):
-        raise InputError(f"thresholds must be a ThresholdVector, got {type(thresholds).__name__}")
+    _as_type(thresholds, ThresholdVector, "thresholds")
     loads = allocation_loads(inst, alloc)
     if len(thresholds) != inst.num_agents:
         raise InputError("threshold vector length does not match agent count")
@@ -461,17 +489,7 @@ def allocation_from_json(obj: object) -> Allocation:
         raise InputError("bundles must be a list of index lists")
     if not isinstance(leftover, list):
         raise InputError("leftover must be an index list")
-    parts = [*bundles, leftover]
-    for idx in [c for part in parts for c in part]:
-        _as_int(idx, "chore index")
-    # Allocation holds frozensets, which would merge a repeat silently.
-    for b, part in enumerate(parts):
-        if len(set(part)) < len(part):
-            where = "leftover" if b == len(bundles) else f"bundle {b}"
-            raise InputError(f"{where} lists a chore more than once")
-    return Allocation(
-        bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset(leftover)
-    )
+    return Allocation(bundles=bundles, leftover=leftover)
 
 
 def _load_json(path: str) -> object:

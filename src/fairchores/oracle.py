@@ -5,10 +5,10 @@ partitions of the maximum bundle cost under their valuation: exactly the
 optimal makespan of scheduling their chores on n identical machines.
 Both questions therefore run one search, ``_min_makespan``, on a row
 sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
-agent (sorted by ``_descending``, its bins mapped back to chores by
-``_witness``), ``_profile`` once per distinct row of an ordered instance
-(for ``mms_profile`` and ``solve_existence_119`` alike),
-``optimal_makespan`` on a job list with one bin per machine.
+agent (its bins mapped back to chores by ``instances._witness``),
+``_profile`` once per distinct row of an ordered instance (for
+``mms_profile`` and ``solve_existence_119`` alike), ``optimal_makespan``
+on a job list with one bin per machine.
 The problem is NP-hard, so the search is a bounded branch-and-bound
 meant for ground truth on small instances, not for production-sized
 inputs. Besides the incumbent and a lower bound it prunes by wasted
@@ -24,8 +24,9 @@ limits bound the row length it accepts.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InstanceTooLargeError, NodeBudgetError
@@ -34,8 +35,10 @@ from .instances import (
     Instance,
     OrderedInstance,
     _as_int,
-    _chore_allocation,
+    _as_type,
     _descending,
+    _trusted,
+    _witness,
     ordered_instance,
 )
 from .scheduling import _check_jobs, _lpt, _pigeonhole
@@ -67,6 +70,13 @@ class MmsProfile:
 
     values: Tuple[int, ...]
     witnesses: Optional[Tuple[Allocation, ...]] = None
+
+    def __post_init__(self) -> None:
+        # The integer rule from 0, uncapped: a share can be a row total.
+        values = tuple(_as_type(self.values, Iterable, "profile values"))
+        for i, share in enumerate(values):
+            _as_int(share, f"profile value {i}", 0, inf)
+        object.__setattr__(self, "values", values)
 
 
 def _min_makespan(
@@ -110,16 +120,12 @@ def _min_makespan(
     the recursion limit.
     """
     m = len(desc)
-    if m > limits.max_chores:
+    if m > _as_type(limits, OracleLimits, "limits").max_chores:
         raise InstanceTooLargeError(
             f"{m} chores exceeds the oracle limit of {limits.max_chores}"
         )
-    packed, seed_loads = _lpt(desc, n)
+    best, seed_loads = _lpt(desc, n)
     incumbent = max(seed_loads)
-    best = [0] * m
-    for b, bundle in enumerate(packed):
-        for pos in bundle:
-            best[pos] = b
     lower = _pigeonhole(desc, n)
     g = gcd(*desc)
     if g:
@@ -213,14 +219,6 @@ def _min_makespan(
             start = b + 1
 
 
-def _witness(order: Sequence[int], bins: Sequence[int], n: int) -> Allocation:
-    """The partition that puts chore ``order[p]`` in bundle ``bins[p]``."""
-    bundles: List[List[int]] = [[] for _ in range(n)]
-    for pos, b in enumerate(bins):
-        bundles[b].append(pos)
-    return _chore_allocation(order, bundles)
-
-
 def exact_mms(
     inst: Instance, agent: int, limits: OracleLimits = OracleLimits()
 ) -> Tuple[int, Allocation]:
@@ -231,7 +229,7 @@ def exact_mms(
     and ``_witness`` maps the bins of its positions back to the chores
     behind them.
     """
-    order, desc = _descending(inst.row(agent))
+    order, desc = _descending(_as_type(inst, Instance, "inst").row(agent))
     value, bins, _ = _min_makespan(desc, inst.num_agents, limits)
     return value, _witness(order, bins, inst.num_agents)
 
@@ -254,7 +252,7 @@ def _profile(ordd: OrderedInstance, limits: OracleLimits) -> MmsProfile:
             found = searched[desc] = _min_makespan(desc, n, limits)
         values.append(found[0])
         witnesses.append(_witness(order, found[1], n))
-    return MmsProfile(values=tuple(values), witnesses=tuple(witnesses))
+    return _trusted(MmsProfile, values=tuple(values), witnesses=tuple(witnesses))
 
 
 def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:

@@ -30,7 +30,8 @@ leftover that fits, by one ``pop`` or one C-level bisection and list
 deletion. Both schedulers, this and the longest-processing-time baseline
 (``_lpt``), check the jobs with the value rule, sort them once with
 ``_descending`` (equal jobs lowest index first) and map positions back
-to jobs with ``_chore_allocation``.
+to jobs: this one's bundles with ``_chore_allocation``, LPT's bin of each
+position with ``_witness``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .instances import (
     _check_values,
     _chore_allocation,
     _descending,
+    _witness,
 )
 
 
@@ -145,21 +147,21 @@ def _ffd_fits(desc: Sequence[int], bins: int, cap: int) -> bool:
     return not vals
 
 
-def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[List[int]], List[int]]:
+def _lpt(desc: Sequence[int], bins: int) -> Tuple[List[int], List[int]]:
     """Longest-processing-time list scheduling of a nonincreasing row.
 
     Each position in turn goes to the least-loaded bin, ties to the
-    lowest bin index. Returns each bin's positions and load.
+    lowest index. Returns each position's bin and each bin's load.
     """
     heap = [(0, b) for b in range(bins)]  # sorted, so already a heap
-    packed: List[List[int]] = [[] for _ in range(bins)]
+    assign: List[int] = []
     loads = [0] * bins
-    for pos, value in enumerate(desc):
+    for value in desc:
         load, b = heap[0]
-        packed[b].append(pos)
+        assign.append(b)
         loads[b] = load + value
         heapq.heapreplace(heap, (loads[b], b))
-    return packed, loads
+    return assign, loads
 
 
 def _boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:
@@ -212,5 +214,5 @@ def schedule_lpt(values: Sequence[int], machines: int) -> ScheduleResult:
     machine, ties to the lowest machine index.
     """
     order, desc = _descending(_check_jobs(values, machines))
-    packed, loads = _lpt(desc, machines)
-    return ScheduleResult(_chore_allocation(order, packed), tuple(loads), max(loads))
+    bins, loads = _lpt(desc, machines)
+    return ScheduleResult(_witness(order, bins, machines), tuple(loads), max(loads))

@@ -29,13 +29,14 @@ from operator import neg
 from typing import List, Sequence, Tuple
 
 from .errors import SolverInvariantError
-from .greedy import greedy_fill
+from .greedy import _ratio, greedy_fill
 from .instances import (
     Allocation,
     Instance,
     OrderedInstance,
     ThresholdVector,
     _as_int,
+    _as_type,
     _chore_allocation,
     _descending,
     _trusted,
@@ -92,7 +93,8 @@ def naive_test(inst: Instance, agent: int, s: int) -> bool:
     monotone in s.
     """
     _as_int(s, "threshold s")
-    return _ffd_fits(sorted(inst.row(agent), reverse=True), inst.num_agents, s)
+    row = _as_type(inst, Instance, "inst").row(agent)
+    return _ffd_fits(sorted(row, reverse=True), inst.num_agents, s)
 
 
 def _pack_large(
@@ -138,7 +140,7 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     positions back to chores; ``search_threshold`` runs the same packer.
     """
     _as_int(s, "threshold s", 1)
-    order, desc = _descending(inst.row(agent))
+    order, desc = _descending(_as_type(inst, Instance, "inst").row(agent))
     bundles, queue, k = _pack_large(desc, inst.num_agents, s)
     benchmark = _chore_allocation(order, bundles)
     return TestOutcome(passed=not queue, benchmark=benchmark, really_large_count=k)
@@ -149,7 +151,8 @@ def search_threshold(inst: Instance, agent: int) -> int:
 
     Sorts the row and runs ``_search_sorted`` on it.
     """
-    return _search_sorted(sorted(inst.row(agent), reverse=True), inst.num_agents)
+    row = _as_type(inst, Instance, "inst").row(agent)
+    return _search_sorted(sorted(row, reverse=True), inst.num_agents)
 
 
 def _search_sorted(desc: Sequence[int], n: int) -> int:
@@ -211,10 +214,7 @@ def solve_existence_119(
         ThresholdVector, thresholds=tuple(Fraction(11 * mu, 9) for mu in profile.values)
     )
     allocation, loads = _allocate_within(inst, ordd, caps)
-    ratios = tuple(
-        Fraction(load, mu) if mu else Fraction(0)
-        for load, mu in zip(loads, profile.values)
-    )
+    ratios = tuple(map(_ratio, loads, profile.values))
     return ExistenceResult(
         allocation=allocation, profile=profile, ratios=ratios, thresholds=caps
     )

@@ -18,6 +18,7 @@ from fairchores import (
     GeneratorConfig,
     InputError,
     Instance,
+    MmsProfile,
     OracleLimits,
     OrderedInstance,
     ThresholdVector,
@@ -28,12 +29,15 @@ from fairchores import (
     greedy_trace,
     ido_order,
     lift_allocation,
+    mms_profile,
     naive_test,
     optimal_makespan,
     ordered_instance,
     schedule_119,
     schedule_lpt,
     search_threshold,
+    solve_existence_119,
+    solve_poly_54,
     threshold_test,
     verify_allocation,
 )
@@ -221,6 +225,10 @@ def test_value_rule_accepts_int_subclasses_and_empty_rows(call):
 # an InputError, rather than reading it unchecked or failing on a missing
 # attribute: (id, call, message).
 _WHOLE = Allocation(bundles=(frozenset({0}), frozenset({1, 2})), leftover=frozenset())
+_ROWS = [list(row) for row in _TWO.valuations]
+_NOT_INSTANCE = "inst must be an Instance, got list"
+_LIMITS = {"max_chores": 24, "node_budget": 100}
+_NOT_LIMITS = "limits must be an OracleLimits, got dict"
 _OBJECT_SITES = [
     (
         "verify_allocation",
@@ -247,6 +255,59 @@ _OBJECT_SITES = [
         lambda: lift_allocation(_TWO, _TWO, _WHOLE),
         "lift_allocation needs ordered_instance(inst), not a raw instance",
     ),
+    ("ordered_instance-rows", lambda: ordered_instance(_ROWS), _NOT_INSTANCE),
+    ("mms_profile-rows", lambda: mms_profile(_ROWS), _NOT_INSTANCE),
+    ("solve_poly_54-rows", lambda: solve_poly_54(_ROWS), _NOT_INSTANCE),
+    ("solve_existence_119-rows", lambda: solve_existence_119(_ROWS), _NOT_INSTANCE),
+    ("search_threshold-rows", lambda: search_threshold(_ROWS, 0), _NOT_INSTANCE),
+    ("naive_test-rows", lambda: naive_test(_ROWS, 0, 1), _NOT_INSTANCE),
+    ("threshold_test-rows", lambda: threshold_test(_ROWS, 0, 1), _NOT_INSTANCE),
+    ("exact_mms-rows", lambda: exact_mms(_ROWS, 0), _NOT_INSTANCE),
+    ("ido_order-rows", lambda: ido_order(_ROWS), _NOT_INSTANCE),
+    (
+        "lift_allocation-rows",
+        lambda: lift_allocation(_ROWS, ordered_instance(_TWO), _WHOLE),
+        _NOT_INSTANCE,
+    ),
+    (
+        "verify_allocation-dict",
+        lambda: verify_allocation(_TWO, allocation_to_json(_WHOLE), ThresholdVector.uniform(2, 5)),
+        "alloc must be an Allocation, got dict",
+    ),
+    (
+        "verify_allocation-tuple",
+        lambda: verify_allocation(_TWO, tuple(_WHOLE.bundles), ThresholdVector.uniform(2, 5)),
+        "alloc must be an Allocation, got tuple",
+    ),
+    (
+        "check_amms-dict",
+        lambda: check_amms(_TWO, allocation_to_json(_WHOLE), MmsProfile((3, 3)), Fraction(1)),
+        "alloc must be an Allocation, got dict",
+    ),
+    (
+        "check_amms-tuple",
+        lambda: check_amms(_TWO, tuple(_WHOLE.bundles), MmsProfile((3, 3)), Fraction(1)),
+        "alloc must be an Allocation, got tuple",
+    ),
+    (
+        "OrderedInstance",
+        lambda: OrderedInstance(instance=[[1]], source_ranks=[[0]]),
+        "instance must be an Instance, got list",
+    ),
+    (
+        "generate",
+        lambda: generate({"seed": 1}, 1),
+        "config must be a GeneratorConfig, got dict",
+    ),
+    ("mms_profile-limits", lambda: mms_profile(_TWO, _LIMITS), _NOT_LIMITS),
+    ("exact_mms-limits", lambda: exact_mms(_TWO, 0, _LIMITS), _NOT_LIMITS),
+    ("optimal_makespan-limits", lambda: optimal_makespan([2, 1], 2, _LIMITS), _NOT_LIMITS),
+    ("solve_existence_119-limits", lambda: solve_existence_119(_TWO, _LIMITS), _NOT_LIMITS),
+    (
+        "MmsProfile-values",
+        lambda: MmsProfile(values=None),
+        "profile values must be an Iterable, got NoneType",
+    ),
 ]
 
 
@@ -267,6 +328,23 @@ class TestAllocation:
         # Chore 1 is missing entirely.
         with pytest.raises(InputError):
             Allocation(bundles=(frozenset({0}), frozenset({2})), leftover=frozenset())
+
+    @pytest.mark.parametrize(
+        "bundles, leftover, message",
+        [
+            ([{1.0}, {0}], [2], "chore index must be an integer, got 1.0"),
+            ([{True}, {0}], [2], "chore index must be an integer, got True"),
+            ([[0, 0], [1]], [], "bundle 0 lists a chore more than once"),
+            ([[0], [1]], [2, 2], "leftover lists a chore more than once"),
+            (None, [0], "bundles and leftover must be collections of chore indices"),
+        ],
+        ids=["float-index", "bool-index", "repeat-in-bundle", "repeat-in-leftover", "None-bundles"],
+    )
+    def test_chore_indices_are_checked(self, bundles, leftover, message):
+        # The JSON reader's index rule, for every caller: a float or a bool
+        # would pass as an equal int, and a frozenset merges a repeat.
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            Allocation(bundles=bundles, leftover=leftover)
 
     def test_complete_flag(self):
         alloc = Allocation(bundles=(frozenset({0, 1}),), leftover=frozenset())
