@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import repeat
+from collections.abc import Iterable
+from itertools import islice, repeat
 from typing import Iterator, List, Tuple
 
+from .errors import InputError
 from .instances import MAX_VALUE, Instance, _as_int, _as_type
 
 
@@ -30,9 +32,23 @@ class GeneratorConfig:
 
     def __post_init__(self) -> None:
         _as_int(self.seed, "seed", -math.inf, math.inf)
-        _as_int(self.agents[1], "agents[1]", _as_int(self.agents[0], "agents[0]", 1))
-        _as_int(self.chores[1], "chores[1]", _as_int(self.chores[0], "chores[0]"))
+        agents = _pair(self.agents, "agents")
+        chores = _pair(self.chores, "chores")
+        _as_int(agents[1], "agents[1]", _as_int(agents[0], "agents[0]", 1))
+        _as_int(chores[1], "chores[1]", _as_int(chores[0], "chores[0]"))
         _as_int(self.value_max, "value_max", 1, MAX_VALUE)
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "chores", chores)
+
+
+def _pair(value: object, what: str) -> Tuple[object, ...]:
+    """A (low, high) range as a tuple, reading at most three items of it."""
+    # A tuple, what every caller in the package passes, needs no ABC check.
+    if type(value) is not tuple:
+        value = tuple(islice(_as_type(value, Iterable, what), 3))
+    if len(value) != 2:
+        raise InputError(f"{what} must be a (low, high) pair")
+    return value
 
 
 def _below(rng: random.Random, bound: int, size: int) -> List[int]:

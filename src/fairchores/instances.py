@@ -64,7 +64,7 @@ def _trusted(cls, **fields):
       position bundles mapped through a permutation, with every other
       chore in the leftover, so they are disjoint and cover 0..m-1.
     - ``_profile``'s ``MmsProfile``: the search's makespans, integers
-      from 0, and its witnesses.
+      from 0, and the bins its witnesses are built from on first read.
     - ``lift_allocation``'s result: each position's owner takes one
       untaken chore, so every chore is taken once.
     - ``ThresholdVector.uniform``'s repeated cap, checked once, and the
@@ -213,7 +213,10 @@ class OrderedInstance:
     source_ranks: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        ranks = tuple(tuple(row) for row in self.source_ranks)
+        ranks = tuple(
+            tuple(_as_type(row, Iterable, f"source_ranks row {i}"))
+            for i, row in enumerate(_as_type(self.source_ranks, Iterable, "source_ranks"))
+        )
         object.__setattr__(self, "source_ranks", ranks)
         inst = _as_type(self.instance, Instance, "instance")
         if len(ranks) != inst.num_agents:
@@ -277,7 +280,8 @@ class ThresholdVector:
     thresholds: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        caps = (_as_cap(t, f"threshold {i}") for i, t in enumerate(self.thresholds))
+        thresholds = _as_type(self.thresholds, Iterable, "thresholds")
+        caps = (_as_cap(t, f"threshold {i}") for i, t in enumerate(thresholds))
         object.__setattr__(self, "thresholds", tuple(caps))
 
     @classmethod

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import gcd, inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InstanceTooLargeError, NodeBudgetError
+from .errors import InputError, InstanceTooLargeError, NodeBudgetError
 from .instances import (
     Allocation,
     Instance,
@@ -66,7 +66,11 @@ class OracleLimits:
 
 @dataclass(frozen=True)
 class MmsProfile:
-    """Per-agent exact maximin shares with optional witness partitions."""
+    """Per-agent exact maximin shares with optional witness partitions.
+
+    The constructor takes ``None`` or one ``Allocation`` per share. A
+    profile from ``_profile`` builds its witnesses on their first read.
+    """
 
     values: Tuple[int, ...]
     witnesses: Optional[Tuple[Allocation, ...]] = None
@@ -77,6 +81,31 @@ class MmsProfile:
         for i, share in enumerate(values):
             _as_int(share, f"profile value {i}", 0, inf)
         object.__setattr__(self, "values", values)
+        if self.witnesses is not None:
+            witnesses = tuple(_as_type(self.witnesses, Iterable, "profile witnesses"))
+            if len(witnesses) != len(values):
+                raise InputError(f"expected {len(values)} profile witnesses, got {len(witnesses)}")
+            for i, witness in enumerate(witnesses):
+                _as_type(witness, Allocation, f"profile witness {i}")
+            object.__setattr__(self, "witnesses", witnesses)
+
+    def __getattr__(self, name: str):
+        # Only a missing attribute gets here. _pending stays, so two first
+        # reads at once both build rather than one failing.
+        if name != "witnesses" or "_pending" not in self.__dict__:
+            raise AttributeError(name)
+        n, ranks, bins = self.__dict__["_pending"]
+        witnesses = tuple(_witness(order, b, n) for order, b in zip(ranks, bins))
+        object.__setattr__(self, "witnesses", witnesses)
+        return witnesses
+
+    def __getstate__(self) -> dict:
+        # Copies and pickles hold built witnesses, as they always did.
+        return {"values": self.values, "witnesses": self.witnesses}
+
+
+# __init__ keeps the None default; unset here, a read reaches __getattr__.
+del MmsProfile.witnesses
 
 
 def _min_makespan(
@@ -238,21 +267,21 @@ def _profile(ordd: OrderedInstance, limits: OracleLimits) -> MmsProfile:
     """Every agent's exact share and witness on ``ordered_instance(inst)``.
 
     The sorted rows are searched as they are, each distinct row once (a
-    dict for this call only), and each agent maps its bins back to
-    chores through its own ``ordd.source_ranks`` row, which is the order
-    ``_descending`` gives ``exact_mms``.
+    dict for this call only). On their first read the witnesses map each
+    agent's bins back to chores through its own ``ordd.source_ranks``
+    row, which is the order ``_descending`` gives ``exact_mms``.
     """
     n = ordd.instance.num_agents
     searched: Dict[Tuple[int, ...], Tuple[int, List[int], int]] = {}
     values: List[int] = []
-    witnesses: List[Allocation] = []
-    for order, desc in zip(ordd.source_ranks, ordd.instance.valuations):
+    bins: List[List[int]] = []
+    for desc in ordd.instance.valuations:
         found = searched.get(desc)
         if found is None:
             found = searched[desc] = _min_makespan(desc, n, limits)
         values.append(found[0])
-        witnesses.append(_witness(order, found[1], n))
-    return _trusted(MmsProfile, values=tuple(values), witnesses=tuple(witnesses))
+        bins.append(found[1])
+    return _trusted(MmsProfile, values=tuple(values), _pending=(n, ordd.source_ranks, bins))
 
 
 def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsProfile:
@@ -262,7 +291,8 @@ def mms_profile(inst: Instance, limits: OracleLimits = OracleLimits()) -> MmsPro
     the sorted rows, the same core ``solve_existence_119`` runs on its
     own ordered instance. Agents whose rows sort to the same values
     share one search; ``limits.node_budget`` holds for each distinct
-    sorted row. Every value and witness equals ``exact_mms``'s.
+    sorted row. Every value and witness equals ``exact_mms``'s; the
+    witnesses are built on their first read.
     """
     return _profile(ordered_instance(inst), limits)
 

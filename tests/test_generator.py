@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
 
@@ -72,6 +73,20 @@ class TestGenerate:
             GeneratorConfig(seed=1, chores=(5, 4))
         with pytest.raises(InputError):
             GeneratorConfig(seed=1, value_max=0)
+
+    @pytest.mark.parametrize("field", ["agents", "chores"])
+    @pytest.mark.parametrize("bad", [(1,), (), (1, 2, 3), itertools.count(1)])
+    def test_ranges_are_pairs(self, field, bad):
+        # An endless iterable is refused after its third item.
+        with pytest.raises(InputError, match=f"^{field} must be a \\(low, high\\) pair$"):
+            GeneratorConfig(seed=1, **{field: bad})
+
+    def test_any_iterable_pair_is_a_range(self):
+        config = GeneratorConfig(seed=4, agents=[2, 3], chores=iter((3, 6)))
+        assert (config.agents, config.chores) == ((2, 3), (3, 6))
+        assert list(generate(config, 5)) == list(
+            generate(GeneratorConfig(seed=4, agents=(2, 3), chores=(3, 6)), 5)
+        )
 
     def test_every_integer_seed_seeds_the_stream(self):
         # Negative seeds and seeds past sys.maxsize, which the CLI takes

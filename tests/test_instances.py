@@ -308,6 +308,46 @@ _OBJECT_SITES = [
         lambda: MmsProfile(values=None),
         "profile values must be an Iterable, got NoneType",
     ),
+    (
+        "MmsProfile-witnesses",
+        lambda: MmsProfile(values=(3,), witnesses=5),
+        "profile witnesses must be an Iterable, got int",
+    ),
+    (
+        "MmsProfile-witness-count",
+        lambda: MmsProfile(values=(3,), witnesses=("x", "y")),
+        "expected 1 profile witnesses, got 2",
+    ),
+    (
+        "MmsProfile-witness",
+        lambda: MmsProfile(values=(3, 3), witnesses=(_WHOLE, "y")),
+        "profile witness 1 must be an Allocation, got str",
+    ),
+    (
+        "OrderedInstance-source_ranks",
+        lambda: OrderedInstance(instance=_TWO, source_ranks=None),
+        "source_ranks must be an Iterable, got NoneType",
+    ),
+    (
+        "OrderedInstance-source_ranks-row",
+        lambda: OrderedInstance(instance=_TWO, source_ranks=((0, 1, 2), None)),
+        "source_ranks row 1 must be an Iterable, got NoneType",
+    ),
+    (
+        "ThresholdVector",
+        lambda: ThresholdVector(thresholds=None),
+        "thresholds must be an Iterable, got NoneType",
+    ),
+    (
+        "GeneratorConfig-agents",
+        lambda: GeneratorConfig(seed=1, agents=None),
+        "agents must be an Iterable, got NoneType",
+    ),
+    (
+        "GeneratorConfig-chores",
+        lambda: GeneratorConfig(seed=1, chores=None),
+        "chores must be an Iterable, got NoneType",
+    ),
 ]
 
 
@@ -317,6 +357,11 @@ _OBJECT_SITES = [
 def test_argument_objects_are_checked(call, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_profile_keeps_one_allocation_per_share():
+    assert MmsProfile(values=[3, 3], witnesses=[_WHOLE, _WHOLE]).witnesses == (_WHOLE, _WHOLE)
+    assert MmsProfile(values=(3,)).witnesses is None
 
 
 class TestAllocation:

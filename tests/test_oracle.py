@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import random
+import sys
 from typing import List, Optional, Tuple
 
 import pytest
@@ -18,6 +22,7 @@ from fairchores import (
     InputError,
     Instance,
     InstanceTooLargeError,
+    MmsProfile,
     NodeBudgetError,
     OracleLimits,
     builtin_fixtures,
@@ -232,6 +237,54 @@ class TestProfile:
             calls.clear()
             solve_existence_119(inst, OracleLimits(max_chores=17))
             assert calls == [inst.num_chores] * inst.num_agents
+
+    def test_witnesses_are_built_on_first_read(self, monkeypatch):
+        built = []
+        witness = instances._witness
+
+        def counted(order, bins, n):
+            built.append(n)
+            return witness(order, bins, n)
+
+        # Every module that binds the name, so a build anywhere counts.
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fairchores") and hasattr(module, "_witness"):
+                monkeypatch.setattr(module, "_witness", counted)
+        limits = OracleLimits(max_chores=17)
+        for inst in oracle_corpus():
+            built.clear()
+            profiles = [solve_existence_119(inst, limits).profile, mms_profile(inst, limits)]
+            assert built == []
+            for profile in profiles:
+                first = profile.witnesses
+                assert profile.witnesses is first
+            assert built == [inst.num_agents] * (2 * inst.num_agents)
+
+    def test_unread_profile_equals_eager_one(self):
+        limits = OracleLimits(max_chores=17)
+        for inst in oracle_corpus():
+            values, witnesses = zip(
+                *(exact_mms(inst, agent, limits) for agent in range(inst.num_agents))
+            )
+            eager = MmsProfile(values=values, witnesses=witnesses)
+            assert mms_profile(inst, limits) == eager
+            assert repr(mms_profile(inst, limits)) == repr(eager)
+            assert hash(mms_profile(inst, limits)) == hash(eager)
+            assert dataclasses.replace(mms_profile(inst, limits)) == eager
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda profile: pickle.loads(pickle.dumps(profile))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_of_an_unread_profile(self, clone):
+        limits = OracleLimits(max_chores=17)
+        for inst in oracle_corpus():
+            copied = clone(mms_profile(inst, limits))
+            # The copy holds what an eager profile holds, built witnesses.
+            assert sorted(vars(copied)) == ["values", "witnesses"]
+            assert copied == mms_profile(inst, limits)
+            assert copied.witnesses == mms_profile(inst, limits).witnesses
 
 
 class TestOptimalMakespan:
