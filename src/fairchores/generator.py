@@ -6,7 +6,7 @@ import math
 import random
 from dataclasses import dataclass
 from collections.abc import Iterable
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Iterator, List, Tuple
 
 from .errors import InputError
@@ -41,14 +41,14 @@ class GeneratorConfig:
         object.__setattr__(self, "chores", chores)
 
 
-def _pair(value: object, what: str) -> Tuple[object, ...]:
-    """A (low, high) range as a tuple, reading at most three items of it."""
-    # A tuple, what every caller in the package passes, needs no ABC check.
-    if type(value) is not tuple:
-        value = tuple(islice(_as_type(value, Iterable, what), 3))
-    if len(value) != 2:
-        raise InputError(f"{what} must be a (low, high) pair")
-    return value
+def _pair(value: object, what: str) -> Tuple[object, object]:
+    """A (low, high) range as a tuple; unpacking reads at most three items."""
+    value = _as_type(value, Iterable, what)
+    try:
+        low, high = value
+    except ValueError:
+        raise InputError(f"{what} must be a (low, high) pair") from None
+    return low, high
 
 
 def _below(rng: random.Random, bound: int, size: int) -> List[int]:
