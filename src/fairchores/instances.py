@@ -226,6 +226,8 @@ class OrderedInstance:
             for j in range(1, len(row)):
                 if row[j - 1] < row[j]:
                     raise InputError(f"agent {i}: row not nonincreasing at {j}")
+            for j, rank in enumerate(ranks[i]):
+                _as_int(rank, f"agent {i}: source rank {j}", 0, inst.num_chores - 1)
             if set(ranks[i]) != full or len(ranks[i]) != inst.num_chores:
                 raise InputError(f"agent {i}: source_ranks row is not a permutation")
 

@@ -15,9 +15,12 @@ inputs. Besides the incumbent and a lower bound it prunes by wasted
 room: a placement after which the bins' room that no later value can
 fill exceeds the slack leads to no schedule that beats the incumbent,
 so skipping it changes only the node count, never the share or the
-witness. Room below ``p + p'``, the sum of the row's two smallest
-positive values, holds at most one more positive value. Its state is
-two lists, ``assign`` and ``loads``, not the call stack, so only its own
+witness. A bin wastes its room minus the largest sum of later values
+that fits in it, read from a bitset of each suffix's subset sums. Past
+a constant gate on the cap and on the table's size, it counts only
+room below ``p + p'``, the sum of the row's two smallest positive
+values, which holds at most one more positive value. Its state is two
+lists, ``assign`` and ``loads``, not the call stack, so only its own
 limits bound the row length it accepts.
 """
 
@@ -45,6 +48,13 @@ from .scheduling import _check_jobs, _lpt, _pigeonhole
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
+# The exact search reads wasted room from a table of subset sums when its
+# first cap is below SUBSET_CAP and the table, (m + 1) * (cap + 1) bits
+# for m values, holds at most SUBSET_BITS (2 MiB). On the exact-small
+# rows scaled up, the table paid for itself below caps of 2**13 to
+# 2**14 and cost up to 1.8x the search time above.
+SUBSET_CAP = 1 << 14
+SUBSET_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -129,18 +139,27 @@ def _min_makespan(
     row's gcd, which divides every load.
 
     Wasted room, the bound of bin completion (Korf 2003), prunes. With
-    ``cap`` one below the incumbent and ``p`` and ``p'`` the row's
-    smallest and second-smallest positive values, a placement short of
-    the last depth that leaves its bin less than ``p + p'`` of room sums
-    each bin's room that the later values cannot use: room below ``p``
-    takes only zeros, and room below ``p + p'`` at most one more positive
-    value (Martello & Toth 1990), so it wastes the room minus the
-    largest later value that fits. When that waste exceeds
-    ``n * cap - total``, no completion beats the incumbent, and the
-    placement counts as a node but is not descended into. The subtrees
-    it closes hold no improving leaf, so the search meets the same
-    leaves in the same order: the witness and the makespan are those of
-    the search without it, and only the node count falls.
+    ``cap`` one below the incumbent, every placement short of the last
+    depth sums each bin's room that the later values cannot use: the
+    room minus the largest sum of later values that fits in it
+    (Martello & Toth 1990). Bit s of ``suf[j]`` is set when some values
+    of ``desc[j:]`` sum to s, up to the first cap, so that sum is the
+    highest set bit of ``suf[k + 1]`` at or below the room. When the
+    waste exceeds ``n * cap - total``, no completion beats the
+    incumbent, and the placement counts as a node but is not descended
+    into. The subtrees it closes hold no improving leaf, so the search
+    meets the same leaves in the same order: the witness and the
+    makespan are those of the search without it, and only the node
+    count falls.
+
+    The masks cost time that grows with the cap, so past
+    ``SUBSET_CAP`` or ``SUBSET_BITS`` no table is built. The search then
+    counts the same waste only where it is cheap, after a placement that
+    leaves its bin less than ``p + p'`` of room, ``p`` and ``p'`` being
+    the row's smallest and second-smallest positive values: room below
+    ``p`` takes only zeros, and room below ``p + p'`` at most one more
+    positive value, so it wastes the room minus the largest later value
+    that fits. Larger rooms count as no waste.
 
     Returns the makespan, the bin of each position and the node count.
     Its state is ``assign`` (the bin of each placed position) and
@@ -182,6 +201,14 @@ def _min_makespan(
     cap = incumbent - 1
     slack = n * cap - total
     edge = cap - pair
+    # Bit s of suf[j] is set when values of desc[j:] sum to s <= cap.
+    # The cap only falls, so the first cap's table serves the search.
+    suf: List[int] = []
+    if cap < SUBSET_CAP and (m + 1) * (cap + 1) <= SUBSET_BITS:
+        top = (2 << cap) - 1
+        suf = [1] * (m + 1)
+        for j in range(last, -1, -1):
+            suf[j] = (suf[j + 1] | suf[j + 1] << desc[j]) & top
     k = 0
     start = 0
     while True:
@@ -200,19 +227,27 @@ def _min_makespan(
             loads[b] = placed
             assign[k] = b
             if k < last:
-                if placed > edge:
-                    # Less than pair of room left in this bin: skip the
-                    # placement if the bins waste more than the slack.
-                    waste = 0
+                waste = 0
+                if suf:
+                    # The highest set bit at or below room is the most
+                    # that the later values can put in the bin.
+                    sums = suf[k + 1]
+                    for used in loads:
+                        room = cap - used
+                        waste += room + 1 - (sums & ((2 << room) - 1)).bit_length()
+                        if waste > slack:
+                            break
+                elif placed > edge:
+                    # Less than pair of room left in this bin.
                     for used in loads:
                         room = cap - used
                         if room < p:
                             waste += room
                         elif room < pair:
                             waste += room + negs[bisect_left(negs, -room, k + 1)]
-                    if waste > slack:
-                        loads[b] = load
-                        continue
+                if waste > slack:
+                    loads[b] = load
+                    continue
                 k += 1
                 start = 0
                 break

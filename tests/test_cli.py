@@ -129,8 +129,11 @@ class TestExitCodes:
 
     # The oracle places one chore per search depth, so rows longer than
     # Python's recursion limit must still end in a share or an exit code.
+    # Values near 2**20 put the first cap past the subset-sum gate, so
+    # only the p + p' window prunes and the search runs out of nodes.
     def test_long_row_exhausts_the_node_budget(self, tmp_path, capsys):
-        row = [9] * 334 + [6] * 334 + [4] * 335
+        big = 2**20
+        row = [9 * big + 1] * 334 + [6 * big + 1] * 334 + [4 * big + 1] * 335
         inst = {"agents": 3, "chores": len(row), "valuations": [row] * 3}
         path = write_json(tmp_path / "long.json", inst)
         argv = ["mms", "--input", path, "--max-chores", "5000", "--node-budget", "100000"]
@@ -155,18 +158,18 @@ class TestExitCodes:
         assert run_cli(["mms", "--input", path, "--max-chores", "5000"]) == 0
         assert capsys.readouterr().out == "agent 0: mms 6\nagent 1: mms 6\n"
 
-    # Rows a and b search 20 and 19 nodes. Agents 0 and 2 share a's
+    # Rows a and b search 14 and 19 nodes. Agents 0 and 2 share a's
     # sorted row, so it is searched once, and the budget holds per row.
     def test_node_budget_holds_per_distinct_row(self, tmp_path, capsys):
         a = [20, 9, 24, 12, 26, 23, 27, 24]
         b = [24, 11, 16, 9, 10, 16, 13, 29]
         inst = {"agents": 3, "chores": 8, "valuations": [a, b, a[::-1]]}
         path = write_json(tmp_path / "rows.json", inst)
-        assert run_cli(["mms", "--input", path, "--node-budget", "20"]) == 0
+        assert run_cli(["mms", "--input", path, "--node-budget", "19"]) == 0
         out = "agent 0: mms 56\nagent 1: mms 43\nagent 2: mms 56\n"
         assert capsys.readouterr().out == out
-        assert run_cli(["mms", "--input", path, "--node-budget", "19"]) == 4
-        assert capsys.readouterr().err.startswith("oracle limit: node budget 19 exhausted")
+        assert run_cli(["mms", "--input", path, "--node-budget", "18"]) == 4
+        assert capsys.readouterr().err.startswith("oracle limit: node budget 18 exhausted")
 
 
 # Value pools per flag, one pool per argument the flag takes. "@a" and

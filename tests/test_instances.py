@@ -461,6 +461,22 @@ class TestOrderedInstance:
         with pytest.raises(InputError):
             OrderedInstance(instance=good, source_ranks=((0, 0),))
 
+    # A rank is a chore index: the integer rule applies before the
+    # permutation check, so 1.0 and True are refused, not taken as 1.
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([1.0, 0], r"^agent 0: source rank 0 must be an integer, got 1\.0$"),
+            ([True, 0], r"^agent 0: source rank 0 must be an integer, got True$"),
+            ([[0], [1]], r"^agent 0: source rank 0 must be an integer, got \[0\]$"),
+            ([0, 2], r"^agent 0: source rank 1 must be at most 1$"),
+        ],
+        ids=["float", "bool", "list", "past-the-chores"],
+    )
+    def test_source_ranks_follow_the_integer_rule(self, row, message):
+        with pytest.raises(InputError, match=message):
+            OrderedInstance(instance=make_instance([[2, 1]]), source_ranks=[row])
+
     def test_one_source_ranks_row_per_agent(self):
         good = make_instance([[3, 2], [2, 1]])
         with pytest.raises(InputError, match="^source_ranks must have one row per agent$"):

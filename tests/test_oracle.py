@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
 import hashlib
@@ -198,7 +199,7 @@ class TestProfile:
     PROFILE_SHA256 = "5ce76fb0fa23e46acbe10f48444fa1f352b6a049d34a9ccd2afff789f743ebec"
     # The nodes the searches of those solves take, one search per distinct
     # sorted row: the work a pruning rule saves, which no clock can blur.
-    PROFILE_NODES = 178_440
+    PROFILE_NODES = 70_980
 
     def test_profile_digest_is_pinned(self, monkeypatch):
         nodes = []
@@ -300,9 +301,8 @@ class TestOptimalMakespan:
 
     # 2 machines x 400 fives, 400 fours and 401 threes: LPT misses the
     # pigeonhole bound 2402, and the search without the waste rule took
-    # 167,052 nodes. Trailing zeros leave the two smallest positive
-    # values, 3 and 3, as the rule's window, so the rule still fires; the
-    # search takes 1,502 nodes plus one per zero.
+    # 167,052 nodes. Trailing zeros add no subset sum, so the rule still
+    # fires; the search takes 1,502 nodes plus one per zero.
     @pytest.mark.parametrize("zeros", [0, 1, 5])
     def test_five_four_three_row_fits_a_small_budget(self, zeros):
         row = [5] * 400 + [4] * 400 + [3] * 401 + [0] * zeros
@@ -341,10 +341,11 @@ def recursive_search(
     tie_rule: bool,
     waste_rule: bool,
     pair_rule: bool = False,
+    subset_rule: bool = False,
 ) -> Tuple[int, Allocation, int]:
     """The recursive branch-and-bound, with its node count.
 
-    With all three rules it is the current search. With ``tie_rule`` the
+    With all four rules it is the current search. With ``tie_rule`` the
     lower bound is the pigeonhole bound rounded up to a multiple of the
     row's gcd, and a depth returns as soon as a bin carries the incumbent,
     so the witness is the first schedule in depth-first order that reaches
@@ -358,7 +359,12 @@ def recursive_search(
     value that fits. With ``pair_rule`` that window is ``p + p'``, the
     smallest positive value plus the second smallest (still ``2p`` when
     the row has one positive value): no two positive values fit in less
-    room, so it too holds at most one more.
+    room, so it too holds at most one more. With ``subset_rule``, when
+    the first cap (the LPT makespan minus one) is below
+    ``oracle.SUBSET_CAP`` and its table within ``oracle.SUBSET_BITS``,
+    every placement short of the last depth checks every bin, and a bin
+    wastes its room minus the largest sum of remaining values that fits
+    in it, read from sorted lists of each suffix's subset sums.
     """
     row = inst.row(agent)
     n, m = inst.num_agents, inst.num_chores
@@ -381,6 +387,19 @@ def recursive_search(
     seed = schedule_lpt(row, n)
     incumbent, witness = seed.makespan, seed.allocation
     nodes = 0
+    first_cap = incumbent - 1
+    subset_rule = (
+        subset_rule
+        and first_cap < oracle.SUBSET_CAP
+        and (m + 1) * (first_cap + 1) <= oracle.SUBSET_BITS
+    )
+    # suffix_sums[k]: the sorted subset sums of values[k:] up to first_cap.
+    suffix_sums: List[List[int]] = [[0]]
+    if subset_rule:
+        sums = {0}
+        for v in reversed(values):
+            sums |= {s + v for s in sums if s + v <= first_cap}
+            suffix_sums.insert(0, sorted(sums))
 
     def wasted(k: int) -> int:
         """Room in the bins that the values after depth k cannot use."""
@@ -388,7 +407,10 @@ def recursive_search(
         waste = 0
         for load in loads:
             room = cap - load
-            if room < p:
+            if subset_rule:
+                sums = suffix_sums[k + 1]
+                waste += room - sums[bisect.bisect_right(sums, room) - 1]
+            elif room < p:
                 waste += room
             elif room < window:
                 waste += room - max((v for v in values[k + 1 :] if v <= room), default=0)
@@ -425,7 +447,7 @@ def recursive_search(
                     prune = (
                         waste_rule
                         and k < m - 1
-                        and incumbent - 1 - loads[b] < window
+                        and (subset_rule or incumbent - 1 - loads[b] < window)
                         and wasted(k) > n * (incumbent - 1) - total
                     )
                     if not prune:
@@ -453,7 +475,7 @@ def reference_exact_mms(
 ) -> Tuple[int, Allocation]:
     """The current search, written recursively."""
     return recursive_search(
-        inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
+        inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True, subset_rule=True
     )[:2]
 
 
@@ -502,14 +524,16 @@ class TestAgainstRecursiveOracle:
             300,
         )
         # The waste rule keeps the corpus below 1000 nodes a row; 3 bins
-        # x 7 sevens, 7 fives and 8 threes still takes 1,235.
-        agents.append((identical([7] * 7 + [5] * 7 + [3] * 8, n=3), 0))
+        # x 7 sevens, 7 fives and 8 threes, scaled by 4096 past the
+        # subset-sum gate, still takes 3,302.
+        agents.append((identical([v << 12 for v in [7] * 7 + [5] * 7 + [3] * 8], n=3), 0))
         counts = []
         for inst, agent in agents:
             desc = sorted(inst.row(agent), reverse=True)
             nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
             expected = recursive_search(
-                inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
+                inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
+                subset_rule=True,
             )
             assert nodes == expected[2]
             # The count is the budget the search needs, and no less.
@@ -570,28 +594,90 @@ class TestAgainstRecursiveOracle:
                 fewer_nodes += nodes < before[2]
         assert fewer_nodes > 0
 
-    # (row, bins, share, nodes with the 2p window, nodes with p + p').
-    # A lone positive value is the pigeonhole bound, so nothing is
-    # searched; p' is the second-smallest positive value, never a
-    # trailing zero; and when the two smallest values are equal the
-    # window is 2p, as before.
+    # (row, bins, share, nodes with the 2p window, nodes with p + p',
+    # nodes with the subset-sum waste of every bin). A lone positive
+    # value is the pigeonhole bound, so nothing is searched; p' is the
+    # second-smallest positive value, never a trailing zero; and when
+    # the two smallest values are equal the window is 2p, as before.
     @pytest.mark.parametrize(
-        "row, n, share, nodes_2p, nodes_pair",
+        "row, n, share, nodes_2p, nodes_pair, nodes_subset",
         [
-            ([0, 9, 0], 3, 9, 0, 0),
-            ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 4),
-            ([7] * 7 + [5] * 7 + [3] * 8, 3, 36, 1235, 1235),
+            ([0, 9, 0], 3, 9, 0, 0, 0),
+            ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 4, 1),
+            ([7] * 7 + [5] * 7 + [3] * 8, 3, 36, 1235, 1235, 48),
         ],
         ids=["one-positive", "trailing-zeros", "equal-smallest"],
     )
-    def test_pair_window_edge_rows(self, row, n, share, nodes_2p, nodes_pair):
+    def test_pair_window_edge_rows(self, row, n, share, nodes_2p, nodes_pair, nodes_subset):
         inst = identical(row, n)
         limits = OracleLimits()
-        before = recursive_search(inst, 0, limits, tie_rule=True, waste_rule=True)
-        after = recursive_search(
-            inst, 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
-        )
-        assert before[:2] == after[:2]
-        assert (after[0], before[2], after[2]) == (share, nodes_2p, nodes_pair)
+        runs = [
+            recursive_search(inst, 0, limits, tie_rule=True, waste_rule=True, **rules)
+            for rules in ({}, {"pair_rule": True}, {"pair_rule": True, "subset_rule": True})
+        ]
+        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+        assert (share, nodes_2p, nodes_pair, nodes_subset) == (runs[0][0], *(r[2] for r in runs))
         desc = sorted(row, reverse=True)
-        assert oracle._min_makespan(desc, n, limits)[::2] == (share, nodes_pair)
+        assert oracle._min_makespan(desc, n, limits)[::2] == (share, nodes_subset)
+
+    # The subset-sum waste of a bin is at least the waste the p + p'
+    # window counts, and only as large as the room no completion fills,
+    # so it too closes only subtrees without an improving leaf.
+    def test_subset_rule_keeps_shares_and_witnesses_and_only_prunes(self):
+        limits = OracleLimits(max_chores=17)
+        fewer_nodes = 0
+        for inst in oracle_corpus():
+            for agent in range(inst.num_agents):
+                value, witness, nodes = recursive_search(
+                    inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
+                    subset_rule=True,
+                )
+                before = recursive_search(
+                    inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
+                )
+                assert (value, witness) == before[:2]
+                assert nodes <= before[2]
+                fewer_nodes += nodes < before[2]
+        assert fewer_nodes > 0
+
+    # Above the gate no table is built, and the search is the p + p'
+    # one node for node: the 7-5-3 row scaled by 4096 has a first cap
+    # of 155,647, past SUBSET_CAP, while unscaled it takes 48 nodes.
+    def test_row_above_the_gate_takes_the_pair_rule_nodes(self):
+        row = [v << 12 for v in [7] * 7 + [5] * 7 + [3] * 8]
+        assert schedule_lpt(row, 3).makespan - 1 == 155_647 >= oracle.SUBSET_CAP
+        limits = OracleLimits()
+        pair = recursive_search(
+            identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
+        )
+        assert oracle._min_makespan(row, 3, limits)[::2] == (pair[0], pair[2]) == (36 << 12, 3302)
+
+    # 3 agents x a nines, a sixes and a + 1 fours: LPT misses the optimum
+    # and the two smallest values are equal, so the p + p' window is 2p.
+    # With it the search took 378,322 nodes at a = 10 and exhausted a
+    # 3 x 10^6 budget at a = 20; the subset-sum waste closes every row
+    # under 10^4. At a = 334 the 1,003-chore row is past the recursion
+    # limit, which the reference cannot run.
+    @pytest.mark.parametrize(
+        "a, share, nodes",
+        [(5, 33, 33), (8, 52, 62), (10, 65, 78), (12, 78, 37), (20, 128, 155), (334, 2117, 2436)],
+    )
+    def test_nines_sixes_fours_family_closes(self, a, share, nodes):
+        row = [9] * a + [6] * a + [4] * (a + 1)
+        limits = OracleLimits(max_chores=5000, node_budget=10_000)
+        assert oracle._min_makespan(row, 3, limits)[::2] == (share, nodes)
+        if a <= 20:
+            expected = recursive_search(
+                identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True,
+                subset_rule=True,
+            )
+            assert (expected[0], expected[2]) == (share, nodes)
+
+    @pytest.mark.parametrize("a", [10, 20])
+    def test_nines_sixes_fours_family_exhausts_the_pair_rule(self, a):
+        row = [9] * a + [6] * a + [4] * (a + 1)
+        limits = OracleLimits(max_chores=5000, node_budget=10_000)
+        with pytest.raises(NodeBudgetError):
+            recursive_search(
+                identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
+            )
