@@ -454,15 +454,18 @@ def instance_to_json(inst: Instance) -> Mapping[str, object]:
     }
 
 
-def instance_from_json(obj: object) -> Instance:
+def _json_fields(obj: object, what: str, *keys: str) -> List[object]:
+    """The values at ``keys`` of a JSON object, each key required."""
     if not isinstance(obj, dict):
-        raise InputError("instance JSON must be an object")
+        raise InputError(f"{what} JSON must be an object")
     try:
-        agents = obj["agents"]
-        chores = obj["chores"]
-        valuations = obj["valuations"]
+        return [obj[key] for key in keys]
     except KeyError as exc:
-        raise InputError(f"instance JSON missing key {exc.args[0]!r}") from exc
+        raise InputError(f"{what} JSON missing key {exc.args[0]!r}") from exc
+
+
+def instance_from_json(obj: object) -> Instance:
+    agents, chores, valuations = _json_fields(obj, "instance", "agents", "chores", "valuations")
     if not isinstance(valuations, list) or not all(
         isinstance(row, list) for row in valuations
     ):
@@ -482,13 +485,7 @@ def allocation_to_json(alloc: Allocation) -> Mapping[str, object]:
 
 
 def allocation_from_json(obj: object) -> Allocation:
-    if not isinstance(obj, dict):
-        raise InputError("allocation JSON must be an object")
-    try:
-        bundles = obj["bundles"]
-        leftover = obj["leftover"]
-    except KeyError as exc:
-        raise InputError(f"allocation JSON missing key {exc.args[0]!r}") from exc
+    bundles, leftover = _json_fields(obj, "allocation", "bundles", "leftover")
     if not isinstance(bundles, list) or not all(
         isinstance(b, list) for b in bundles
     ):

@@ -8,20 +8,22 @@ sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
 agent (its bins mapped back to chores by ``instances._witness``),
 ``_profile`` once per distinct row of an ordered instance (for
 ``mms_profile`` and ``solve_existence_119`` alike), ``optimal_makespan``
-on a job list with one bin per machine.
-The problem is NP-hard, so the search is a bounded branch-and-bound
-meant for ground truth on small instances, not for production-sized
-inputs. Besides the incumbent and a lower bound it prunes by wasted
-room: a placement after which the bins' room that no later value can
-fill exceeds the slack leads to no schedule that beats the incumbent,
-so skipping it changes only the node count, never the share or the
-witness. A bin wastes its room minus the largest sum of later values
-that fits in it, read from a bitset of each suffix's subset sums. Past
-a constant gate on the cap and on the table's size, it counts only
-room below ``p + p'``, the sum of the row's two smallest positive
-values, which holds at most one more positive value. Its state is two
-lists, ``assign`` and ``loads``, not the call stack, so only its own
-limits bound the row length it accepts.
+on a job list with one bin per machine. Every load is a multiple of
+the row's gcd, so the search runs on the row divided by it: a row and
+its multiples take the same search. The problem is NP-hard, so the
+search is a bounded branch-and-bound meant for ground truth on small
+instances, not for production-sized inputs. Besides the incumbent and
+a lower bound it prunes by wasted room: a placement after which the
+bins' room that no later value can fill exceeds the slack leads to no
+schedule that beats the incumbent, so skipping it changes only the
+node count, never the share or the witness. A bin wastes its room
+minus the largest sum of later values that fits in it, read from a
+bitset of each suffix's subset sums. Past a constant gate on the cap
+and on the table's size, it counts only room below ``p + p'``, the
+sum of the row's two smallest positive values, which holds at most
+one more positive value. Its state is two lists, ``assign`` and
+``loads``, not the call stack, so only its own limits bound the row
+length it accepts.
 """
 
 from __future__ import annotations
@@ -50,9 +52,10 @@ DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
 # The exact search reads wasted room from a table of subset sums when its
 # first cap is below SUBSET_CAP and the table, (m + 1) * (cap + 1) bits
-# for m values, holds at most SUBSET_BITS (2 MiB). On the exact-small
-# rows scaled up, the table paid for itself below caps of 2**13 to
-# 2**14 and cost up to 1.8x the search time above.
+# for m values, holds at most SUBSET_BITS (2 MiB). On exact-small rows
+# with each positive value times 2 to 32 plus 1, all of gcd 1 and so
+# searched as they are, the table paid for itself below caps of 2**13
+# to 2**14 and cost up to 1.8x the search time above.
 SUBSET_CAP = 1 << 14
 SUBSET_BITS = 1 << 24
 
@@ -135,8 +138,14 @@ def _min_makespan(
     bin it had used. The witness is thus the first schedule, in
     depth-first order, that reaches the optimum, or the LPT schedule when
     that is already optimal. The search stops once the incumbent reaches
-    the lower bound: the pigeonhole bound rounded up to a multiple of the
-    row's gcd, which divides every load.
+    the pigeonhole bound.
+
+    A row whose gcd g exceeds 1 is divided by g at entry and its
+    makespan multiplied back: every load and cap is a multiple of g, so
+    each comparison is the row's own, but no bin carries ``g - 1`` units
+    of room that no load can use. A row and its multiples take the same
+    search, node for node; the gate and the wastes below are in the
+    reduced row's units.
 
     Wasted room, the bound of bin completion (Korf 2003), prunes. With
     ``cap`` one below the incumbent, every placement short of the last
@@ -172,14 +181,14 @@ def _min_makespan(
         raise InstanceTooLargeError(
             f"{m} chores exceeds the oracle limit of {limits.max_chores}"
         )
+    g = gcd(*desc) or 1
+    if g > 1:
+        desc = [v // g for v in desc]
     best, seed_loads = _lpt(desc, n)
     incumbent = max(seed_loads)
     lower = _pigeonhole(desc, n)
-    g = gcd(*desc)
-    if g:
-        lower = -(-lower // g) * g
     if incumbent == lower:
-        return incumbent, best, 0
+        return incumbent * g, best, 0
 
     budget = limits.node_budget
     nodes = 0
@@ -187,20 +196,8 @@ def _min_makespan(
     assign = [0] * m
     last = m - 1
     total = sum(desc)
-    # The row negated, so ascending, with a trailing 0: the first entry
-    # at or above -room from depth k + 1 on is minus the largest later
-    # value that fits in room, or 0 when none does. The search runs only
-    # when the row has two positive values (a lone one is the pigeonhole
-    # bound): p is the smallest, at ip, and pair adds the next smallest,
-    # desc[ip - 1], so no two positive values fit in less room than pair.
-    negs = [-v for v in desc]
-    negs.append(0)
-    ip = bisect_left(negs, 0) - 1
-    p = desc[ip]
-    pair = p + desc[ip - 1]
     cap = incumbent - 1
     slack = n * cap - total
-    edge = cap - pair
     # Bit s of suf[j] is set when values of desc[j:] sum to s <= cap.
     # The cap only falls, so the first cap's table serves the search.
     suf: List[int] = []
@@ -209,6 +206,18 @@ def _min_makespan(
         suf = [1] * (m + 1)
         for j in range(last, -1, -1):
             suf[j] = (suf[j + 1] | suf[j + 1] << desc[j]) & top
+    else:
+        # The row negated, so ascending, with a trailing 0: the first entry
+        # at or above -room from depth k + 1 on is minus the largest later
+        # value that fits in room, or 0 when none does. The search runs
+        # only when the row has two positive values (a lone one is the
+        # pigeonhole bound): p is the smallest, at ip, and pair adds the
+        # next, desc[ip - 1]; no two positive values fit in less room.
+        negs = [-v for v in desc]
+        negs.append(0)
+        ip = bisect_left(negs, 0) - 1
+        p = desc[ip]
+        pair = p + desc[ip - 1]
     k = 0
     start = 0
     while True:
@@ -237,8 +246,7 @@ def _min_makespan(
                         waste += room + 1 - (sums & ((2 << room) - 1)).bit_length()
                         if waste > slack:
                             break
-                elif placed > edge:
-                    # Less than pair of room left in this bin.
+                elif cap - placed < pair:
                     for used in loads:
                         room = cap - used
                         if room < p:
@@ -254,10 +262,9 @@ def _min_makespan(
             incumbent = max(loads)
             best = assign.copy()
             if incumbent == lower:
-                return incumbent, best, nodes
+                return incumbent * g, best, nodes
             cap = incumbent - 1
             slack = n * cap - total
-            edge = cap - pair
             # Undo up to the placement whose undo takes the last bin at
             # the incumbent below it; a zero value moves no load.
             full = loads.count(incumbent)
@@ -277,7 +284,7 @@ def _min_makespan(
             # and resume that depth after the bin it used.
             k -= 1
             if k < 0:
-                return incumbent, best, nodes
+                return incumbent * g, best, nodes
             b = assign[k]
             loads[b] -= desc[k]
             start = b + 1

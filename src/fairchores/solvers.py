@@ -172,16 +172,18 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
 
 
 def _allocate_within(
-    inst: Instance, ordd: OrderedInstance, caps: ThresholdVector
-) -> Tuple[Allocation, Tuple[int, ...]]:
-    """Greedy on the ordered instance at ``caps``, lifted and re-checked.
+    inst: Instance, ordd: OrderedInstance, bases: Sequence[int], num: int, den: int
+) -> Tuple[ThresholdVector, Allocation, Tuple[int, ...]]:
+    """Greedy on the ordered instance at caps num/den of ``bases``, re-checked.
 
     ``ordd`` is ``ordered_instance(inst)``, which the caller builds once.
-    Both solvers choose caps at which the greedy provably places every
-    chore and the lift keeps every load within its cap; both facts are
-    checked here rather than assumed. Returns the allocation of the
-    original chores and each agent's load.
+    The bases, shares or searched thresholds, are integers from 0 up, so
+    the caps need no second check. Both solvers choose caps at which the
+    greedy provably places every chore and the lift keeps every load
+    within its cap; both facts are checked here rather than assumed.
+    Returns the caps, the lifted allocation and each agent's load.
     """
+    caps = _trusted(ThresholdVector, thresholds=tuple(Fraction(num * b, den) for b in bases))
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
         raise SolverInvariantError("greedy left chores over at the solver's caps")
@@ -192,7 +194,7 @@ def _allocate_within(
             raise SolverInvariantError(
                 f"agent {i} carries {load} above their cap {cap}"
             )
-    return lifted, loads
+    return caps, lifted, loads
 
 
 def solve_existence_119(
@@ -209,11 +211,7 @@ def solve_existence_119(
     """
     ordd = ordered_instance(inst)
     profile = _profile(ordd, limits)
-    # The oracle's shares are integers from 0 up: caps need no second check.
-    caps = _trusted(
-        ThresholdVector, thresholds=tuple(Fraction(11 * mu, 9) for mu in profile.values)
-    )
-    allocation, loads = _allocate_within(inst, ordd, caps)
+    caps, allocation, loads = _allocate_within(inst, ordd, profile.values, 11, 9)
     ratios = tuple(map(_ratio, loads, profile.values))
     return ExistenceResult(
         allocation=allocation, profile=profile, ratios=ratios, thresholds=caps
@@ -233,11 +231,7 @@ def solve_poly_54(inst: Instance) -> PolyResult:
     ordd = ordered_instance(inst)
     n = inst.num_agents
     s_values = tuple(_search_sorted(desc, n) for desc in ordd.instance.valuations)
-    # Searched thresholds are integers from 0 up: caps need no second check.
-    caps = _trusted(
-        ThresholdVector, thresholds=tuple(Fraction(5 * s, 4) for s in s_values)
-    )
-    allocation, loads = _allocate_within(inst, ordd, caps)
+    caps, allocation, loads = _allocate_within(inst, ordd, s_values, 5, 4)
     return PolyResult(
         allocation=allocation,
         thresholds=caps,

@@ -142,8 +142,8 @@ class TestExitCodes:
         assert err.startswith("oracle limit: node budget 100000 exhausted")
         assert err.count("\n") == 1
 
-    # Every load is a multiple of the row's gcd, so the bound rounded up
-    # to it meets LPT's 1202 and the search places no chore.
+    # The search runs on the row over its gcd, 1201 ones, whose pigeonhole
+    # bound meets LPT's 601, so it places no chore.
     def test_long_row_of_twos_gets_its_share(self, tmp_path, capsys):
         inst = {"agents": 2, "chores": 1201, "valuations": [[2] * 1201] * 2}
         path = write_json(tmp_path / "twos.json", inst)

@@ -44,6 +44,12 @@ from conftest import (
 )
 
 
+# 7 sevens, 7 fives and 8 threes: on 3 bins LPT misses the share 36.
+SEVENS_FIVES_THREES = [7] * 7 + [5] * 7 + [3] * 8
+# The same row with each value times 4096 plus 1: gcd 1, past the gate.
+PAST_THE_GATE = [v * 4096 + 1 for v in SEVENS_FIVES_THREES]
+
+
 def identical(row, n=4) -> Instance:
     return Instance.from_rows([list(row)] * n)
 
@@ -346,15 +352,15 @@ def recursive_search(
     """The recursive branch-and-bound, with its node count.
 
     With all four rules it is the current search. With ``tie_rule`` the
-    lower bound is the pigeonhole bound rounded up to a multiple of the
-    row's gcd, and a depth returns as soon as a bin carries the incumbent,
-    so the witness is the first schedule in depth-first order that reaches
-    the optimum. Without it, it is the search as it was before both: it
-    completes every subtree that can only tie the incumbent and keeps the
-    last such tie. With ``waste_rule``, a placement short of the last
-    depth that leaves its bin less than twice the smallest positive value
-    below the incumbent is counted but not descended into when the bins'
-    unusable room exceeds the slack: room below that value takes no
+    row is searched divided by its gcd and the makespan multiplied back,
+    as the oracle does, and a depth returns as soon as a bin carries the
+    incumbent, so the witness is the first schedule in depth-first order
+    that reaches the optimum. Without it, it is the search as it was
+    before both: it completes every subtree that can only tie the
+    incumbent and keeps the last such tie. With ``waste_rule``, a
+    placement short of the last depth that leaves its bin less than twice
+    the smallest positive value below the incumbent is counted but not
+    descended into when the bins' unusable room exceeds the slack: room below that value takes no
     positive value, room below twice it at most the largest remaining
     value that fits. With ``pair_rule`` that window is ``p + p'``, the
     smallest positive value plus the second smallest (still ``2p`` when
@@ -374,18 +380,16 @@ def recursive_search(
         )
 
     order = sorted(range(m), key=lambda c: (-row[c], c))
-    values = [row[c] for c in order]
+    g = (math.gcd(*row) or 1) if tie_rule else 1
+    values = [row[c] // g for c in order]
     total = sum(values)
     lower = max(-(-total // n), values[0]) if m else 0
-    g = math.gcd(*values)
-    if tie_rule and g:
-        lower = -(-lower // g) * g
     positives = sorted(v for v in values if v)
     p = positives[0] if positives else 0
     window = p + positives[1] if pair_rule and len(positives) > 1 else 2 * p
 
     seed = schedule_lpt(row, n)
-    incumbent, witness = seed.makespan, seed.allocation
+    incumbent, witness = seed.makespan // g, seed.allocation
     nodes = 0
     first_cap = incumbent - 1
     subset_rule = (
@@ -467,7 +471,7 @@ def recursive_search(
             witness = Allocation(
                 bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset()
             )
-    return incumbent, witness, nodes
+    return incumbent * g, witness, nodes
 
 
 def reference_exact_mms(
@@ -512,8 +516,8 @@ class TestAgainstRecursiveOracle:
 
     def test_node_counts_match(self):
         # 2 bins x eleven chores of value 2: LPT is optimal, but the
-        # pigeonhole bound sits one below it, so the search before the
-        # gcd bound searched the whole tree. The gcd bound closes it.
+        # pigeonhole bound sits one below it, so the search without the
+        # gcd searched the whole tree. Dividing by the gcd closes it.
         twos = identical([2] * 11, n=2)
         limits = OracleLimits()
         assert recursive_search(twos, 0, limits, tie_rule=False, waste_rule=False)[2] == 195
@@ -524,9 +528,9 @@ class TestAgainstRecursiveOracle:
             300,
         )
         # The waste rule keeps the corpus below 1000 nodes a row; 3 bins
-        # x 7 sevens, 7 fives and 8 threes, scaled by 4096 past the
-        # subset-sum gate, still takes 3,302.
-        agents.append((identical([v << 12 for v in [7] * 7 + [5] * 7 + [3] * 8], n=3), 0))
+        # x 7 sevens, 7 fives and 8 threes, each times 4096 plus 1, past
+        # the subset-sum gate with gcd 1, still takes 3,713.
+        agents.append((identical(PAST_THE_GATE, n=3), 0))
         counts = []
         for inst, agent in agents:
             desc = sorted(inst.row(agent), reverse=True)
@@ -604,7 +608,7 @@ class TestAgainstRecursiveOracle:
         [
             ([0, 9, 0], 3, 9, 0, 0, 0),
             ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 4, 1),
-            ([7] * 7 + [5] * 7 + [3] * 8, 3, 36, 1235, 1235, 48),
+            (SEVENS_FIVES_THREES, 3, 36, 1235, 1235, 48),
         ],
         ids=["one-positive", "trailing-zeros", "equal-smallest"],
     )
@@ -641,16 +645,35 @@ class TestAgainstRecursiveOracle:
         assert fewer_nodes > 0
 
     # Above the gate no table is built, and the search is the p + p'
-    # one node for node: the 7-5-3 row scaled by 4096 has a first cap
-    # of 155,647, past SUBSET_CAP, while unscaled it takes 48 nodes.
+    # one node for node: the 7-5-3 row with each value times 4096 plus 1
+    # has gcd 1 and a first cap of 155,655, past SUBSET_CAP, while the
+    # row itself takes 48 nodes.
     def test_row_above_the_gate_takes_the_pair_rule_nodes(self):
-        row = [v << 12 for v in [7] * 7 + [5] * 7 + [3] * 8]
-        assert schedule_lpt(row, 3).makespan - 1 == 155_647 >= oracle.SUBSET_CAP
+        row = PAST_THE_GATE
+        assert schedule_lpt(row, 3).makespan - 1 == 155_655 >= oracle.SUBSET_CAP
         limits = OracleLimits()
         pair = recursive_search(
             identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
         )
-        assert oracle._min_makespan(row, 3, limits)[::2] == (pair[0], pair[2]) == (36 << 12, 3302)
+        assert oracle._min_makespan(row, 3, limits)[::2] == (pair[0], pair[2]) == (147_464, 3713)
+
+    # Every comparison of the search is between multiples of the row's
+    # gcd, which it divides out, so a row times g takes the row's own
+    # search: its makespan times g, the same bins and the same nodes,
+    # also for the multiples whose raw cap passes the subset-sum gate.
+    @pytest.mark.parametrize("g", [3, 20, 4096])
+    def test_multiples_of_a_row_take_its_search(self, g):
+        limits = OracleLimits()
+        rows = {
+            (tuple(sorted(inst.row(agent), reverse=True)), inst.num_agents)
+            for inst in oracle_corpus()
+            for agent in range(inst.num_agents)
+        }
+        rows.add((tuple(SEVENS_FIVES_THREES), 3))
+        for desc, n in sorted(rows):
+            value, bins, nodes = oracle._min_makespan(desc, n, limits)
+            scaled = oracle._min_makespan([v * g for v in desc], n, limits)
+            assert scaled == (value * g, bins, nodes)
 
     # 3 agents x a nines, a sixes and a + 1 fours: LPT misses the optimum
     # and the two smallest values are equal, so the p + p' window is 2p.
