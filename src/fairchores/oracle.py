@@ -17,18 +17,15 @@ a lower bound it prunes by wasted room: a placement after which the
 bins' room that no later value can fill exceeds the slack leads to no
 schedule that beats the incumbent, so skipping it changes only the
 node count, never the share or the witness. A bin wastes its room
-minus the largest sum of later values that fits in it, read from a
-bitset of each suffix's subset sums. Past a constant gate on the cap
-and on the table's size, it counts only room below ``p + p'``, the
-sum of the row's two smallest positive values, which holds at most
-one more positive value. Its state is two lists, ``assign`` and
+minus the most that later values can put in it, read from a bitset of
+each suffix's subset sums, at a coarser resolution where the cap is
+wider than the bitset. Its state is two lists, ``assign`` and
 ``loads``, not the call stack, so only its own limits bound the row
 length it accepts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd, inf
@@ -50,12 +47,12 @@ from .scheduling import _check_jobs, _lpt, _pigeonhole
 
 DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
-# The exact search reads wasted room from a table of subset sums when its
-# first cap is below SUBSET_CAP and the table, (m + 1) * (cap + 1) bits
-# for m values, holds at most SUBSET_BITS (2 MiB). On exact-small rows
-# with each positive value times 2 to 32 plus 1, all of gcd 1 and so
-# searched as they are, the table paid for itself below caps of 2**13
-# to 2**14 and cost up to 1.8x the search time above.
+# The width of the exact search's subset-sum table: each of its m + 1
+# bitsets for m values is at most SUBSET_CAP bits wide, and all of them
+# hold at most SUBSET_BITS (2 MiB). On exact-small rows with each positive
+# value times 2 to 32 plus 1, all of gcd 1, an exact table paid for
+# itself below caps of 2**13 to 2**14 and cost up to 1.8x the search
+# time above; wider caps are read at a coarser resolution.
 SUBSET_CAP = 1 << 14
 SUBSET_BITS = 1 << 24
 
@@ -144,31 +141,32 @@ def _min_makespan(
     makespan multiplied back: every load and cap is a multiple of g, so
     each comparison is the row's own, but no bin carries ``g - 1`` units
     of room that no load can use. A row and its multiples take the same
-    search, node for node; the gate and the wastes below are in the
-    reduced row's units.
+    search, node for node; the resolution and the wastes below are in
+    the reduced row's units.
 
     Wasted room, the bound of bin completion (Korf 2003), prunes. With
     ``cap`` one below the incumbent, every placement short of the last
     depth sums each bin's room that the later values cannot use: the
     room minus the largest sum of later values that fits in it
-    (Martello & Toth 1990). Bit s of ``suf[j]`` is set when some values
-    of ``desc[j:]`` sum to s, up to the first cap, so that sum is the
-    highest set bit of ``suf[k + 1]`` at or below the room. When the
-    waste exceeds ``n * cap - total``, no completion beats the
-    incumbent, and the placement counts as a node but is not descended
-    into. The subtrees it closes hold no improving leaf, so the search
-    meets the same leaves in the same order: the witness and the
-    makespan are those of the search without it, and only the node
-    count falls.
+    (Martello & Toth 1990). When the waste exceeds ``n * cap - total``,
+    no completion beats the incumbent, and the placement counts as a
+    node but is not descended into. The subtrees it closes hold no
+    improving leaf, so the search meets the same leaves in the same
+    order: the witness and the makespan are those of the search without
+    it, and only the node count falls.
 
-    The masks cost time that grows with the cap, so past
-    ``SUBSET_CAP`` or ``SUBSET_BITS`` no table is built. The search then
-    counts the same waste only where it is cheap, after a placement that
-    leaves its bin less than ``p + p'`` of room, ``p`` and ``p'`` being
-    the row's smallest and second-smallest positive values: room below
-    ``p`` takes only zeros, and room below ``p + p'`` at most one more
-    positive value, so it wastes the room minus the largest later value
-    that fits. Larger rooms count as no waste.
+    The table's cost grows with its width, so the first cap sets a
+    resolution ``q``, the least that keeps ``cap // q`` below
+    ``SUBSET_CAP`` and the table within ``SUBSET_BITS``. Bit s of
+    ``suf[j]`` is set when some values of ``desc[j:]``, each divided by
+    ``q`` and rounded down, sum to s. Let F be the highest set bit of
+    ``suf[k + 1]`` at or below ``room // q``: the later values that fit
+    in the room fill at most ``q * F`` plus ``q - 1`` for each of them,
+    and no more of them fit than remain or than ``room // p``, ``p``
+    being the row's smallest positive value (Ibarra & Kim 1975). A room
+    below ``p`` is wasted whole, a larger one less that fill when
+    positive. At ``q`` 1 the fill is the largest sum itself, read by a
+    cheaper loop of its own.
 
     Returns the makespan, the bin of each position and the node count.
     Its state is ``assign`` (the bin of each placed position) and
@@ -198,26 +196,17 @@ def _min_makespan(
     total = sum(desc)
     cap = incumbent - 1
     slack = n * cap - total
-    # Bit s of suf[j] is set when values of desc[j:] sum to s <= cap.
-    # The cap only falls, so the first cap's table serves the search.
-    suf: List[int] = []
-    if cap < SUBSET_CAP and (m + 1) * (cap + 1) <= SUBSET_BITS:
-        top = (2 << cap) - 1
-        suf = [1] * (m + 1)
-        for j in range(last, -1, -1):
-            suf[j] = (suf[j + 1] | suf[j + 1] << desc[j]) & top
-    else:
-        # The row negated, so ascending, with a trailing 0: the first entry
-        # at or above -room from depth k + 1 on is minus the largest later
-        # value that fits in room, or 0 when none does. The search runs
-        # only when the row has two positive values (a lone one is the
-        # pigeonhole bound): p is the smallest, at ip, and pair adds the
-        # next, desc[ip - 1]; no two positive values fit in less room.
-        negs = [-v for v in desc]
-        negs.append(0)
-        ip = bisect_left(negs, 0) - 1
-        p = desc[ip]
-        pair = p + desc[ip - 1]
+    # Bit s of suf[j] is set when values of desc[j:], each divided by q
+    # and rounded down, sum to s <= cap // q. The cap only falls, so the
+    # first cap's table serves the search.
+    width = max(1, min(SUBSET_CAP, SUBSET_BITS // (m + 1)))
+    q = cap // width + 1
+    if q > 1:
+        p = min(v for v in desc if v)
+    top = (2 << cap // q) - 1
+    suf = [1] * (m + 1)
+    for j in range(last, -1, -1):
+        suf[j] = (suf[j + 1] | suf[j + 1] << desc[j] // q) & top
     k = 0
     start = 0
     while True:
@@ -237,22 +226,28 @@ def _min_makespan(
             assign[k] = b
             if k < last:
                 waste = 0
-                if suf:
+                sums = suf[k + 1]
+                if q == 1:
                     # The highest set bit at or below room is the most
                     # that the later values can put in the bin.
-                    sums = suf[k + 1]
                     for used in loads:
                         room = cap - used
                         waste += room + 1 - (sums & ((2 << room) - 1)).bit_length()
                         if waste > slack:
                             break
-                elif cap - placed < pair:
+                else:
+                    # Each later value that fits lost less than q when
+                    # it was rounded down.
                     for used in loads:
                         room = cap - used
                         if room < p:
                             waste += room
-                        elif room < pair:
-                            waste += room + negs[bisect_left(negs, -room, k + 1)]
+                        else:
+                            fit = (sums & ((2 << room // q) - 1)).bit_length() - 1
+                            fill = q * fit + (q - 1) * min(last - k, room // p)
+                            waste += max(room - fill, 0)
+                        if waste > slack:
+                            break
                 if waste > slack:
                     loads[b] = load
                     continue

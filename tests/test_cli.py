@@ -129,8 +129,8 @@ class TestExitCodes:
 
     # The oracle places one chore per search depth, so rows longer than
     # Python's recursion limit must still end in a share or an exit code.
-    # Values near 2**20 put the first cap past the subset-sum gate, so
-    # only the p + p' window prunes and the search runs out of nodes.
+    # Values near 2**20 put the first cap past SUBSET_CAP, so the waste
+    # is read at a coarse resolution, and the search runs out of nodes.
     def test_long_row_exhausts_the_node_budget(self, tmp_path, capsys):
         big = 2**20
         row = [9 * big + 1] * 334 + [6 * big + 1] * 334 + [4 * big + 1] * 335
@@ -157,6 +157,21 @@ class TestExitCodes:
         path = write_json(tmp_path / "zeros.json", inst)
         assert run_cli(["mms", "--input", path, "--max-chores", "5000"]) == 0
         assert capsys.readouterr().out == "agent 0: mms 6\nagent 1: mms 6\n"
+
+    # 4 agents x 18 values up to 10**6 with gcd 1: the first cap is past
+    # SUBSET_CAP, so the search reads its waste at resolution 114 and
+    # takes 921 nodes, where the p + p' window took 70,757.
+    def test_row_past_the_subset_cap_fits_a_small_budget(self, tmp_path, capsys):
+        row = [
+            895628, 745540, 689655, 665842, 503821, 492016, 468462, 437207, 429409,
+            379085, 311005, 298775, 271430, 249413, 237655, 233235, 10621, 6138,
+        ]
+        inst = {"agents": 4, "chores": 18, "valuations": [row, row[::-1], row, row]}
+        path = write_json(tmp_path / "wide.json", inst)
+        assert run_cli(["mms", "--input", path, "--node-budget", "921"]) == 0
+        assert capsys.readouterr().out == "".join(f"agent {i}: mms 1831796\n" for i in range(4))
+        assert run_cli(["mms", "--input", path, "--node-budget", "920"]) == 4
+        assert capsys.readouterr().err.startswith("oracle limit: node budget 920 exhausted")
 
     # Rows a and b search 14 and 19 nodes. Agents 0 and 2 share a's
     # sorted row, so it is searched once, and the budget holds per row.

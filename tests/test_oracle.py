@@ -46,7 +46,7 @@ from conftest import (
 
 # 7 sevens, 7 fives and 8 threes: on 3 bins LPT misses the share 36.
 SEVENS_FIVES_THREES = [7] * 7 + [5] * 7 + [3] * 8
-# The same row with each value times 4096 plus 1: gcd 1, past the gate.
+# The same row with each value times 4096 plus 1: gcd 1, past SUBSET_CAP.
 PAST_THE_GATE = [v * 4096 + 1 for v in SEVENS_FIVES_THREES]
 
 
@@ -348,10 +348,11 @@ def recursive_search(
     waste_rule: bool,
     pair_rule: bool = False,
     subset_rule: bool = False,
+    coarse_rule: bool = False,
 ) -> Tuple[int, Allocation, int]:
     """The recursive branch-and-bound, with its node count.
 
-    With all four rules it is the current search. With ``tie_rule`` the
+    With all five rules it is the current search. With ``tie_rule`` the
     row is searched divided by its gcd and the makespan multiplied back,
     as the oracle does, and a depth returns as soon as a bin carries the
     incumbent, so the witness is the first schedule in depth-first order
@@ -370,7 +371,18 @@ def recursive_search(
     ``oracle.SUBSET_CAP`` and its table within ``oracle.SUBSET_BITS``,
     every placement short of the last depth checks every bin, and a bin
     wastes its room minus the largest sum of remaining values that fits
-    in it, read from sorted lists of each suffix's subset sums.
+    in it, read from sorted lists of each suffix's subset sums. With
+    ``coarse_rule`` as well, the subset sums reach every first cap at a
+    resolution q, ``first_cap // oracle.SUBSET_CAP + 1`` raised until
+    the table fits ``oracle.SUBSET_BITS``: they are the sums of the
+    values divided by q and rounded down, up to ``first_cap // q``. A
+    set of later values that fits in a room floors to at most the
+    largest such sum F at or below ``room // q``, and each value lost
+    less than q, so it fills at most ``q * F + (q - 1) * c``, where c
+    counts its positive values: no more than remain, nor than
+    ``room // p``. A room below p is wasted whole, and a larger one
+    wastes its room minus that fill, when positive. At q = 1 this is
+    the exact rule.
     """
     row = inst.row(agent)
     n, m = inst.num_agents, inst.num_chores
@@ -392,17 +404,23 @@ def recursive_search(
     incumbent, witness = seed.makespan // g, seed.allocation
     nodes = 0
     first_cap = incumbent - 1
-    subset_rule = (
-        subset_rule
-        and first_cap < oracle.SUBSET_CAP
+    subset_rule = subset_rule and (
+        coarse_rule
+        or first_cap < oracle.SUBSET_CAP
         and (m + 1) * (first_cap + 1) <= oracle.SUBSET_BITS
     )
-    # suffix_sums[k]: the sorted subset sums of values[k:] up to first_cap.
+    q = 1
+    if coarse_rule:
+        q = max(first_cap, 0) // oracle.SUBSET_CAP + 1
+        while (m + 1) * (first_cap // q + 1) > oracle.SUBSET_BITS:
+            q += 1
+    # suffix_sums[k]: the sorted subset sums of the values[k:] divided by
+    # q and rounded down, up to first_cap // q.
     suffix_sums: List[List[int]] = [[0]]
     if subset_rule:
         sums = {0}
         for v in reversed(values):
-            sums |= {s + v for s in sums if s + v <= first_cap}
+            sums |= {s + v // q for s in sums if s + v // q <= first_cap // q}
             suffix_sums.insert(0, sorted(sums))
 
     def wasted(k: int) -> int:
@@ -413,7 +431,9 @@ def recursive_search(
             room = cap - load
             if subset_rule:
                 sums = suffix_sums[k + 1]
-                waste += room - sums[bisect.bisect_right(sums, room) - 1]
+                fit = sums[bisect.bisect_right(sums, room // q) - 1]
+                fill = q * fit + (q - 1) * min(m - k - 1, room // p)
+                waste += room if room < p else max(room - fill, 0)
             elif room < p:
                 waste += room
             elif room < window:
@@ -479,7 +499,8 @@ def reference_exact_mms(
 ) -> Tuple[int, Allocation]:
     """The current search, written recursively."""
     return recursive_search(
-        inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True, subset_rule=True
+        inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True, subset_rule=True,
+        coarse_rule=True,
     )[:2]
 
 
@@ -527,9 +548,9 @@ class TestAgainstRecursiveOracle:
             [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)],
             300,
         )
-        # The waste rule keeps the corpus below 1000 nodes a row; 3 bins
-        # x 7 sevens, 7 fives and 8 threes, each times 4096 plus 1, past
-        # the subset-sum gate with gcd 1, still takes 3,713.
+        # The waste rule keeps the corpus below 100 nodes a row; 3 bins
+        # x 7 sevens, 7 fives and 8 threes, each times 4096 plus 1, with
+        # gcd 1 and so read at resolution 10, takes 564.
         agents.append((identical(PAST_THE_GATE, n=3), 0))
         counts = []
         for inst, agent in agents:
@@ -537,7 +558,7 @@ class TestAgainstRecursiveOracle:
             nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
             expected = recursive_search(
                 inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
-                subset_rule=True,
+                subset_rule=True, coarse_rule=True,
             )
             assert nodes == expected[2]
             # The count is the budget the search needs, and no less.
@@ -546,7 +567,7 @@ class TestAgainstRecursiveOracle:
                 with pytest.raises(NodeBudgetError):
                     exact_mms(inst, agent, OracleLimits(node_budget=nodes - 1))
             counts.append(nodes)
-        assert max(counts) > 1000
+        assert max(counts) == counts[-1] == 564
 
     def test_tie_rule_keeps_shares_and_only_prunes(self):
         limits = OracleLimits(max_chores=17)
@@ -644,23 +665,74 @@ class TestAgainstRecursiveOracle:
                 fewer_nodes += nodes < before[2]
         assert fewer_nodes > 0
 
-    # Above the gate no table is built, and the search is the p + p'
-    # one node for node: the 7-5-3 row with each value times 4096 plus 1
-    # has gcd 1 and a first cap of 155,655, past SUBSET_CAP, while the
-    # row itself takes 48 nodes.
-    def test_row_above_the_gate_takes_the_pair_rule_nodes(self):
+    # The 7-5-3 row with each value times 4096 plus 1 has gcd 1 and a
+    # first cap of 155,655, past SUBSET_CAP, so its table is read at
+    # resolution 10. It takes 564 nodes there, where the p + p' window
+    # that ran there before took 3,713 and the row itself takes 48.
+    def test_row_past_subset_cap_takes_the_coarse_rule_nodes(self):
         row = PAST_THE_GATE
         assert schedule_lpt(row, 3).makespan - 1 == 155_655 >= oracle.SUBSET_CAP
         limits = OracleLimits()
-        pair = recursive_search(
-            identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
+        rules = dict(tie_rule=True, waste_rule=True, pair_rule=True)
+        pair = recursive_search(identical(row, 3), 0, limits, **rules)
+        coarse = recursive_search(
+            identical(row, 3), 0, limits, subset_rule=True, coarse_rule=True, **rules
         )
-        assert oracle._min_makespan(row, 3, limits)[::2] == (pair[0], pair[2]) == (147_464, 3713)
+        assert coarse[:2] == pair[:2]
+        assert pair[2] == 3713
+        assert oracle._min_makespan(row, 3, limits)[::2] == (coarse[0], coarse[2]) == (147_464, 564)
+
+    # Past SUBSET_CAP the table is read at a resolution q > 1. The fill
+    # it bounds is never below what the later values can put in a bin,
+    # so like the p + p' window it closes only subtrees without an
+    # improving leaf: every share and witness is the window's, and the
+    # oracle's nodes are the coarse reference's. (top, nodes with the
+    # p + p' window, nodes at resolution q.)
+    @pytest.mark.parametrize(
+        "top, nodes_pair, nodes_coarse", [(10**6, 22_307, 6_050), (10**9, 35_654, 7_729)]
+    )
+    def test_coarse_rule_keeps_the_pair_rule_shares_past_the_subset_cap(
+        self, top, nodes_pair, nodes_coarse
+    ):
+        rng = random.Random(top)
+        limits = OracleLimits()
+        rules = dict(tie_rule=True, waste_rule=True, pair_rule=True)
+        totals = [0, 0]
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            row = [rng.randint(1, top) for _ in range(rng.randint(10, 16))]
+            assert math.gcd(*row) == 1
+            assert schedule_lpt(row, n).makespan > oracle.SUBSET_CAP
+            inst = identical(row, n)
+            pair = recursive_search(inst, 0, limits, **rules)
+            coarse = recursive_search(inst, 0, limits, subset_rule=True, coarse_rule=True, **rules)
+            assert exact_mms(inst, 0, limits) == coarse[:2] == pair[:2]
+            desc = sorted(row, reverse=True)
+            assert oracle._min_makespan(desc, n, limits)[2] == coarse[2]
+            totals[0] += pair[2]
+            totals[1] += coarse[2]
+        assert totals == [nodes_pair, nodes_coarse]
+
+    # The known loss: 3 agents x 5 values 9K + 1, 5 values 6K + 1 and 6
+    # values 4K + 1, K = 2**20. The window is exact on rooms in
+    # [p, p + p'), where the coarse fill carries q - 1 of slack.
+    def test_nines_sixes_fours_family_near_2_to_the_20(self):
+        big = 2**20
+        row = [9 * big + 1] * 5 + [6 * big + 1] * 5 + [4 * big + 1] * 6
+        limits = OracleLimits()
+        rules = dict(tie_rule=True, waste_rule=True, pair_rule=True)
+        pair = recursive_search(identical(row, 3), 0, limits, **rules)
+        coarse = recursive_search(
+            identical(row, 3), 0, limits, subset_rule=True, coarse_rule=True, **rules
+        )
+        assert coarse[:2] == pair[:2]
+        assert pair[2] == 265
+        assert oracle._min_makespan(row, 3, limits)[::2] == (coarse[0], coarse[2]) == (34_603_014, 591)
 
     # Every comparison of the search is between multiples of the row's
     # gcd, which it divides out, so a row times g takes the row's own
     # search: its makespan times g, the same bins and the same nodes,
-    # also for the multiples whose raw cap passes the subset-sum gate.
+    # also for the multiples whose raw cap is past SUBSET_CAP.
     @pytest.mark.parametrize("g", [3, 20, 4096])
     def test_multiples_of_a_row_take_its_search(self, g):
         limits = OracleLimits()
