@@ -97,7 +97,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         loads = allocation_loads(inst, alloc)
         for i, (load, share, ratio) in enumerate(zip(loads, result.profile.values, result.ratios)):
             report_lines.append(f"agent {i}: load {load}, share {share}, ratio {ratio}")
-        report_lines.append(f"max ratio {max(result.ratios, default=Fraction(0))}")
+        report_lines.append(f"max ratio {max(result.ratios)}")
     else:
         result = solve_poly_54(inst)
         alloc = result.allocation

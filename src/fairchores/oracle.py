@@ -260,29 +260,21 @@ def _min_makespan(
                 return incumbent * g, best, nodes
             cap = incumbent - 1
             slack = n * cap - total
-            # Undo up to the placement whose undo takes the last bin at
-            # the incumbent below it; a zero value moves no load.
-            full = loads.count(incumbent)
-            while True:
-                b = assign[k]
-                value = desc[k]
-                if value and loads[b] == incumbent:
-                    full -= 1
-                loads[b] -= value
-                if not full:
-                    break
+            # Undo from the leaf up while a bin carries the incumbent.
+            loads[assign[k]] -= desc[k]
+            while incumbent in loads:
                 k -= 1
-            start = b + 1
+                loads[assign[k]] -= desc[k]
+            start = assign[k] + 1
             break
         else:
-            # Depth k is exhausted: undo the placement of depth k - 1
-            # and resume that depth after the bin it used.
+            # Depth k is exhausted: undo one depth up and, as after a
+            # leaf, resume the last undone depth after the bin it used.
             k -= 1
             if k < 0:
                 return incumbent * g, best, nodes
-            b = assign[k]
-            loads[b] -= desc[k]
-            start = b + 1
+            loads[assign[k]] -= desc[k]
+            start = assign[k] + 1
 
 
 def exact_mms(

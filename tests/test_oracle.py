@@ -713,6 +713,41 @@ class TestAgainstRecursiveOracle:
             totals[1] += coarse[2]
         assert totals == [nodes_pair, nodes_coarse]
 
+    # At the real constants SUBSET_BITS binds only from m = 1,024. At
+    # 2**10 bits it holds the corpus's tables to 1,024 // (m + 1) bits,
+    # and that width sets a resolution q > 1 on 149 of its searches.
+    # The oracle keeps the coarse reference's shares, witnesses and
+    # nodes; the corpus's 3,910 nodes at the real constants become 6,186.
+    def test_subset_bits_sets_the_resolution(self, monkeypatch):
+        limits = OracleLimits(max_chores=17)
+        agents = [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)]
+        searches = [
+            (sorted(inst.row(agent), reverse=True), inst.num_agents) for inst, agent in agents
+        ]
+        before = sum(oracle._min_makespan(desc, n, limits)[2] for desc, n in searches)
+        monkeypatch.setattr(oracle, "SUBSET_BITS", 1 << 10)
+        after = 0
+        for (inst, agent), (desc, n) in zip(agents, searches):
+            expected = recursive_search(
+                inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
+                subset_rule=True, coarse_rule=True,
+            )
+            nodes = oracle._min_makespan(desc, n, limits)[2]
+            assert (*exact_mms(inst, agent, limits), nodes) == expected
+            after += nodes
+        assert (before, after) == (3_910, 6_186)
+
+    # At one bit the width floors at 1 and q is the first cap plus one:
+    # every value reads as 0, and the bound keeps only what p gives it.
+    # The reference's q loop never ends there, so the shares and
+    # witnesses are checked against the real constants' instead.
+    def test_one_subset_bit_keeps_shares_and_witnesses(self, monkeypatch):
+        limits = OracleLimits(max_chores=17)
+        agents = [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)]
+        expected = [exact_mms(inst, agent, limits) for inst, agent in agents]
+        monkeypatch.setattr(oracle, "SUBSET_BITS", 1)
+        assert [exact_mms(inst, agent, limits) for inst, agent in agents] == expected
+
     # The known loss: 3 agents x 5 values 9K + 1, 5 values 6K + 1 and 6
     # values 4K + 1, K = 2**20. The window is exact on rooms in
     # [p, p + p'), where the coarse fill carries q - 1 of slack.
