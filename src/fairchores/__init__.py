@@ -18,7 +18,7 @@ from .errors import (
 )
 from .fixtures import Fixture, builtin_fixtures
 from .generator import GeneratorConfig, generate
-from .greedy import AmmsReport, GreedyResult, check_amms, greedy_fill, greedy_trace
+from .greedy import GreedyResult, greedy_fill, greedy_trace
 from .instances import (
     Allocation,
     Instance,
@@ -30,7 +30,15 @@ from .instances import (
     ordered_instance,
     verify_allocation,
 )
-from .oracle import MmsProfile, OracleLimits, exact_mms, mms_profile, optimal_makespan
+from .oracle import (
+    AmmsReport,
+    MmsProfile,
+    OracleLimits,
+    check_amms,
+    exact_mms,
+    mms_profile,
+    optimal_makespan,
+)
 from .scheduling import ScheduleResult, schedule_119, schedule_lpt
 from .solvers import (
     ExistenceResult,

@@ -12,13 +12,14 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError, OracleLimitError, SolverInvariantError
 from .fixtures import builtin_fixtures
 from .generator import GeneratorConfig, generate
-from .greedy import _ratio, check_amms, greedy_trace
+from .greedy import greedy_trace
 from .instances import (
     Instance,
     _as_cap,
@@ -30,7 +31,7 @@ from .instances import (
     load_instance,
     ordered_instance,
 )
-from .oracle import OracleLimits, mms_profile
+from .oracle import OracleLimits, _ratio, check_amms, mms_profile
 from .scheduling import schedule_119, schedule_lpt
 from .solvers import solve_existence_119, solve_poly_54
 
@@ -39,6 +40,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_ORACLE = 4
+# The bench's default --max-chores and largest generated m: oracle rows stay cheap.
+BENCH_MAX_CHORES = 14
 
 
 def _limits(args: argparse.Namespace) -> OracleLimits:
@@ -61,12 +64,9 @@ def _add_limit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _dump_json(obj: object, path: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
-    if path is None:
-        print(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    sink = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+    with sink as handle:
+        print(json.dumps(obj, indent=2, sort_keys=True), file=handle)
 
 
 def _export(directory: str, named: Iterable[Tuple[str, Instance]], noun: str) -> None:
@@ -84,23 +84,22 @@ def _load_jobs(path: str) -> List[int]:
         obj = obj.get("jobs")
     if not isinstance(obj, list):
         raise InputError(f"{path}: expected a job list or an object with 'jobs'")
-    return list(obj)
+    return obj
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     limits = _limits(args)
     inst = load_instance(args.input)
+    exact = args.algo == "exact-119"
+    result = solve_existence_119(inst, limits) if exact else solve_poly_54(inst)
+    alloc = result.allocation
     report_lines: List[str] = []
-    if args.algo == "exact-119":
-        result = solve_existence_119(inst, limits)
-        alloc = result.allocation
+    if exact:
         loads = allocation_loads(inst, alloc)
         for i, (load, share, ratio) in enumerate(zip(loads, result.profile.values, result.ratios)):
             report_lines.append(f"agent {i}: load {load}, share {share}, ratio {ratio}")
         report_lines.append(f"max ratio {max(result.ratios)}")
     else:
-        result = solve_poly_54(inst)
-        alloc = result.allocation
         for i, (load, cap) in enumerate(zip(result.loads, result.thresholds)):
             report_lines.append(f"agent {i}: load {load}, cap {cap}, certified true")
     report_lines.append(f"complete {str(alloc.complete).lower()}")
@@ -178,8 +177,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     config = GeneratorConfig(
         seed=args.seed,
-        agents=(args.agents[0], args.agents[1]),
-        chores=(args.chores[0], args.chores[1]),
+        agents=args.agents,
+        chores=args.chores,
         value_max=args.value_max,
         ido_only=args.ido_only,
     )
@@ -196,10 +195,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_fixtures(args: argparse.Namespace) -> int:
     fixtures = builtin_fixtures()
     if args.name:
-        chosen = [f for f in fixtures if f.name == args.name]
-        if not chosen:
+        fixtures = [f for f in fixtures if f.name == args.name]
+        if not fixtures:
             raise InputError(f"no fixture named {args.name!r}")
-        fixtures = tuple(chosen)
     if args.export:
         _export(args.export, [(f.name, f.instance) for f in fixtures], "fixtures")
         return EXIT_OK
@@ -215,7 +213,7 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     limits = _limits(args)
     corpus = [(f.name, f.instance) for f in builtin_fixtures()]
-    most = min(14, args.max_chores)  # _limits has checked it is at least 1
+    most = min(BENCH_MAX_CHORES, args.max_chores)  # _limits has checked it is at least 1
     config = GeneratorConfig(seed=args.seed, chores=(min(2, most), most))
     for idx, inst in enumerate(generate(config, args.count)):
         corpus.append((f"rand-{args.seed}-{idx:03d}", inst))
@@ -251,12 +249,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 )
             )
 
-    handle = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
-    try:
+    sink = nullcontext(sys.stdout)
+    if args.output:
+        sink = open(args.output, "w", newline="", encoding="utf-8")
+    with sink as handle:
         csv.writer(handle).writerows(rows)
-    finally:
-        if args.output:
-            handle.close()
     return EXIT_OK
 
 
@@ -326,9 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=int, default=25)
     p_bench.add_argument("--output", help="CSV path (default stdout)")
     _add_limit_flags(p_bench)
-    # Oracle-backed rows stay cheap by default; raise to include the
-    # larger builtin fixtures.
-    p_bench.set_defaults(func=cmd_bench, max_chores=14)
+    p_bench.set_defaults(func=cmd_bench, max_chores=BENCH_MAX_CHORES)
     return parser
 
 

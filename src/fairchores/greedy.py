@@ -9,7 +9,9 @@ chore joins the bundle as long as some still unassigned agent could
 accept the grown bundle within their threshold. The finished bundle
 then goes to the lowest-index unassigned agent it fits. Whatever no
 round could place is reported as leftover rather than raised, because
-the interesting counterexamples live exactly there.
+the interesting counterexamples live exactly there. The thresholds are
+the caller's, as the greedy knows no share; whether the loads meet
+alpha times each share is the oracle's ``check_amms``.
 
 The pass does not visit the chores it rejects. The chores an agent's
 room still absorbs are a suffix of their nonincreasing row, found by
@@ -24,22 +26,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import neg
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import InputError
-from .instances import (
-    Allocation,
-    Instance,
-    OrderedInstance,
-    ThresholdVector,
-    _as_cap,
-    _as_type,
-    _chore_allocation,
-    allocation_loads,
-)
-from .oracle import MmsProfile
+from .instances import Allocation, OrderedInstance, ThresholdVector, _as_type, _chore_allocation
 
 
 @dataclass(frozen=True)
@@ -148,39 +139,3 @@ def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dic
         unserved.remove(owner)
     return records
 
-
-def _ratio(load: int, share: int) -> Optional[Fraction]:
-    """The exact load/share ratio: 0 when both are 0, None for a load on a zero share."""
-    return Fraction(load, share) if share else None if load else Fraction(0)
-
-
-@dataclass(frozen=True)
-class AmmsReport:
-    """Outcome of checking loads against alpha times each maximin share.
-
-    ``ratios[i]`` is the exact load/share fraction, 0 when both are
-    zero, and None in the degenerate case of a positive load against a
-    zero share (which also fails the check).
-    """
-
-    passed: bool
-    within: Tuple[bool, ...]
-    ratios: Tuple[Optional[Fraction], ...]
-
-
-def check_amms(
-    inst: Instance, alloc: Allocation, profile: MmsProfile, alpha: Fraction
-) -> AmmsReport:
-    """Does every agent carry at most alpha times their maximin share?
-
-    ``alpha`` follows the caps rule; ``MmsProfile`` has checked each share."""
-    loads = allocation_loads(inst, alloc)
-    if not alloc.complete:
-        raise InputError("check_amms needs a complete allocation")
-    if len(_as_type(profile, MmsProfile, "profile").values) != inst.num_agents:
-        raise InputError("profile does not match the instance")
-    alpha = _as_cap(alpha, "alpha")
-
-    within = tuple(load <= alpha * share for load, share in zip(loads, profile.values))
-    ratios = tuple(map(_ratio, loads, profile.values))
-    return AmmsReport(passed=all(within), within=within, ratios=ratios)

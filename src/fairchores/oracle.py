@@ -21,13 +21,16 @@ minus the most that later values can put in it, read from a bitset of
 each suffix's subset sums, at a coarser resolution where the cap is
 wider than the bitset. Its state is two lists, ``assign`` and
 ``loads``, not the call stack, so only its own limits bound the row
-length it accepts.
+length it accepts. Beside the shares, ``check_amms`` holds each load to
+alpha times its share, and ``_ratio`` is the exact load/share ratio
+that it and the solvers report.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, inf
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,11 +39,13 @@ from .instances import (
     Allocation,
     Instance,
     OrderedInstance,
+    _as_cap,
     _as_int,
     _as_type,
     _descending,
     _trusted,
     _witness,
+    allocation_loads,
     ordered_instance,
 )
 from .scheduling import _check_jobs, _lpt, _pigeonhole
@@ -49,10 +54,10 @@ DEFAULT_MAX_CHORES = 24
 DEFAULT_NODE_BUDGET = 100_000_000
 # The width of the exact search's subset-sum table: each of its m + 1
 # bitsets for m values is at most SUBSET_CAP bits wide, and all of them
-# hold at most SUBSET_BITS (2 MiB). On exact-small rows with each positive
-# value times 2 to 32 plus 1, all of gcd 1, an exact table paid for
-# itself below caps of 2**13 to 2**14 and cost up to 1.8x the search
-# time above; wider caps are read at a coarser resolution.
+# hold at most SUBSET_BITS (2 MiB), so a search whose first cap is wider
+# reads the table at a resolution q > 1 (see _min_makespan). Where that
+# coarse read starts to cost more than a wider exact table would has not
+# been timed; the two values stand until it is.
 SUBSET_CAP = 1 << 14
 SUBSET_BITS = 1 << 24
 
@@ -116,6 +121,43 @@ class MmsProfile:
 
 # __init__ keeps the None default; unset here, a read reaches __getattr__.
 del MmsProfile.witnesses
+
+
+def _ratio(load: int, share: int) -> Optional[Fraction]:
+    """The exact load/share ratio: 0 when both are 0, None for a load on a zero share."""
+    return Fraction(load, share) if share else None if load else Fraction(0)
+
+
+@dataclass(frozen=True)
+class AmmsReport:
+    """Outcome of checking loads against alpha times each maximin share.
+
+    ``ratios[i]`` is the exact load/share fraction, 0 when both are
+    zero, and None in the degenerate case of a positive load against a
+    zero share (which also fails the check).
+    """
+
+    passed: bool
+    within: Tuple[bool, ...]
+    ratios: Tuple[Optional[Fraction], ...]
+
+
+def check_amms(
+    inst: Instance, alloc: Allocation, profile: MmsProfile, alpha: Fraction
+) -> AmmsReport:
+    """Does every agent carry at most alpha times their maximin share?
+
+    ``alpha`` follows the caps rule; ``MmsProfile`` has checked each share."""
+    loads = allocation_loads(inst, alloc)
+    if not alloc.complete:
+        raise InputError("check_amms needs a complete allocation")
+    if len(_as_type(profile, MmsProfile, "profile").values) != inst.num_agents:
+        raise InputError("profile does not match the instance")
+    alpha = _as_cap(alpha, "alpha")
+
+    within = tuple(load <= alpha * share for load, share in zip(loads, profile.values))
+    ratios = tuple(map(_ratio, loads, profile.values))
+    return AmmsReport(passed=all(within), within=within, ratios=ratios)
 
 
 def _min_makespan(

@@ -29,7 +29,7 @@ from operator import neg
 from typing import List, Sequence, Tuple
 
 from .errors import SolverInvariantError
-from .greedy import _ratio, greedy_fill
+from .greedy import greedy_fill
 from .instances import (
     Allocation,
     Instance,
@@ -44,7 +44,7 @@ from .instances import (
     lift_allocation,
     ordered_instance,
 )
-from .oracle import MmsProfile, OracleLimits, _profile
+from .oracle import MmsProfile, OracleLimits, _profile, _ratio
 from .scheduling import _boundary_search, _ffd_fits, _first_fit, _pigeonhole
 
 
@@ -139,7 +139,7 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     ``_pack_large`` on it, and ``_chore_allocation`` maps the packed
     positions back to chores; ``search_threshold`` runs the same packer.
     """
-    _as_int(s, "threshold s", 1)
+    _as_int(s, "threshold s")
     order, desc = _descending(_as_type(inst, Instance, "inst").row(agent))
     bundles, queue, k = _pack_large(desc, inst.num_agents, s)
     benchmark = _chore_allocation(order, bundles)

@@ -552,6 +552,14 @@ class TestGenAndFixtures:
         ]
         assert run_cli(["fixtures", "--name", "absent"]) == 2
 
+    def test_fixtures_name_picks_one(self, tmp_path, capsys):
+        assert run_cli(["fixtures", "--name", "non-monotone"]) == 0
+        assert capsys.readouterr().out == "non-monotone: agents 4, chores 17, scale 20\n"
+        out_dir = tmp_path / "fx"
+        assert run_cli(["fixtures", "--name", "non-monotone", "--export", str(out_dir)]) == 0
+        assert capsys.readouterr().out == f"wrote 1 fixtures to {out_dir}\n"
+        assert [p.name for p in out_dir.iterdir()] == ["non-monotone.json"]
+
 
 class TestBench:
     def test_csv_schema_and_bounds(self, tmp_path):

@@ -299,7 +299,7 @@ def ido_edge_cases() -> List[tuple]:
 
 
 def sweep(inst: Instance, agent: int) -> range:
-    """Every s in [lower, 2*lower], with lower 0 read as 1 (s must be >= 1)."""
+    """Every s in [lower, 2*lower], with lower 0 read as 1 so that a zero row sweeps [1, 2]."""
     lower = max(_pigeonhole(sorted(inst.row(agent), reverse=True), inst.num_agents), 1)
     return range(lower, 2 * lower + 1)
 
@@ -512,7 +512,7 @@ class TestTrustedBuilds:
             for i, row in enumerate(inst.valuations):
                 schedule_119(row, inst.num_agents)
                 schedule_lpt(row, inst.num_agents)
-                threshold_test(inst, i, max(1, search_threshold(inst, i)))
+                threshold_test(inst, i, search_threshold(inst, i))
         kinds = {type(obj) for obj in built}
         assert kinds == {Allocation, Instance, OrderedInstance, ThresholdVector}
         for obj in built:

@@ -3,7 +3,9 @@
 Every name a module imports must be used in it, so a symbol that loses
 its last caller also loses its import. ``__init__.py`` is exempt: its
 imports are the public re-exports, and every name in ``__all__`` must
-resolve on the package.
+resolve on the package. The core modules import only the layers below
+them: the greedy and the schedulers sit on ``errors`` and ``instances``,
+the oracle adds ``scheduling``, and ``solvers`` and ``cli`` sit above.
 """
 
 from __future__ import annotations
@@ -61,6 +63,24 @@ def test_the_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
+
+
+def relative_imports(source: str) -> Set[str]:
+    """The package modules a module imports from, as ``from .x import``."""
+    tree = ast.parse(source)
+    return {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+
+
+LAYERS_BELOW = {
+    "greedy": {"errors", "instances"},
+    "scheduling": {"errors", "instances"},
+    "oracle": {"errors", "instances", "scheduling"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS_BELOW))
+def test_core_modules_import_only_the_layers_below(module):
+    assert relative_imports((PACKAGE / f"{module}.py").read_text()) == LAYERS_BELOW[module]
 
 
 def test_every_exported_name_is_the_package_own_and_distinct():

@@ -136,7 +136,7 @@ _INTEGER_SITES = [
     ("exact_mms", "agent index", lambda a: exact_mms(_TWO, a), 0, 1),
     ("search_threshold", "agent index", lambda a: search_threshold(_TWO, a), 0, 1),
     ("naive_test", "threshold s", lambda s: naive_test(_TWO, 0, s), 0, sys.maxsize),
-    ("threshold_test", "threshold s", lambda s: threshold_test(_TWO, 0, s), 1, sys.maxsize),
+    ("threshold_test", "threshold s", lambda s: threshold_test(_TWO, 0, s), 0, sys.maxsize),
     ("max_chores", "max_chores", lambda v: OracleLimits(max_chores=v), 1, sys.maxsize),
     ("node_budget", "node_budget", lambda v: OracleLimits(node_budget=v), 1, sys.maxsize),
     ("agents0", "agents[0]", lambda v: GeneratorConfig(1, agents=(v, 5)), 1, sys.maxsize),

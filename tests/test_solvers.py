@@ -107,8 +107,10 @@ class TestThresholdTest:
         assert outcome.really_large_count == 3
 
     def test_threshold_floor(self):
-        with pytest.raises(InputError):
-            threshold_test(identical([1]), 0, 0)
+        # The floor is naive_test's, 0: two chores above 0/2 outnumber one bundle.
+        with pytest.raises(InputError, match="threshold s must be at least 0"):
+            threshold_test(identical([1]), 0, -1)
+        assert not threshold_test(identical([1, 1], n=1), 0, 0).passed
 
     @settings(max_examples=40, deadline=None)
     @given(small_instances(max_agents=3, max_chores=6, max_value=25))
@@ -116,8 +118,7 @@ class TestThresholdTest:
         for agent in range(inst.num_agents):
             mu, _ = exact_mms(inst, agent)
             for s in (mu, mu + 1, -(-11 * mu // 10), 2 * mu):
-                if s >= 1:
-                    assert threshold_test(inst, agent, s).passed
+                assert threshold_test(inst, agent, s).passed
 
     @settings(max_examples=40, deadline=None)
     @given(small_instances(max_agents=3, max_chores=6, max_value=25), st.integers(1, 90))
@@ -190,6 +191,13 @@ class TestSearchThreshold:
             assert search_threshold(inst, 0) == 0
             assert probes == [0]
 
+    def test_a_zero_row_searched_threshold_passes_the_test(self):
+        # The search settles a zero row at s = 0; threshold_test takes it.
+        for inst in (Instance.from_rows([[0, 0], [0, 0]]), Instance.from_rows([[0, 0], [3, 1]])):
+            s = search_threshold(inst, 0)
+            assert s == 0
+            assert threshold_test(inst, 0, s).passed
+
     @settings(max_examples=80, deadline=None)
     @given(small_instances(max_agents=5, max_chores=12, max_value=60))
     def test_bracket_top_passes(self, inst):
@@ -206,7 +214,7 @@ class TestSearchThreshold:
         for agent in range(inst.num_agents):
             lower = lower_of(inst, agent)
             s_star = search_threshold(inst, agent)
-            assert s_star == 0 or threshold_test(inst, agent, s_star).passed
+            assert threshold_test(inst, agent, s_star).passed
             if s_star > lower:
                 assert not threshold_test(inst, agent, s_star - 1).passed
 
