@@ -92,27 +92,22 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = load_instance(args.input)
     exact = args.algo == "exact-119"
     result = solve_existence_119(inst, limits) if exact else solve_poly_54(inst)
-    alloc = result.allocation
-    report_lines: List[str] = []
-    if exact:
-        loads = allocation_loads(inst, alloc)
-        for i, (load, share, ratio) in enumerate(zip(loads, result.profile.values, result.ratios)):
-            report_lines.append(f"agent {i}: load {load}, share {share}, ratio {ratio}")
-        report_lines.append(f"max ratio {max(result.ratios)}")
-    else:
-        for i, (load, cap) in enumerate(zip(result.loads, result.thresholds)):
-            report_lines.append(f"agent {i}: load {load}, cap {cap}, certified true")
-    report_lines.append(f"complete {str(alloc.complete).lower()}")
-
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             for record in greedy_trace(ordered_instance(inst), result.thresholds):
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
-    _dump_json(allocation_to_json(alloc), args.output)
+    _dump_json(allocation_to_json(result.allocation), args.output)
     # With the allocation on stdout, the report goes to stderr.
     report = sys.stdout if args.output else sys.stderr
-    for line in report_lines:
-        print(line, file=report)
+    if exact:
+        rows = zip(result.loads, result.profile.values, result.ratios)
+        for i, (load, share, ratio) in enumerate(rows):
+            print(f"agent {i}: load {load}, share {share}, ratio {ratio}", file=report)
+        print(f"max ratio {max(result.ratios)}", file=report)
+    else:
+        for i, (load, cap) in enumerate(zip(result.loads, result.thresholds)):
+            print(f"agent {i}: load {load}, cap {cap}, certified true", file=report)
+    print(f"complete {str(result.allocation.complete).lower()}", file=report)
     return EXIT_OK
 
 
@@ -123,8 +118,7 @@ def cmd_mms(args: argparse.Namespace) -> int:
         print(f"agent {i}: mms {value}")
     if args.witness:
         for i, witness in enumerate(profile.witnesses):
-            bundles = [sorted(b) for b in witness.bundles]
-            print(f"agent {i}: witness {json.dumps(bundles)}")
+            print(f"agent {i}: witness {json.dumps(allocation_to_json(witness)['bundles'])}")
     return EXIT_OK
 
 
@@ -133,7 +127,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     schedule = schedule_119 if args.algo == "greedy-119" else schedule_lpt
     result = schedule(jobs, args.machines)
     payload = {
-        "bundles": [sorted(b) for b in result.allocation.bundles],
+        "bundles": allocation_to_json(result.allocation)["bundles"],
         "loads": list(result.loads),
         "makespan": result.makespan,
     }
@@ -232,9 +226,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
         for algo, solve in algos:
             started = time.perf_counter()
-            alloc = solve(inst).allocation
+            result = solve(inst)
             solver_ms = (time.perf_counter() - started) * 1000.0
-            ratio = max(map(_ratio, allocation_loads(inst, alloc), profile.values))
+            ratio = max(map(_ratio, result.loads, profile.values))
             rows.append(
                 (
                     name,
@@ -245,7 +239,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     ratio.denominator,
                     f"{oracle_ms:.3f}",
                     f"{solver_ms:.3f}",
-                    str(alloc.complete).lower(),
+                    str(result.allocation.complete).lower(),
                 )
             )
 
@@ -306,9 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="emit seeded random instances")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--count", type=int, default=10)
-    p_gen.add_argument("--agents", type=int, nargs=2, default=(2, 5), metavar=("LO", "HI"))
-    p_gen.add_argument("--chores", type=int, nargs=2, default=(2, 14), metavar=("LO", "HI"))
-    p_gen.add_argument("--value-max", type=int, default=50)
+    pair = dict(type=int, nargs=2, metavar=("LO", "HI"))
+    p_gen.add_argument("--agents", default=GeneratorConfig.agents, **pair)
+    p_gen.add_argument("--chores", default=GeneratorConfig.chores, **pair)
+    p_gen.add_argument("--value-max", type=int, default=GeneratorConfig.value_max)
     p_gen.add_argument("--ido-only", action="store_true")
     p_gen.add_argument("--output-dir")
     p_gen.set_defaults(func=cmd_gen)
@@ -335,7 +330,7 @@ def run_cli(argv: Sequence[str]) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OracleLimitError as exc:
@@ -344,9 +339,6 @@ def run_cli(argv: Sequence[str]) -> int:
     except SolverInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def main() -> None:

@@ -240,14 +240,14 @@ def _min_makespan(
     slack = n * cap - total
     # Bit s of suf[j] is set when values of desc[j:], each divided by q
     # and rounded down, sum to s <= cap // q. The cap only falls, so the
-    # first cap's table serves the search.
+    # first cap's table serves the search, which never reads suf[0].
     width = max(1, min(SUBSET_CAP, SUBSET_BITS // (m + 1)))
     q = cap // width + 1
     if q > 1:
         p = min(v for v in desc if v)
     top = (2 << cap // q) - 1
     suf = [1] * (m + 1)
-    for j in range(last, -1, -1):
+    for j in range(last, 0, -1):
         suf[j] = (suf[j + 1] | suf[j + 1] << desc[j] // q) & top
     k = 0
     start = 0

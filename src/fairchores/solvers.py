@@ -65,12 +65,13 @@ class TestOutcome:
 
 @dataclass(frozen=True)
 class ExistenceResult:
-    """Complete allocation with oracle-certified per-agent ratios."""
+    """Complete allocation, each agent's load (as in PolyResult) and load/share ratio."""
 
     allocation: Allocation
     profile: MmsProfile
     ratios: Tuple[Fraction, ...]
     thresholds: ThresholdVector
+    loads: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ def solve_existence_119(
     caps, allocation, loads = _allocate_within(inst, ordd, profile.values, 11, 9)
     ratios = tuple(map(_ratio, loads, profile.values))
     return ExistenceResult(
-        allocation=allocation, profile=profile, ratios=ratios, thresholds=caps
+        allocation=allocation, profile=profile, ratios=ratios, thresholds=caps, loads=loads
     )
 
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -330,6 +333,19 @@ class TestSolveAndVerify:
         entry = json.loads(lines[0])
         assert set(entry) == {"round", "chore", "witness", "load"}
 
+    def test_exact_119_report_on_trial_fails(self, tmp_path, capsys):
+        args = ["solve", "--input", fixture_file(tmp_path, 2), "--algo", "exact-119",
+                "--max-chores", "17", "--output", str(tmp_path / "a.json")]
+        assert run_cli(args) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "agent 0: load 543, share 450, ratio 181/150",
+            "agent 1: load 522, share 450, ratio 29/25",
+            "agent 2: load 180, share 450, ratio 2/5",
+            "agent 3: load 545, share 450, ratio 109/90",
+            "max ratio 109/90",
+            "complete true",
+        ]
+
     @pytest.mark.parametrize(
         "index, algo, digest",
         [
@@ -600,3 +616,25 @@ class TestBench:
             "instance_id,n,m,algo,max_ratio_num,max_ratio_den,"
             "mms_oracle_ms,solver_ms,complete"
         ]
+
+
+class TestReadme:
+    def test_synopsis_lists_every_flag(self):
+        # The fenced block after "## CLI" names each subcommand on a line
+        # of its own; indented lines continue the subcommand above them.
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        block = text.split("```\n", 2)[1]
+        documented = {}
+        for line in block.splitlines():
+            if line.startswith("fairchores "):
+                command = line.split()[1]
+            documented.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        parsed = {
+            name: {flag for a in sub._actions for flag in a.option_strings} - {"-h", "--help"}
+            for name, sub in subparsers.choices.items()
+        }
+        assert documented == parsed

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairchores import solvers
 from fairchores import (
     Allocation,
+    GeneratorConfig,
     InputError,
     Instance,
     MmsProfile,
@@ -20,6 +21,7 @@ from fairchores import (
     ThresholdVector,
     builtin_fixtures,
     exact_mms,
+    generate,
     mms_profile,
     naive_test,
     search_threshold,
@@ -27,6 +29,7 @@ from fairchores import (
     solve_poly_54,
     threshold_test,
 )
+from fairchores.instances import allocation_loads
 from fairchores.scheduling import _pigeonhole
 
 
@@ -254,6 +257,16 @@ class TestSolveExistence119:
             for i in range(n):
                 load = inst.value(i, result.allocation.bundles[i])
                 assert 9 * load <= 11 * result.profile.values[i]
+
+    def test_loads_are_the_allocation_loads(self):
+        # The CLI prints result.loads, so they must be the bundles' costs.
+        corpus = [f.instance for f in builtin_fixtures()]
+        corpus += generate(GeneratorConfig(seed=34, value_max=1000), 60)
+        for inst in corpus:
+            result = solve_existence_119(inst, OracleLimits(max_chores=17))
+            assert result.loads == allocation_loads(inst, result.allocation)
+            for load, share in zip(result.loads, result.profile.values):
+                assert 9 * load <= 11 * share
 
     def test_share_above_maxsize(self):
         # Shares above sys.maxsize are real: one agent's share is the total.
