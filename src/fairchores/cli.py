@@ -40,8 +40,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 EXIT_ORACLE = 4
-# The bench's default --max-chores and largest generated m: oracle rows stay cheap.
-BENCH_MAX_CHORES = 14
 
 
 def _limits(args: argparse.Namespace) -> OracleLimits:
@@ -207,8 +205,8 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     limits = _limits(args)
     corpus = [(f.name, f.instance) for f in builtin_fixtures()]
-    most = min(BENCH_MAX_CHORES, args.max_chores)  # _limits has checked it is at least 1
-    config = GeneratorConfig(seed=args.seed, chores=(min(2, most), most))
+    within_limit = tuple(min(c, args.max_chores) for c in GeneratorConfig.chores)
+    config = GeneratorConfig(seed=args.seed, chores=within_limit)
     for idx, inst in enumerate(generate(config, args.count)):
         corpus.append((f"rand-{args.seed}-{idx:03d}", inst))
 
@@ -318,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=int, default=25)
     p_bench.add_argument("--output", help="CSV path (default stdout)")
     _add_limit_flags(p_bench)
-    p_bench.set_defaults(func=cmd_bench, max_chores=BENCH_MAX_CHORES)
+    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -30,7 +30,7 @@ from operator import neg
 from typing import List, Tuple
 
 from .errors import InputError
-from .instances import Allocation, OrderedInstance, ThresholdVector, _as_type, _chore_allocation
+from .instances import Allocation, OrderedInstance, ThresholdVector, _as_type, _trusted
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,8 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
         assignment.append(owner)
         unassigned.remove(owner)
 
-    return GreedyResult(
-        allocation=_chore_allocation(range(m), bundles),
-        assignment=tuple(assignment),
-    )
+    allocation = _trusted(Allocation, bundles=tuple(map(frozenset, bundles)), leftover=frozenset(left))
+    return GreedyResult(allocation=allocation, assignment=tuple(assignment))
 
 
 def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dict]:

@@ -6,14 +6,16 @@ thresholds are rationals, and since loads are integers, code that
 compares loads against a rational cap t may compare them against the
 integer floor(t) instead, which is the same test.
 
-The package has four input rules. ``_as_int`` is the integer rule for
-every count, index, limit, threshold and share a caller passes, and for
-each chore index of an ``Allocation``: a non-bool integer from a lower
-to an upper bound, ``sys.maxsize`` unless the site says otherwise.
-``_check_values`` is the value rule for every row of values. ``_as_cap``
-is the caps rule for ``ThresholdVector`` and ``check_amms``'s alpha: a
-non-bool ``int`` or ``Fraction``, at least 0. ``_as_type`` is the object
-rule for every argument that must be one of the package's objects.
+The package has three input rules. ``_as_int`` is the integer rule for
+every count, index, limit, threshold and share a caller passes, for each
+chore index of an ``Allocation``, and, through ``_check_values``, for
+every value of a row: a non-bool integer from a lower to an upper bound,
+``sys.maxsize`` unless the site says otherwise (``MAX_VALUE`` for values).
+A bad value raises "... must be an integer, got ...", "... must be at
+least 0" or "... must be at most 9223372036854775807". ``_as_cap`` is the
+caps rule for ``ThresholdVector`` and ``check_amms``'s alpha: a non-bool
+``int`` or ``Fraction``, at least 0. ``_as_type`` is the object rule for
+every argument that must be one of the package's objects.
 
 Every per-row entry point in the package runs four steps: check the
 values (``_check_values``), sort the row (``_descending``), run a core on
@@ -59,10 +61,11 @@ def _trusted(cls, **fields):
 
     - ``ordered_instance``'s rows and ranks: sorted permutations of
       checked rows.
-    - ``_chore_allocation``'s allocations (every greedy result and
-      schedule, and through ``_witness`` every share witness): disjoint
-      position bundles mapped through a permutation, with every other
-      chore in the leftover, so they are disjoint and cover 0..m-1.
+    - ``_chore_allocation``'s allocations (every schedule, and through
+      ``_witness`` every share witness): disjoint position bundles mapped
+      through a permutation, with every other chore in the leftover, so
+      they are disjoint and cover 0..m-1.
+    - ``greedy_fill``'s allocation: the positions it took and those it left.
     - ``_profile``'s ``MmsProfile``: the search's makespans, integers
       from 0, and the bins its witnesses are built from on first read.
     - ``lift_allocation``'s result: each position's owner takes one
@@ -123,12 +126,12 @@ def _row_tuples(rows: Iterable[Iterable[int]]) -> Tuple[Tuple[int, ...], ...]:
 
 
 def _check_values(values: Sequence[object], label: str) -> None:
-    """The one value rule: a non-bool integer in [0, MAX_VALUE].
+    """The integer rule from 0 to ``MAX_VALUE`` for every value of a row.
 
     A row of plain ints passes in three C-level passes (types, min,
-    max). Any other row is walked value by value, so an int subclass
-    such as an ``IntEnum`` still passes, and ``label.format(c)`` names
-    the first value c that fails.
+    max). Any other row goes through ``_as_int`` value by value, so an
+    int subclass such as an ``IntEnum`` still passes, and
+    ``label.format(c)`` names the first value c that fails.
     """
     if (
         set(map(type, values)) <= {int}
@@ -137,12 +140,7 @@ def _check_values(values: Sequence[object], label: str) -> None:
     ):
         return
     for c, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InputError(f"{label.format(c)} must be an integer, got {value!r}")
-        if value < 0:
-            raise InputError(f"{label.format(c)} is negative")
-        if value > MAX_VALUE:
-            raise InputError(f"{label.format(c)} exceeds 64-bit range")
+        _as_int(value, label.format(c), 0, MAX_VALUE)
 
 
 def _descending(row: Sequence[int]) -> Tuple[List[int], List[int]]:

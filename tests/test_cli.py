@@ -493,7 +493,7 @@ class TestSchedule:
             assert run_cli(argv) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "error: job 0 exceeds 64-bit range\n"
+            assert captured.err == "error: job 0 must be at most 9223372036854775807\n"
 
     def test_machines_beyond_sys_maxsize(self, tmp_path, capsys, monkeypatch):
         def core(*args):
@@ -598,14 +598,39 @@ class TestBench:
                 "complete",
             ]
             rows = list(reader)
-        # Default chore cap keeps only the 14-chore fixture plus the
-        # generated corpus; two algo rows per instance.
-        assert len(rows) == 2 * (1 + 4)
+        # The oracle's default chore limit admits all three fixtures
+        # and the generated corpus; two algo rows per instance.
+        assert len(rows) == 2 * (3 + 4)
         for row in rows:
             assert row["complete"] == "true"
             ratio = Fraction(int(row["max_ratio_num"]), int(row["max_ratio_den"]))
             bound = Fraction(11, 9) if row["algo"] == "exact-119" else Fraction(5, 4)
             assert ratio <= bound
+
+    @staticmethod
+    def _rows(capsys, *argv):
+        """The CSV rows of one bench run, without the timing columns 7 and 8."""
+        assert run_cli(["bench", "--seed", "1", "--count", "2", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return [",".join(r[:6] + r[8:]) for r in csv.reader(io.StringIO(out))]
+
+    def test_default_lists_every_fixture(self, capsys):
+        # The oracle's own chore limit admits every built-in fixture.
+        listed = {row.split(",")[0] for row in self._rows(capsys)}
+        assert {f.name for f in builtin_fixtures()} <= listed
+
+    def test_max_chores_14_keeps_the_old_default_rows(self, capsys):
+        # The rows bench printed when its own default chore cap was 14.
+        assert self._rows(capsys, "--max-chores", "14") == [
+            "instance_id,n,m,algo,max_ratio_num,max_ratio_den,complete",
+            "lower-bound-20-17,4,14,exact-119,20,17,true",
+            "lower-bound-20-17,4,14,poly-54,21,17,true",
+            "rand-1-000,3,12,exact-119,77,75,true",
+            "rand-1-000,3,12,poly-54,5,7,true",
+            "rand-1-001,3,9,exact-119,81,86,true",
+            "rand-1-001,3,9,poly-54,81,86,true",
+        ]
 
     def test_max_chores_below_the_generator_floor(self, capsys):
         # No generated instance fits one chore: the CSV is the header alone.

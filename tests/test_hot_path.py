@@ -54,7 +54,7 @@ from fairchores import (
     solve_poly_54,
     threshold_test,
 )
-from fairchores import instances, solvers
+from fairchores import greedy, instances, solvers
 from fairchores.scheduling import _pigeonhole
 
 
@@ -487,9 +487,10 @@ class TestTrustedBuilds:
     """Every object built through ``instances._trusted`` passes its checks.
 
     ``_trusted`` skips ``__post_init__`` for what the package derives
-    from a checked instance: allocations from ``_chore_allocation`` (the
-    greedy's, each share witness, both schedules and threshold_test's
-    benchmark) and from ``lift_allocation``, ordered instances and caps.
+    from a checked instance: the greedy's allocations, allocations from
+    ``_chore_allocation`` (each share witness, both schedules and
+    threshold_test's benchmark) and from ``lift_allocation``, ordered
+    instances and caps.
     Rebuilding each through its public constructor must give it back
     unchanged, so the skipped checks are shown to be redundant.
     """
@@ -503,7 +504,7 @@ class TestTrustedBuilds:
             built.append(obj)
             return obj
 
-        for module in (instances, solvers):
+        for module in (instances, solvers, greedy):
             monkeypatch.setattr(module, "_trusted", recorded)
         limits = OracleLimits(max_chores=20)
         for inst in oracle_corpus() + CORPUS:

@@ -43,6 +43,7 @@ from fairchores import (
 )
 from fairchores.instances import (
     MAX_VALUE,
+    _as_int,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -167,8 +168,8 @@ def test_integer_rule(call, bad, message):
         call(bad)
 
 
-# The one value rule at every public entry point that takes a row of
-# values: (id, call on one row, label of value c in that row).
+# The integer rule from 0 to MAX_VALUE at every public entry point that
+# takes a row of values: (id, call on one row, label of value c in that row).
 _VALUE_SITES = [
     ("Instance", lambda row: Instance(2, len(row), ([0] * len(row), row)), "valuations[1][{}]"),
     ("from_rows", lambda row: Instance.from_rows([row]), "valuations[0][{}]"),
@@ -189,8 +190,8 @@ _BAD_VALUES = [
     (1.5, "must be an integer, got 1.5"),
     ("3", "must be an integer, got '3'"),
     (None, "must be an integer, got None"),
-    (-1, "is negative"),
-    (2**63, "exceeds 64-bit range"),
+    (-1, "must be at least 0"),
+    (2**63, "must be at most 9223372036854775807"),
 ]
 
 
@@ -209,6 +210,22 @@ def test_value_rule(call, bad, c, message):
     row[c] = bad
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         call(row)
+
+
+@pytest.mark.parametrize("bad", [-1, 2**63, 1.0, True, "3"], ids=repr)
+@pytest.mark.parametrize(
+    "call, label", [site[1:] for site in _VALUE_SITES], ids=[site[0] for site in _VALUE_SITES]
+)
+def test_value_rule_is_the_integer_rule(call, label, bad):
+    # Each site raises exactly what the integer rule says of that value.
+    for c in (0, 2, 4):
+        row = [4, 3, 2, 1, MAX_VALUE]
+        row[c] = bad
+        with pytest.raises(InputError) as expected:
+            _as_int(bad, label.format(c), 0, MAX_VALUE)
+        with pytest.raises(InputError) as raised:
+            call(row)
+        assert str(raised.value) == str(expected.value)
 
 
 class _Level(IntEnum):

@@ -330,8 +330,8 @@ class TestOptimalMakespan:
         "bad, message",
         [
             (True, r"^job 1 must be an integer, got True$"),
-            (-1, r"^job 1 is negative$"),
-            (2**63, r"^job 1 exceeds 64-bit range$"),
+            (-1, r"^job 1 must be at least 0$"),
+            (2**63, r"^job 1 must be at most 9223372036854775807$"),
         ],
         ids=["True", "-1", "2**63"],
     )
