@@ -18,15 +18,13 @@ each fixture so reported ratios stay interpretable):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Tuple
 
-from .instances import Instance
+from .instances import Instance, _Record
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(_Record):
     """A named instance, its integer scale, and expected outcomes."""
 
     name: str

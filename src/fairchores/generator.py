@@ -4,17 +4,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from collections.abc import Iterable
 from itertools import repeat
 from typing import Iterator, List, Tuple
 
 from .errors import InputError
-from .instances import MAX_VALUE, Instance, _as_int, _as_type
+from .instances import MAX_VALUE, Instance, _as_int, _as_type, _Record, _trusted
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(_Record):
     """Reproducible stream parameters.
 
     Agent and chore counts are drawn uniformly from inclusive ranges;
@@ -84,7 +82,8 @@ def _one(rng: random.Random, config: GeneratorConfig) -> Instance:
             rows.append(row)
     else:
         rows = [_below(rng, top + 1, m) for _ in range(n)]
-    return Instance.from_rows(rows)
+    # n rows of m values, each from 0 to the checked value_max.
+    return _trusted(Instance, num_agents=n, num_chores=m, valuations=tuple(map(tuple, rows)))
 
 
 def generate(config: GeneratorConfig, count_limit: int) -> Iterator[Instance]:

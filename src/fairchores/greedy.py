@@ -25,16 +25,21 @@ replays that result into the per-chore trace when one is asked for.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import neg
 from typing import List, Tuple
 
 from .errors import InputError
-from .instances import Allocation, OrderedInstance, ThresholdVector, _as_type, _trusted
+from .instances import (
+    Allocation,
+    OrderedInstance,
+    ThresholdVector,
+    _as_type,
+    _Record,
+    _trusted,
+)
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(_Record):
     """Allocation (bundles indexed by agent) and round ownership.
 
     ``assignment[k]`` is the agent who received the bundle built in

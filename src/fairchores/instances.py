@@ -26,13 +26,18 @@ A whole instance is checked once, by ``Instance``, and sorted once, by
 core on that one ordered instance and map positions back through its
 ``source_ranks``, so no row is sorted twice. What those steps derive is
 built through ``_trusted``, not re-checked.
+
+Every record type of the package, here and in the other modules, derives
+from ``_Record``: a frozen record with the construction, ``==``, ``hash``,
+``repr``, pickling and copying of a frozen dataclass, in plain Python
+with no generated code, so importing the package loads neither
+``dataclasses`` nor ``inspect``, and ``json`` loads with the first file
+read.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     FrozenSet,
@@ -52,8 +57,107 @@ from .errors import InputError
 MAX_VALUE = 2**63 - 1
 
 
+class _Signature:
+    """A record class's ``inspect.signature``: its fields, as its
+    constructor takes them. Built on each read, so that ``inspect`` loads
+    only when something asks."""
+
+    def __get__(self, obj: object, cls: type):
+        import inspect
+
+        Parameter = inspect.Parameter
+        fields = [
+            Parameter(
+                f,
+                Parameter.POSITIONAL_OR_KEYWORD,
+                default=cls._defaults.get(f, Parameter.empty),
+                annotation=cls.__annotations__[f],
+            )
+            for f in cls._fields
+        ]
+        return inspect.Signature(fields, return_annotation=None)
+
+
+class _Record:
+    """A frozen record: the package's base for its result and input types.
+
+    A subclass's fields are its own annotations, in declared order, and a
+    class attribute of a field's name is that field's default. The
+    constructor takes the fields by position or keyword (all of them
+    positional, or all by keyword in declared order, skip the binding
+    step), sets them through ``object.__setattr__`` and then runs
+    ``__post_init__``, which may replace a field the same way. ``==``,
+    ``hash`` and ``repr`` read the fields as one tuple, as a frozen
+    dataclass does; assigning or deleting an attribute raises
+    ``AttributeError``. Pickling and copying restore ``__dict__`` and run
+    no constructor.
+    """
+
+    _fields: Tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+    __signature__ = _Signature()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs:
+            # Every field by keyword, in declared order, needs no binding.
+            in_order = not args and tuple(kwargs) == fields
+            args = kwargs.values() if in_order else self._bind(args, kwargs)
+        elif len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # Set one by one, so the instance keeps the class's shared keys.
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: Mapping[str, object]) -> List[object]:
+        """Every field's value, in declared order, from any other call."""
+        fields = cls._fields
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        if (
+            len(args) > len(fields)
+            or values.keys() != set(fields)
+            or any(map(kwargs.__contains__, fields[: len(args)]))
+        ):
+            raise TypeError(
+                f"{cls.__qualname__}() takes the fields {', '.join(fields)}, got"
+                f" {len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+            )
+        return [values[f] for f in fields]
+
+    def __post_init__(self) -> None:
+        """The field checks; a record with none has nothing to run."""
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _trusted(cls, **fields):
-    """Build a frozen dataclass without running its ``__post_init__`` checks.
+    """Build a record without running its ``__post_init__`` checks.
 
     Only for values the package has just derived from an already
     validated instance; anything from outside goes through the public
@@ -66,6 +170,8 @@ def _trusted(cls, **fields):
       through a permutation, with every other chore in the leftover, so
       they are disjoint and cover 0..m-1.
     - ``greedy_fill``'s allocation: the positions it took and those it left.
+    - the generator's instances: n rows of m values, each drawn from 0 to
+      the config's checked ``value_max``.
     - ``_profile``'s ``MmsProfile``: the search's makespans, integers
       from 0, and the bins its witnesses are built from on first read.
     - ``lift_allocation``'s result: each position's owner takes one
@@ -150,8 +256,7 @@ def _descending(row: Sequence[int]) -> Tuple[List[int], List[int]]:
     return order, [row[c] for c in order]
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """n agents, m chores, and an n x m non-negative integer value matrix.
 
     Attributes:
@@ -198,8 +303,7 @@ class Instance:
         return sum(row[_as_int(c, "chore index", 0, last)] for c in chores)
 
 
-@dataclass(frozen=True)
-class OrderedInstance:
+class OrderedInstance(_Record):
     """An instance whose rows are each sorted nonincreasing.
 
     Position j holds every agent's j-th largest chore, so the shared
@@ -230,8 +334,7 @@ class OrderedInstance:
                 raise InputError(f"agent {i}: source_ranks row is not a permutation")
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(_Record):
     """n bundles plus an explicit leftover set.
 
     Bundles and leftover are pairwise disjoint and together cover chores
@@ -273,8 +376,7 @@ class Allocation:
         return not self.leftover
 
 
-@dataclass(frozen=True)
-class ThresholdVector:
+class ThresholdVector(_Record):
     """Per-agent rational caps driving the greedy allocator."""
 
     thresholds: Tuple[Fraction, ...]
@@ -400,8 +502,7 @@ def lift_allocation(
     )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Record):
     """Per-agent loads and threshold flags for an allocation."""
 
     loads: Tuple[int, ...]
@@ -495,6 +596,8 @@ def allocation_from_json(obj: object) -> Allocation:
 
 def _load_json(path: str) -> object:
     """Parse a JSON file; any malformed content is an InputError."""
+    import json  # not on the import path: only reading a file needs it
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)

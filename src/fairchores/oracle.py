@@ -29,7 +29,6 @@ that it and the solvers report.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -43,6 +42,7 @@ from .instances import (
     _as_int,
     _as_type,
     _descending,
+    _Record,
     _trusted,
     _witness,
     allocation_loads,
@@ -62,8 +62,7 @@ SUBSET_CAP = 1 << 14
 SUBSET_BITS = 1 << 24
 
 
-@dataclass(frozen=True)
-class OracleLimits:
+class OracleLimits(_Record):
     """Hard resource limits for the exact search.
 
     Exceeding either limit raises; the oracle never silently degrades to
@@ -79,8 +78,7 @@ class OracleLimits:
         _as_int(self.node_budget, "node_budget", 1)
 
 
-@dataclass(frozen=True)
-class MmsProfile:
+class MmsProfile(_Record):
     """Per-agent exact maximin shares with optional witness partitions.
 
     The constructor takes ``None`` or one ``Allocation`` per share. A
@@ -128,8 +126,7 @@ def _ratio(load: int, share: int) -> Optional[Fraction]:
     return Fraction(load, share) if share else None if load else Fraction(0)
 
 
-@dataclass(frozen=True)
-class AmmsReport:
+class AmmsReport(_Record):
     """Outcome of checking loads against alpha times each maximin share.
 
     ``ratios[i]`` is the exact load/share fraction, 0 when both are

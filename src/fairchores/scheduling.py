@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, List, Sequence, Tuple
 
@@ -49,12 +48,12 @@ from .instances import (
     _check_values,
     _chore_allocation,
     _descending,
+    _Record,
     _witness,
 )
 
 
-@dataclass(frozen=True)
-class ScheduleResult:
+class ScheduleResult(_Record):
     """Machine bundles, their loads, and the makespan."""
 
     allocation: Allocation

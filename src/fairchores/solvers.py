@@ -23,7 +23,6 @@ within 13/11 of the optimal makespan. Search probes answer pass/fail.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import neg
 from typing import List, Sequence, Tuple
@@ -39,6 +38,7 @@ from .instances import (
     _as_type,
     _chore_allocation,
     _descending,
+    _Record,
     _trusted,
     allocation_loads,
     lift_allocation,
@@ -48,8 +48,7 @@ from .oracle import MmsProfile, OracleLimits, _profile, _ratio
 from .scheduling import _boundary_search, _ffd_fits, _first_fit, _pigeonhole
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(_Record):
     """Result of the two-stage large-chore test at one threshold s.
 
     ``benchmark`` keeps the internal bundles for diagnostics: when the
@@ -63,8 +62,7 @@ class TestOutcome:
     really_large_count: int
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(_Record):
     """Complete allocation, each agent's load (as in PolyResult) and load/share ratio."""
 
     allocation: Allocation
@@ -74,8 +72,7 @@ class ExistenceResult:
     loads: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PolyResult:
+class PolyResult(_Record):
     """Complete allocation, the caps used, and each agent's load within its cap."""
 
     allocation: Allocation

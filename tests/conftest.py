@@ -9,9 +9,21 @@ import numpy as np
 import pytest
 
 from fairchores import (
+    Allocation,
+    AmmsReport,
+    ExistenceResult,
+    Fixture,
     GeneratorConfig,
+    GreedyResult,
     Instance,
     MmsProfile,
+    OracleLimits,
+    OrderedInstance,
+    PolyResult,
+    ScheduleResult,
+    TestOutcome,
+    ThresholdVector,
+    VerificationReport,
     builtin_fixtures,
     generate,
     mms_profile,
@@ -27,6 +39,31 @@ SEED_HOT_PATH_CORPUS = 9009
 SEED_ORACLE_CORPUS = 10010
 SEED_PROBE_CORPUS = 11011
 SEED_PROFILE_CORPUS = 12012
+
+# Each record class's fields, in the order its constructor takes them.
+RECORD_FIELDS = {
+    Instance: ("num_agents", "num_chores", "valuations"),
+    OrderedInstance: ("instance", "source_ranks"),
+    Allocation: ("bundles", "leftover"),
+    ThresholdVector: ("thresholds",),
+    VerificationReport: ("loads", "within_threshold", "complete"),
+    Fixture: ("name", "instance", "scale", "expected"),
+    GeneratorConfig: ("seed", "agents", "chores", "value_max", "ido_only"),
+    GreedyResult: ("allocation", "assignment"),
+    ScheduleResult: ("allocation", "loads", "makespan"),
+    OracleLimits: ("max_chores", "node_budget"),
+    MmsProfile: ("values", "witnesses"),
+    AmmsReport: ("passed", "within", "ratios"),
+    TestOutcome: ("passed", "benchmark", "really_large_count"),
+    ExistenceResult: ("allocation", "profile", "ratios", "thresholds", "loads"),
+    PolyResult: ("allocation", "thresholds", "s_values", "loads"),
+}
+
+
+def rebuilt(obj):
+    """``obj`` built again through its public constructor, every field
+    read in declared order and passed by keyword."""
+    return type(obj)(**{name: getattr(obj, name) for name in RECORD_FIELDS[type(obj)]})
 
 
 def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -> int:

@@ -608,11 +608,12 @@ class TestBench:
             assert ratio <= bound
 
     @staticmethod
-    def _rows(capsys, *argv):
-        """The CSV rows of one bench run, without the timing columns 7 and 8."""
+    def _rows(capsys, *argv, skipped=()):
+        """The CSV rows of one bench run, without the timing columns 7 and 8,
+        once its stderr is one line per instance in ``skipped``."""
         assert run_cli(["bench", "--seed", "1", "--count", "2", *argv]) == 0
         out, err = capsys.readouterr()
-        assert err == ""
+        assert err.splitlines() == list(skipped)
         return [",".join(r[:6] + r[8:]) for r in csv.reader(io.StringIO(out))]
 
     def test_default_lists_every_fixture(self, capsys):
@@ -621,8 +622,13 @@ class TestBench:
         assert {f.name for f in builtin_fixtures()} <= listed
 
     def test_max_chores_14_keeps_the_old_default_rows(self, capsys):
-        # The rows bench printed when its own default chore cap was 14.
-        assert self._rows(capsys, "--max-chores", "14") == [
+        # The rows bench printed when its own default chore cap was 14,
+        # and a line for each fixture it leaves out.
+        skipped = [
+            "skipped non-monotone: 17 chores, above --max-chores 14",
+            "skipped trial-fails: 17 chores, above --max-chores 14",
+        ]
+        assert self._rows(capsys, "--max-chores", "14", skipped=skipped) == [
             "instance_id,n,m,algo,max_ratio_num,max_ratio_den,complete",
             "lower-bound-20-17,4,14,exact-119,20,17,true",
             "lower-bound-20-17,4,14,poly-54,21,17,true",
@@ -633,10 +639,18 @@ class TestBench:
         ]
 
     def test_max_chores_below_the_generator_floor(self, capsys):
-        # No generated instance fits one chore: the CSV is the header alone.
+        # No generated instance fits one chore: the CSV is the header
+        # alone, and stderr names each instance left out.
         assert run_cli(["bench", "--max-chores", "1", "--count", "3"]) == 0
         out, err = capsys.readouterr()
-        assert err == ""
+        assert err.splitlines() == [
+            "skipped lower-bound-20-17: 14 chores, above --max-chores 1",
+            "skipped non-monotone: 17 chores, above --max-chores 1",
+            "skipped trial-fails: 17 chores, above --max-chores 1",
+            "skipped rand-2024-000: 5 chores, above --max-chores 1",
+            "skipped rand-2024-001: 2 chores, above --max-chores 1",
+            "skipped rand-2024-002: 3 chores, above --max-chores 1",
+        ]
         assert out.splitlines() == [
             "instance_id,n,m,algo,max_ratio_num,max_ratio_den,"
             "mms_oracle_ms,solver_ms,complete"

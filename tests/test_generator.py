@@ -10,6 +10,7 @@ import pytest
 
 from fairchores import GeneratorConfig, InputError, Instance, generate, ido_order
 from fairchores.generator import _one
+from fairchores.instances import MAX_VALUE
 
 
 def randint_one(rng: random.Random, config: GeneratorConfig) -> Instance:
@@ -87,6 +88,23 @@ class TestGenerate:
         assert list(generate(config, 5)) == list(
             generate(GeneratorConfig(seed=4, agents=(2, 3), chores=(3, 6)), 5)
         )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            GeneratorConfig(seed=5),
+            GeneratorConfig(seed=5, ido_only=True),
+            GeneratorConfig(seed=5, value_max=MAX_VALUE),
+            GeneratorConfig(seed=5, chores=(0, 6)),
+        ],
+        ids=["default", "ido_only", "value_max", "chore_floor_0"],
+    )
+    def test_instances_pass_the_public_constructor(self, config):
+        # The generator builds its instances unchecked: each must equal
+        # the checked build of its own rows, which are tuples.
+        for inst in generate(config, 200):
+            assert inst == Instance.from_rows(inst.valuations)
+            assert all(type(row) is tuple for row in inst.valuations)
 
     def test_every_integer_seed_seeds_the_stream(self):
         # Negative seeds and seeds past sys.maxsize, which the CLI takes

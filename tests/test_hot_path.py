@@ -23,12 +23,11 @@ first, so from that end the highest index comes first.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus
+from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus, rebuilt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -517,4 +516,4 @@ class TestTrustedBuilds:
         kinds = {type(obj) for obj in built}
         assert kinds == {Allocation, Instance, OrderedInstance, ThresholdVector}
         for obj in built:
-            assert dataclasses.replace(obj) == obj
+            assert rebuilt(obj) == obj

@@ -6,11 +6,15 @@ imports are the public re-exports, and every name in ``__all__`` must
 resolve on the package. The core modules import only the layers below
 them: the greedy and the schedulers sit on ``errors`` and ``instances``,
 the oracle adds ``scheduling``, and ``solvers`` and ``cli`` sit above.
+Importing the package loads none of the modules only the CLI or an
+introspection needs.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, Set
 
@@ -100,3 +104,25 @@ def test_every_exported_name_resolves():
     missing = [name for name in fairchores.__all__ if not hasattr(fairchores, name)]
     assert missing == []
     assert len(set(fairchores.__all__)) == len(fairchores.__all__)
+
+
+# Loaded by the CLI, by a JSON file read or by introspection, never by
+# ``import fairchores``: the records are plain classes, not dataclasses.
+NOT_ON_THE_IMPORT_PATH = {"dataclasses", "inspect", "json", "argparse", "csv"}
+
+
+def test_import_loads_only_what_the_library_needs():
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fairchores; "
+        "print(sorted(set(sys.argv[2:]) & set(sys.modules))); "
+        "print(fairchores.run_cli.__module__, 'argparse' in sys.modules)"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(src), *sorted(NOT_ON_THE_IMPORT_PATH)],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    assert done.stdout.splitlines() == ["[]", "fairchores.cli True"]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import bisect
 import copy
-import dataclasses
 import hashlib
 import json
 import math
@@ -41,6 +40,7 @@ from conftest import (
     SEED_PROFILE_CORPUS,
     enumerate_min_makespan,
     oracle_corpus,
+    rebuilt,
 )
 
 
@@ -277,7 +277,7 @@ class TestProfile:
             assert mms_profile(inst, limits) == eager
             assert repr(mms_profile(inst, limits)) == repr(eager)
             assert hash(mms_profile(inst, limits)) == hash(eager)
-            assert dataclasses.replace(mms_profile(inst, limits)) == eager
+            assert rebuilt(mms_profile(inst, limits)) == eager
 
     @pytest.mark.parametrize(
         "clone",
