@@ -130,6 +130,8 @@ def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dic
     """
     result = greedy_fill(ordd, thresholds)
     rows = ordd.instance.valuations
+    # Loads are integers, so load <= t is the same test as load <= floor(t).
+    caps = [t.numerator // t.denominator for t in thresholds.thresholds]
     unserved = list(range(len(rows)))
     records: List[dict] = []
     for round_index, owner in enumerate(result.assignment):
@@ -137,7 +139,7 @@ def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dic
         for chore in sorted(result.allocation.bundles[owner]):
             for i in unserved:
                 loads[i] += rows[i][chore]
-            witness = next(i for i in unserved if loads[i] <= thresholds[i])
+            witness = next(i for i in unserved if loads[i] <= caps[i])
             records.append(dict(round=round_index, chore=chore, witness=witness, load=loads[witness]))
         unserved.remove(owner)
     return records

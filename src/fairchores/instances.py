@@ -204,7 +204,7 @@ def _as_cap(value: object, what: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise InputError(f"{what} must be an integer or a Fraction, got {value!r}")
     if value < 0:
-        raise InputError(f"{what} is negative")
+        raise InputError(f"{what} must be at least 0")
     return Fraction(value)
 
 
@@ -451,12 +451,11 @@ def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
     return tuple(order)
 
 
-def lift_allocation(
-    inst: Instance, ordd: OrderedInstance, ord_alloc: Allocation
-) -> Allocation:
-    """Map a complete allocation of the ordered instance back to ``inst``.
+def lift_allocation(ordd: OrderedInstance, ord_alloc: Allocation) -> Allocation:
+    """Map a complete allocation of ``ordd`` back to its source instance.
 
-    ``ordd`` must be ``ordered_instance(inst)``. Walks ordered positions
+    Position j of agent i is original chore ``ordd.source_ranks[i][j]``,
+    so ``ordd`` alone carries the map back. Walks ordered positions
     from the smallest chore (j = m-1) to the largest (j = 0); the agent
     owning position j takes the last chore of their row
     ``ordd.source_ranks[agent]`` that nobody has taken yet, which is
@@ -464,14 +463,12 @@ def lift_allocation(
     first. Each agent ends up no worse off than their ordered bundle:
     v_i(result_i) <= v*_i(ord_alloc_i).
 
-    ``ord_alloc`` is checked against the instance; the result, one
-    untaken chore per position, is built without re-checking.
+    ``ord_alloc`` is checked against ``ordd``; the result, one untaken
+    chore per position, is built without re-checking.
     """
-    n, m = _as_type(inst, Instance, "inst").num_agents, inst.num_chores
     if not isinstance(ordd, OrderedInstance):
         raise InputError("lift_allocation needs ordered_instance(inst), not a raw instance")
-    if ordd.instance.num_agents != n or ordd.instance.num_chores != m:
-        raise InputError("ordered instance does not match the original")
+    n, m = ordd.instance.num_agents, ordd.instance.num_chores
     if _as_type(ord_alloc, Allocation, "ord_alloc").leftover:
         raise InputError("lift_allocation needs a complete ordered allocation")
     if len(ord_alloc.bundles) != n or ord_alloc.num_chores != m:

@@ -82,7 +82,8 @@ class MmsProfile(_Record):
     """Per-agent exact maximin shares with optional witness partitions.
 
     The constructor takes ``None`` or one ``Allocation`` per share. A
-    profile from ``_profile`` builds its witnesses on their first read.
+    profile from ``_profile``, or a copy or pickle of one, builds its
+    witnesses on their first read.
     """
 
     values: Tuple[int, ...]
@@ -111,10 +112,6 @@ class MmsProfile(_Record):
         witnesses = tuple(_witness(order, b, n) for order, b in zip(ranks, bins))
         object.__setattr__(self, "witnesses", witnesses)
         return witnesses
-
-    def __getstate__(self) -> dict:
-        # Copies and pickles hold built witnesses, as they always did.
-        return {"values": self.values, "witnesses": self.witnesses}
 
 
 # __init__ keeps the None default; unset here, a read reaches __getattr__.

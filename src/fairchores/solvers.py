@@ -174,18 +174,20 @@ def _allocate_within(
 ) -> Tuple[ThresholdVector, Allocation, Tuple[int, ...]]:
     """Greedy on the ordered instance at caps num/den of ``bases``, re-checked.
 
-    ``ordd`` is ``ordered_instance(inst)``, which the caller builds once.
-    The bases, shares or searched thresholds, are integers from 0 up, so
-    the caps need no second check. Both solvers choose caps at which the
-    greedy provably places every chore and the lift keeps every load
-    within its cap; both facts are checked here rather than assumed.
-    Returns the caps, the lifted allocation and each agent's load.
+    ``ordd`` is ``ordered_instance(inst)``, which the caller builds once;
+    the greedy and the lift read ``ordd`` alone, and ``inst`` prices the
+    lifted bundles. The bases, shares or searched thresholds, are
+    integers from 0 up, so the caps need no second check. Both solvers
+    choose caps at which the greedy provably places every chore and the
+    lift keeps every load within its cap; both facts are checked here
+    rather than assumed. Returns the caps, the lifted allocation and
+    each agent's load.
     """
     caps = _trusted(ThresholdVector, thresholds=tuple(Fraction(num * b, den) for b in bases))
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
         raise SolverInvariantError("greedy left chores over at the solver's caps")
-    lifted = lift_allocation(inst, ordd, result.allocation)
+    lifted = lift_allocation(ordd, result.allocation)
     loads = allocation_loads(inst, lifted)
     for i, (load, cap) in enumerate(zip(loads, caps.thresholds)):
         if load > cap:

@@ -214,7 +214,7 @@ def test_criterion_6_lift_dominance():
         for position in range(m):
             groups[rng.randrange(n)].append(position)
         ord_alloc = Allocation(tuple(frozenset(g) for g in groups), frozenset())
-        lifted = lift_allocation(inst, ordd, ord_alloc)
+        lifted = lift_allocation(ordd, ord_alloc)
         for i in range(n):
             lifted_load = inst.value(i, lifted.bundles[i])
             ordered_load = ordd.instance.value(i, ord_alloc.bundles[i])

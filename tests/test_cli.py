@@ -400,8 +400,8 @@ class TestSolveAndVerify:
             (["--alpha", "x"], "invalid --alpha value 'x'"),
             (["--alpha", "1/0"], "invalid --alpha value '1/0'"),
             # A negative factor fails the caps rule, as in check_amms.
-            (["--alpha", "5/-4"], "--alpha is negative"),
-            (["--alpha=-1/9"], "--alpha is negative"),
+            (["--alpha", "5/-4"], "--alpha must be at least 0"),
+            (["--alpha=-1/9"], "--alpha must be at least 0"),
         ):
             assert run_cli(argv + flag) == 2
             captured = capsys.readouterr()

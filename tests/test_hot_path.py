@@ -376,7 +376,7 @@ def assert_lift_matches(inst: Instance, owners: List[int]) -> None:
         for i in range(inst.num_agents)
     )
     ord_alloc = Allocation(bundles=bundles, leftover=frozenset())
-    got = lift_allocation(inst, ordd, ord_alloc)
+    got = lift_allocation(ordd, ord_alloc)
     assert got == reference_lift_allocation(inst, ordd, ord_alloc)
 
 

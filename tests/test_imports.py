@@ -7,12 +7,14 @@ resolve on the package. The core modules import only the layers below
 them: the greedy and the schedulers sit on ``errors`` and ``instances``,
 the oracle adds ``scheduling``, and ``solvers`` and ``cli`` sit above.
 Importing the package loads none of the modules only the CLI or an
-introspection needs.
+introspection needs, and no name README lists as removed comes back.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -126,3 +128,39 @@ def test_import_loads_only_what_the_library_needs():
         timeout=60,
     )
     assert done.stdout.splitlines() == ["[]", "fairchores.cli True"]
+
+
+# README's "Removed" list: public names, then fields and methods of records.
+REMOVED_NAMES = (
+    "classify_chores",
+    "search_bounds",
+    "SearchBounds",
+    "LptResult",
+    "BoundCertificate",
+    "TraceEntry",
+    "is_ido",
+    "Ratio",
+)
+REMOVED_ATTRIBUTES = (
+    ("PolyResult", "certificates"),
+    ("GreedyResult", "trace"),
+    ("PolyResult", "trace"),
+    ("ExistenceResult", "trace"),
+    ("Instance", "total"),
+    ("GreedyResult", "round_bundles"),
+)
+
+
+def test_removed_names_stay_removed():
+    modules = [fairchores] + [importlib.import_module(f"fairchores.{p.stem}") for p in MODULES]
+    back = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in REMOVED_NAMES
+        if hasattr(module, name)
+    ]
+    assert back == []
+    for cls_name, name in REMOVED_ATTRIBUTES:
+        cls = getattr(fairchores, cls_name)
+        assert name not in cls._fields and not hasattr(cls, name), (cls_name, name)
+    assert list(inspect.signature(fairchores.lift_allocation).parameters) == ["ordd", "ord_alloc"]

@@ -269,7 +269,7 @@ _OBJECT_SITES = [
     ),
     (
         "lift_allocation",
-        lambda: lift_allocation(_TWO, _TWO, _WHOLE),
+        lambda: lift_allocation(_TWO, _WHOLE),
         "lift_allocation needs ordered_instance(inst), not a raw instance",
     ),
     ("ordered_instance-rows", lambda: ordered_instance(_ROWS), _NOT_INSTANCE),
@@ -281,11 +281,6 @@ _OBJECT_SITES = [
     ("threshold_test-rows", lambda: threshold_test(_ROWS, 0, 1), _NOT_INSTANCE),
     ("exact_mms-rows", lambda: exact_mms(_ROWS, 0), _NOT_INSTANCE),
     ("ido_order-rows", lambda: ido_order(_ROWS), _NOT_INSTANCE),
-    (
-        "lift_allocation-rows",
-        lambda: lift_allocation(_ROWS, ordered_instance(_TWO), _WHOLE),
-        _NOT_INSTANCE,
-    ),
     (
         "verify_allocation-dict",
         lambda: verify_allocation(_TWO, allocation_to_json(_WHOLE), ThresholdVector.uniform(2, 5)),
@@ -423,7 +418,7 @@ class TestThresholdVector:
         assert caps[2] == Fraction(11, 9)
 
     def test_negative_rejected(self):
-        with pytest.raises(InputError, match="^threshold 0 is negative$"):
+        with pytest.raises(InputError, match="^threshold 0 must be at least 0$"):
             ThresholdVector((Fraction(-1),))
 
     def test_ints_become_fractions(self):
@@ -449,7 +444,7 @@ class TestThresholdVector:
             ThresholdVector.uniform(True, 5)
         with pytest.raises(InputError, match="^threshold count must be at least 0$"):
             ThresholdVector.uniform(-1, 5)
-        with pytest.raises(InputError, match="^threshold 0 is negative$"):
+        with pytest.raises(InputError, match="^threshold 0 must be at least 0$"):
             ThresholdVector.uniform(2, -1)
         with pytest.raises(InputError, match="^threshold 0 must be an integer or a Fraction, got 0.5$"):
             ThresholdVector.uniform(2, 0.5)
@@ -551,7 +546,7 @@ class TestLiftAllocation:
         ord_alloc = Allocation(
             bundles=(frozenset({0}), frozenset({1, 2})), leftover=frozenset()
         )
-        lifted = lift_allocation(inst, ordd, ord_alloc)
+        lifted = lift_allocation(ordd, ord_alloc)
         assert lifted.bundles == (frozenset({2}), frozenset({0, 1}))
         assert inst.value(0, lifted.bundles[0]) == 2
         assert inst.value(1, lifted.bundles[1]) == 3
@@ -563,7 +558,7 @@ class TestLiftAllocation:
         ord_alloc = Allocation(
             bundles=(frozenset({2}), frozenset({0, 1})), leftover=frozenset()
         )
-        lifted = lift_allocation(inst, ordd, ord_alloc)
+        lifted = lift_allocation(ordd, ord_alloc)
         # Position 2: agent 0 takes chore 2 of their tie {1, 2}. Positions 1
         # and 0: agent 1 takes chore 0 (cost 1), then chore 1 (cost 3).
         assert lifted.bundles == (frozenset({2}), frozenset({0, 1}))
@@ -575,7 +570,7 @@ class TestLiftAllocation:
         ord_alloc = Allocation(
             bundles=(frozenset({0, 3}), frozenset({1, 2})), leftover=frozenset()
         )
-        lifted = lift_allocation(inst, ordd, ord_alloc)
+        lifted = lift_allocation(ordd, ord_alloc)
         for i in range(2):
             ordered_load = ordd.instance.value(i, ord_alloc.bundles[i])
             assert inst.value(i, lifted.bundles[i]) == ordered_load
@@ -587,18 +582,14 @@ class TestLiftAllocation:
             bundles=(frozenset({0}), frozenset()), leftover=frozenset({1})
         )
         with pytest.raises(InputError):
-            lift_allocation(inst, ordd, partial)
+            lift_allocation(ordd, partial)
 
     def test_rejects_mismatched_shapes(self):
         inst = make_instance([[3, 1], [1, 3]])
         ordd = ordered_instance(inst)
-        whole = Allocation(bundles=(frozenset({0}), frozenset({1})), leftover=frozenset())
-        other = ordered_instance(make_instance([[3, 1, 2], [1, 3, 2]]))
-        with pytest.raises(InputError, match="^ordered instance does not match"):
-            lift_allocation(inst, other, whole)
         one_bundle = Allocation(bundles=(frozenset({0, 1}),), leftover=frozenset())
         with pytest.raises(InputError, match="^ordered allocation does not match"):
-            lift_allocation(inst, ordd, one_bundle)
+            lift_allocation(ordd, one_bundle)
 
     def test_dominance_on_seeded_instances(self):
         rng = random.Random(1234)
@@ -610,7 +601,7 @@ class TestLiftAllocation:
             )
             ordd = ordered_instance(inst)
             ord_alloc = random_complete_ordered_allocation(rng, n, m)
-            lifted = lift_allocation(inst, ordd, ord_alloc)
+            lifted = lift_allocation(ordd, ord_alloc)
             assert lifted.complete
             for i in range(n):
                 assert inst.value(i, lifted.bundles[i]) <= ordd.instance.value(

@@ -280,18 +280,31 @@ class TestProfile:
             assert rebuilt(mms_profile(inst, limits)) == eager
 
     @pytest.mark.parametrize(
-        "clone",
-        [copy.deepcopy, lambda profile: pickle.loads(pickle.dumps(profile))],
-        ids=["deepcopy", "pickle"],
+        "clones",
+        [
+            lambda profile: [copy.copy(profile)],
+            lambda profile: [copy.deepcopy(profile)],
+            lambda profile: [
+                pickle.loads(pickle.dumps(profile, protocol=p))
+                for p in range(pickle.HIGHEST_PROTOCOL + 1)
+            ],
+        ],
+        ids=["copy", "deepcopy", "pickle"],
     )
-    def test_copies_of_an_unread_profile(self, clone):
+    def test_copies_of_an_unread_profile(self, clones):
         limits = OracleLimits(max_chores=17)
         for inst in oracle_corpus():
-            copied = clone(mms_profile(inst, limits))
-            # The copy holds what an eager profile holds, built witnesses.
-            assert sorted(vars(copied)) == ["values", "witnesses"]
-            assert copied == mms_profile(inst, limits)
-            assert copied.witnesses == mms_profile(inst, limits).witnesses
+            values, witnesses = zip(
+                *(exact_mms(inst, agent, limits) for agent in range(inst.num_agents))
+            )
+            eager = MmsProfile(values=values, witnesses=witnesses)
+            for unread in (mms_profile(inst, limits), solve_existence_119(inst, limits).profile):
+                for copied in clones(unread):
+                    # The copy carries the recipe, not built witnesses.
+                    assert sorted(vars(copied)) == ["_pending", "values"]
+                    assert copied == eager
+                    assert copied.witnesses == witnesses
+                assert "witnesses" not in vars(unread)
 
 
 class TestOptimalMakespan:

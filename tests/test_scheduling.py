@@ -57,7 +57,7 @@ def reference_schedule_119(jobs, machines):
         2 * lower,
     )
     inst, ordd, result = clone_greedy(jobs, machines, cap)
-    lifted = lift_allocation(inst, ordd, result.allocation)
+    lifted = lift_allocation(ordd, result.allocation)
     loads = tuple(inst.value(b, lifted.bundles[b]) for b in range(machines))
     return ScheduleResult(lifted, loads, max(loads)), cap
 

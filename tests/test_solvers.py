@@ -357,7 +357,8 @@ class TestInvariantRechecks:
             solve_poly_54(identical([3, 2, 1], n=2))
 
     def test_lift_loading_an_agent_past_the_cap(self, monkeypatch):
-        def all_to_agent_0(inst, ordd, allocation):
+        def all_to_agent_0(ordd, allocation):
+            inst = ordd.instance
             rest = [()] * (inst.num_agents - 1)
             return Allocation((range(inst.num_chores), *rest), ())
 
