@@ -22,8 +22,9 @@ values (``_check_values``), sort the row (``_descending``), run a core on
 the positions of the sorted row, map them back (``_chore_allocation``
 for bundles of positions, ``_witness`` for the bin of each position).
 A whole instance is checked once, by ``Instance``, and sorted once, by
-``ordered_instance``; the solvers and ``mms_profile`` run every per-row
-core on that one ordered instance and map positions back through its
+``OrderedInstance(inst)``, which ``ordered_instance`` builds from it
+alone; the solvers and ``mms_profile`` run every per-row core on that
+one ordered instance and map positions back through its
 ``source_ranks``, so no row is sorted twice. What those steps derive is
 built through ``_trusted``, not re-checked.
 
@@ -163,8 +164,8 @@ def _trusted(cls, **fields):
     validated instance; anything from outside goes through the public
     constructors, which check every field. The derived values are:
 
-    - ``ordered_instance``'s rows and ranks: sorted permutations of
-      checked rows.
+    - the sorted rows of an ``OrderedInstance``: permutations of its
+      source's checked rows.
     - ``_chore_allocation``'s allocations (every schedule, and through
       ``_witness`` every share witness): disjoint position bundles mapped
       through a permutation, with every other chore in the leftover, so
@@ -297,41 +298,46 @@ class Instance(_Record):
         return self.valuations[_as_int(agent, "agent index", 0, self.num_agents - 1)]
 
     def value(self, agent: int, chores: Iterable[int]) -> int:
-        """Total cost of a set of chores for one agent."""
+        """Total cost of a set of chores for one agent, under an
+        ``Allocation``'s rules: each an index, none listed twice."""
         row = self.row(agent)
+        try:
+            chores = list(chores)
+        except TypeError:
+            message = f"chores must be a collection of chore indices, got {chores!r}"
+            raise InputError(message) from None
         last = self.num_chores - 1
-        return sum(row[_as_int(c, "chore index", 0, last)] for c in chores)
+        total = sum(row[_as_int(c, "chore index", 0, last)] for c in chores)
+        if len(set(chores)) < len(chores):
+            twice = next(c for i, c in enumerate(chores) if c in chores[:i])
+            raise InputError(f"chores list chore {twice} more than once")
+        return total
 
 
 class OrderedInstance(_Record):
-    """An instance whose rows are each sorted nonincreasing.
+    """The rows of ``source``, each sorted nonincreasing.
 
-    Position j holds every agent's j-th largest chore, so the shared
-    descending order is simply 0..m-1. ``source_ranks[i][j]`` is the
-    original chore index behind agent i's position j.
+    ``instance`` holds the sorted rows: position j holds every agent's
+    j-th largest chore, so the shared descending order is simply 0..m-1.
+    ``source_ranks[i][j]`` is the chore of ``source`` behind agent i's
+    position j. ``source`` determines both, so ``==``, ``hash`` and
+    ``repr`` read it alone.
     """
 
-    instance: Instance
-    source_ranks: Tuple[Tuple[int, ...], ...]
+    source: Instance
 
     def __post_init__(self) -> None:
-        ranks = tuple(
-            tuple(_as_type(row, Iterable, f"source_ranks row {i}"))
-            for i, row in enumerate(_as_type(self.source_ranks, Iterable, "source_ranks"))
+        inst = _as_type(self.source, Instance, "source")
+        sorts = [_descending(row) for row in inst.valuations]
+        # Sorted permutations of validated rows: nothing left to re-check.
+        ordered = _trusted(
+            Instance,
+            num_agents=inst.num_agents,
+            num_chores=inst.num_chores,
+            valuations=tuple(tuple(desc) for _, desc in sorts),
         )
-        object.__setattr__(self, "source_ranks", ranks)
-        inst = _as_type(self.instance, Instance, "instance")
-        if len(ranks) != inst.num_agents:
-            raise InputError("source_ranks must have one row per agent")
-        full = set(range(inst.num_chores))
-        for i, row in enumerate(inst.valuations):
-            for j in range(1, len(row)):
-                if row[j - 1] < row[j]:
-                    raise InputError(f"agent {i}: row not nonincreasing at {j}")
-            for j, rank in enumerate(ranks[i]):
-                _as_int(rank, f"agent {i}: source rank {j}", 0, inst.num_chores - 1)
-            if set(ranks[i]) != full or len(ranks[i]) != inst.num_chores:
-                raise InputError(f"agent {i}: source_ranks row is not a permutation")
+        object.__setattr__(self, "instance", ordered)
+        object.__setattr__(self, "source_ranks", tuple(tuple(order) for order, _ in sorts))
 
 
 class Allocation(_Record):
@@ -405,16 +411,7 @@ def ordered_instance(inst: Instance) -> OrderedInstance:
     Ties are broken by ascending original chore index, so the result is
     reproducible and ``ordered_instance`` is idempotent on its output.
     """
-    sorts = [_descending(row) for row in _as_type(inst, Instance, "inst").valuations]
-    # Sorted permutations of validated rows: nothing left to re-check.
-    ordered = _trusted(
-        Instance,
-        num_agents=inst.num_agents,
-        num_chores=inst.num_chores,
-        valuations=tuple(tuple(desc) for _, desc in sorts),
-    )
-    ranks = tuple(tuple(order) for order, _ in sorts)
-    return _trusted(OrderedInstance, instance=ordered, source_ranks=ranks)
+    return OrderedInstance(_as_type(inst, Instance, "inst"))
 
 
 def _chore_allocation(order: Sequence[int], bundles: Iterable[List[int]]) -> Allocation:
@@ -452,13 +449,13 @@ def ido_order(inst: Instance) -> Optional[Tuple[int, ...]]:
 
 
 def lift_allocation(ordd: OrderedInstance, ord_alloc: Allocation) -> Allocation:
-    """Map a complete allocation of ``ordd`` back to its source instance.
+    """Map a complete allocation of ``ordd`` back to ``ordd.source``.
 
-    Position j of agent i is original chore ``ordd.source_ranks[i][j]``,
-    so ``ordd`` alone carries the map back. Walks ordered positions
-    from the smallest chore (j = m-1) to the largest (j = 0); the agent
-    owning position j takes the last chore of their row
-    ``ordd.source_ranks[agent]`` that nobody has taken yet, which is
+    Position j of agent i is chore ``ordd.source_ranks[i][j]`` of
+    ``ordd.source``, so ``ordd`` alone carries the map back. Walks
+    ordered positions from the smallest chore (j = m-1) to the largest
+    (j = 0); the agent owning position j takes the last chore of their
+    row ``ordd.source_ranks[agent]`` that nobody has taken yet, which is
     their cheapest remaining original chore, equal chores highest index
     first. Each agent ends up no worse off than their ordered bundle:
     v_i(result_i) <= v*_i(ord_alloc_i).

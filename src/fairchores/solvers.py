@@ -170,25 +170,24 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
 
 
 def _allocate_within(
-    inst: Instance, ordd: OrderedInstance, bases: Sequence[int], num: int, den: int
+    ordd: OrderedInstance, bases: Sequence[int], num: int, den: int
 ) -> Tuple[ThresholdVector, Allocation, Tuple[int, ...]]:
     """Greedy on the ordered instance at caps num/den of ``bases``, re-checked.
 
-    ``ordd`` is ``ordered_instance(inst)``, which the caller builds once;
-    the greedy and the lift read ``ordd`` alone, and ``inst`` prices the
-    lifted bundles. The bases, shares or searched thresholds, are
-    integers from 0 up, so the caps need no second check. Both solvers
-    choose caps at which the greedy provably places every chore and the
-    lift keeps every load within its cap; both facts are checked here
-    rather than assumed. Returns the caps, the lifted allocation and
-    each agent's load.
+    The caller builds ``ordd`` once; the greedy and the lift read it
+    alone, and its ``source`` prices the lifted bundles. The bases,
+    shares or searched thresholds, are integers from 0 up, so the caps
+    need no second check. Both solvers choose caps at which the greedy
+    provably places every chore and the lift keeps every load within its
+    cap; both facts are checked here rather than assumed. Returns the
+    caps, the lifted allocation and each agent's load.
     """
     caps = _trusted(ThresholdVector, thresholds=tuple(Fraction(num * b, den) for b in bases))
     result = greedy_fill(ordd, caps)
     if not result.allocation.complete:
         raise SolverInvariantError("greedy left chores over at the solver's caps")
     lifted = lift_allocation(ordd, result.allocation)
-    loads = allocation_loads(inst, lifted)
+    loads = allocation_loads(ordd.source, lifted)
     for i, (load, cap) in enumerate(zip(loads, caps.thresholds)):
         if load > cap:
             raise SolverInvariantError(
@@ -211,7 +210,7 @@ def solve_existence_119(
     """
     ordd = ordered_instance(inst)
     profile = _profile(ordd, limits)
-    caps, allocation, loads = _allocate_within(inst, ordd, profile.values, 11, 9)
+    caps, allocation, loads = _allocate_within(ordd, profile.values, 11, 9)
     ratios = tuple(map(_ratio, loads, profile.values))
     return ExistenceResult(
         allocation=allocation, profile=profile, ratios=ratios, thresholds=caps, loads=loads
@@ -231,7 +230,7 @@ def solve_poly_54(inst: Instance) -> PolyResult:
     ordd = ordered_instance(inst)
     n = inst.num_agents
     s_values = tuple(_search_sorted(desc, n) for desc in ordd.instance.valuations)
-    caps, allocation, loads = _allocate_within(inst, ordd, s_values, 5, 4)
+    caps, allocation, loads = _allocate_within(ordd, s_values, 5, 4)
     return PolyResult(
         allocation=allocation,
         thresholds=caps,

@@ -43,7 +43,7 @@ SEED_PROFILE_CORPUS = 12012
 # Each record class's fields, in the order its constructor takes them.
 RECORD_FIELDS = {
     Instance: ("num_agents", "num_chores", "valuations"),
-    OrderedInstance: ("instance", "source_ranks"),
+    OrderedInstance: ("source",),
     Allocation: ("bundles", "leftover"),
     ThresholdVector: ("thresholds",),
     VerificationReport: ("loads", "within_threshold", "complete"),

@@ -19,14 +19,21 @@ raw scan's.
 index first: the lift reads each owner's ``ordered_instance`` row from
 its cheap end, and ``_descending`` lists equal chores lowest index
 first, so from that end the highest index comes first.
+
+``reference_ordered_instance`` sorts each row's chores by (-value,
+index) on its own; an ``OrderedInstance`` built from its source must
+hold exactly those sorted rows and ranks.
 """
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
+import pytest
 from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus, rebuilt
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +196,16 @@ def reference_lift_allocation(
     return Allocation(
         bundles=tuple(frozenset(b) for b in picked), leftover=frozenset()
     )
+
+
+def reference_ordered_instance(inst: Instance) -> Tuple[Instance, Tuple[Tuple[int, ...], ...]]:
+    """The sorted rows and their ranks, each row's chores by (-value, index)."""
+    ranks = tuple(
+        tuple(sorted(range(inst.num_chores), key=lambda c: (-row[c], c)))
+        for row in inst.valuations
+    )
+    rows = tuple(tuple(row[c] for c in rank) for row, rank in zip(inst.valuations, ranks))
+    return Instance(inst.num_agents, inst.num_chores, rows), ranks
 
 
 def ido_instance(rng: random.Random, n: int, m: int, top: int) -> Instance:
@@ -369,13 +386,18 @@ def assert_greedy_matches(inst: Instance, caps: ThresholdVector) -> None:
         assert as_chores(*got, order) == reference_greedy_fill(inst, caps)
 
 
-def assert_lift_matches(inst: Instance, owners: List[int]) -> None:
-    ordd = ordered_instance(inst)
+def owned(inst: Instance, owners: List[int]) -> Allocation:
+    """The complete ordered allocation giving position j to ``owners[j]``."""
     bundles = tuple(
         frozenset(j for j, o in enumerate(owners) if o == i)
         for i in range(inst.num_agents)
     )
-    ord_alloc = Allocation(bundles=bundles, leftover=frozenset())
+    return Allocation(bundles=bundles, leftover=frozenset())
+
+
+def assert_lift_matches(inst: Instance, owners: List[int]) -> None:
+    ordd = ordered_instance(inst)
+    ord_alloc = owned(inst, owners)
     got = lift_allocation(ordd, ord_alloc)
     assert got == reference_lift_allocation(inst, ordd, ord_alloc)
 
@@ -482,14 +504,47 @@ class TestLiftAllocation:
         assert_lift_matches(inst, owners)
 
 
+class TestOrderedInstance:
+    """An ordered instance is built from its source alone, and a copy keeps
+    the sorted rows and ranks built from it."""
+
+    def test_built_from_its_source(self):
+        for inst in oracle_corpus() + CORPUS + FIXTURES:
+            ordd = OrderedInstance(inst)
+            assert ordd == ordered_instance(inst)
+            assert ordd.source is inst
+            assert (ordd.instance, ordd.source_ranks) == reference_ordered_instance(inst)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda obj, p=protocol: pickle.loads(pickle.dumps(obj, protocol=p))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+        ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copies_keep_the_sorted_rows_and_ranks(self, clone):
+        rng = random.Random(SEED_HOT_PATH_CORPUS)
+        for inst in FIXTURES + CORPUS[:30]:
+            ordd = ordered_instance(inst)
+            twin = clone(ordd)
+            assert twin.source == inst
+            assert twin.instance == ordd.instance
+            assert twin.source_ranks == ordd.source_ranks
+            owners = [rng.randrange(inst.num_agents) for _ in range(inst.num_chores)]
+            ord_alloc = owned(inst, owners)
+            assert lift_allocation(twin, ord_alloc) == lift_allocation(ordd, ord_alloc)
+
+
 class TestTrustedBuilds:
     """Every object built through ``instances._trusted`` passes its checks.
 
     ``_trusted`` skips ``__post_init__`` for what the package derives
     from a checked instance: the greedy's allocations, allocations from
     ``_chore_allocation`` (each share witness, both schedules and
-    threshold_test's benchmark) and from ``lift_allocation``, ordered
-    instances and caps.
+    threshold_test's benchmark) and from ``lift_allocation``, the sorted
+    rows of an ``OrderedInstance``, and caps.
     Rebuilding each through its public constructor must give it back
     unchanged, so the skipped checks are shown to be redundant.
     """
@@ -514,6 +569,6 @@ class TestTrustedBuilds:
                 schedule_lpt(row, inst.num_agents)
                 threshold_test(inst, i, search_threshold(inst, i))
         kinds = {type(obj) for obj in built}
-        assert kinds == {Allocation, Instance, OrderedInstance, ThresholdVector}
+        assert kinds == {Allocation, Instance, ThresholdVector}
         for obj in built:
             assert rebuilt(obj) == obj

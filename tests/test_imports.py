@@ -164,3 +164,8 @@ def test_removed_names_stay_removed():
         cls = getattr(fairchores, cls_name)
         assert name not in cls._fields and not hasattr(cls, name), (cls_name, name)
     assert list(inspect.signature(fairchores.lift_allocation).parameters) == ["ordd", "ord_alloc"]
+    # The assembled constructor: an ordered instance is built from its source.
+    assert fairchores.OrderedInstance._fields == ("source",)
+    sorted_rows = fairchores.Instance.from_rows([[1]])
+    with pytest.raises(TypeError):
+        fairchores.OrderedInstance(instance=sorted_rows, source_ranks=((0,),))

@@ -125,6 +125,23 @@ class TestInstance:
         with pytest.raises(InputError):
             inst.row(1)
 
+    # The chores are priced under an Allocation's rules: the index rule
+    # first, then a repeat is refused rather than counted twice, and so
+    # is a value that is no collection.
+    @pytest.mark.parametrize(
+        "chores, message",
+        [
+            ([0, 0], "chores list chore 0 more than once"),
+            ((1, 0, 1), "chores list chore 1 more than once"),
+            ([0, 0, 2], "chore index must be at most 1"),
+            (None, "chores must be a collection of chore indices, got None"),
+        ],
+        ids=["repeat", "later-repeat", "index-rule-first", "None"],
+    )
+    def test_value_follows_the_allocation_rules(self, chores, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make_instance([[5, 3]]).value(0, chores)
+
 
 # The one integer rule at every public entry point that takes a count,
 # an index, a limit or a threshold: (id, what, call, lo, hi), where a
@@ -303,8 +320,8 @@ _OBJECT_SITES = [
     ),
     (
         "OrderedInstance",
-        lambda: OrderedInstance(instance=[[1]], source_ranks=[[0]]),
-        "instance must be an Instance, got list",
+        lambda: OrderedInstance([[1]]),
+        "source must be an Instance, got list",
     ),
     (
         "generate",
@@ -334,16 +351,6 @@ _OBJECT_SITES = [
         "MmsProfile-witness",
         lambda: MmsProfile(values=(3, 3), witnesses=(_WHOLE, "y")),
         "profile witness 1 must be an Allocation, got str",
-    ),
-    (
-        "OrderedInstance-source_ranks",
-        lambda: OrderedInstance(instance=_TWO, source_ranks=None),
-        "source_ranks must be an Iterable, got NoneType",
-    ),
-    (
-        "OrderedInstance-source_ranks-row",
-        lambda: OrderedInstance(instance=_TWO, source_ranks=((0, 1, 2), None)),
-        "source_ranks row 1 must be an Iterable, got NoneType",
     ),
     (
         "ThresholdVector",
@@ -465,34 +472,6 @@ class TestOrderedInstance:
     def test_ties_broken_by_chore_index(self):
         ordd = ordered_instance(make_instance([[4, 7, 4]]))
         assert ordd.source_ranks == ((1, 0, 2),)
-
-    def test_validation(self):
-        good = make_instance([[3, 2]])
-        with pytest.raises(InputError):
-            OrderedInstance(instance=make_instance([[1, 2]]), source_ranks=((0, 1),))
-        with pytest.raises(InputError):
-            OrderedInstance(instance=good, source_ranks=((0, 0),))
-
-    # A rank is a chore index: the integer rule applies before the
-    # permutation check, so 1.0 and True are refused, not taken as 1.
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ([1.0, 0], r"^agent 0: source rank 0 must be an integer, got 1\.0$"),
-            ([True, 0], r"^agent 0: source rank 0 must be an integer, got True$"),
-            ([[0], [1]], r"^agent 0: source rank 0 must be an integer, got \[0\]$"),
-            ([0, 2], r"^agent 0: source rank 1 must be at most 1$"),
-        ],
-        ids=["float", "bool", "list", "past-the-chores"],
-    )
-    def test_source_ranks_follow_the_integer_rule(self, row, message):
-        with pytest.raises(InputError, match=message):
-            OrderedInstance(instance=make_instance([[2, 1]]), source_ranks=[row])
-
-    def test_one_source_ranks_row_per_agent(self):
-        good = make_instance([[3, 2], [2, 1]])
-        with pytest.raises(InputError, match="^source_ranks must have one row per agent$"):
-            OrderedInstance(instance=good, source_ranks=((0, 1),))
 
     @settings(max_examples=60)
     @given(instances())

@@ -39,8 +39,8 @@ REPRESENTATIVES = [
     ),
     (
         fc.ordered_instance(INST),
-        "OrderedInstance(instance=Instance(num_agents=2, num_chores=3, "
-        "valuations=((3, 2, 1), (2, 2, 1))), source_ranks=((0, 2, 1), (0, 1, 2)))",
+        "OrderedInstance(source=Instance(num_agents=2, num_chores=3, "
+        "valuations=((3, 1, 2), (2, 2, 1))))",
     ),
     (
         ALLOC,
