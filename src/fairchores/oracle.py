@@ -369,7 +369,9 @@ def optimal_makespan(
 
     The machines and jobs are checked as the schedulers check them, and
     the jobs' descending sort goes straight to the search that
-    ``exact_mms`` runs for each agent's row.
+    ``exact_mms`` runs for each agent's row. Machines beyond one per job
+    stay idle in every schedule, so the search gets at most one bin per
+    job, and its memory does not grow with the machine count.
     """
     jobs = _check_jobs(values, machines)
-    return _min_makespan(sorted(jobs, reverse=True), machines, limits)[0]
+    return _min_makespan(sorted(jobs, reverse=True), min(machines, len(jobs)) or 1, limits)[0]

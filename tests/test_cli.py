@@ -299,8 +299,11 @@ class TestSolveAndVerify:
         )
         assert code == 0
         report = capsys.readouterr().out
-        assert "certified true" in report
+        assert "agent 0: load 543, cap 1125/2, certified true" in report.splitlines()
         assert "complete true" in report
+        # The allocation comes back through lift_allocation, pinned byte for byte.
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "4a0f749ba8a1103ebae7e688d496c23caf3c4a3de57cf0f2efbd7f850084031f"
         alloc = json.loads(out_path.read_text())
         assert sorted(c for b in alloc["bundles"] for c in b) + alloc["leftover"] == list(range(17))
 
@@ -334,9 +337,12 @@ class TestSolveAndVerify:
         assert set(entry) == {"round", "chore", "witness", "load"}
 
     def test_exact_119_report_on_trial_fails(self, tmp_path, capsys):
+        out_path = tmp_path / "a.json"
         args = ["solve", "--input", fixture_file(tmp_path, 2), "--algo", "exact-119",
-                "--max-chores", "17", "--output", str(tmp_path / "a.json")]
+                "--max-chores", "17", "--output", str(out_path)]
         assert run_cli(args) == 0
+        digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        assert digest == "9397a2b312f292cbcbb4856741b395d9b97185b8d5fdbe342ccce3293f7d4f3a"
         assert capsys.readouterr().out.splitlines() == [
             "agent 0: load 543, share 450, ratio 181/150",
             "agent 1: load 522, share 450, ratio 29/25",
@@ -455,6 +461,23 @@ class TestMms:
         out = capsys.readouterr().out
         assert out.count("mms 17") == 4
 
+    def test_table_on_non_monotone(self, tmp_path, capsys):
+        assert run_cli(["mms", "--input", fixture_file(tmp_path, 1)]) == 0
+        assert "agent 0: mms 150" in capsys.readouterr().out.splitlines()
+
+    # The share witnesses, built on their first read, pinned byte for byte.
+    @pytest.mark.parametrize(
+        "index, digest",
+        [
+            (0, "ec66f58d2abb21428da8ca2f477362b879ac88e55f2c612d25a6f8f3aeaa58b1"),
+            (1, "6a4a66d592a54f51632e9c0d8ee5ab8db097042dfd7b8c34dcffedf04881f396"),
+            (2, "0f9f3fa8bb1ad34a53864c494fe6fbcdbbf3d64850682c8c87fd490cc16cc05c"),
+        ],
+    )
+    def test_witness_stdout_on_the_fixtures(self, tmp_path, capsys, index, digest):
+        assert run_cli(["mms", "--input", fixture_file(tmp_path, index), "--witness"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_witness_flag(self, tmp_path, capsys):
         inst_path = write_json(
             tmp_path / "inst.json",
@@ -479,8 +502,7 @@ class TestSchedule:
             ["schedule", "--input", jobs_path, "--machines", "2", "--algo", "lpt"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["makespan"] == 7
-        assert "threshold" not in payload
+        assert payload == {"bundles": [[0, 2, 4], [1, 3]], "loads": [7, 5], "makespan": 7}
 
     def test_bad_jobs_payload(self, tmp_path):
         jobs_path = write_json(tmp_path / "jobs.json", {"work": []})
@@ -520,6 +542,12 @@ class TestGenAndFixtures:
         for line in first.splitlines():
             obj = json.loads(line)
             assert obj["agents"] <= len(obj["valuations"][0])
+
+    def test_gen_stdout_bytes(self, capsys):
+        # A seed gives the same instances on every supported CPython.
+        assert run_cli(["gen", "--seed", "1", "--count", "3"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "69cc4d70577d013704d38f5a317cc120fa85d2619cb2e97a0f85d4c7c42b850d"
 
     def test_gen_output_dir(self, tmp_path, capsys):
         out_dir = tmp_path / "corpus"
@@ -658,11 +686,34 @@ class TestBench:
 
 
 class TestReadme:
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_bench_rows(self, tmp_path, capsys):
+        # Columns 7 and 8 are timings; every other column must match the
+        # rows README shows under `head -4 out.csv`.
+        text = self.readme.read_text(encoding="utf-8")
+        shown = text.split("\n$ head -4 out.csv\n", 1)[1].split("\n```", 1)[0]
+        out_path = tmp_path / "out.csv"
+        argv = ["bench", "--seed", "1", "--count", "2", "--output", str(out_path)]
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        with open(out_path, newline="") as handle:
+            rows = list(csv.reader(handle))[:4]
+        want = [r[:6] + r[8:] for r in csv.reader(io.StringIO(shown))]
+        assert len(want) == 4
+        assert [r[:6] + r[8:] for r in rows] == want
+
+    def test_quick_start_runs(self, capsys):
+        text = self.readme.read_text(encoding="utf-8")
+        code = "".join(b.split("```", 1)[0] for b in text.split("\n```python\n")[1:])
+        assert "solve_existence_119(inst)" in code
+        exec(compile(code, str(self.readme), "exec"), {"__name__": "__main__"})
+        capsys.readouterr()
+
     def test_synopsis_lists_every_flag(self):
         # The fenced block after "## CLI" names each subcommand on a line
         # of its own; indented lines continue the subcommand above them.
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        text = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+        text = self.readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
         block = text.split("```\n", 2)[1]
         documented = {}
         for line in block.splitlines():

@@ -176,9 +176,7 @@ def reference_search_threshold(inst: Instance, agent: int) -> int:
     return lo
 
 
-def reference_lift_allocation(
-    inst: Instance, ordd: OrderedInstance, ord_alloc: Allocation
-) -> Allocation:
+def reference_lift_allocation(inst: Instance, ord_alloc: Allocation) -> Allocation:
     """The lift taking ``min`` over the set of remaining chores."""
     n, m = inst.num_agents, inst.num_chores
     owner = [0] * m
@@ -399,7 +397,7 @@ def assert_lift_matches(inst: Instance, owners: List[int]) -> None:
     ordd = ordered_instance(inst)
     ord_alloc = owned(inst, owners)
     got = lift_allocation(ordd, ord_alloc)
-    assert got == reference_lift_allocation(inst, ordd, ord_alloc)
+    assert got == reference_lift_allocation(inst, ord_alloc)
 
 
 class TestThresholdTest:

@@ -10,6 +10,7 @@ import math
 import pickle
 import random
 import sys
+import tracemalloc
 from typing import List, Optional, Tuple
 
 import pytest
@@ -328,6 +329,25 @@ class TestOptimalMakespan:
         limits = OracleLimits(max_chores=5000, node_budget=10_000)
         assert optimal_makespan(row, 2, limits) == 2402
         assert oracle._min_makespan(row, 2, limits)[2] == 1502 + zeros
+
+    # Machines past one per job stay idle: the search gets one bin per
+    # job, so the value is the uncapped search's and the memory is flat.
+    @settings(max_examples=60, deadline=None)
+    @given(job_lists(), st.integers(1, 16))
+    def test_matches_the_search_on_every_machine(self, row, machines):
+        desc = sorted(row, reverse=True)
+        assert optimal_makespan(row, machines) == oracle._min_makespan(
+            desc, machines, OracleLimits()
+        )[0]
+
+    def test_idle_machines_cost_no_memory(self):
+        tracemalloc.start()
+        try:
+            assert optimal_makespan([3, 2, 2], 10**5) == 3
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_machine_count_checked(self):
         with pytest.raises(InputError):
