@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import neg
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .instances import (
@@ -70,17 +70,33 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     takes the chore at the scan pointer); its witness is the lowest-index
     agent that can absorb it. That is O(n*(n + m)*log m) Python steps,
     plus one C-level list deletion of up to m entries per accepted chore.
+
+    Check, core, record: the arguments are checked here, the rounds run
+    in ``_fill`` on the sorted rows at the floors of the caps, and the
+    bundles and untaken positions it returns become the record.
     """
     if not isinstance(ordd, OrderedInstance):
         raise InputError("greedy_fill needs ordered_instance(inst), not a raw instance")
-    inst = ordd.instance
-    rows = inst.valuations
-    n, m = inst.num_agents, inst.num_chores
-    if len(_as_type(thresholds, ThresholdVector, "thresholds")) != n:
+    rows = ordd.instance.valuations
+    if len(_as_type(thresholds, ThresholdVector, "thresholds")) != len(rows):
         raise InputError("threshold vector length does not match agent count")
-
     # Loads are integers, so load <= t is the same test as load <= floor(t).
     caps = [t.numerator // t.denominator for t in thresholds.thresholds]
+    bundles, assignment, left = _fill(rows, caps)
+    allocation = _trusted(Allocation, bundles=tuple(map(frozenset, bundles)), leftover=frozenset(left))
+    return GreedyResult(allocation=allocation, assignment=tuple(assignment))
+
+
+def _fill(
+    rows: Sequence[Sequence[int]], caps: Sequence[int]
+) -> Tuple[List[List[int]], List[int], List[int]]:
+    """``greedy_fill``'s rounds on nonincreasing rows at integer caps.
+
+    Returns each agent's bundle of positions, the agent served in each
+    round, and the positions no round took, ascending. The caps are
+    integers from 0 up; the solvers pass theirs straight in.
+    """
+    n, m = len(rows), len(rows[0])
     left = list(range(m))  # the positions no round has taken, ascending
     unassigned = list(range(n))
     bundles: List[List[int]] = [[] for _ in range(n)]
@@ -112,9 +128,7 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
         bundles[owner] = bundle
         assignment.append(owner)
         unassigned.remove(owner)
-
-    allocation = _trusted(Allocation, bundles=tuple(map(frozenset, bundles)), leftover=frozenset(left))
-    return GreedyResult(allocation=allocation, assignment=tuple(assignment))
+    return bundles, assignment, left
 
 
 def greedy_trace(ordd: OrderedInstance, thresholds: ThresholdVector) -> List[dict]:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from typing import (
+    Dict,
     FrozenSet,
     Iterable,
     List,
@@ -169,17 +170,22 @@ def _trusted(cls, **fields):
     - ``_chore_allocation``'s allocations (every schedule, and through
       ``_witness`` every share witness): disjoint position bundles mapped
       through a permutation, with every other chore in the leftover, so
-      they are disjoint and cover 0..m-1.
-    - ``greedy_fill``'s allocation: the positions it took and those it left.
+      they are disjoint and cover 0..m-1; the leftover is empty, not
+      computed, when the bundles hold all m positions.
+    - ``greedy_fill``'s allocation: the positions ``_fill`` took and
+      those it left.
     - the generator's instances: n rows of m values, each drawn from 0 to
       the config's checked ``value_max``.
     - ``_profile``'s ``MmsProfile``: the search's makespans, integers
       from 0, and the bins its witnesses are built from on first read.
-    - ``lift_allocation``'s result: each position's owner takes one
-      untaken chore, so every chore is taken once.
+    - the lifted allocations, ``lift_allocation``'s and the one
+      ``solvers._allocate_within`` builds from ``_lift`` once the loads
+      pass: each position's owner takes one untaken chore, so every
+      chore is taken once.
     - ``ThresholdVector.uniform``'s repeated cap, checked once, and the
       solvers' caps: 11/9 of a share or 5/4 of a searched threshold,
-      both non-negative integers, as a ``Fraction`` each.
+      both non-negative integers, as a ``Fraction`` each, built by
+      ``_allocate_within`` after its re-checks.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -321,23 +327,32 @@ class OrderedInstance(_Record):
     j-th largest chore, so the shared descending order is simply 0..m-1.
     ``source_ranks[i][j]`` is the chore of ``source`` behind agent i's
     position j. ``source`` determines both, so ``==``, ``hash`` and
-    ``repr`` read it alone.
+    ``repr`` read it alone. Equal rows are sorted once and share their
+    sorted row and ranks.
     """
 
     source: Instance
 
     def __post_init__(self) -> None:
         inst = _as_type(self.source, Instance, "source")
-        sorts = [_descending(row) for row in inst.valuations]
+        # Equal rows sort alike, so each distinct row is sorted once.
+        sorted_rows: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], Tuple[int, ...]]] = {}
+        sorts = []
+        for row in inst.valuations:
+            pair = sorted_rows.get(row)
+            if pair is None:
+                order, desc = _descending(row)
+                pair = sorted_rows[row] = (tuple(order), tuple(desc))
+            sorts.append(pair)
         # Sorted permutations of validated rows: nothing left to re-check.
         ordered = _trusted(
             Instance,
             num_agents=inst.num_agents,
             num_chores=inst.num_chores,
-            valuations=tuple(tuple(desc) for _, desc in sorts),
+            valuations=tuple([desc for _, desc in sorts]),
         )
         object.__setattr__(self, "instance", ordered)
-        object.__setattr__(self, "source_ranks", tuple(tuple(order) for order, _ in sorts))
+        object.__setattr__(self, "source_ranks", tuple([order for order, _ in sorts]))
 
 
 class Allocation(_Record):
@@ -418,7 +433,9 @@ def _chore_allocation(order: Sequence[int], bundles: Iterable[List[int]]) -> All
     """Bundles of positions as chores, ``order[p]`` being the chore at p;
     chores in no bundle become the leftover."""
     chosen = tuple(frozenset(map(order.__getitem__, bundle)) for bundle in bundles)
-    leftover = frozenset(range(len(order))).difference(*chosen)
+    leftover = frozenset()  # when the bundles hold every position
+    if sum(map(len, chosen)) < len(order):
+        leftover = frozenset(range(len(order))).difference(*chosen)
     # Disjoint positions through a permutation: disjoint chores.
     return _trusted(Allocation, bundles=chosen, leftover=leftover)
 
@@ -460,8 +477,9 @@ def lift_allocation(ordd: OrderedInstance, ord_alloc: Allocation) -> Allocation:
     first. Each agent ends up no worse off than their ordered bundle:
     v_i(result_i) <= v*_i(ord_alloc_i).
 
-    ``ord_alloc`` is checked against ``ordd``; the result, one untaken
-    chore per position, is built without re-checking.
+    Check, core, record: ``ord_alloc`` is checked against ``ordd``, the
+    walk runs in ``_lift`` on its bundles, and the chores it picks, one
+    untaken chore per position, become the record without a re-check.
     """
     if not isinstance(ordd, OrderedInstance):
         raise InputError("lift_allocation needs ordered_instance(inst), not a raw instance")
@@ -470,9 +488,16 @@ def lift_allocation(ordd: OrderedInstance, ord_alloc: Allocation) -> Allocation:
         raise InputError("lift_allocation needs a complete ordered allocation")
     if len(ord_alloc.bundles) != n or ord_alloc.num_chores != m:
         raise InputError("ordered allocation does not match the instance")
+    picked = _lift(ordd, ord_alloc.bundles)
+    return _trusted(Allocation, bundles=tuple(map(frozenset, picked)), leftover=frozenset())
 
+
+def _lift(ordd: OrderedInstance, bundles: Sequence[Iterable[int]]) -> List[List[int]]:
+    """``lift_allocation``'s walk: each agent's chores of ``ordd.source``,
+    from n bundles of positions that together hold 0..m-1 once each."""
+    n, m = ordd.instance.num_agents, ordd.instance.num_chores
     owner = [0] * m
-    for i, bundle in enumerate(ord_alloc.bundles):
+    for i, bundle in enumerate(bundles):
         for j in bundle:
             owner[j] = i
 
@@ -481,9 +506,10 @@ def lift_allocation(ordd: OrderedInstance, ord_alloc: Allocation) -> Allocation:
     cursor = [m - 1] * n
     taken = [False] * m
     picked: List[List[int]] = [[] for _ in range(n)]
+    ranks = ordd.source_ranks
     for j in range(m - 1, -1, -1):
         agent = owner[j]
-        mine = ordd.source_ranks[agent]
+        mine = ranks[agent]
         at = cursor[agent]
         while taken[mine[at]]:
             at -= 1
@@ -491,9 +517,7 @@ def lift_allocation(ordd: OrderedInstance, ord_alloc: Allocation) -> Allocation:
         cursor[agent] = at - 1
         taken[chore] = True
         picked[agent].append(chore)
-    return _trusted(
-        Allocation, bundles=tuple(map(frozenset, picked)), leftover=frozenset()
-    )
+    return picked
 
 
 class VerificationReport(_Record):

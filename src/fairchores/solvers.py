@@ -28,7 +28,7 @@ from operator import neg
 from typing import List, Sequence, Tuple
 
 from .errors import SolverInvariantError
-from .greedy import greedy_fill
+from .greedy import _fill
 from .instances import (
     Allocation,
     Instance,
@@ -38,10 +38,9 @@ from .instances import (
     _as_type,
     _chore_allocation,
     _descending,
+    _lift,
     _Record,
     _trusted,
-    allocation_loads,
-    lift_allocation,
     ordered_instance,
 )
 from .oracle import MmsProfile, OracleLimits, _profile, _ratio
@@ -179,20 +178,28 @@ def _allocate_within(
     shares or searched thresholds, are integers from 0 up, so the caps
     need no second check. Both solvers choose caps at which the greedy
     provably places every chore and the lift keeps every load within its
-    cap; both facts are checked here rather than assumed. Returns the
+    cap; both facts are checked here rather than assumed.
+
+    The cores run on plain lists: ``_fill`` at the integer caps
+    ``num * b // den``, which a load meets exactly when it meets
+    ``num * b / den``, then ``_lift``; each load is summed once from the
+    lifted chores and held to ``den * load <= num * b``. Only then are
+    the caps and the lifted allocation built, once each. Returns the
     caps, the lifted allocation and each agent's load.
     """
-    caps = _trusted(ThresholdVector, thresholds=tuple(Fraction(num * b, den) for b in bases))
-    result = greedy_fill(ordd, caps)
-    if not result.allocation.complete:
+    bundles, _, left = _fill(ordd.instance.valuations, [num * b // den for b in bases])
+    if left:
         raise SolverInvariantError("greedy left chores over at the solver's caps")
-    lifted = lift_allocation(ordd, result.allocation)
-    loads = allocation_loads(ordd.source, lifted)
-    for i, (load, cap) in enumerate(zip(loads, caps.thresholds)):
-        if load > cap:
+    picked = _lift(ordd, bundles)
+    rows = ordd.source.valuations
+    loads = tuple([sum(map(row.__getitem__, chores)) for row, chores in zip(rows, picked)])
+    for i, (load, b) in enumerate(zip(loads, bases)):
+        if den * load > num * b:
             raise SolverInvariantError(
-                f"agent {i} carries {load} above their cap {cap}"
+                f"agent {i} carries {load} above their cap {Fraction(num * b, den)}"
             )
+    caps = _trusted(ThresholdVector, thresholds=tuple([Fraction(num * b, den) for b in bases]))
+    lifted = _trusted(Allocation, bundles=tuple(map(frozenset, picked)), leftover=frozenset())
     return caps, lifted, loads
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 from typing import Callable, List, Sequence
 
-import numpy as np
 import pytest
 
 from fairchores import (
@@ -89,28 +88,23 @@ def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
 
 
 def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:
-    """Exhaustive minimum makespan over every one of the machines^m maps.
+    """Exhaustive minimum makespan: the least largest load over every
+    vector of machine loads that some assignment reaches.
 
-    Independent of the branch-and-bound oracle: base-n digit decoding
-    enumerates each assignment exactly once, with no pruning anywhere.
-    Vectorized in chunks so m <= 10 stays affordable.
+    Independent of the branch-and-bound oracle and of ``src/``: chore by
+    chore, every reachable load vector grows by the chore on each machine
+    in turn, with no bound and no pruning. A vector is kept sorted, so
+    assignments that differ only in which machine is which are one
+    state, which keeps m <= 10 affordable.
     """
-    m = len(values)
-    vals = np.asarray(values, dtype=np.int64)
-    total = machines**m
-    powers = np.array([machines**j for j in range(m)], dtype=np.int64)
-    best = None
-    chunk = 1 << 19
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % machines
-        worst = np.zeros(len(idx), dtype=np.int64)
-        for b in range(machines):
-            load = ((digits == b) * vals[None, :]).sum(axis=1)
-            np.maximum(worst, load, out=worst)
-        low = int(worst.min())
-        best = low if best is None else min(best, low)
-    return int(best) if best is not None else 0
+    states = {(0,) * machines}
+    for v in values:
+        states = {
+            tuple(sorted(loads[:b] + (loads[b] + v,) + loads[b + 1 :]))
+            for loads in states
+            for b in range(machines)
+        }
+    return min(max(loads) for loads in states)
 
 
 def oracle_corpus() -> List[Instance]:

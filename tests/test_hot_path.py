@@ -61,6 +61,7 @@ from fairchores import (
     threshold_test,
 )
 from fairchores import greedy, instances, solvers
+from fairchores.instances import allocation_loads
 from fairchores.scheduling import _pigeonhole
 
 
@@ -500,6 +501,36 @@ class TestLiftAllocation:
             )
         )
         assert_lift_matches(inst, owners)
+
+
+def reference_allocate_within(
+    ordd: OrderedInstance, bases: Sequence[int], num: int, den: int
+) -> Tuple[ThresholdVector, Allocation, Tuple[int, ...]]:
+    """``solvers._allocate_within`` as the public layers compose it:
+    ``Fraction`` caps, ``greedy_fill``, ``lift_allocation`` and
+    ``allocation_loads``, with both re-checks as assertions."""
+    caps = ThresholdVector(tuple(Fraction(num * b, den) for b in bases))
+    result = greedy_fill(ordd, caps)
+    assert result.allocation.complete
+    lifted = lift_allocation(ordd, result.allocation)
+    loads = allocation_loads(ordd.source, lifted)
+    assert all(load <= cap for load, cap in zip(loads, caps.thresholds))
+    return caps, lifted, loads
+
+
+class TestAllocateWithin:
+    """The solvers' final step, on list cores and integer caps, returns
+    exactly what the public greedy, lift and loads return."""
+
+    def test_corpora_and_fixtures(self):
+        limits = OracleLimits(max_chores=20)
+        for inst in oracle_corpus() + CORPUS + FIXTURES:
+            ordd = ordered_instance(inst)
+            shares = mms_profile(inst, limits).values
+            searched = [search_threshold(inst, i) for i in range(inst.num_agents)]
+            for bases, num, den in ((shares, 11, 9), (searched, 5, 4)):
+                got = solvers._allocate_within(ordd, bases, num, den)
+                assert got == reference_allocate_within(ordd, bases, num, den)
 
 
 class TestOrderedInstance:

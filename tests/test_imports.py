@@ -8,6 +8,8 @@ them: the greedy and the schedulers sit on ``errors`` and ``instances``,
 the oracle adds ``scheduling``, and ``solvers`` and ``cli`` sit above.
 Importing the package loads none of the modules only the CLI or an
 introspection needs, and no name README lists as removed comes back.
+A test imports only the standard library, the package, the test extras
+``pyproject.toml`` lists and the local helpers.
 """
 
 from __future__ import annotations
@@ -69,6 +71,36 @@ def test_the_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
+
+
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# What a test may import besides the standard library: the package, the
+# test extras pyproject.toml lists, and the local helpers (conftest, and
+# perfbench's run and workloads, which test_pins puts on the path).
+TEST_IMPORTS = {"fairchores", "pytest", "hypothesis", "conftest", "workloads", "run"}
+
+
+def top_level_imports(source: str) -> Set[str]:
+    """The top-level module of every absolute import, at any depth."""
+    tree = ast.parse(source)
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            modules.update(a.name.split(".")[0] for a in node.names)
+    return modules
+
+
+def test_the_checker_finds_every_imported_module():
+    source = "import os.path, yaml as y\nfrom . import x\n\ndef f():\n    from scipy import t\n"
+    assert top_level_imports(source) == {"os", "yaml", "scipy"}
+
+
+def test_tests_import_only_the_stdlib_the_package_and_the_test_extras():
+    allowed = sys.stdlib_module_names | TEST_IMPORTS
+    foreign = {path.name: top_level_imports(path.read_text()) - allowed for path in TESTS}
+    assert {name: mods for name, mods in foreign.items() if mods} == {}
 
 
 def relative_imports(source: str) -> Set[str]:

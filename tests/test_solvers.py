@@ -11,14 +11,12 @@ from hypothesis import strategies as st
 
 from fairchores import solvers
 from fairchores import (
-    Allocation,
     GeneratorConfig,
     InputError,
     Instance,
     MmsProfile,
     OracleLimits,
     SolverInvariantError,
-    ThresholdVector,
     builtin_fixtures,
     exact_mms,
     generate,
@@ -347,22 +345,22 @@ class TestInvariantRechecks:
     """Each re-check fires, with its message, when a layer breaks its promise."""
 
     def test_greedy_leaving_chores_over(self, monkeypatch):
-        greedy = solvers.greedy_fill
+        fill = solvers._fill
 
-        def at_zero_caps(ordd, caps):
-            return greedy(ordd, ThresholdVector.uniform(len(caps.thresholds), 0))
+        def at_zero_caps(rows, caps):
+            return fill(rows, [0] * len(caps))
 
-        monkeypatch.setattr(solvers, "greedy_fill", at_zero_caps)
+        monkeypatch.setattr(solvers, "_fill", at_zero_caps)
         with pytest.raises(SolverInvariantError, match="^greedy left chores over"):
             solve_poly_54(identical([3, 2, 1], n=2))
 
     def test_lift_loading_an_agent_past_the_cap(self, monkeypatch):
-        def all_to_agent_0(ordd, allocation):
+        def all_to_agent_0(ordd, bundles):
             inst = ordd.instance
-            rest = [()] * (inst.num_agents - 1)
-            return Allocation((range(inst.num_chores), *rest), ())
+            rest = [[] for _ in range(inst.num_agents - 1)]
+            return [list(range(inst.num_chores)), *rest]
 
-        monkeypatch.setattr(solvers, "lift_allocation", all_to_agent_0)
+        monkeypatch.setattr(solvers, "_lift", all_to_agent_0)
         # s = 3 for both agents, so the caps are 15/4 and agent 0 carries 6.
         with pytest.raises(
             SolverInvariantError, match="^agent 0 carries 6 above their cap 15/4$"
