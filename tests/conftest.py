@@ -112,9 +112,10 @@ def oracle_corpus() -> List[Instance]:
 
     Covers one agent, no chores and fewer chores than agents. Then come
     40 instances of 12-14 values up to 1000, a quarter of them zeros:
-    on these the tie rule picks other witnesses than the search before
-    it, which short rows from four-value pools never showed, and it
-    backjumps past zeros. Then the three builtin fixtures.
+    on these, returning once a bin carries the incumbent picks other
+    witnesses than completing every tie would, which short rows from
+    four-value pools never showed, and it backjumps past zeros. Then the
+    three builtin fixtures.
     """
     rng = random.Random(SEED_ORACLE_CORPUS)
     corpus = []

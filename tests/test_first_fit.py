@@ -1,24 +1,26 @@
 """Differential tests: the one first-fit packer against the loops it replaced.
 
-``reference_sweep``, ``reference_first_fit_decreasing`` and
-``reference_pack_large`` are frozen copies of the bin loops MULTIFIT,
-``naive_test`` and the 5/4 two-stage test ran before they all filled
-their bins through ``scheduling._first_fit``. Each caller must give the
-same result as its frozen loop: ``schedule_119`` the same schedule,
-``naive_test`` the same verdict and ``_pack_large`` the same bundles,
-leftover and k, on pinned edge cases, random rows of up to 14 chores and
-seeded rows of up to 100 agents x 1000 chores. ``reference_schedule_119``
-also runs MULTIFIT's search on pass/fail alone (``conftest``'s frozen
-galloping loop) and repacks at the searched threshold; ``schedule_119``
-must report that threshold too.
+``reference_first_fit`` and ``reference_pack_large`` are frozen copies
+of the bin loops that MULTIFIT, ``naive_test`` and the 5/4 two-stage
+test ran before they all filled their bins through
+``scheduling._first_fit``. ``reference_first_fit`` passes every
+still-unplaced position once per bin; MULTIFIT and ``naive_test`` ran it
+on empty bins of one cap. The two-stage test seeds some bins with a
+load, so ``reference_pack_large`` runs one ``reference_sweep`` per bin.
+Each caller must give the same result as its frozen loop:
+``schedule_119`` the same schedule, ``naive_test`` the same verdict and
+``_pack_large`` the same bundles, leftover and k, on pinned edge cases,
+random rows of up to 14 chores and seeded rows of up to 100 agents x
+1000 chores. ``reference_schedule_119`` also runs MULTIFIT's search on
+pass/fail alone (``conftest``'s frozen galloping loop) and repacks at
+the searched threshold; ``schedule_119`` must report that threshold too.
 
-``reference_first_fit`` is a frozen copy of the sweep packer that
-``_first_fit`` replaced, which passed every still-unplaced position once
-per bin. ``_first_fit`` itself, which takes each bin's largest fitting
-leftover by bisection, must return the same bins and leftover for every
-range of a nonincreasing row and every list of (load, cap) bins. With
-uniform bins, every cap from the largest load at cap s up to s packs as s
-does, which is why MULTIFIT's makespan equals its searched cap.
+``_first_fit`` itself, which takes each bin's largest fitting leftover
+by bisection, must return ``reference_first_fit``'s bins and leftover
+for every range of a nonincreasing row and every list of (load, cap)
+bins. With uniform bins, every cap from the largest load at cap s up to
+s packs as s does, which is why MULTIFIT's makespan equals its searched
+cap.
 
 ``_ffd_fits``, the value-only pass that answers MULTIFIT's and
 ``naive_test``'s probes and stops once the unplaced total outweighs the
@@ -78,18 +80,6 @@ def reference_sweep(
     return taken, rest
 
 
-def reference_first_fit_decreasing(
-    desc_values: Sequence[int], bins: int, cap: int
-) -> Tuple[List[List[int]], List[int]]:
-    """One sweep per bin over the positions still unplaced, one cap."""
-    remaining = list(range(len(desc_values)))
-    packed: List[List[int]] = []
-    for _ in range(bins):
-        bundle, remaining = reference_sweep(desc_values, remaining, 0, cap)
-        packed.append(bundle)
-    return packed, remaining
-
-
 def reference_pack_large(
     desc: Sequence[int], n: int, s: int
 ) -> Tuple[List[List[int]], List[int], int]:
@@ -125,11 +115,11 @@ def reference_schedule_119(
     order, desc = _descending(values)
     lo = _pigeonhole(desc, machines)
     threshold = reference_boundary_search(
-        lambda s: not reference_first_fit_decreasing(desc, machines, s)[1],
+        lambda s: not reference_first_fit(desc, range(len(desc)), [(0, s)] * machines)[1],
         lo,
         2 * lo,
     )
-    packed, _ = reference_first_fit_decreasing(desc, machines, threshold)
+    packed, _ = reference_first_fit(desc, range(len(desc)), [(0, threshold)] * machines)
     loads = tuple(sum(desc[pos] for pos in bundle) for bundle in packed)
     schedule = ScheduleResult(_chore_allocation(order, packed), loads, max(loads))
     return schedule, threshold
@@ -152,7 +142,7 @@ def assert_callers_match(row: Sequence[int], n: int, thresholds: Sequence[int]) 
     inst = Instance.from_rows([list(row)] * n)
     for s in thresholds:
         assert _pack_large(desc, n, s) == reference_pack_large(desc, n, s)
-        expected = not reference_first_fit_decreasing(desc, n, s)[1]
+        expected = not reference_first_fit(desc, range(len(desc)), [(0, s)] * n)[1]
         assert naive_test(inst, 0, s) == expected
 
 
@@ -356,5 +346,5 @@ class TestFirstFitCallersOnLargeRows:
             inst = Instance.from_rows([row] * n)
             for s in sorted(thresholds):
                 assert _pack_large(desc, n, s) == reference_pack_large(desc, n, s)
-                verdict = not reference_first_fit_decreasing(desc, n, s)[1]
+                verdict = not reference_first_fit(desc, range(len(desc)), [(0, s)] * n)[1]
                 assert naive_test(inst, 0, s) == verdict

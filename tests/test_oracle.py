@@ -1,4 +1,12 @@
-"""Exact oracle: fixture values, enumeration cross-check, limit handling."""
+"""Exact oracle: fixture values, limit handling and two references.
+
+Shares are checked against ``conftest.enumerate_min_makespan``, which
+keeps every reachable vector of loads. Witnesses, node counts and budget
+stops are checked against ``recursive_search``, the oracle's search
+written recursively, which runs with and without its waste bound: the
+two give the same share and witness on every row, so the bound only
+prunes, and the oracle takes the pruned search's nodes, node for node.
+"""
 
 from __future__ import annotations
 
@@ -49,6 +57,8 @@ from conftest import (
 SEVENS_FIVES_THREES = [7] * 7 + [5] * 7 + [3] * 8
 # The same row with each value times 4096 plus 1: gcd 1, past SUBSET_CAP.
 PAST_THE_GATE = [v * 4096 + 1 for v in SEVENS_FIVES_THREES]
+# 5 values 9K + 1, 5 values 6K + 1 and 6 values 4K + 1, K = 2**20.
+NINES_SIXES_FOURS_NEAR_2_TO_THE_20 = [v * 2**20 + 1 for v in [9] * 5 + [6] * 5 + [4] * 6]
 
 
 def identical(row, n=4) -> Instance:
@@ -375,83 +385,50 @@ class TestOptimalMakespan:
 
 
 def recursive_search(
-    inst: Instance,
-    agent: int,
-    limits: OracleLimits,
-    tie_rule: bool,
-    waste_rule: bool,
-    pair_rule: bool = False,
-    subset_rule: bool = False,
-    coarse_rule: bool = False,
+    inst: Instance, agent: int, limits: OracleLimits, waste_rule: bool = True
 ) -> Tuple[int, Allocation, int]:
-    """The recursive branch-and-bound, with its node count.
+    """The current search, written recursively, with its node count.
 
-    With all five rules it is the current search. With ``tie_rule`` the
-    row is searched divided by its gcd and the makespan multiplied back,
-    as the oracle does, and a depth returns as soon as a bin carries the
-    incumbent, so the witness is the first schedule in depth-first order
-    that reaches the optimum. Without it, it is the search as it was
-    before both: it completes every subtree that can only tie the
-    incumbent and keeps the last such tie. With ``waste_rule``, a
-    placement short of the last depth that leaves its bin less than twice
-    the smallest positive value below the incumbent is counted but not
-    descended into when the bins' unusable room exceeds the slack: room below that value takes no
-    positive value, room below twice it at most the largest remaining
-    value that fits. With ``pair_rule`` that window is ``p + p'``, the
-    smallest positive value plus the second smallest (still ``2p`` when
-    the row has one positive value): no two positive values fit in less
-    room, so it too holds at most one more. With ``subset_rule``, when
-    the first cap (the LPT makespan minus one) is below
-    ``oracle.SUBSET_CAP`` and its table within ``oracle.SUBSET_BITS``,
-    every placement short of the last depth checks every bin, and a bin
-    wastes its room minus the largest sum of remaining values that fits
-    in it, read from sorted lists of each suffix's subset sums. With
-    ``coarse_rule`` as well, the subset sums reach every first cap at a
-    resolution q, ``first_cap // oracle.SUBSET_CAP + 1`` raised until
-    the table fits ``oracle.SUBSET_BITS``: they are the sums of the
-    values divided by q and rounded down, up to ``first_cap // q``. A
-    set of later values that fits in a room floors to at most the
-    largest such sum F at or below ``room // q``, and each value lost
-    less than q, so it fills at most ``q * F + (q - 1) * c``, where c
-    counts its positive values: no more than remain, nor than
-    ``room // p``. A room below p is wasted whole, and a larger one
-    wastes its room minus that fill, when positive. At q = 1 this is
-    the exact rule.
+    The row is searched divided by its gcd and the makespan multiplied
+    back, and a depth returns as soon as a bin carries the incumbent, so
+    the witness is the first schedule in depth-first order that reaches
+    the optimum. With ``waste_rule``, a placement short of the last
+    depth is counted but not descended into when the bins' unusable room
+    exceeds the slack. The subset sums of each suffix are taken at a
+    resolution q: ``first_cap // oracle.SUBSET_CAP + 1`` for the first
+    cap (the LPT makespan minus one), raised until the table fits
+    ``oracle.SUBSET_BITS`` or reads every value as 0. They are the sums
+    of the values divided by q and rounded down, up to ``first_cap // q``.
+    Later values that fit in a room floor to at most the largest such
+    sum F at or below ``room // q``, each losing less than q, so they
+    fill at most ``q * F + (q - 1) * c`` for c positive values: no more
+    than remain, nor than ``room // p``, p the smallest positive value.
+    A room below p is wasted whole, a larger one its room minus that
+    fill, when positive.
     """
     row = inst.row(agent)
     n, m = inst.num_agents, inst.num_chores
     if m > limits.max_chores:
-        raise InstanceTooLargeError(
-            f"{m} chores exceeds the oracle limit of {limits.max_chores}"
-        )
+        raise InstanceTooLargeError(f"{m} chores exceeds the oracle limit of {limits.max_chores}")
 
     order = sorted(range(m), key=lambda c: (-row[c], c))
-    g = (math.gcd(*row) or 1) if tie_rule else 1
+    g = math.gcd(*row) or 1
     values = [row[c] // g for c in order]
     total = sum(values)
     lower = max(-(-total // n), values[0]) if m else 0
-    positives = sorted(v for v in values if v)
-    p = positives[0] if positives else 0
-    window = p + positives[1] if pair_rule and len(positives) > 1 else 2 * p
+    p = min((v for v in values if v), default=0)
 
     seed = schedule_lpt(row, n)
     incumbent, witness = seed.makespan // g, seed.allocation
     nodes = 0
     first_cap = incumbent - 1
-    subset_rule = subset_rule and (
-        coarse_rule
-        or first_cap < oracle.SUBSET_CAP
-        and (m + 1) * (first_cap + 1) <= oracle.SUBSET_BITS
-    )
-    q = 1
-    if coarse_rule:
-        q = max(first_cap, 0) // oracle.SUBSET_CAP + 1
-        while (m + 1) * (first_cap // q + 1) > oracle.SUBSET_BITS:
-            q += 1
+    q = max(first_cap, 0) // oracle.SUBSET_CAP + 1
+    while first_cap // q > 0 and (m + 1) * (first_cap // q + 1) > oracle.SUBSET_BITS:
+        q += 1
     # suffix_sums[k]: the sorted subset sums of the values[k:] divided by
     # q and rounded down, up to first_cap // q.
     suffix_sums: List[List[int]] = [[0]]
-    if subset_rule:
+    if waste_rule:
         sums = {0}
         for v in reversed(values):
             sums |= {s + v // q for s in sums if s + v // q <= first_cap // q}
@@ -460,18 +437,13 @@ def recursive_search(
     def wasted(k: int) -> int:
         """Room in the bins that the values after depth k cannot use."""
         cap = incumbent - 1
+        sums = suffix_sums[k + 1]
         waste = 0
         for load in loads:
             room = cap - load
-            if subset_rule:
-                sums = suffix_sums[k + 1]
-                fit = sums[bisect.bisect_right(sums, room // q) - 1]
-                fill = q * fit + (q - 1) * min(m - k - 1, room // p)
-                waste += room if room < p else max(room - fill, 0)
-            elif room < p:
-                waste += room
-            elif room < window:
-                waste += room - max((v for v in values[k + 1 :] if v <= room), default=0)
+            fit = sums[bisect.bisect_right(sums, room // q) - 1]
+            fill = q * fit + (q - 1) * min(m - k - 1, room // p)
+            waste += room if room < p else max(room - fill, 0)
         return waste
 
     if m and incumbent > lower:
@@ -502,16 +474,11 @@ def recursive_search(
                         )
                     loads[b] = load + value
                     assign[k] = b
-                    prune = (
-                        waste_rule
-                        and k < m - 1
-                        and (subset_rule or incumbent - 1 - loads[b] < window)
-                        and wasted(k) > n * (incumbent - 1) - total
-                    )
+                    prune = waste_rule and k < m - 1 and wasted(k) > n * (incumbent - 1) - total
                     if not prune:
                         descend(k + 1)
                     loads[b] = load
-                    if incumbent == lower or (tie_rule and incumbent in loads):
+                    if incumbent == lower or incumbent in loads:
                         return
                 if load == 0:
                     break
@@ -532,10 +499,7 @@ def reference_exact_mms(
     inst: Instance, agent: int, limits: OracleLimits
 ) -> Tuple[int, Allocation]:
     """The current search, written recursively."""
-    return recursive_search(
-        inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True, subset_rule=True,
-        coarse_rule=True,
-    )[:2]
+    return recursive_search(inst, agent, limits)[:2]
 
 
 def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
@@ -544,6 +508,59 @@ def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
     except NodeBudgetError as exc:
         return str(exc)
     return value, witness.bundles, witness.leftover
+
+
+def corpus_rows() -> List[Tuple[Instance, int]]:
+    return [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)]
+
+
+def rows_past_the_subset_cap(top: int) -> List[Tuple[Instance, int]]:
+    """40 rows of 10-16 values up to ``top`` on 2-5 bins, each with gcd 1
+    and an LPT makespan past SUBSET_CAP, so read at a resolution q > 1."""
+    rng = random.Random(top)
+    rows = []
+    for _ in range(40):
+        n = rng.randint(2, 5)
+        row = [rng.randint(1, top) for _ in range(rng.randint(10, 16))]
+        assert math.gcd(*row) == 1
+        assert schedule_lpt(row, n).makespan > oracle.SUBSET_CAP
+        rows.append((identical(row, n), 0))
+    return rows
+
+
+def waste_rule_totals(rows: List[Tuple[Instance, int]]) -> List[int]:
+    """The reference's node totals on ``rows`` without and with its waste
+    rule, after checking that the rule keeps every share and witness,
+    which are ``exact_mms``'s, never adds nodes, and that the oracle takes
+    the pruned reference's nodes."""
+    limits = OracleLimits()
+    totals = [0, 0]
+    for inst, agent in rows:
+        value, witness, nodes = recursive_search(inst, agent, limits)
+        before = recursive_search(inst, agent, limits, waste_rule=False)
+        assert exact_mms(inst, agent, limits) == (value, witness) == before[:2]
+        assert nodes <= before[2]
+        desc = sorted(inst.row(agent), reverse=True)
+        assert oracle._min_makespan(desc, inst.num_agents, limits)[2] == nodes
+        totals[0] += before[2]
+        totals[1] += nodes
+    return totals
+
+
+def subset_bits_total(monkeypatch, bits: int) -> int:
+    """The oracle's nodes on the corpus with SUBSET_BITS set to ``bits``,
+    after checking its shares, witnesses and nodes against the
+    reference's on every row."""
+    monkeypatch.setattr(oracle, "SUBSET_BITS", bits)
+    limits = OracleLimits(max_chores=17)
+    total = 0
+    for inst, agent in corpus_rows():
+        desc = sorted(inst.row(agent), reverse=True)
+        nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
+        expected = recursive_search(inst, agent, limits)
+        assert (*exact_mms(inst, agent, limits), nodes) == expected
+        total += nodes
+    return total
 
 
 class TestAgainstRecursiveOracle:
@@ -571,17 +588,14 @@ class TestAgainstRecursiveOracle:
 
     def test_node_counts_match(self):
         # 2 bins x eleven chores of value 2: LPT is optimal, but the
-        # pigeonhole bound sits one below it, so the search without the
-        # gcd searched the whole tree. Dividing by the gcd closes it.
+        # pigeonhole bound sits one below it, so a search on the row as
+        # it is searches the whole tree. Dividing by the gcd closes it.
         twos = identical([2] * 11, n=2)
         limits = OracleLimits()
-        assert recursive_search(twos, 0, limits, tie_rule=False, waste_rule=False)[2] == 195
-        assert recursive_search(twos, 0, limits, tie_rule=True, waste_rule=False)[2] == 0
+        assert recursive_search(twos, 0, limits, waste_rule=False)[2] == 0
+        assert oracle._min_makespan([2] * 11, 2, limits)[::2] == (12, 0)
         assert exact_mms(twos, 0, OracleLimits(node_budget=1))[0] == 12
-        agents = random.Random(SEED_ORACLE_CORPUS).sample(
-            [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)],
-            300,
-        )
+        agents = random.Random(SEED_ORACLE_CORPUS).sample(corpus_rows(), 300)
         # The waste rule keeps the corpus below 100 nodes a row; 3 bins
         # x 7 sevens, 7 fives and 8 threes, each times 4096 plus 1, with
         # gcd 1 and so read at resolution 10, takes 564.
@@ -590,11 +604,7 @@ class TestAgainstRecursiveOracle:
         for inst, agent in agents:
             desc = sorted(inst.row(agent), reverse=True)
             nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
-            expected = recursive_search(
-                inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
-                subset_rule=True, coarse_rule=True,
-            )
-            assert nodes == expected[2]
+            assert nodes == recursive_search(inst, agent, limits)[2]
             # The count is the budget the search needs, and no less.
             exact_mms(inst, agent, OracleLimits(node_budget=max(nodes, 1)))
             if nodes > 1:
@@ -603,200 +613,76 @@ class TestAgainstRecursiveOracle:
             counts.append(nodes)
         assert max(counts) == counts[-1] == 564
 
-    def test_tie_rule_keeps_shares_and_only_prunes(self):
-        limits = OracleLimits(max_chores=17)
-        witnesses_differ = fewer_nodes = 0
-        for inst in oracle_corpus():
-            for agent in range(inst.num_agents):
-                value, witness, nodes = recursive_search(
-                    inst, agent, limits, tie_rule=True, waste_rule=False
-                )
-                before = recursive_search(inst, agent, limits, tie_rule=False, waste_rule=False)
-                assert value == before[0]
-                assert nodes <= before[2]
-                witnesses_differ += witness != before[1]
-                fewer_nodes += nodes < before[2]
-        # The corpus holds rows on which the two rules return different
-        # witnesses, so the witness checks above tell them apart.
-        assert witnesses_differ > 0
-        assert fewer_nodes > 0
-
     # The waste rule closes only subtrees without an improving leaf, so
-    # the search meets the same leaves in the same order.
+    # the search meets the same leaves in the same order, with and
+    # without it; waste_rule_totals checks that on each row set below.
+    # The nines-sixes-fours family stays out: without the rule, its a = 8
+    # row takes 1.58 million nodes.
     def test_waste_rule_keeps_shares_and_witnesses_and_only_prunes(self):
-        limits = OracleLimits(max_chores=17)
-        fewer_nodes = 0
-        for inst in oracle_corpus():
-            for agent in range(inst.num_agents):
-                value, witness, nodes = recursive_search(
-                    inst, agent, limits, tie_rule=True, waste_rule=True
-                )
-                before = recursive_search(inst, agent, limits, tie_rule=True, waste_rule=False)
-                assert (value, witness) == before[:2]
-                assert nodes <= before[2]
-                fewer_nodes += nodes < before[2]
-        assert fewer_nodes > 0
+        assert waste_rule_totals(corpus_rows()) == [46_004, 3_910]
 
-    # Room below p + p' holds at most one more positive value too, so the
-    # pair window also closes only subtrees without an improving leaf.
-    def test_pair_window_keeps_shares_and_witnesses_and_only_prunes(self):
-        limits = OracleLimits(max_chores=17)
-        fewer_nodes = 0
-        for inst in oracle_corpus():
-            for agent in range(inst.num_agents):
-                value, witness, nodes = recursive_search(
-                    inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
-                )
-                before = recursive_search(inst, agent, limits, tie_rule=True, waste_rule=True)
-                assert (value, witness) == before[:2]
-                assert nodes <= before[2]
-                fewer_nodes += nodes < before[2]
-        assert fewer_nodes > 0
-
-    # (row, bins, share, nodes with the 2p window, nodes with p + p',
-    # nodes with the subset-sum waste of every bin). A lone positive
-    # value is the pigeonhole bound, so nothing is searched; p' is the
-    # second-smallest positive value, never a trailing zero; and when
-    # the two smallest values are equal the window is 2p, as before.
+    # (row, bins, share, nodes without the waste rule, nodes with it) on
+    # the edges of the window below the smallest positive value p. A lone
+    # positive value is the pigeonhole bound, so nothing is searched;
+    # trailing zeros add no subset sum and never set p; and the two
+    # smallest values may be equal.
     @pytest.mark.parametrize(
-        "row, n, share, nodes_2p, nodes_pair, nodes_subset",
+        "row, n, share, unpruned, pruned",
         [
-            ([0, 9, 0], 3, 9, 0, 0, 0),
-            ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 4, 1),
-            (SEVENS_FIVES_THREES, 3, 36, 1235, 1235, 48),
+            ([0, 9, 0], 3, 9, 0, 0),
+            ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 1),
+            (SEVENS_FIVES_THREES, 3, 36, 22_310, 48),
         ],
         ids=["one-positive", "trailing-zeros", "equal-smallest"],
     )
-    def test_pair_window_edge_rows(self, row, n, share, nodes_2p, nodes_pair, nodes_subset):
-        inst = identical(row, n)
-        limits = OracleLimits()
-        runs = [
-            recursive_search(inst, 0, limits, tie_rule=True, waste_rule=True, **rules)
-            for rules in ({}, {"pair_rule": True}, {"pair_rule": True, "subset_rule": True})
-        ]
-        assert runs[0][:2] == runs[1][:2] == runs[2][:2]
-        assert (share, nodes_2p, nodes_pair, nodes_subset) == (runs[0][0], *(r[2] for r in runs))
+    def test_pair_window_edge_rows(self, row, n, share, unpruned, pruned):
+        assert waste_rule_totals([(identical(row, n), 0)]) == [unpruned, pruned]
         desc = sorted(row, reverse=True)
-        assert oracle._min_makespan(desc, n, limits)[::2] == (share, nodes_subset)
-
-    # The subset-sum waste of a bin is at least the waste the p + p'
-    # window counts, and only as large as the room no completion fills,
-    # so it too closes only subtrees without an improving leaf.
-    def test_subset_rule_keeps_shares_and_witnesses_and_only_prunes(self):
-        limits = OracleLimits(max_chores=17)
-        fewer_nodes = 0
-        for inst in oracle_corpus():
-            for agent in range(inst.num_agents):
-                value, witness, nodes = recursive_search(
-                    inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
-                    subset_rule=True,
-                )
-                before = recursive_search(
-                    inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True
-                )
-                assert (value, witness) == before[:2]
-                assert nodes <= before[2]
-                fewer_nodes += nodes < before[2]
-        assert fewer_nodes > 0
+        assert oracle._min_makespan(desc, n, OracleLimits())[::2] == (share, pruned)
 
     # The 7-5-3 row with each value times 4096 plus 1 has gcd 1 and a
-    # first cap of 155,655, past SUBSET_CAP, so its table is read at
-    # resolution 10. It takes 564 nodes there, where the p + p' window
-    # that ran there before took 3,713 and the row itself takes 48.
+    # first cap of 155,655, past SUBSET_CAP, so its table is read at the
+    # coarse resolution 10. It takes 564 nodes there, where the row itself
+    # takes 48.
     def test_row_past_subset_cap_takes_the_coarse_rule_nodes(self):
         row = PAST_THE_GATE
         assert schedule_lpt(row, 3).makespan - 1 == 155_655 >= oracle.SUBSET_CAP
-        limits = OracleLimits()
-        rules = dict(tie_rule=True, waste_rule=True, pair_rule=True)
-        pair = recursive_search(identical(row, 3), 0, limits, **rules)
-        coarse = recursive_search(
-            identical(row, 3), 0, limits, subset_rule=True, coarse_rule=True, **rules
-        )
-        assert coarse[:2] == pair[:2]
-        assert pair[2] == 3713
-        assert oracle._min_makespan(row, 3, limits)[::2] == (coarse[0], coarse[2]) == (147_464, 564)
+        assert waste_rule_totals([(identical(row, 3), 0)]) == [29_998, 564]
+        assert oracle._min_makespan(row, 3, OracleLimits())[::2] == (147_464, 564)
 
     # Past SUBSET_CAP the table is read at a resolution q > 1. The fill
-    # it bounds is never below what the later values can put in a bin,
-    # so like the p + p' window it closes only subtrees without an
-    # improving leaf: every share and witness is the window's, and the
-    # oracle's nodes are the coarse reference's. (top, nodes with the
-    # p + p' window, nodes at resolution q.)
+    # it bounds is never below what the later values can put in a bin, so
+    # it too closes only subtrees without an improving leaf. (top, nodes
+    # without the waste rule, nodes at resolution q.)
     @pytest.mark.parametrize(
-        "top, nodes_pair, nodes_coarse", [(10**6, 22_307, 6_050), (10**9, 35_654, 7_729)]
+        "top, unpruned, pruned", [(10**6, 59_152, 6_050), (10**9, 128_975, 7_729)]
     )
     def test_coarse_rule_keeps_the_pair_rule_shares_past_the_subset_cap(
-        self, top, nodes_pair, nodes_coarse
+        self, top, unpruned, pruned
     ):
-        rng = random.Random(top)
-        limits = OracleLimits()
-        rules = dict(tie_rule=True, waste_rule=True, pair_rule=True)
-        totals = [0, 0]
-        for _ in range(40):
-            n = rng.randint(2, 5)
-            row = [rng.randint(1, top) for _ in range(rng.randint(10, 16))]
-            assert math.gcd(*row) == 1
-            assert schedule_lpt(row, n).makespan > oracle.SUBSET_CAP
-            inst = identical(row, n)
-            pair = recursive_search(inst, 0, limits, **rules)
-            coarse = recursive_search(inst, 0, limits, subset_rule=True, coarse_rule=True, **rules)
-            assert exact_mms(inst, 0, limits) == coarse[:2] == pair[:2]
-            desc = sorted(row, reverse=True)
-            assert oracle._min_makespan(desc, n, limits)[2] == coarse[2]
-            totals[0] += pair[2]
-            totals[1] += coarse[2]
-        assert totals == [nodes_pair, nodes_coarse]
+        assert waste_rule_totals(rows_past_the_subset_cap(top)) == [unpruned, pruned]
+
+    # The known loss: read at resolution q, the fill carries q - 1 of
+    # slack on every room.
+    def test_nines_sixes_fours_family_near_2_to_the_20(self):
+        row = NINES_SIXES_FOURS_NEAR_2_TO_THE_20
+        assert waste_rule_totals([(identical(row, 3), 0)]) == [1_774, 591]
+        assert oracle._min_makespan(row, 3, OracleLimits())[::2] == (34_603_014, 591)
 
     # At the real constants SUBSET_BITS binds only from m = 1,024. At
     # 2**10 bits it holds the corpus's tables to 1,024 // (m + 1) bits,
-    # and that width sets a resolution q > 1 on 149 of its searches.
-    # The oracle keeps the coarse reference's shares, witnesses and
-    # nodes; the corpus's 3,910 nodes at the real constants become 6,186.
+    # and that width sets a resolution q > 1 on 149 of its searches. The
+    # oracle keeps the reference's shares, witnesses and nodes; the
+    # corpus's 3,910 nodes at the real constants become 6,186.
     def test_subset_bits_sets_the_resolution(self, monkeypatch):
-        limits = OracleLimits(max_chores=17)
-        agents = [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)]
-        searches = [
-            (sorted(inst.row(agent), reverse=True), inst.num_agents) for inst, agent in agents
-        ]
-        before = sum(oracle._min_makespan(desc, n, limits)[2] for desc, n in searches)
-        monkeypatch.setattr(oracle, "SUBSET_BITS", 1 << 10)
-        after = 0
-        for (inst, agent), (desc, n) in zip(agents, searches):
-            expected = recursive_search(
-                inst, agent, limits, tie_rule=True, waste_rule=True, pair_rule=True,
-                subset_rule=True, coarse_rule=True,
-            )
-            nodes = oracle._min_makespan(desc, n, limits)[2]
-            assert (*exact_mms(inst, agent, limits), nodes) == expected
-            after += nodes
-        assert (before, after) == (3_910, 6_186)
+        assert subset_bits_total(monkeypatch, oracle.SUBSET_BITS) == 3_910
+        assert subset_bits_total(monkeypatch, 1 << 10) == 6_186
 
     # At one bit the width floors at 1 and q is the first cap plus one:
     # every value reads as 0, and the bound keeps only what p gives it.
-    # The reference's q loop never ends there, so the shares and
-    # witnesses are checked against the real constants' instead.
+    # The reference's q loop stops there too, at first_cap // q == 0.
     def test_one_subset_bit_keeps_shares_and_witnesses(self, monkeypatch):
-        limits = OracleLimits(max_chores=17)
-        agents = [(inst, agent) for inst in oracle_corpus() for agent in range(inst.num_agents)]
-        expected = [exact_mms(inst, agent, limits) for inst, agent in agents]
-        monkeypatch.setattr(oracle, "SUBSET_BITS", 1)
-        assert [exact_mms(inst, agent, limits) for inst, agent in agents] == expected
-
-    # The known loss: 3 agents x 5 values 9K + 1, 5 values 6K + 1 and 6
-    # values 4K + 1, K = 2**20. The window is exact on rooms in
-    # [p, p + p'), where the coarse fill carries q - 1 of slack.
-    def test_nines_sixes_fours_family_near_2_to_the_20(self):
-        big = 2**20
-        row = [9 * big + 1] * 5 + [6 * big + 1] * 5 + [4 * big + 1] * 6
-        limits = OracleLimits()
-        rules = dict(tie_rule=True, waste_rule=True, pair_rule=True)
-        pair = recursive_search(identical(row, 3), 0, limits, **rules)
-        coarse = recursive_search(
-            identical(row, 3), 0, limits, subset_rule=True, coarse_rule=True, **rules
-        )
-        assert coarse[:2] == pair[:2]
-        assert pair[2] == 265
-        assert oracle._min_makespan(row, 3, limits)[::2] == (coarse[0], coarse[2]) == (34_603_014, 591)
+        assert subset_bits_total(monkeypatch, 1) == 9_189
 
     # Every comparison of the search is between multiples of the row's
     # gcd, which it divides out, so a row times g takes the row's own
@@ -817,11 +703,11 @@ class TestAgainstRecursiveOracle:
             assert scaled == (value * g, bins, nodes)
 
     # 3 agents x a nines, a sixes and a + 1 fours: LPT misses the optimum
-    # and the two smallest values are equal, so the p + p' window is 2p.
-    # With it the search took 378,322 nodes at a = 10 and exhausted a
-    # 3 x 10^6 budget at a = 20; the subset-sum waste closes every row
-    # under 10^4. At a = 334 the 1,003-chore row is past the recursion
-    # limit, which the reference cannot run.
+    # and the two smallest values are equal. A waste bound on rooms
+    # below twice the smallest value took 378,322 nodes at a = 10 and
+    # exhausted a 3 x 10^6 budget at a = 20; the subset-sum waste closes
+    # every row under 10^4. At a = 334 the 1,003-chore row is past the
+    # recursion limit, which the reference cannot run.
     @pytest.mark.parametrize(
         "a, share, nodes",
         [(5, 33, 33), (8, 52, 62), (10, 65, 78), (12, 78, 37), (20, 128, 155), (334, 2117, 2436)],
@@ -831,17 +717,5 @@ class TestAgainstRecursiveOracle:
         limits = OracleLimits(max_chores=5000, node_budget=10_000)
         assert oracle._min_makespan(row, 3, limits)[::2] == (share, nodes)
         if a <= 20:
-            expected = recursive_search(
-                identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True,
-                subset_rule=True,
-            )
+            expected = recursive_search(identical(row, 3), 0, limits)
             assert (expected[0], expected[2]) == (share, nodes)
-
-    @pytest.mark.parametrize("a", [10, 20])
-    def test_nines_sixes_fours_family_exhausts_the_pair_rule(self, a):
-        row = [9] * a + [6] * a + [4] * (a + 1)
-        limits = OracleLimits(max_chores=5000, node_budget=10_000)
-        with pytest.raises(NodeBudgetError):
-            recursive_search(
-                identical(row, 3), 0, limits, tie_rule=True, waste_rule=True, pair_rule=True
-            )
