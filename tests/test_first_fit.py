@@ -131,7 +131,7 @@ def assert_schedule_matches(row: Sequence[int], n: int) -> int:
     result = schedule_119(row, n)
     expected, threshold = reference_schedule_119(row, n)
     assert result == expected
-    assert result.threshold == threshold
+    assert result.makespan == threshold
     return threshold
 
 
@@ -245,18 +245,6 @@ class TestFirstFitPacker:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        data=st.data(),
-        row=st.lists(st.integers(0, 30), max_size=20),
-        bins=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 60)), max_size=8),
-    )
-    def test_random_ranges(self, data, row, bins):
-        desc = sorted(row, reverse=True)
-        lo = data.draw(st.integers(0, len(desc)))
-        hi = data.draw(st.integers(lo, len(desc)))
-        assert_packers_match(desc, lo, hi, bins)
-
-    @settings(max_examples=200, deadline=None)
-    @given(
         row=st.lists(st.integers(0, 30), max_size=16),
         n=st.integers(1, 5),
         s=st.integers(0, 80),
@@ -305,19 +293,6 @@ class TestFfdFits:
             desc = sorted((rng.randint(0, top) for _ in range(m)), reverse=True)
             for cap in range(2 * top + 3):
                 assert _ffd_fits(desc, bins, cap) == first_fit_packs(desc, bins, cap)
-
-    @settings(max_examples=300, deadline=None)
-    @given(
-        data=st.data(),
-        row=st.lists(st.integers(0, 25), max_size=16),
-        bins=st.integers(0, 7),
-    )
-    def test_random_rows(self, data, row, bins):
-        """Zeros, ties, no values at all and fewer values than bins, at
-        caps from 0 to twice the largest value plus 2."""
-        desc = sorted(row, reverse=True)
-        cap = data.draw(st.integers(0, 2 * max(desc, default=0) + 2))
-        assert _ffd_fits(desc, bins, cap) == first_fit_packs(desc, bins, cap)
 
 
 # (agents, chores) up to the largest size the benchmarks time.

@@ -5,9 +5,8 @@ before caps were floored to integers, rows were sorted once per agent
 and the lift walked per-agent pointers. ``reference_greedy_fill`` also
 still scans every remaining chore against every agent, which the
 bisection greedy no longer does. The current layers must agree
-with them exactly on a seeded corpus, the builtin fixtures and random
-instances with zero values, ties, fewer chores than agents and no
-chores at all.
+with them exactly on the builtin fixtures and a seeded corpus with zero
+values, ties, fewer chores than agents and no chores at all.
 
 ``reference_greedy_fill`` still scans a raw identically-ordered instance
 in ``ido_order``, as ``greedy_fill`` once did. ``greedy_fill`` now takes
@@ -35,8 +34,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import pytest
 from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus, rebuilt
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fairchores import (
     Allocation,
@@ -247,55 +244,6 @@ CORPUS = hot_path_corpus()
 FIXTURES = [f.instance for f in builtin_fixtures()]
 
 
-@st.composite
-def edge_instances(draw) -> Instance:
-    """Zero values, many ties, m < n and m = 0 all come up often."""
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(0, 10))
-    top = draw(st.sampled_from((0, 1, 2, 9)))
-    rows = [
-        draw(st.lists(st.integers(0, top), min_size=m, max_size=m)) for _ in range(n)
-    ]
-    return Instance.from_rows(rows)
-
-
-@st.composite
-def ido_cases(draw):
-    """An identically-ordered instance under shuffled chore labels, and caps.
-
-    Each agent's row is either one value repeated (so every round starts
-    past the block of positions earlier rounds took, which the list of
-    untaken positions leaves out) or a shared descending profile nudged
-    per agent. Caps are zero or fractions up to twice the pigeonhole
-    bound, so many rounds strand chores in the leftover.
-    """
-    n = draw(st.integers(1, 6))
-    m = draw(st.integers(0, 14))
-    if draw(st.booleans()):
-        rows = [[draw(st.integers(0, 4))] * m for _ in range(n)]
-    else:
-        base = draw(st.lists(st.integers(0, 20), min_size=m, max_size=m))
-        base.sort(reverse=True)
-        rows = [
-            sorted((max(0, v + draw(st.integers(-2, 2))) for v in base), reverse=True)
-            for _ in range(n)
-        ]
-    labels = draw(st.permutations(range(m)))
-    inst = Instance.from_rows([[row[labels[c]] for c in range(m)] for row in rows])
-    caps = []
-    for agent in range(n):
-        top = 2 * max(1, _pigeonhole(sorted(inst.row(agent), reverse=True), n))
-        caps.append(
-            draw(
-                st.one_of(
-                    st.just(Fraction(0)),
-                    st.fractions(min_value=0, max_value=top, max_denominator=8),
-                )
-            )
-        )
-    return inst, ThresholdVector(tuple(caps))
-
-
 def ido_edge_cases() -> List[tuple]:
     """Pinned IDO instances, some with chore labels out of order, and caps."""
     uneven = [1, 3, 5, 1, 3, 5]  # descending order 2, 5, 1, 4, 0, 3
@@ -406,21 +354,11 @@ class TestThresholdTest:
         for inst in CORPUS + FIXTURES:
             assert_threshold_test_matches(inst)
 
-    @settings(max_examples=150, deadline=None)
-    @given(edge_instances())
-    def test_edge_instances(self, inst):
-        assert_threshold_test_matches(inst)
-
 
 class TestSearchThreshold:
     def test_corpus_and_fixtures(self):
         for inst in CORPUS + FIXTURES:
             assert_search_matches(inst)
-
-    @settings(max_examples=150, deadline=None)
-    @given(edge_instances())
-    def test_edge_instances(self, inst):
-        assert_search_matches(inst)
 
 
 class TestGreedyFill:
@@ -443,17 +381,6 @@ class TestGreedyFill:
             assert_greedy_matches(inst, caps)
         assert fractional > 0
 
-    @settings(max_examples=150, deadline=None)
-    @given(edge_instances(), st.data())
-    def test_edge_instances(self, inst, data):
-        caps = ThresholdVector(
-            tuple(
-                data.draw(st.fractions(min_value=0, max_value=30, max_denominator=12))
-                for _ in range(inst.num_agents)
-            )
-        )
-        assert_greedy_matches(inst, caps)
-
     def test_pinned_ido_edge_cases_on_both_paths(self):
         stranded = 0
         for inst, caps in ido_edge_cases():
@@ -463,13 +390,6 @@ class TestGreedyFill:
             result = greedy_fill(ordered_instance(inst), caps)
             stranded += bool(result.allocation.leftover)
         assert stranded >= 3
-
-    @settings(max_examples=300, deadline=None)
-    @given(ido_cases())
-    def test_ido_cases_on_both_paths(self, case):
-        inst, caps = case
-        assert ido_order(inst) is not None
-        assert_greedy_matches(inst, caps)
 
     def test_large_ido_instance_at_five_quarters(self):
         inst = ido_instance(random.Random(SEED_HOT_PATH_CORPUS), 60, 600, 1000)
@@ -489,18 +409,6 @@ class TestLiftAllocation:
                     rng.randrange(inst.num_agents) for _ in range(inst.num_chores)
                 ]
                 assert_lift_matches(inst, owners)
-
-    @settings(max_examples=150, deadline=None)
-    @given(edge_instances(), st.data())
-    def test_edge_instances(self, inst, data):
-        owners = data.draw(
-            st.lists(
-                st.integers(0, inst.num_agents - 1),
-                min_size=inst.num_chores,
-                max_size=inst.num_chores,
-            )
-        )
-        assert_lift_matches(inst, owners)
 
 
 def reference_allocate_within(

@@ -7,9 +7,10 @@ resolve on the package. The core modules import only the layers below
 them: the greedy and the schedulers sit on ``errors`` and ``instances``,
 the oracle adds ``scheduling``, and ``solvers`` and ``cli`` sit above.
 Importing the package loads none of the modules only the CLI or an
-introspection needs, and no name README lists as removed comes back.
+introspection needs, and no name CHANGES.md lists as removed comes back.
 A test imports only the standard library, the package, the test extras
-``pyproject.toml`` lists and the local helpers.
+``pyproject.toml`` lists and the local helpers; a tool under ``tools/``
+imports only the standard library and uses every name it imports.
 """
 
 from __future__ import annotations
@@ -68,7 +69,10 @@ def test_the_checker_flags_an_unused_import():
     assert unused_imports(source) == {"Tuple", "os"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
 
@@ -76,8 +80,9 @@ def test_no_unused_imports(path):
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # What a test may import besides the standard library: the package, the
 # test extras pyproject.toml lists, and the local helpers (conftest, and
-# perfbench's run and workloads, which test_pins puts on the path).
-TEST_IMPORTS = {"fairchores", "pytest", "hypothesis", "conftest", "workloads", "run"}
+# perfbench's run and workloads, which test_pins puts on the path, and
+# tools' mutants, which test_mutants puts there).
+TEST_IMPORTS = {"fairchores", "pytest", "hypothesis", "conftest", "workloads", "run", "mutants"}
 
 
 def top_level_imports(source: str) -> Set[str]:
@@ -100,6 +105,12 @@ def test_the_checker_finds_every_imported_module():
 def test_tests_import_only_the_stdlib_the_package_and_the_test_extras():
     allowed = sys.stdlib_module_names | TEST_IMPORTS
     foreign = {path.name: top_level_imports(path.read_text()) - allowed for path in TESTS}
+    assert {name: mods for name, mods in foreign.items() if mods} == {}
+
+
+def test_tools_import_only_the_stdlib():
+    stdlib = sys.stdlib_module_names
+    foreign = {path.name: top_level_imports(path.read_text()) - stdlib for path in TOOLS}
     assert {name: mods for name, mods in foreign.items() if mods} == {}
 
 
@@ -162,7 +173,8 @@ def test_import_loads_only_what_the_library_needs():
     assert done.stdout.splitlines() == ["[]", "fairchores.cli True"]
 
 
-# README's "Removed" list: public names, then fields and methods of records.
+# The removed names CHANGES.md lists (README's "Removed" until it moved
+# there): public names, then fields and methods of records.
 REMOVED_NAMES = (
     "classify_chores",
     "search_bounds",

@@ -509,15 +509,6 @@ class TestIsIdo:
         assert ido_order(ordered_instance(inst).instance) is not None
 
 
-def random_complete_ordered_allocation(
-    rng: random.Random, n: int, m: int
-) -> Allocation:
-    bundles = [set() for _ in range(n)]
-    for j in range(m):
-        bundles[rng.randrange(n)].add(j)
-    return Allocation(bundles=tuple(frozenset(b) for b in bundles), leftover=frozenset())
-
-
 class TestLiftAllocation:
     def test_hand_walked_example(self):
         inst = make_instance([[3, 1, 2], [1, 2, 3]])
@@ -570,23 +561,6 @@ class TestLiftAllocation:
         with pytest.raises(InputError, match="^ordered allocation does not match"):
             lift_allocation(ordd, one_bundle)
 
-    def test_dominance_on_seeded_instances(self):
-        rng = random.Random(1234)
-        for _ in range(100):
-            n = rng.randint(2, 4)
-            m = rng.randint(n, 6)
-            inst = make_instance(
-                [[rng.randint(0, 30) for _ in range(m)] for _ in range(n)]
-            )
-            ordd = ordered_instance(inst)
-            ord_alloc = random_complete_ordered_allocation(rng, n, m)
-            lifted = lift_allocation(ordd, ord_alloc)
-            assert lifted.complete
-            for i in range(n):
-                assert inst.value(i, lifted.bundles[i]) <= ordd.instance.value(
-                    i, ord_alloc.bundles[i]
-                )
-
 
 class TestVerifyAllocation:
     def test_all_leftover(self):
@@ -607,6 +581,12 @@ class TestVerifyAllocation:
         assert report.within_threshold == (False, False)
         assert report.complete
 
+    def test_a_load_at_its_cap_is_within_and_one_above_is_not(self):
+        inst = make_instance([[5, 5], [5, 5]])
+        alloc = Allocation(bundles=(frozenset({0}), frozenset({1})), leftover=frozenset())
+        report = verify_allocation(inst, alloc, ThresholdVector((5, 4)))
+        assert report.within_threshold == (True, False)
+
     def test_dimension_mismatch(self):
         inst = make_instance([[5, 5], [5, 5]])
         alloc = Allocation(bundles=(frozenset({0, 1}),), leftover=frozenset())
@@ -619,8 +599,9 @@ class TestVerifyAllocation:
     def test_short_threshold_vector(self):
         inst = make_instance([[5, 5], [5, 5]])
         alloc = Allocation(bundles=(frozenset({0}), frozenset({1})), leftover=frozenset())
-        with pytest.raises(InputError, match="^threshold vector length"):
-            verify_allocation(inst, alloc, ThresholdVector.uniform(1, 10))
+        for count in (1, 3):
+            with pytest.raises(InputError, match="^threshold vector length"):
+                verify_allocation(inst, alloc, ThresholdVector.uniform(count, 10))
 
 
 class TestJsonInterchange:

@@ -82,7 +82,8 @@ class TestSchedule119:
     def test_small_example(self):
         result = schedule_119([3, 3, 2, 2, 2], 2)
         assert result.makespan == 6
-        assert result.threshold == 6
+        # perfbench reads the property; it restates the makespan.
+        assert result.threshold == result.makespan
         assert sorted(result.loads) == [6, 6]
         assert result.allocation.complete
 
@@ -101,8 +102,7 @@ class TestSchedule119:
         result = schedule_119(jobs, 4)
         opt = optimal_makespan(jobs, 4, OracleLimits(max_chores=17))
         assert opt == 150
-        assert 11 * result.threshold <= 13 * opt
-        assert result.makespan == result.threshold
+        assert 11 * result.makespan <= 13 * opt
 
     def test_searched_threshold_that_does_not_pack(self, monkeypatch):
         # A search that stops at the top of the bracket [5, 10] yields a
@@ -175,8 +175,7 @@ class TestSchedule119:
     def test_within_bound_and_partitions(self, jobs, machines):
         result = schedule_119(jobs, machines)
         opt = optimal_makespan(jobs, machines)
-        assert 11 * result.threshold <= 13 * opt
-        assert result.makespan == result.threshold
+        assert 11 * result.makespan <= 13 * opt
         assert result.allocation.complete
         assert sum(len(b) for b in result.allocation.bundles) == len(jobs)
         assert result.loads == tuple(
@@ -190,7 +189,7 @@ class TestFirstFitDecreasingMatchesCloneAndLift:
             result = schedule_119(jobs, machines)
             expected, threshold = reference_schedule_119(jobs, machines)
             assert result == expected, (jobs, machines)
-            assert result.threshold == threshold, (jobs, machines)
+            assert result.makespan == threshold, (jobs, machines)
 
     def test_naive_test_equals_clone_greedy_on_fixtures(self):
         for fixture in builtin_fixtures():
@@ -405,6 +404,5 @@ class TestCorpusComparison:
             opt = optimal_makespan(jobs, machines)
             greedy = schedule_119(jobs, machines)
             lpt = schedule_lpt(jobs, machines)
-            assert 11 * greedy.threshold <= 13 * opt
-            assert greedy.makespan == greedy.threshold
+            assert 11 * greedy.makespan <= 13 * opt
             assert 3 * lpt.makespan <= 4 * opt

@@ -367,6 +367,18 @@ class TestInvariantRechecks:
         ):
             solve_poly_54(identical([3, 2, 1], n=2))
 
+    def test_lift_loading_an_agent_one_unit_past_the_cap(self, monkeypatch):
+        # s = 3 for both agents and 5 * 3 % 4 == 3: the cap 15/4 floors to
+        # 3, and a load of 4 is one unit above it, with 4 * 4 == 5 * 3 + 1.
+        inst = identical([3, 2, 1], n=2)
+        monkeypatch.setattr(solvers, "_lift", lambda ordd, bundles: [[0], [1, 2]])
+        assert solve_poly_54(inst).loads == (3, 3)
+        monkeypatch.setattr(solvers, "_lift", lambda ordd, bundles: [[0, 2], [1]])
+        with pytest.raises(
+            SolverInvariantError, match="^agent 0 carries 4 above their cap 15/4$"
+        ):
+            solve_poly_54(inst)
+
     def test_search_failing_at_the_top_of_its_bracket(self, monkeypatch):
         monkeypatch.setattr(
             solvers, "_pack_large", lambda desc, n, s: ([[]] * n, [0], 0)
