@@ -258,9 +258,15 @@ def _check_values(values: Sequence[object], label: str) -> None:
 
 def _descending(row: Sequence[int]) -> Tuple[List[int], List[int]]:
     """The chore at each position, by descending value with ties by chore
-    index (a stable sort keeps them so even reversed), and those values."""
-    order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-    return order, [row[c] for c in order]
+    index (a stable sort keeps them so even reversed), and those values.
+
+    The sort keys through a list copy of the row: a list's ``__getitem__``
+    is a builtin method, which the sort calls faster than a tuple's slot
+    wrapper, and the copy costs less than that saves, at m = 13 as at
+    m = 250."""
+    vals = list(row)
+    order = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    return order, [vals[c] for c in order]
 
 
 class Instance(_Record):

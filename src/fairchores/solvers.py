@@ -10,20 +10,25 @@ Two routes to a complete allocation:
   pass-set contains every value at or above the agent's share is
   searched, galloping from the pigeonhole bound and then bisecting the
   last gap, for a certified underestimate s_i; the greedy runs at caps
-  5/4 of those. Polynomial time, 5/4 guarantee.
+  5/4 of those. Polynomial time, 5/4 guarantee. The search probes the
+  test on the values alone (``_large_fits``); ``threshold_test`` runs
+  its positional packer (``_pack_large``), and both share the split of
+  the row into its large prefixes (``_large_split``).
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap, on the values alone. It is cheaper
 but its pass-set has holes above the share (see the "non-monotone"
 fixture), so it certifies nothing for fair division; on identical
 machines, searching it is the MULTIFIT scheduler in ``scheduling``,
-within 13/11 of the optimal makespan. Search probes answer pass/fail.
+within 13/11 of the optimal makespan. Search probes answer pass/fail,
+so neither search builds positions or bundles.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import partial
 from operator import neg
 from typing import List, Sequence, Tuple
 
@@ -94,32 +99,75 @@ def naive_test(inst: Instance, agent: int, s: int) -> bool:
     return _ffd_fits(sorted(row, reverse=True), inst.num_agents, s)
 
 
+def _large_split(desc: Sequence[int], n: int, s: int) -> Tuple[int, int, bool]:
+    """How many chores of a row sorted nonincreasing lie strictly above
+    s/4, how many of those lie strictly above s/2 (each a prefix of the
+    row), and whether the latter outnumber the n bundles, which puts s
+    certainly below the share. Both packers start here."""
+    # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
+    large = bisect_left(desc, -(s // 4), key=neg)
+    k = bisect_left(desc, -(s // 2), hi=large, key=neg)
+    return large, k, k > n
+
+
 def _pack_large(
     desc: Sequence[int], n: int, s: int
 ) -> Tuple[List[List[int]], List[int], int]:
     """Two-stage large-chore packing of a row sorted nonincreasing.
 
     The chores strictly above s/4 are a prefix of the row, and the k
-    strictly above s/2 a prefix of that. ``_first_fit`` packs the rest
-    of the prefix into bundles k..1, each seeded with its own position,
-    under cap s, then into fresh bundles k+1..n under 5s/4, whose floor
-    integer loads meet exactly when they meet it; each bundle takes the
-    largest leftover chore that fits, one bisection and one deletion per
-    placed chore. Returns the positions in each of the n bundles, the
-    positions left unplaced, and k. When k > n nothing is packed and
-    every large position is unplaced.
+    strictly above s/2 a prefix of that (``_large_split``).
+    ``_first_fit`` packs the rest of the prefix into bundles k..1, each
+    seeded with its own position, under cap s, then into fresh bundles
+    k+1..n under 5s/4, whose floor integer loads meet exactly when they
+    meet it; each bundle takes the largest leftover chore that fits, one
+    bisection and one deletion per placed chore. Returns the positions in
+    each of the n bundles, the positions left unplaced, and k. When
+    k > n nothing is packed and every large position is unplaced.
     """
-    # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
-    large = bisect_left(desc, -(s // 4), key=neg)
-    k = bisect_left(desc, -(s // 2), hi=large, key=neg)
-    if k > n:
-        # More chores above s/2 than bundles: certainly below the share.
+    large, k, too_many = _large_split(desc, n, s)
+    if too_many:
         return [[] for _ in range(n)], list(range(large)), k
 
     seeded = [(desc[t], s) for t in reversed(range(k))]
     packed, leftover = _first_fit(desc, k, large, seeded + [(0, 5 * s // 4)] * (n - k))
     bundles = [[t] + packed[k - 1 - t] for t in range(k)] + packed[k:]
     return bundles, leftover, k
+
+
+def _large_fits(desc: Sequence[int], n: int, s: int) -> bool:
+    """Does ``_pack_large`` place every large chore? Its pass/fail alone.
+
+    The same two stages on the values alone: an ascending list of the
+    unseeded large values fills the rooms s - desc[t] of the k seeded
+    bundles, then n - k rooms of 5s/4. Each room takes the largest value
+    that fits, by one ``pop`` when the largest fits, else one C-level
+    bisection and one deletion, until none fits. No positions or bundles
+    are built, and the rooms stop once every value is placed.
+
+    A seeded room is below s/2 and the values above s/4, so it takes at
+    most one. Rooms that each take at most one value take the same set
+    in any order: two rooms a <= b, in either order, take the largest
+    value up to b and the largest up to a of the rest. So stage one runs
+    bundle 1 up to k here, the reverse of ``_pack_large``.
+    """
+    large, k, too_many = _large_split(desc, n, s)
+    if too_many:
+        return False
+    vals = list(reversed(desc[k:large]))
+    cap = 5 * s // 4
+    for t in range(n):
+        if not vals:
+            break
+        room = s - desc[t] if t < k else cap
+        while vals:
+            if vals[-1] <= room:
+                room -= vals.pop()
+            elif i := bisect_right(vals, room):
+                room -= vals.pop(i - 1)
+            else:
+                break
+    return not vals
 
 
 def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
@@ -134,7 +182,8 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
 
     The row is sorted by ``_descending``, the packing runs in
     ``_pack_large`` on it, and ``_chore_allocation`` maps the packed
-    positions back to chores; ``search_threshold`` runs the same packer.
+    positions back to chores; ``search_threshold`` probes the same test
+    with ``_large_fits``, on the values alone.
     """
     _as_int(s, "threshold s")
     order, desc = _descending(_as_type(inst, Instance, "inst").row(agent))
@@ -161,11 +210,11 @@ def _search_sorted(desc: Sequence[int], n: int) -> int:
     at ``lower`` that one probe returns it; otherwise the returned s*
     passes and has a failing predecessor. Because the pass-set contains
     the whole ray above the share, s* never exceeds the share. Each
-    probe runs threshold_test's packer, ``_pack_large``, on the sorted
-    row for pass/fail alone.
+    probe runs ``_large_fits``, threshold_test's pass/fail on the values
+    of the sorted row alone.
     """
     lower = _pigeonhole(desc, n)
-    return _boundary_search(lambda s: not _pack_large(desc, n, s)[1], lower, 2 * lower)
+    return _boundary_search(partial(_large_fits, desc, n), lower, 2 * lower)
 
 
 def _allocate_within(

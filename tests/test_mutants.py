@@ -25,7 +25,9 @@ CORES = (
     "_lift",
     "_first_fit",
     "_ffd_fits",
+    "_large_split",
     "_pack_large",
+    "_large_fits",
     "_boundary_search",
     "_pigeonhole",
     "_as_int",

@@ -18,8 +18,10 @@ subset sums at a resolution q > 1, so a generated corpus with values up
 to 10**6 (gcd 1, every first cap past it) pins that path's nodes too.
 The other two workloads never reach the exact search; their work is
 pinned as boundary-search probes on seed 3's corpora: ``_ffd_fits`` over
-``sched-identical``'s 100 job lists, ``_pack_large`` over
-``poly-random``'s 2,485 agents.
+``sched-identical``'s 100 job lists, ``_large_fits`` over
+``poly-random``'s 2,485 agents. At every threshold that search probes,
+``_large_fits`` must answer as ``threshold_test``'s positional packer,
+``_pack_large``, does.
 
 The corpora come from ``perfbench/workloads.py`` and the digests from
 ``perfbench/run.py``, both imported read-only.
@@ -89,7 +91,7 @@ def test_search_nodes_past_the_subset_cap():
     "module, name, workload, solve, pinned",
     [
         (scheduling, "_ffd_fits", "sched-identical", fc.schedule_119, 599),
-        (solvers, "_pack_large", "poly-random", fc.solve_poly_54, 2_495),
+        (solvers, "_large_fits", "poly-random", fc.solve_poly_54, 2_495),
     ],
     ids=["sched-identical", "poly-random"],
 )
@@ -99,3 +101,19 @@ def test_boundary_search_probes(monkeypatch, module, name, workload, solve, pinn
     for case in WORKLOADS[workload].build(fc, 3, 1):
         solve(*case.args)
     assert len(calls) == pinned
+
+
+def test_probe_matches_the_packer_at_every_probed_threshold(monkeypatch):
+    fits, checked = solvers._large_fits, []
+
+    def compared(desc, n, s):
+        passed = fits(desc, n, s)
+        assert passed == (not solvers._pack_large(desc, n, s)[1])
+        checked.append(passed)
+        return passed
+
+    monkeypatch.setattr(solvers, "_large_fits", compared)
+    for case in WORKLOADS["poly-random"].build(fc, 3, 1):
+        fc.solve_poly_54(*case.args)
+    # Probes that pass and probes that fail were both compared.
+    assert set(checked) == {True, False}

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairchores import solvers
@@ -41,15 +41,15 @@ def lower_of(inst: Instance, agent: int) -> int:
 
 
 def count_probes(monkeypatch) -> list:
-    """Record the threshold of every ``_pack_large`` call the search makes."""
+    """Record the threshold of every ``_large_fits`` call the search makes."""
     probes: list = []
-    pack = solvers._pack_large
+    fits = solvers._large_fits
 
     def counted(desc, n, s):
         probes.append(s)
-        return pack(desc, n, s)
+        return fits(desc, n, s)
 
-    monkeypatch.setattr(solvers, "_pack_large", counted)
+    monkeypatch.setattr(solvers, "_large_fits", counted)
     return probes
 
 
@@ -138,15 +138,15 @@ class TestSearchThreshold:
     def test_bounds(self, monkeypatch):
         inst = identical([9, 7, 6, 5, 5] + [4] * 9, n=4)
         assert _pigeonhole(inst.row(0), 4) == 17
-        # A packer failing everywhere shows the gallop: lower, then steps
+        # A probe failing everywhere shows the gallop: lower, then steps
         # of 1, 2, 4 and 8, then the top of the bracket.
         probes = []
 
         def failing(desc, n, s):
             probes.append(s)
-            return [[]] * n, [0], 0
+            return False
 
-        monkeypatch.setattr(solvers, "_pack_large", failing)
+        monkeypatch.setattr(solvers, "_large_fits", failing)
         with pytest.raises(SolverInvariantError):
             search_threshold(inst, 0)
         assert probes == [17, 18, 20, 24, 32, 34]
@@ -226,6 +226,21 @@ class TestSearchThreshold:
             mu, _ = exact_mms(inst, agent)
             s_star = search_threshold(inst, agent)
             assert lower_of(inst, agent) <= s_star <= mu
+
+
+class TestLargeFits:
+    """The search's probe answers as threshold_test's packer does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(0, 40), max_size=12), st.booleans())
+    @example(n=2, values=[10, 10, 10], zero=False)  # k > n from s = 0 to 19
+    @example(n=3, values=[9, 9, 1], zero=False)  # large == k at s = 0, 1 and 4 to 17
+    @example(n=2, values=[3, 3, 3], zero=True)  # an all-zero row
+    def test_matches_the_packer(self, n, values, zero):
+        # Every s from 0, below every positive value, past the bracket's top.
+        desc = sorted([0] * len(values) if zero else values, reverse=True)
+        for s in range(2 * _pigeonhole(desc, n) + 3):
+            assert solvers._large_fits(desc, n, s) == (not solvers._pack_large(desc, n, s)[1])
 
 
 class TestSolveExistence119:
@@ -380,9 +395,7 @@ class TestInvariantRechecks:
             solve_poly_54(inst)
 
     def test_search_failing_at_the_top_of_its_bracket(self, monkeypatch):
-        monkeypatch.setattr(
-            solvers, "_pack_large", lambda desc, n, s: ([[]] * n, [0], 0)
-        )
+        monkeypatch.setattr(solvers, "_large_fits", lambda desc, n, s: False)
         # The bracket is [3, 6]; the gallop probes 3 and 4, then the top at 6.
         with pytest.raises(
             SolverInvariantError,

@@ -111,17 +111,30 @@ CATALOGUE = (
      "schedule_119 re-check: jobs left over at the searched cap go unchecked"),
     (SCHEDULING, "if max(loads) != makespan:", "if max(loads) > makespan:",
      "schedule_119 re-check: a makespan below the searched cap passes"),
-    # _pack_large
+    # _large_split, which both of the threshold test's packers call
     (SOLVERS, "-(s // 4), key=neg)", "-(s // 4) - 1, key=neg)",
-     "_pack_large: a chore one above s/4 is not large"),
+     "_large_split: a chore one above s/4 is not large"),
     (SOLVERS, "-(s // 2), hi=large", "-(s // 2) - 1, hi=large",
-     "_pack_large: a chore one above s/2 seeds no bundle"),
-    (SOLVERS, "if k > n:", "if k >= n:",
-     "_pack_large: n chores above s/2 count as too many"),
+     "_large_split: a chore one above s/2 seeds no bundle"),
+    (SOLVERS, "large, k, k > n", "large, k, k >= n",
+     "_large_split: n chores above s/2 count as too many"),
+    # _pack_large
     (SOLVERS, "for t in reversed(range(k))]", "for t in range(k)]",
      "_pack_large: stage one tops up the first seeded bundle first"),
     (SOLVERS, "[(0, 5 * s // 4)]", "[(0, 5 * s // 4 - 1)]",
      "_pack_large: stage two's bundles lose a unit of their 5s/4 cap"),
+    # _large_fits. Its fast path's ``vals[-1] <= room`` as ``<`` would be
+    # equivalent (the bisection then takes the same value), and so would
+    # its stage one's room order (its docstring says why), so the fit test
+    # is mutated in the bisection and the order has no entry.
+    (SOLVERS, "room = s - desc[t] if", "room = s - desc[t] - 1 if",
+     "_large_fits: each seeded room is a unit short"),
+    (SOLVERS, "if t < k else cap", "if t <= k else cap",
+     "_large_fits: the first unseeded bundle gets a seeded room"),
+    (SOLVERS, "cap = 5 * s // 4", "cap = 5 * s // 4 - 1",
+     "_large_fits: stage two's rooms lose a unit of their 5s/4 cap"),
+    (SOLVERS, "elif i := bisect_right(vals, room):", "elif i := bisect_right(vals, room - 1):",
+     "_large_fits: a value that fills its room exactly fits only as the largest left"),
     # the solvers' re-checks
     (SOLVERS, "if den * load > num * b:", "if den * load > num * b + 1:",
      "_allocate_within re-check: a load one unit past the cap passes"),
