@@ -118,9 +118,11 @@ class TestGenerate:
 
 # randint(0, value_max) draws (value_max + 1).bit_length() bits and
 # rejects draws above value_max: a quarter of them at 2, few at 1000 and
-# about half at the others. Each draw takes one 32-bit word of the
-# generator up to 2**31 and two from 2**32 on.
-VALUE_MAXES = (1, 2, 3, 1000, 2**31, 2**32, 2**32 + 1, 2**63 - 1)
+# 4094 and about half at the others. Each draw takes one 32-bit word of
+# the generator up to 2**31 and two from 2**32 on. The generator looks
+# draws of at most 12 bits up in a table: 4094 is its widest bound, 4095
+# the first past it, and 2048 rejects half its draws above 256.
+VALUE_MAXES = (1, 2, 3, 1000, 2048, 4094, 4095, 2**31, 2**32, 2**32 + 1, 2**63 - 1)
 
 
 @pytest.mark.parametrize("chores", [(0, 0), (0, 9)])
@@ -137,3 +139,12 @@ def test_stream_equals_randint_draws(value_max, ido_only, chores):
         assert _one(rng, config) == expected[-1]
         assert rng.getstate() == frozen.getstate()
     assert list(generate(config, 30)) == expected
+
+
+def test_equal_values_are_one_object():
+    # Values above 256 are not CPython's cached small ints: each drawn
+    # value is the generator's one object for it.
+    config = GeneratorConfig(seed=3, agents=(20, 20), chores=(200, 200), value_max=1000)
+    values = [v for inst in generate(config, 5) for row in inst.valuations for v in row]
+    assert len(values) == 20_000
+    assert len(set(map(id, values))) <= 1001

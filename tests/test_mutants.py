@@ -36,6 +36,7 @@ CORES = (
     "schedule_119 re-check",
     "check_amms",
     "verify_allocation",
+    "_below",
 )
 
 

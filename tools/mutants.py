@@ -45,6 +45,7 @@ SCHEDULING = "src/fairchores/scheduling.py"
 SOLVERS = "src/fairchores/solvers.py"
 GREEDY = "src/fairchores/greedy.py"
 INSTANCES = "src/fairchores/instances.py"
+GENERATOR = "src/fairchores/generator.py"
 
 CATALOGUE = (
     # _min_makespan
@@ -176,6 +177,17 @@ CATALOGUE = (
      "verify_allocation: a load exactly at its cap is not within"),
     (INSTANCES, "if len(thresholds) != inst.num_agents:", "if len(thresholds) < inst.num_agents:",
      "verify_allocation: a threshold vector longer than the agents passes"),
+    # _below. Its threshold as ``k >= _TABLE_BITS`` and the index start
+    # as 0 would be equivalent: the filter path and a scan from the front
+    # give the same values, only not shared or later.
+    (GENERATOR, "if k > _TABLE_BITS:", "if k > _TABLE_BITS + 1:",
+     "_below: 13-bit draws index past the table's end"),
+    (GENERATOR, "range(kept.count(-1))", "range(kept.count(-1) - 1)",
+     "_below: one reject per batch stays among the values"),
+    (GENERATOR, "kept.index(-1, at)", "kept.index(-1, at + 1)",
+     "_below: a reject right after a deleted one is passed over"),
+    (GENERATOR, "repeat(k, size - at)", "repeat(k, size - at + 1)",
+     "_below: each batch draws one value more than are missing"),
 )
 
 
