@@ -24,14 +24,16 @@ at most any makespan, and a failing predecessor of s* cannot lie in
 The probes answer pass/fail on the values alone: ``_ffd_fits`` runs FFD
 with no positions and stops once the unplaced total exceeds the cap times
 the bins not yet filled, as no bin holds more than the cap (an exact fill
-still packs, so the test is strict). ``_first_fit`` packs positions once,
-at s*, and is also the 5/4 solver's packer: each bin takes the largest
-leftover that fits, by one ``pop`` or one C-level bisection and list
-deletion. Both schedulers, this and the longest-processing-time baseline
-(``_lpt``), check the jobs with the value rule, sort them once with
-``_descending`` (equal jobs lowest index first) and map positions back
-to jobs: this one's bundles with ``_chore_allocation``, LPT's bin of each
-position with ``_witness``.
+still packs, so the test is strict). It is the package's one value-only
+fill loop, with three callers: this search, ``solvers.naive_test`` and
+stage two of the 5/4 solver's probe, ``solvers._large_fits``.
+``_first_fit`` packs positions once, at s*, and is also the 5/4 solver's
+packer: each bin takes the largest leftover that fits, by one ``pop`` or
+one C-level bisection and list deletion. Both schedulers, this and the
+longest-processing-time baseline (``_lpt``), check the jobs with the
+value rule, sort them once with ``_descending`` (equal jobs lowest index
+first) and map positions back to jobs: this one's bundles with
+``_chore_allocation``, LPT's bin of each position with ``_witness``.
 """
 
 from __future__ import annotations

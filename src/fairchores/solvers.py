@@ -10,10 +10,12 @@ Two routes to a complete allocation:
   pass-set contains every value at or above the agent's share is
   searched, galloping from the pigeonhole bound and then bisecting the
   last gap, for a certified underestimate s_i; the greedy runs at caps
-  5/4 of those. Polynomial time, 5/4 guarantee. The search probes the
-  test on the values alone (``_large_fits``); ``threshold_test`` runs
-  its positional packer (``_pack_large``), and both share the split of
-  the row into its large prefixes (``_large_split``).
+  5/4 of those. Polynomial time, 5/4 guarantee. ``threshold_test`` runs
+  the positional packer (``_pack_large``); the search's probe
+  (``_large_fits``) is MULTIFIT's FFD probe, ``_ffd_fits``, on the large
+  values after one pass that seeds the bundles of the chores above s/2.
+  Both start from the split of the row into its large prefixes
+  (``_large_split``).
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap, on the values alone. It is cheaper
@@ -138,36 +140,21 @@ def _pack_large(
 def _large_fits(desc: Sequence[int], n: int, s: int) -> bool:
     """Does ``_pack_large`` place every large chore? Its pass/fail alone.
 
-    The same two stages on the values alone: an ascending list of the
-    unseeded large values fills the rooms s - desc[t] of the k seeded
-    bundles, then n - k rooms of 5s/4. Each room takes the largest value
-    that fits, by one ``pop`` when the largest fits, else one C-level
-    bisection and one deletion, until none fits. No positions or bundles
-    are built, and the rooms stop once every value is placed.
-
-    A seeded room is below s/2 and the values above s/4, so it takes at
-    most one. Rooms that each take at most one value take the same set
-    in any order: two rooms a <= b, in either order, take the largest
-    value up to b and the largest up to a of the rest. So stage one runs
-    bundle 1 up to k here, the reverse of ``_pack_large``.
+    The same two stages on the values alone. Stage one, bundles k down to
+    1 as in the packer, gives each seeded room s - desc[t] the largest
+    unseeded large value that fits: one bisection and one deletion, as a
+    room below s/2 holds at most one value above s/4. Stage two is
+    MULTIFIT's probe, ``_ffd_fits`` of the values left into n - k bins of
+    cap 5s/4.
     """
     large, k, too_many = _large_split(desc, n, s)
     if too_many:
         return False
     vals = list(reversed(desc[k:large]))
-    cap = 5 * s // 4
-    for t in range(n):
-        if not vals:
-            break
-        room = s - desc[t] if t < k else cap
-        while vals:
-            if vals[-1] <= room:
-                room -= vals.pop()
-            elif i := bisect_right(vals, room):
-                room -= vals.pop(i - 1)
-            else:
-                break
-    return not vals
+    for t in reversed(range(k)):
+        if i := bisect_right(vals, s - desc[t]):
+            del vals[i - 1]
+    return not vals or _ffd_fits(vals[::-1], n - k, 5 * s // 4)
 
 
 def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:

@@ -236,6 +236,10 @@ class TestLargeFits:
     @example(n=2, values=[10, 10, 10], zero=False)  # k > n from s = 0 to 19
     @example(n=3, values=[9, 9, 1], zero=False)  # large == k at s = 0, 1 and 4 to 17
     @example(n=2, values=[3, 3, 3], zero=True)  # an all-zero row
+    # At s = 7 the seeded room of 2 takes nothing, and stage two stops
+    # early after one of its two bins.
+    @example(n=3, values=[5, 3, 3, 3, 3, 3], zero=False)
+    @example(n=2, values=[7, 3], zero=False)  # a seeded room of -1 at s = 6
     def test_matches_the_packer(self, n, values, zero):
         # Every s from 0, below every positive value, past the bracket's top.
         desc = sorted([0] * len(values) if zero else values, reverse=True)

@@ -124,18 +124,18 @@ CATALOGUE = (
      "_pack_large: stage one tops up the first seeded bundle first"),
     (SOLVERS, "[(0, 5 * s // 4)]", "[(0, 5 * s // 4 - 1)]",
      "_pack_large: stage two's bundles lose a unit of their 5s/4 cap"),
-    # _large_fits. Its fast path's ``vals[-1] <= room`` as ``<`` would be
-    # equivalent (the bisection then takes the same value), and so would
-    # its stage one's room order (its docstring says why), so the fit test
-    # is mutated in the bisection and the order has no entry.
-    (SOLVERS, "room = s - desc[t] if", "room = s - desc[t] - 1 if",
+    # _large_fits. Its seeding pass as ``range(k)`` would be equivalent (a
+    # room that takes at most one value takes the same set in any order),
+    # and so would its return without ``not vals or`` (``_ffd_fits``
+    # passes an empty list), so neither has an entry.
+    (SOLVERS, "bisect_right(vals, s - desc[t])", "bisect_right(vals, s - desc[t] - 1)",
      "_large_fits: each seeded room is a unit short"),
-    (SOLVERS, "if t < k else cap", "if t <= k else cap",
-     "_large_fits: the first unseeded bundle gets a seeded room"),
-    (SOLVERS, "cap = 5 * s // 4", "cap = 5 * s // 4 - 1",
-     "_large_fits: stage two's rooms lose a unit of their 5s/4 cap"),
-    (SOLVERS, "elif i := bisect_right(vals, room):", "elif i := bisect_right(vals, room - 1):",
-     "_large_fits: a value that fills its room exactly fits only as the largest left"),
+    (SOLVERS, "del vals[i - 1]", "del vals[0]",
+     "_large_fits: a seeded room takes the smallest value that fits"),
+    (SOLVERS, "n - k, 5 * s // 4)", "n - k - 1, 5 * s // 4)",
+     "_large_fits: stage two is one bin short"),
+    (SOLVERS, "n - k, 5 * s // 4)", "n - k, 5 * s // 4 - 1)",
+     "_large_fits: stage two's bins lose a unit of their 5s/4 cap"),
     # the solvers' re-checks
     (SOLVERS, "if den * load > num * b:", "if den * load > num * b + 1:",
      "_allocate_within re-check: a load one unit past the cap passes"),
@@ -188,6 +188,12 @@ CATALOGUE = (
      "_below: a reject right after a deleted one is passed over"),
     (GENERATOR, "repeat(k, size - at)", "repeat(k, size - at + 1)",
      "_below: each batch draws one value more than are missing"),
+    # _large_fits, continued: numbered last so that the numbers above
+    # stay those of earlier kill matrices.
+    (SOLVERS, "too_many:\n        return False", "too_many:\n        return True",
+     "_large_fits: more than n chores above s/2 pass"),
+    (SOLVERS, "_ffd_fits(vals[::-1],", "_ffd_fits(vals,",
+     "_large_fits: stage two gets the values ascending"),
 )
 
 
