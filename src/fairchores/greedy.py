@@ -13,19 +13,26 @@ the interesting counterexamples live exactly there. The thresholds are
 the caller's, as the greedy knows no share; whether the loads meet
 alpha times each share is the oracle's ``check_amms``.
 
+Every agent's room lives in one integer, one W-bit field per agent
+(SWAR: Lamport, "Multiple byte processing with full-word
+instructions", CACM 1975). Each position's column of the sorted rows is
+packed the same way, so charging a chore to every agent at once is one
+subtraction, and one AND with the top bit of each field asks whether
+anyone still has room. The fields are wide enough that no subtraction
+borrows from a neighbour (``_fill``).
+
 The pass does not visit the chores it rejects. The chores an agent's
-room still absorbs are a suffix of their nonincreasing row, found by
-bisection, and a union of suffixes is a suffix: the next chore the pass
-accepts is the first untaken position at or after the earliest suffix
-start, found by at most one bisection of the untaken positions.
+room still absorbs are a suffix of their nonincreasing row, and a union
+of suffixes is a suffix, so after a miss the next chore is found by one
+bisection of the untaken positions with the same test.
 It records nothing but the bundles and who took them; ``greedy_trace``
 replays that result into the per-chore trace when one is asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import neg
+from itertools import chain
+from struct import Struct
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -62,14 +69,14 @@ def greedy_fill(ordd: OrderedInstance, thresholds: ThresholdVector) -> GreedyRes
     chore's witness still qualifies, and an empty bundle fits anyone.
     Deterministic given its inputs.
 
-    Every row is nonincreasing by position, so the positions an agent's
-    room can absorb are a suffix of the row, and so is their union over
-    the live agents. Each next chore costs one row bisection per live
-    agent, bounded by the earliest suffix start so far, then at most one
-    bisection of the ascending untaken positions (none when an agent
-    takes the chore at the scan pointer); its witness is the lowest-index
-    agent that can absorb it. That is O(n*(n + m)*log m) Python steps,
-    plus one C-level list deletion of up to m entries per accepted chore.
+    Every agent's room is a field of one integer and every position's
+    column of the rows is packed alike, so each chore the pass tries
+    costs one subtraction and one AND over n*W bits, W the field width
+    ``_fill`` picks, and the round's owner is the lowest-index agent
+    whose room is still at least 0. A chore nobody absorbs costs one
+    bisection of the ascending untaken positions with the same test, as
+    the positions anyone absorbs are a suffix of them. Each accepted
+    chore also costs one C-level list deletion of up to m entries.
 
     Check, core, record: the arguments are checked here, the rounds run
     in ``_fill`` on the sorted rows at the floors of the caps, and the
@@ -95,39 +102,59 @@ def _fill(
     Returns each agent's bundle of positions, the agent served in each
     round, and the positions no round took, ascending. The caps are
     integers from 0 up; the solvers pass theirs straight in.
+
+    Agent i owns bits [W*i, W*(i + 1)) of every packed integer. A
+    round's rooms hold B + room for each unserved agent, B = 2^(W-1),
+    so a field's top bit (its bit in ``guard``) is set exactly while
+    that room is at least 0; a served agent's field holds B/2 and its
+    top bit stays clear. W holds the largest cap and m times the largest
+    value with 2 bits to spare: no round charges an agent more than m
+    times the largest value, so a field never falls below 0 and never
+    borrows from the next one. W is 32, or whole 64-bit words past that.
     """
     n, m = len(rows), len(rows[0])
+    top = max(max(caps), m * max([row[0] for row in rows if row], default=0))
+    width = top.bit_length() + 2
+    width = 32 if width <= 32 else -(-width // 64) * 64
+    bias = 1 << (width - 1)
+    # The guard bits, the first round's rooms, then each position's column.
+    columns = chain(([bias] * n, [bias + c for c in caps]), zip(*rows))
+    if width > 32:
+        # Each value as width // 32 little-endian 32-bit words.
+        shifts = range(0, width, 32)
+        columns = ([v >> s & 0xFFFFFFFF for v in col for s in shifts] for col in columns)
+    words, from_bytes = Struct(f"<{n * width // 32}I").pack, int.from_bytes
+    guard, base, *cols = [from_bytes(words(*col), "little") for col in columns]
     left = list(range(m))  # the positions no round has taken, ascending
-    unassigned = list(range(n))
     bundles: List[List[int]] = [[] for _ in range(n)]
     assignment: List[int] = []
     for _ in range(n):
-        # (room, row, agent) for each unassigned agent the bundle still
-        # fits, in ascending agent index.
-        live = [(caps[i], rows[i], i) for i in unassigned]
+        rooms = base
         bundle: List[int] = []
         at = 0
         while at < len(left):
-            start, lo = left[at], m
-            for r, row, _ in live:
-                if row[start] <= r:
-                    break  # this agent takes the chore at start
-                # The first position in [start, lo) whose value r absorbs, if any.
-                lo = bisect_left(row, -r, start, lo, key=neg)
-            else:
-                # Nobody absorbs a position in [start, lo); someone, all from lo on.
-                at = bisect_left(left, lo, at)
-                if at == len(left):
-                    break
-            best = left.pop(at)
-            bundle.append(best)
-            live = [(r - row[best], row, a) for r, row, a in live if row[best] <= r]
+            after = rooms - cols[left[at]]
+            if not after & guard:
+                # Nobody absorbs left[at]: skip to the first untaken
+                # position someone absorbs, or past the end.
+                lo, hi = at + 1, len(left)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if (rooms - cols[left[mid]]) & guard:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                at = lo
+                continue
+            rooms = after
+            bundle.append(left.pop(at))
         # Caps are never negative, so every unassigned agent starts the
-        # round in live, and the last chore's witness never leaves it.
-        owner = live[0][2]
+        # round with its top bit set, and the last chore's witness keeps it.
+        live = rooms & guard
+        owner = (live & -live).bit_length() // width - 1
+        base -= (bias // 2 + caps[owner]) << (width * owner)
         bundles[owner] = bundle
         assignment.append(owner)
-        unassigned.remove(owner)
     return bundles, assignment, left
 
 

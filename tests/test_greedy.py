@@ -1,9 +1,7 @@
-"""Threshold greedy: fixture rounds, edge cases, bisections, share-ratio checking."""
+"""Threshold greedy: fixture rounds, edge cases, share-ratio checking."""
 
 from __future__ import annotations
 
-import bisect
-import random
 import re
 from fractions import Fraction
 
@@ -19,7 +17,6 @@ from fairchores import (
     builtin_fixtures,
     check_amms,
     generate,
-    greedy,
     greedy_fill,
     mms_profile,
     ordered_instance,
@@ -92,54 +89,6 @@ class TestGreedyFill:
         first = uniform_fill(f2.instance, 152)
         second = uniform_fill(f2.instance, 152)
         assert first == second
-
-
-def untaken_bisections(ordd, result) -> int:
-    """Bisections of the untaken positions that ``result`` took.
-
-    Each round's scan pointer starts at the first untaken position. A
-    chore accepted at the pointer needs none; any other accepted chore,
-    and the search that ends a round short of the untaken list's end,
-    need one each.
-    """
-    left = list(range(ordd.instance.num_chores))
-    count = 0
-    for owner in result.assignment:
-        at = 0
-        for chore in sorted(result.allocation.bundles[owner]):
-            count += left[at] != chore
-            at = left.index(chore)
-            del left[at]
-        count += at < len(left)
-    return count
-
-
-def test_untaken_positions_bisected_only_off_the_pointer(monkeypatch):
-    calls = {"row": 0, "untaken": 0}
-
-    def counting(seq, x, lo=0, hi=None, *, key=None):
-        calls["untaken" if key is None else "row"] += 1
-        return bisect.bisect_left(seq, x, lo, len(seq) if hi is None else hi, key=key)
-
-    monkeypatch.setattr(greedy, "bisect_left", counting)
-    rng = random.Random(2025)
-    config = GeneratorConfig(seed=2025, agents=(1, 5), chores=(0, 20), value_max=50)
-    corpus = [f.instance for f in builtin_fixtures()] + list(generate(config, 200))
-    accepted = incomplete = 0
-    for inst in corpus:
-        ordd = ordered_instance(inst)
-        n = inst.num_agents
-        caps = ThresholdVector(
-            tuple(Fraction(rng.randint(7, 14) * sum(row), 10 * n) for row in inst.valuations)
-        )
-        before = calls["untaken"]
-        result = greedy_fill(ordd, caps)
-        assert calls["untaken"] - before == untaken_bisections(ordd, result)
-        accepted += inst.num_chores - len(result.allocation.leftover)
-        incomplete += not result.allocation.complete
-    # The corpus takes chores both at and off the pointer, and strands some.
-    assert 0 < calls["untaken"] < accepted
-    assert calls["row"] > 0 and incomplete > 0
 
 
 def test_greedy_completes_at_13_11_of_the_shares():

@@ -4,9 +4,10 @@ Each ``reference_*`` function is a frozen copy of the layer as it was
 before caps were floored to integers, rows were sorted once per agent
 and the lift walked per-agent pointers. ``reference_greedy_fill`` also
 still scans every remaining chore against every agent, which the
-bisection greedy no longer does. The current layers must agree
+packed greedy no longer does. The current layers must agree
 with them exactly on the builtin fixtures and a seeded corpus with zero
-values, ties, fewer chores than agents and no chores at all.
+values, ties, fewer chores than agents and no chores at all, and the
+greedy also at the edges of its field width.
 
 ``reference_greedy_fill`` still scans a raw identically-ordered instance
 in ``ido_order``, as ``greedy_fill`` once did. ``greedy_fill`` now takes
@@ -37,6 +38,7 @@ from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus, rebuilt
 
 from fairchores import (
     Allocation,
+    GeneratorConfig,
     GreedyResult,
     Instance,
     OracleLimits,
@@ -44,6 +46,7 @@ from fairchores import (
     TestOutcome as Outcome,
     ThresholdVector,
     builtin_fixtures,
+    generate,
     greedy_fill,
     greedy_trace,
     ido_order,
@@ -58,7 +61,7 @@ from fairchores import (
     threshold_test,
 )
 from fairchores import greedy, instances, solvers
-from fairchores.instances import allocation_loads
+from fairchores.instances import MAX_VALUE, allocation_loads
 from fairchores.scheduling import _pigeonhole
 
 
@@ -261,6 +264,66 @@ def ido_edge_cases() -> List[tuple]:
     ]
 
 
+def width_edge_cases() -> List[tuple]:
+    """Instances and caps at the edges of ``greedy._fill``'s field width.
+
+    The width holds the largest cap and m times the largest value with 2
+    bits to spare, so a top of 30, 31, 62 and 63 bits needs fields of
+    exactly 32, 33, 64 and 65 bits. In each pinned case agent 0 takes
+    chore 0 in round 0, and round 1 charges that served agent's field
+    three values of 2^(b-2) - 1 while agent 1 fills its room of 3
+    exactly. At 31 and 63 bits, with one bit less to spare, that charge
+    would borrow from agent 1's field.
+    """
+    rng = random.Random(SEED_HOT_PATH_CORPUS)
+    cases = []
+    for bits in (30, 31, 62, 63):
+        v = (1 << (bits - 2)) - 1
+        cases.append((Instance.from_rows([[v] * 4, [4, 1, 1, 1]]), (v, 3)))
+        # The same top from a cap over small values, and from the values.
+        cases.append((Instance.from_rows([[3, 2, 2], [2, 2, 1]]), ((1 << bits) - 1, 3)))
+        for _ in range(10):
+            n, m = rng.randint(1, 4), rng.randint(1, 6)
+            high = ((1 << bits) - 1) // m
+            values = [rng.randint(high // 2, high) for _ in range(n * m)]
+            values[0] = high
+            inst = Instance.from_rows([values[i * m:(i + 1) * m] for i in range(n)])
+            caps = tuple(Fraction(rng.randint(0, 3 * sum(row)), 3) for row in inst.valuations)
+            cases.append((inst, caps))
+    return cases + [
+        # Rows of MAX_VALUE, at caps of whole values and above 2^64.
+        (Instance.from_rows([[MAX_VALUE] * 3, [MAX_VALUE, 1, 0]]), (MAX_VALUE, 2 * MAX_VALUE)),
+        (Instance.from_rows([[MAX_VALUE] * 3] * 2), (2**64 + 1, 2**70)),
+        (Instance.from_rows([[7, 5, 0], [6, 6, 1]]), (2**64, 3)),
+        # Zero caps, all-zero rows, no chores and one agent.
+        (Instance.from_rows([[0, 0, 0], [0, 0, 0]]), (0, 0)),
+        (Instance.from_rows([[0, 0], [0, 0]]), (2**65, 0)),
+        (Instance.from_rows([[4, 3], [5, 1]]), (0, 0)),
+        (Instance.from_rows([[], []]), (0, 2**64)),
+        (Instance.from_rows([[MAX_VALUE, 2, 1]]), (3,)),
+    ]
+
+
+def untaken_bisections(ordd: OrderedInstance, result: GreedyResult) -> int:
+    """Bisections of the untaken positions that ``result`` took.
+
+    Each round's scan pointer starts at the first untaken position. A
+    chore accepted at the pointer needs none; any other accepted chore,
+    and the search that ends a round short of the untaken list's end,
+    need one each.
+    """
+    left = list(range(ordd.instance.num_chores))
+    count = 0
+    for owner in result.assignment:
+        at = 0
+        for chore in sorted(result.allocation.bundles[owner]):
+            count += left[at] != chore
+            at = left.index(chore)
+            del left[at]
+        count += at < len(left)
+    return count
+
+
 def sweep(inst: Instance, agent: int) -> range:
     """Every s in [lower, 2*lower], with lower 0 read as 1 so that a zero row sweeps [1, 2]."""
     lower = max(_pigeonhole(sorted(inst.row(agent), reverse=True), inst.num_agents), 1)
@@ -390,6 +453,28 @@ class TestGreedyFill:
             result = greedy_fill(ordered_instance(inst), caps)
             stranded += bool(result.allocation.leftover)
         assert stranded >= 3
+
+    def test_corpus_takes_chores_at_and_off_the_pointer(self):
+        rng = random.Random(2025)
+        config = GeneratorConfig(seed=2025, agents=(1, 5), chores=(0, 20), value_max=50)
+        bisections = accepted = incomplete = 0
+        for inst in FIXTURES + list(generate(config, 200)):
+            n = inst.num_agents
+            caps = ThresholdVector(
+                tuple(Fraction(rng.randint(7, 14) * sum(row), 10 * n) for row in inst.valuations)
+            )
+            assert_greedy_matches(inst, caps)
+            ordd = ordered_instance(inst)
+            result = greedy_fill(ordd, caps)
+            bisections += untaken_bisections(ordd, result)
+            accepted += inst.num_chores - len(result.allocation.leftover)
+            incomplete += not result.allocation.complete
+        # The corpus takes chores both at and off the pointer, and strands some.
+        assert 0 < bisections < accepted and incomplete > 0
+
+    def test_field_width_edges(self):
+        for inst, caps in width_edge_cases():
+            assert_greedy_matches(inst, ThresholdVector(caps))
 
     def test_large_ido_instance_at_five_quarters(self):
         inst = ido_instance(random.Random(SEED_HOT_PATH_CORPUS), 60, 600, 1000)

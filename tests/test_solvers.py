@@ -240,6 +240,9 @@ class TestLargeFits:
     # early after one of its two bins.
     @example(n=3, values=[5, 3, 3, 3, 3, 3], zero=False)
     @example(n=2, values=[7, 3], zero=False)  # a seeded room of -1 at s = 6
+    # At s = 7 nothing is seeded and stage two packs 3 + 3 + 2 and 3 + 2 + 2
+    # into two bins of cap 8, the first exactly full.
+    @example(n=2, values=[3, 3, 3, 2, 2, 2], zero=False)
     def test_matches_the_packer(self, n, values, zero):
         # Every s from 0, below every positive value, past the bracket's top.
         desc = sorted([0] * len(values) if zero else values, reverse=True)

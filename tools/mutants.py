@@ -146,14 +146,14 @@ CATALOGUE = (
     (SOLVERS, "[num * b // den for b in bases]", "[num * b // den + 1 for b in bases]",
      "_allocate_within: the greedy runs one unit above the caps"),
     # _fill
-    (GREEDY, "if row[best] <= r]", "if row[best] < r]",
-     "_fill: an agent whose room the chore fills exactly leaves the live set"),
-    (GREEDY, "-r, start, lo, key=neg)", "-r, start, m, key=neg)",
-     "_fill: the last live agent's suffix start replaces the earliest"),
-    (GREEDY, "at = bisect_left(left, lo, at)", "at = bisect_left(left, lo + 1, at)",
-     "_fill: the first position someone absorbs is skipped"),
-    (GREEDY, "owner = live[0][2]", "owner = live[-1][2]",
+    (GREEDY, "[bias + c for c in caps]", "[bias + c - 1 for c in caps]",
+     "_fill: a room of exactly 0 reads as negative"),
+    (GREEDY, "lo, hi = at + 1, len(left)", "lo, hi = at + 2, len(left)",
+     "_fill: the bisection after a miss starts one position late"),
+    (GREEDY, "owner = (live & -live).bit_length()", "owner = live.bit_length()",
      "_fill: a round's bundle goes to the highest-index live agent"),
+    (GREEDY, "top.bit_length() + 2", "top.bit_length() + 1",
+     "_fill: the fields keep one bit to spare, not two"),
     # _as_int and _as_cap
     (INSTANCES, "if value < lo:", "if value <= lo:",
      "_as_int: the lower bound itself is refused"),
