@@ -17,10 +17,13 @@ caps rule for ``ThresholdVector`` and ``check_amms``'s alpha: a non-bool
 ``int`` or ``Fraction``, at least 0. ``_as_type`` is the object rule for
 every argument that must be one of the package's objects.
 
-Every per-row entry point in the package runs four steps: check the
-values (``_check_values``), sort the row (``_descending``), run a core on
-the positions of the sorted row, map them back (``_chore_allocation``
-for bundles of positions, ``_witness`` for the bin of each position).
+Every per-row entry point that returns chores runs four steps: check
+the values (``_check_values``), sort the row (``_descending``), run a
+core on the positions of the sorted row, map them back
+(``_chore_allocation`` for bundles of positions, ``_witness`` for the
+bin of each position). The value-only entry points, ``naive_test``,
+``search_threshold`` and ``threshold_test``, sort the values alone and
+map nothing back.
 A whole instance is checked once, by ``Instance``, and sorted once, by
 ``OrderedInstance(inst)``, which ``ordered_instance`` builds from it
 alone; the solvers and ``mms_profile`` run every per-row core on that

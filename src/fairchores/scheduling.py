@@ -27,13 +27,13 @@ the bins not yet filled, as no bin holds more than the cap (an exact fill
 still packs, so the test is strict). It is the package's one value-only
 fill loop, with three callers: this search, ``solvers.naive_test`` and
 stage two of the 5/4 solver's probe, ``solvers._large_fits``.
-``_first_fit`` packs positions once, at s*, and is also the 5/4 solver's
-packer: each bin takes the largest leftover that fits, by one ``pop`` or
-one C-level bisection and list deletion. Both schedulers, this and the
-longest-processing-time baseline (``_lpt``), check the jobs with the
-value rule, sort them once with ``_descending`` (equal jobs lowest index
-first) and map positions back to jobs: this one's bundles with
-``_chore_allocation``, LPT's bin of each position with ``_witness``.
+``_first_fit`` packs positions once, at s*, for its one caller,
+``schedule_119``: each bin takes the largest leftover that fits, by one
+``pop`` or one C-level bisection and list deletion. Both schedulers,
+this and the longest-processing-time baseline (``_lpt``), check the jobs
+with the value rule, sort them once with ``_descending`` (equal jobs
+lowest index first) and map positions back to jobs: this one's bundles
+with ``_chore_allocation``, LPT's bin of each position with ``_witness``.
 """
 
 from __future__ import annotations
@@ -90,12 +90,10 @@ def _pigeonhole(desc: Sequence[int], bins: int) -> int:
     return max(-(-sum(desc) // bins), desc[0] if desc else 0)
 
 
-def _first_fit(
-    desc: Sequence[int], lo: int, hi: int, bins: Sequence[Tuple[int, int]]
-) -> Tuple[List[List[int]], List[int]]:
-    """Fill bins in turn, each with one largest-first pass over desc[lo:hi].
+def _first_fit(desc: Sequence[int], machines: int, cap: int) -> Tuple[List[List[int]], List[int]]:
+    """Fill ``machines`` empty bins of cap in turn, each with one
+    largest-first pass over the nonincreasing ``desc``.
 
-    ``desc`` is nonincreasing and each bin is a (starting load, cap) pair.
     A bin takes the largest unplaced value that fits its room, the lowest
     position among equal values, until none fits. The leftover is an
     ascending copy of the values with a parallel list of positions (equal
@@ -104,13 +102,13 @@ def _first_fit(
     Filling stops once nothing is left; later bins stay empty. Returns
     each bin's positions and the unplaced positions, both ascending.
     """
-    vals = list(reversed(desc[lo:hi]))
-    left = list(range(hi - 1, lo - 1, -1))
-    packed: List[List[int]] = [[] for _ in bins]
-    for taken, (load, cap) in zip(packed, bins):
+    vals = list(reversed(desc))
+    left = list(range(len(desc) - 1, -1, -1))
+    packed: List[List[int]] = [[] for _ in range(machines)]
+    for taken in packed:
         if not vals:
             break
-        room = cap - load
+        room = cap
         while vals:
             if vals[-1] <= room:
                 room -= vals.pop()
@@ -197,7 +195,7 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     order, desc = _descending(_check_jobs(values, machines))
     lo = _pigeonhole(desc, machines)
     makespan = _boundary_search(partial(_ffd_fits, desc, machines), lo, 2 * lo)
-    packed, left = _first_fit(desc, 0, len(desc), [(0, makespan)] * machines)
+    packed, left = _first_fit(desc, machines, makespan)
     if left:
         raise SolverInvariantError(f"jobs left over at the searched cap {makespan}")
     loads = tuple(sum(map(desc.__getitem__, bundle)) for bundle in packed)

@@ -10,12 +10,11 @@ Two routes to a complete allocation:
   pass-set contains every value at or above the agent's share is
   searched, galloping from the pigeonhole bound and then bisecting the
   last gap, for a certified underestimate s_i; the greedy runs at caps
-  5/4 of those. Polynomial time, 5/4 guarantee. ``threshold_test`` runs
-  the positional packer (``_pack_large``); the search's probe
-  (``_large_fits``) is MULTIFIT's FFD probe, ``_ffd_fits``, on the large
-  values after one pass that seeds the bundles of the chores above s/2.
-  Both start from the split of the row into its large prefixes
-  (``_large_split``).
+  5/4 of those. Polynomial time, 5/4 guarantee. ``threshold_test`` and
+  the search's probe answer through one function, ``_large_fits``:
+  MULTIFIT's FFD probe, ``_ffd_fits``, on the large values after one
+  pass that seeds the bundles of the chores above s/2, starting from the
+  split of the row into its large prefixes (``_large_split``).
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap, on the values alone. It is cheaper
@@ -23,7 +22,8 @@ but its pass-set has holes above the share (see the "non-monotone"
 fixture), so it certifies nothing for fair division; on identical
 machines, searching it is the MULTIFIT scheduler in ``scheduling``,
 within 13/11 of the optimal makespan. Search probes answer pass/fail,
-so neither search builds positions or bundles.
+so neither search builds positions or bundles; ``_first_fit``, which
+packs positions, has one caller, ``schedule_119``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import partial
 from operator import neg
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import SolverInvariantError
 from .greedy import _fill
@@ -43,28 +43,22 @@ from .instances import (
     ThresholdVector,
     _as_int,
     _as_type,
-    _chore_allocation,
-    _descending,
     _lift,
     _Record,
     _trusted,
     ordered_instance,
 )
 from .oracle import MmsProfile, OracleLimits, _profile, _ratio
-from .scheduling import _boundary_search, _ffd_fits, _first_fit, _pigeonhole
+from .scheduling import _boundary_search, _ffd_fits, _pigeonhole
 
 
 class TestOutcome(_Record):
     """Result of the two-stage large-chore test at one threshold s.
 
-    ``benchmark`` keeps the internal bundles for diagnostics: when the
-    test passes they cover exactly the chores strictly above s/4, with
-    everything else in the leftover. ``really_large_count`` is the
-    number of chores strictly above s/2.
+    ``really_large_count`` is the number of chores strictly above s/2.
     """
 
     passed: bool
-    benchmark: Allocation
     really_large_count: int
 
 
@@ -93,8 +87,9 @@ def naive_test(inst: Instance, agent: int, s: int) -> bool:
     ``_ffd_fits`` makes ``_first_fit``'s pass into n empty bins of cap s
     on the sorted row (the greedy at uniform s on n clones of the row)
     on the values alone, and stops once the chores left outweigh the
-    room of the bins left. True iff everything gets allocated. Not
-    monotone in s.
+    room of the bins left; ``_first_fit`` itself packs positions for its
+    one caller, ``schedule_119``. True iff everything gets allocated.
+    Not monotone in s.
     """
     _as_int(s, "threshold s")
     row = _as_type(inst, Instance, "inst").row(agent)
@@ -105,47 +100,25 @@ def _large_split(desc: Sequence[int], n: int, s: int) -> Tuple[int, int, bool]:
     """How many chores of a row sorted nonincreasing lie strictly above
     s/4, how many of those lie strictly above s/2 (each a prefix of the
     row), and whether the latter outnumber the n bundles, which puts s
-    certainly below the share. Both packers start here."""
+    certainly below the share. ``_large_fits`` starts here, and
+    ``threshold_test`` reads its count of chores above s/2."""
     # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
     large = bisect_left(desc, -(s // 4), key=neg)
     k = bisect_left(desc, -(s // 2), hi=large, key=neg)
     return large, k, k > n
 
 
-def _pack_large(
-    desc: Sequence[int], n: int, s: int
-) -> Tuple[List[List[int]], List[int], int]:
-    """Two-stage large-chore packing of a row sorted nonincreasing.
+def _large_fits(desc: Sequence[int], n: int, s: int) -> bool:
+    """Does the two-stage test place every large chore? Its pass/fail.
 
     The chores strictly above s/4 are a prefix of the row, and the k
-    strictly above s/2 a prefix of that (``_large_split``).
-    ``_first_fit`` packs the rest of the prefix into bundles k..1, each
-    seeded with its own position, under cap s, then into fresh bundles
-    k+1..n under 5s/4, whose floor integer loads meet exactly when they
-    meet it; each bundle takes the largest leftover chore that fits, one
-    bisection and one deletion per placed chore. Returns the positions in
-    each of the n bundles, the positions left unplaced, and k. When
-    k > n nothing is packed and every large position is unplaced.
-    """
-    large, k, too_many = _large_split(desc, n, s)
-    if too_many:
-        return [[] for _ in range(n)], list(range(large)), k
-
-    seeded = [(desc[t], s) for t in reversed(range(k))]
-    packed, leftover = _first_fit(desc, k, large, seeded + [(0, 5 * s // 4)] * (n - k))
-    bundles = [[t] + packed[k - 1 - t] for t in range(k)] + packed[k:]
-    return bundles, leftover, k
-
-
-def _large_fits(desc: Sequence[int], n: int, s: int) -> bool:
-    """Does ``_pack_large`` place every large chore? Its pass/fail alone.
-
-    The same two stages on the values alone. Stage one, bundles k down to
-    1 as in the packer, gives each seeded room s - desc[t] the largest
-    unseeded large value that fits: one bisection and one deletion, as a
-    room below s/2 holds at most one value above s/4. Stage two is
-    MULTIFIT's probe, ``_ffd_fits`` of the values left into n - k bins of
-    cap 5s/4.
+    strictly above s/2 a prefix of that (``_large_split``); each of
+    those k seeds its own bundle. Stage one, bundles k down to 1, gives
+    each seeded room s - desc[t] the largest unseeded large value that
+    fits: one bisection and one deletion, as a room below s/2 holds at
+    most one value above s/4. Stage two is MULTIFIT's probe,
+    ``_ffd_fits`` of the values left into n - k bins of cap 5s/4, whose
+    floor integer loads meet exactly when they meet it.
     """
     large, k, too_many = _large_split(desc, n, s)
     if too_many:
@@ -167,16 +140,17 @@ def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
     5s/4. Passes iff every participant is placed. Every s at or above
     the agent's maximin share passes.
 
-    The row is sorted by ``_descending``, the packing runs in
-    ``_pack_large`` on it, and ``_chore_allocation`` maps the packed
-    positions back to chores; ``search_threshold`` probes the same test
-    with ``_large_fits``, on the values alone.
+    It runs on the values of the row sorted nonincreasing, as
+    ``search_threshold``'s probes do: ``_large_fits`` answers pass/fail
+    and ``_large_split`` counts the chores above s/2.
     """
     _as_int(s, "threshold s")
-    order, desc = _descending(_as_type(inst, Instance, "inst").row(agent))
-    bundles, queue, k = _pack_large(desc, inst.num_agents, s)
-    benchmark = _chore_allocation(order, bundles)
-    return TestOutcome(passed=not queue, benchmark=benchmark, really_large_count=k)
+    row = _as_type(inst, Instance, "inst").row(agent)
+    desc = sorted(row, reverse=True)
+    n = inst.num_agents
+    return TestOutcome(
+        passed=_large_fits(desc, n, s), really_large_count=_large_split(desc, n, s)[1]
+    )
 
 
 def search_threshold(inst: Instance, agent: int) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import pytest
 
@@ -53,7 +53,7 @@ RECORD_FIELDS = {
     OracleLimits: ("max_chores", "node_budget"),
     MmsProfile: ("values", "witnesses"),
     AmmsReport: ("passed", "within", "ratios"),
-    TestOutcome: ("passed", "benchmark", "really_large_count"),
+    TestOutcome: ("passed", "really_large_count"),
     ExistenceResult: ("allocation", "profile", "ratios", "thresholds", "loads"),
     PolyResult: ("allocation", "thresholds", "s_values", "loads"),
 }
@@ -84,7 +84,43 @@ def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -
 
 def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
     """Does ``_first_fit`` place all of desc into ``bins`` empty bins of cap?"""
-    return not _first_fit(desc, 0, len(desc), [(0, cap)] * bins)[1]
+    return not _first_fit(desc, bins, cap)[1]
+
+
+def reference_large_test(desc: Sequence[int], n: int, s: int) -> Tuple[bool, int]:
+    """The two-stage large-chore test, position by position: whether it
+    places every position of ``desc`` (sorted nonincreasing) above s/4,
+    and the number k above s/2.
+
+    Independent of ``src/``: the positions above s/2 seed bundles 1..k,
+    one each; bundles k down to 1 then each pass once over the large
+    positions still unplaced, taking every one that fits under cap s;
+    bundles k+1..n do the same under cap 5s/4, compared as 4 * load <=
+    5 * s. More than n positions above s/2 fail at once.
+    """
+    large = [p for p in range(len(desc)) if 4 * desc[p] > s]
+    k = sum(1 for p in large if 2 * desc[p] > s)
+    if k > n:
+        return False, k
+    loads = list(desc[:k]) + [0] * (n - k)
+    queue = large[k:]
+    for t in range(k - 1, -1, -1):
+        rest: List[int] = []
+        for p in queue:
+            if loads[t] + desc[p] <= s:
+                loads[t] += desc[p]
+            else:
+                rest.append(p)
+        queue = rest
+    for t in range(k, n):
+        rest = []
+        for p in queue:
+            if 4 * (loads[t] + desc[p]) <= 5 * s:
+                loads[t] += desc[p]
+            else:
+                rest.append(p)
+        queue = rest
+    return not queue, k
 
 
 def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:

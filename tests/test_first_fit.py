@@ -7,10 +7,9 @@ still-unplaced position once per bin.
 
 ``_first_fit``, which takes each bin's largest fitting leftover
 by bisection, must return ``reference_first_fit``'s bins and leftover
-for every range of a nonincreasing row and every list of (load, cap)
-bins. With uniform bins, every cap from the largest load at cap s up to
-s packs as s does, which is why MULTIFIT's makespan equals its searched
-cap.
+for every nonincreasing row and any number of empty bins of one cap.
+Every cap from the largest load at cap s up to s packs as s does, which
+is why MULTIFIT's makespan equals its searched cap.
 
 ``_ffd_fits``, the value-only pass that answers MULTIFIT's and
 ``naive_test``'s probes and stops once the unplaced total outweighs the
@@ -53,45 +52,30 @@ def reference_first_fit(
     return packed, leftover
 
 
-def assert_packers_match(
-    desc: Sequence[int], lo: int, hi: int, bins: Sequence[Tuple[int, int]]
-) -> None:
-    """The bisection packer and the frozen sweep agree on one range."""
-    expected = reference_first_fit(desc, range(lo, hi), bins)
-    assert _first_fit(desc, lo, hi, bins) == expected
+def assert_packers_match(desc: Sequence[int], machines: int, cap: int) -> None:
+    """The bisection packer and the frozen sweep agree on empty bins of one cap."""
+    expected = reference_first_fit(desc, range(len(desc)), [(0, cap)] * machines)
+    assert _first_fit(desc, machines, cap) == expected
 
 
-# (desc, lo, hi, bins): empty ranges, a seeded bin already over its cap
-# (negative room, as threshold_test reaches at small s), zero values
-# under zero caps, a run of equal values split across two bins, and more
-# bins than positions.
+# (desc, machines, cap): no positions, zero values under a zero cap, and
+# more bins than positions.
 PACKER_PINNED = [
-    ([5, 3, 1], 1, 1, [(0, 9)]),
-    ([5, 3, 1], 3, 3, [(0, 9), (0, 9)]),
-    ([], 0, 0, [(0, 0)]),
-    ([6, 5, 2, 0], 1, 4, [(6, 4), (0, 5)]),
-    ([6, 5, 2, 0], 1, 4, [(6, 4)]),
-    ([0, 0, 0], 0, 3, [(0, 0), (0, 0)]),
-    ([3, 0, 0], 0, 3, [(0, 0), (1, 0)]),
-    ([4, 4, 4, 4, 4], 0, 5, [(0, 8), (0, 12)]),
-    ([9, 4, 4, 4, 4, 1], 1, 6, [(0, 9), (0, 9)]),
-    ([3, 2], 0, 2, [(0, 5)] * 5),
-    ([7, 7, 3], 0, 3, [(0, 7)] * 4),
+    ([], 1, 0),
+    ([0, 0, 0], 2, 0),
+    ([3, 2], 5, 5),
+    ([7, 7, 3], 4, 7),
 ]
 
 
 class TestFirstFitPacker:
-    @pytest.mark.parametrize("desc, lo, hi, bins", PACKER_PINNED)
-    def test_pinned_cases(self, desc, lo, hi, bins):
-        assert_packers_match(desc, lo, hi, bins)
+    @pytest.mark.parametrize("desc, machines, cap", PACKER_PINNED)
+    def test_pinned_cases(self, desc, machines, cap):
+        assert_packers_match(desc, machines, cap)
 
     def test_equal_values_split_lowest_positions_first(self):
-        packed, leftover = _first_fit([4, 4, 4, 4, 4], 0, 5, [(0, 8), (0, 8)])
+        packed, leftover = _first_fit([4, 4, 4, 4, 4], 2, 8)
         assert (packed, leftover) == ([[0, 1], [2, 3]], [4])
-
-    def test_overfull_seeded_bin_takes_nothing(self):
-        packed, leftover = _first_fit([6, 5, 2, 0], 1, 4, [(6, 4), (0, 7)])
-        assert (packed, leftover) == ([[], [1, 2, 3]], [])
 
     def test_seeded_corpus(self):
         rng = random.Random(1212)
@@ -99,13 +83,7 @@ class TestFirstFitPacker:
             top = rng.choice((0, 3, 10, 100))
             m = rng.randint(0, 30)
             desc = sorted((rng.randint(0, top) for _ in range(m)), reverse=True)
-            lo = rng.randint(0, m)
-            hi = rng.randint(lo, m)
-            bins = [
-                (rng.randint(0, 2 * top + 1), rng.randint(0, 3 * top + 1))
-                for _ in range(rng.randint(0, 7))
-            ]
-            assert_packers_match(desc, lo, hi, bins)
+            assert_packers_match(desc, rng.randint(0, 7), rng.randint(0, 3 * top + 1))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -117,10 +95,10 @@ class TestFirstFitPacker:
         """Uniform bins of cap s whose largest load is M: every cap in
         [M, s] gives the same bins and leftover."""
         desc = sorted(row, reverse=True)
-        packing = _first_fit(desc, 0, len(desc), [(0, s)] * n)
+        packing = _first_fit(desc, n, s)
         makespan = max(sum(desc[pos] for pos in bin_) for bin_ in packing[0])
         for cap in range(makespan, s + 1):
-            assert _first_fit(desc, 0, len(desc), [(0, cap)] * n) == packing
+            assert _first_fit(desc, n, cap) == packing
 
 
 class TestFfdFits:

@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
-from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus, rebuilt
+from conftest import SEED_HOT_PATH_CORPUS, oracle_corpus, rebuilt, reference_large_test
 
 from fairchores import (
     Allocation,
@@ -115,50 +115,11 @@ def reference_greedy_fill(
 
 
 def reference_threshold_test(inst: Instance, agent: int, s: int) -> Outcome:
-    """The two-stage test re-sorting the row and working on chore labels."""
-    row = inst.row(agent)
-    n, m = inst.num_agents, inst.num_chores
-    all_chores = frozenset(range(m))
-    order = sorted(range(m), key=lambda c: (-row[c], c))
-    large = [c for c in order if 4 * row[c] > s]
-    k = sum(1 for c in large if 2 * row[c] > s)
-    if k > n:
-        return Outcome(
-            passed=False,
-            benchmark=Allocation(
-                bundles=tuple(frozenset() for _ in range(n)), leftover=all_chores
-            ),
-            really_large_count=k,
-        )
-    bundles: List[List[int]] = [[] for _ in range(n)]
-    loads = [0] * n
-    for t in range(k):
-        bundles[t].append(large[t])
-        loads[t] = row[large[t]]
-    queue = large[k:]
-    for t in range(k - 1, -1, -1):
-        rest: List[int] = []
-        for c in queue:
-            if loads[t] + row[c] <= s:
-                bundles[t].append(c)
-                loads[t] += row[c]
-            else:
-                rest.append(c)
-        queue = rest
-    for t in range(k, n):
-        rest = []
-        for c in queue:
-            if 4 * (loads[t] + row[c]) <= 5 * s:
-                bundles[t].append(c)
-                loads[t] += row[c]
-            else:
-                rest.append(c)
-        queue = rest
-    placed = frozenset(c for b in bundles for c in b)
-    benchmark = Allocation(
-        bundles=tuple(frozenset(b) for b in bundles), leftover=all_chores - placed
-    )
-    return Outcome(passed=not queue, benchmark=benchmark, really_large_count=k)
+    """The two-stage test re-sorting the row and running the positional
+    reference, ``conftest.reference_large_test``, on it."""
+    desc = sorted(inst.row(agent), reverse=True)
+    passed, k = reference_large_test(desc, inst.num_agents, s)
+    return Outcome(passed=passed, really_large_count=k)
 
 
 def reference_search_threshold(inst: Instance, agent: int) -> int:
@@ -336,7 +297,6 @@ def assert_threshold_test_matches(inst: Instance) -> None:
             got = threshold_test(inst, agent, s)
             want = reference_threshold_test(inst, agent, s)
             assert got.passed == want.passed, (agent, s)
-            assert got.benchmark == want.benchmark, (agent, s)
             assert got.really_large_count == want.really_large_count, (agent, s)
 
 

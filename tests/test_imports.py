@@ -192,6 +192,7 @@ REMOVED_ATTRIBUTES = (
     ("ExistenceResult", "trace"),
     ("Instance", "total"),
     ("GreedyResult", "round_bundles"),
+    ("TestOutcome", "benchmark"),
 )
 
 

@@ -26,7 +26,7 @@ CORES = (
     "_first_fit",
     "_ffd_fits",
     "_large_split",
-    "_pack_large",
+    "threshold_test",
     "_large_fits",
     "_boundary_search",
     "_pigeonhole",

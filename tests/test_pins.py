@@ -20,8 +20,8 @@ The other two workloads never reach the exact search; their work is
 pinned as boundary-search probes on seed 3's corpora: ``_ffd_fits`` over
 ``sched-identical``'s 100 job lists, ``_large_fits`` over
 ``poly-random``'s 2,485 agents. At every threshold that search probes,
-``_large_fits`` must answer as ``threshold_test``'s positional packer,
-``_pack_large``, does.
+``_large_fits`` must answer as the positional reference of the
+two-stage test, ``conftest.reference_large_test``, does.
 
 The corpora come from ``perfbench/workloads.py`` and the digests from
 ``perfbench/run.py``, both imported read-only.
@@ -33,6 +33,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import reference_large_test
 
 import fairchores as fc
 from fairchores import oracle, scheduling, solvers
@@ -108,7 +109,7 @@ def test_probe_matches_the_packer_at_every_probed_threshold(monkeypatch):
 
     def compared(desc, n, s):
         passed = fits(desc, n, s)
-        assert passed == (not solvers._pack_large(desc, n, s)[1])
+        assert passed == reference_large_test(desc, n, s)[0]
         checked.append(passed)
         return passed
 

@@ -121,9 +121,9 @@ class TestSchedule119:
         calls = []
         first_fit, search = scheduling._first_fit, scheduling._boundary_search
 
-        def recording_first_fit(desc, lo, hi, bins):
-            calls.append(bins[0][1])
-            return first_fit(desc, lo, hi, bins)
+        def recording_first_fit(desc, machines, cap):
+            calls.append(cap)
+            return first_fit(desc, machines, cap)
 
         def recording_search(passes, lo, hi):
             found = search(passes, lo, hi)

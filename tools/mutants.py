@@ -89,8 +89,8 @@ CATALOGUE = (
     (SCHEDULING, "left.pop())\n            elif i := bisect_right(vals, room):",
      "left.pop())\n            elif i := bisect_right(vals, room - 1):",
      "_first_fit: a value that fills the room exactly is passed over"),
-    (SCHEDULING, "room = cap - load", "room = cap",
-     "_first_fit: a seeded bin's starting load is ignored"),
+    (SCHEDULING, "taken.append(left.pop(i - 1))", "taken.append(left.pop(i))",
+     "_first_fit: a bin records the position after the one it bisected to"),
     (SCHEDULING, "return packed, left[::-1]", "return packed, left",
      "_first_fit: the unplaced positions come back descending"),
     # _ffd_fits
@@ -112,18 +112,18 @@ CATALOGUE = (
      "schedule_119 re-check: jobs left over at the searched cap go unchecked"),
     (SCHEDULING, "if max(loads) != makespan:", "if max(loads) > makespan:",
      "schedule_119 re-check: a makespan below the searched cap passes"),
-    # _large_split, which both of the threshold test's packers call
+    # _large_split, which _large_fits and threshold_test call
     (SOLVERS, "-(s // 4), key=neg)", "-(s // 4) - 1, key=neg)",
      "_large_split: a chore one above s/4 is not large"),
     (SOLVERS, "-(s // 2), hi=large", "-(s // 2) - 1, hi=large",
      "_large_split: a chore one above s/2 seeds no bundle"),
     (SOLVERS, "large, k, k > n", "large, k, k >= n",
      "_large_split: n chores above s/2 count as too many"),
-    # _pack_large
-    (SOLVERS, "for t in reversed(range(k))]", "for t in range(k)]",
-     "_pack_large: stage one tops up the first seeded bundle first"),
-    (SOLVERS, "[(0, 5 * s // 4)]", "[(0, 5 * s // 4 - 1)]",
-     "_pack_large: stage two's bundles lose a unit of their 5s/4 cap"),
+    # threshold_test
+    (SOLVERS, "_large_split(desc, n, s)[1]", "_large_split(desc, n, s)[0]",
+     "threshold_test: really_large_count counts the chores above s/4"),
+    (SOLVERS, "desc = sorted(row, reverse=True)", "desc = sorted(row)",
+     "threshold_test: the row is sorted ascending"),
     # _large_fits. Its seeding pass as ``range(k)`` would be equivalent (a
     # room that takes at most one value takes the same set in any order),
     # and so would its return without ``not vals or`` (``_ffd_fits``
