@@ -8,7 +8,8 @@ sorted nonincreasing: ``exact_mms`` on an agent's row with one bin per
 agent (its bins mapped back to chores by ``instances._witness``),
 ``_profile`` once per distinct row of an ordered instance (for
 ``mms_profile`` and ``solve_existence_119`` alike), ``optimal_makespan``
-on a job list with one bin per machine. Every load is a multiple of
+on a job list with one bin per machine, but at most one per job, as the
+other machines stay idle in every schedule. Every load is a multiple of
 the row's gcd, so the search runs on the row divided by it: a row and
 its multiples take the same search. The problem is NP-hard, so the
 search is a bounded branch-and-bound meant for ground truth on small
@@ -84,7 +85,9 @@ class MmsProfile(_Record):
 
     The constructor takes ``None`` or one ``Allocation`` per share. A
     profile from ``_profile``, or a copy or pickle of one, builds its
-    witnesses on their first read.
+    witnesses on their first read. Each share follows the integer rule
+    from 0 with no upper cap, as one agent's share can be their row
+    total, which can exceed ``sys.maxsize``.
     """
 
     values: Tuple[int, ...]

@@ -188,9 +188,11 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     first-fit-decreasing packs every job, probing with ``_ffd_fits``,
     and packs the jobs once at that cap. Its makespan is that cap,
     and 11*makespan <= 13*OPT (the module docstring has the proof),
-    inside the paper's 11/9. The bundles are those of the paper's
-    construction: clone the jobs into one row per machine, run the
-    greedy at the cap, and lift the result back to the jobs.
+    inside the paper's 11/9; a packing that leaves a job over or whose
+    makespan is not the cap raises ``SolverInvariantError``. The
+    bundles are those of the paper's construction: clone the jobs into
+    one row per machine, run the greedy at the cap, and lift the result
+    back to the jobs.
     """
     order, desc = _descending(_check_jobs(values, machines))
     lo = _pigeonhole(desc, machines)

@@ -5,10 +5,13 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
+import shlex
 import sys
 import tempfile
 from fractions import Fraction
@@ -18,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fairchores
 from fairchores import SolverInvariantError, builtin_fixtures, cli, run_cli, scheduling
 from fairchores.instances import instance_to_json
 
@@ -728,3 +732,59 @@ class TestReadme:
             for name, sub in subparsers.choices.items()
         }
         assert documented == parsed
+
+
+class TestReadmeSession:
+    readme = TestReadme.readme
+
+    def test_session_output_lines_occur_in_order(self, tmp_path, capsys, monkeypatch):
+        # The fenced block after "A session": each `$ fairchores ...` line
+        # runs in tmp_path, and each line shown under it, other than
+        # `...`, must be a line of its real stdout, in the order shown.
+        text = self.readme.read_text(encoding="utf-8").split("\nA session", 1)[1]
+        block = text.split("```\n", 2)[1]
+        commands = []
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                commands.append((line[2:], []))
+            elif line != "...":
+                commands[-1][1].append(line)
+        monkeypatch.chdir(tmp_path)
+        ran = 0
+        for command, shown in commands:
+            echo = re.fullmatch(r"echo '(.*)' > (\S+)", command)
+            if echo:
+                assert not shown
+                (tmp_path / echo[2]).write_text(echo[1] + "\n")
+                continue
+            program, *argv = shlex.split(command)
+            assert program == "fairchores", command
+            assert run_cli(argv) == 0, command
+            lines = iter(capsys.readouterr().out.splitlines())
+            for want in shown:
+                assert any(line == want for line in lines), (command, want)
+            ran += 1
+        assert ran
+
+    def test_dotted_names_resolve(self):
+        # A backticked dotted name starts with a fairchores submodule or a
+        # name the package exports, and each later part is an attribute
+        # of the part before it.
+        text = self.readme.read_text(encoding="utf-8")
+        names = set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text))
+        submodules = {module.name for module in pkgutil.iter_modules(fairchores.__path__)}
+        checked = 0
+        for name in sorted(names):
+            head, *parts = name.split(".")
+            if head in {"fractions", "sys", "pyproject"}:
+                continue
+            if head in submodules:
+                obj = importlib.import_module(f"fairchores.{head}")
+            else:
+                assert hasattr(fairchores, head), name
+                obj = getattr(fairchores, head)
+            for part in parts:
+                assert hasattr(obj, part), name
+                obj = getattr(obj, part)
+            checked += 1
+        assert checked

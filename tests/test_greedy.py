@@ -1,4 +1,4 @@
-"""Threshold greedy: fixture rounds, edge cases, share-ratio checking."""
+"""Threshold greedy: edge cases and share-ratio checking."""
 
 from __future__ import annotations
 
@@ -29,35 +29,7 @@ def uniform_fill(inst: Instance, threshold) -> "GreedyResult":
     )
 
 
-def bundle_values(inst: Instance, result, agent_view=0):
-    ordered = ordered_instance(inst).instance.row(agent_view)
-    return [
-        tuple(sorted((ordered[c] for c in result.allocation.bundles[i]), reverse=True))
-        for i in result.assignment
-    ]
-
-
 class TestGreedyFill:
-    def test_boundary_fixture_at_19(self):
-        f1 = builtin_fixtures()[0]
-        result = uniform_fill(f1.instance, 19)
-        assert bundle_values(f1.instance, result) == [
-            (9, 7),
-            (6, 5, 5),
-            (4, 4, 4, 4),
-            (4, 4, 4, 4),
-        ]
-        assert len(result.allocation.leftover) == 1
-
-    def test_boundary_fixture_at_20(self):
-        f1 = builtin_fixtures()[0]
-        result = uniform_fill(f1.instance, 20)
-        assert result.allocation.complete
-        loads = [
-            f1.instance.value(i, result.allocation.bundles[i]) for i in range(4)
-        ]
-        assert max(loads) == 20
-
     def test_single_agent_total_threshold(self):
         inst = Instance.from_rows([[5, 3, 2]])
         result = uniform_fill(inst, 10)

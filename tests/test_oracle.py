@@ -166,11 +166,6 @@ class TestProfile:
         assert profile.values == (7, 7, 7)
         assert profile.witnesses is not None
 
-    def test_mixed_fixture_profile(self):
-        f3 = builtin_fixtures()[2]
-        profile = mms_profile(f3.instance, OracleLimits(max_chores=17))
-        assert profile.values == (450, 450, 450, 450)
-
     def test_single_agent_profile_is_total(self):
         profile = mms_profile(Instance.from_rows([[2, 3, 4]]))
         assert profile.values == (9,)

@@ -66,11 +66,6 @@ def small_instances(draw, max_agents=4, max_chores=7, max_value=30):
 
 
 class TestNaiveTest:
-    def test_non_monotone_fixture(self):
-        f2 = builtin_fixtures()[1]
-        assert naive_test(f2.instance, 0, 150)
-        assert not naive_test(f2.instance, 0, 152)
-
     def test_total_always_passes(self):
         inst = identical([8, 6, 1], n=3)
         assert naive_test(inst, 0, 15)

@@ -18,6 +18,12 @@ failed (a collection error counts against its file), the seconds taken
 and whether it timed out. A line per run goes to stderr as it ends. The
 exit status is 0 only when the unmutated run fails nothing and every
 mutant is killed by a failing test.
+
+The matrix decides which tests may go: a test may be deleted only when
+it kills at least one mutant and the remaining tests kill each of
+those. A test that kills none stays, as it checks what the catalogue
+does not model, and no pin, digest, README or CLI contract, acceptance
+criterion or import check goes, whatever it kills.
 """
 
 from __future__ import annotations
