@@ -43,7 +43,6 @@ from .scheduling import ScheduleResult, schedule_119, schedule_lpt
 from .solvers import (
     ExistenceResult,
     PolyResult,
-    TestOutcome,
     naive_test,
     search_threshold,
     solve_existence_119,
@@ -82,7 +81,6 @@ __all__ = [
     "PolyResult",
     "ScheduleResult",
     "SolverInvariantError",
-    "TestOutcome",
     "ThresholdVector",
     "VerificationReport",
     "builtin_fixtures",

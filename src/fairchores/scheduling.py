@@ -28,7 +28,8 @@ still packs, so the test is strict). It is the package's one value-only
 fill loop, with three callers: this search, ``solvers.naive_test`` and
 stage two of the 5/4 solver's probe, ``solvers._large_fits``.
 ``_first_fit`` packs positions once, at s*, for its one caller,
-``schedule_119``: each bin takes the largest leftover that fits, by one
+``schedule_119``, which counts the placed positions to see that no job
+is left over. Each bin takes the largest unplaced job that fits, by one
 ``pop`` or one C-level bisection and list deletion. Both schedulers,
 this and the longest-processing-time baseline (``_lpt``), check the jobs
 with the value rule, sort them once with ``_descending`` (equal jobs
@@ -90,17 +91,17 @@ def _pigeonhole(desc: Sequence[int], bins: int) -> int:
     return max(-(-sum(desc) // bins), desc[0] if desc else 0)
 
 
-def _first_fit(desc: Sequence[int], machines: int, cap: int) -> Tuple[List[List[int]], List[int]]:
+def _first_fit(desc: Sequence[int], machines: int, cap: int) -> List[List[int]]:
     """Fill ``machines`` empty bins of cap in turn, each with one
     largest-first pass over the nonincreasing ``desc``.
 
     A bin takes the largest unplaced value that fits its room, the lowest
-    position among equal values, until none fits. The leftover is an
-    ascending copy of the values with a parallel list of positions (equal
-    values lowest position last), so a placement is one ``pop`` when the
-    largest fits, else one C-level bisection and one list deletion.
-    Filling stops once nothing is left; later bins stay empty. Returns
-    each bin's positions and the unplaced positions, both ascending.
+    position among equal values, until none fits. The unplaced values are
+    an ascending copy with a parallel list of positions (equal values
+    lowest position last), so a placement is one ``pop`` when the largest
+    fits, else one C-level bisection and one list deletion. Filling stops
+    once nothing is left; later bins stay empty. Returns each bin's
+    positions, ascending; positions no bin takes appear in none.
     """
     vals = list(reversed(desc))
     left = list(range(len(desc) - 1, -1, -1))
@@ -118,7 +119,7 @@ def _first_fit(desc: Sequence[int], machines: int, cap: int) -> Tuple[List[List[
                 taken.append(left.pop(i - 1))
             else:
                 break
-    return packed, left[::-1]
+    return packed
 
 
 def _ffd_fits(desc: Sequence[int], bins: int, cap: int) -> bool:
@@ -197,8 +198,8 @@ def schedule_119(values: Sequence[int], machines: int) -> ScheduleResult:
     order, desc = _descending(_check_jobs(values, machines))
     lo = _pigeonhole(desc, machines)
     makespan = _boundary_search(partial(_ffd_fits, desc, machines), lo, 2 * lo)
-    packed, left = _first_fit(desc, machines, makespan)
-    if left:
+    packed = _first_fit(desc, machines, makespan)
+    if sum(map(len, packed)) != len(desc):
         raise SolverInvariantError(f"jobs left over at the searched cap {makespan}")
     loads = tuple(sum(map(desc.__getitem__, bundle)) for bundle in packed)
     if max(loads) != makespan:

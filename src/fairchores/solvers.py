@@ -11,19 +11,17 @@ Two routes to a complete allocation:
   searched, galloping from the pigeonhole bound and then bisecting the
   last gap, for a certified underestimate s_i; the greedy runs at caps
   5/4 of those. Polynomial time, 5/4 guarantee. ``threshold_test`` and
-  the search's probe answer through one function, ``_large_fits``:
+  the search's probe are one pass/fail function, ``_large_fits``:
   MULTIFIT's FFD probe, ``_ffd_fits``, on the large values after one
-  pass that seeds the bundles of the chores above s/2, starting from the
-  split of the row into its large prefixes (``_large_split``).
+  pass that seeds the bundles of the chores above s/2.
 
 The naive single-agent test is kept as well: first-fit-decreasing of the
 agent's row into n bins at one cap, on the values alone. It is cheaper
 but its pass-set has holes above the share (see the "non-monotone"
 fixture), so it certifies nothing for fair division; on identical
 machines, searching it is the MULTIFIT scheduler in ``scheduling``,
-within 13/11 of the optimal makespan. Search probes answer pass/fail,
-so neither search builds positions or bundles; ``_first_fit``, which
-packs positions, has one caller, ``schedule_119``.
+within 13/11 of the optimal makespan. Both tests, like every search
+probe, answer pass/fail on the values alone and build no bundles.
 """
 
 from __future__ import annotations
@@ -52,16 +50,6 @@ from .oracle import MmsProfile, OracleLimits, _profile, _ratio
 from .scheduling import _boundary_search, _ffd_fits, _pigeonhole
 
 
-class TestOutcome(_Record):
-    """Result of the two-stage large-chore test at one threshold s.
-
-    ``really_large_count`` is the number of chores strictly above s/2.
-    """
-
-    passed: bool
-    really_large_count: int
-
-
 class ExistenceResult(_Record):
     """Complete allocation, each agent's load (as in PolyResult) and load/share ratio."""
 
@@ -84,44 +72,34 @@ class PolyResult(_Record):
 def naive_test(inst: Instance, agent: int, s: int) -> bool:
     """Pack one agent's valuation first-fit-decreasing into n bins of cap s.
 
-    ``_ffd_fits`` makes ``_first_fit``'s pass into n empty bins of cap s
-    on the sorted row (the greedy at uniform s on n clones of the row)
-    on the values alone, and stops once the chores left outweigh the
-    room of the bins left; ``_first_fit`` itself packs positions for its
-    one caller, ``schedule_119``. True iff everything gets allocated.
-    Not monotone in s.
+    The greedy at uniform s on n clones of the row: ``_ffd_fits`` of the
+    sorted row into n empty bins of cap s, which stops once the chores
+    left outweigh the room of the bins left. True iff everything gets
+    allocated. Not monotone in s.
     """
     _as_int(s, "threshold s")
     row = _as_type(inst, Instance, "inst").row(agent)
     return _ffd_fits(sorted(row, reverse=True), inst.num_agents, s)
 
 
-def _large_split(desc: Sequence[int], n: int, s: int) -> Tuple[int, int, bool]:
-    """How many chores of a row sorted nonincreasing lie strictly above
-    s/4, how many of those lie strictly above s/2 (each a prefix of the
-    row), and whether the latter outnumber the n bundles, which puts s
-    certainly below the share. ``_large_fits`` starts here, and
-    ``threshold_test`` reads its count of chores above s/2."""
-    # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
-    large = bisect_left(desc, -(s // 4), key=neg)
-    k = bisect_left(desc, -(s // 2), hi=large, key=neg)
-    return large, k, k > n
-
-
 def _large_fits(desc: Sequence[int], n: int, s: int) -> bool:
-    """Does the two-stage test place every large chore? Its pass/fail.
+    """Does the two-stage test place every large chore of a row sorted
+    nonincreasing into n bundles?
 
     The chores strictly above s/4 are a prefix of the row, and the k
-    strictly above s/2 a prefix of that (``_large_split``); each of
-    those k seeds its own bundle. Stage one, bundles k down to 1, gives
+    strictly above s/2 a prefix of that, each found by one bisection;
+    more than n of those k put s certainly below the share. Each of the
+    k seeds its own bundle. Stage one, bundles k down to 1, gives
     each seeded room s - desc[t] the largest unseeded large value that
     fits: one bisection and one deletion, as a room below s/2 holds at
     most one value above s/4. Stage two is MULTIFIT's probe,
     ``_ffd_fits`` of the values left into n - k bins of cap 5s/4, whose
     floor integer loads meet exactly when they meet it.
     """
-    large, k, too_many = _large_split(desc, n, s)
-    if too_many:
+    # An integer exceeds s/4 (or s/2) exactly when it exceeds the floor.
+    large = bisect_left(desc, -(s // 4), key=neg)
+    k = bisect_left(desc, -(s // 2), hi=large, key=neg)
+    if k > n:
         return False
     vals = list(reversed(desc[k:large]))
     for t in reversed(range(k)):
@@ -130,27 +108,21 @@ def _large_fits(desc: Sequence[int], n: int, s: int) -> bool:
     return not vals or _ffd_fits(vals[::-1], n - k, 5 * s // 4)
 
 
-def threshold_test(inst: Instance, agent: int, s: int) -> TestOutcome:
+def threshold_test(inst: Instance, agent: int, s: int) -> bool:
     """Two-stage test of a candidate threshold s for one agent.
 
     Only chores strictly above s/4 participate. The k chores strictly
     above s/2 seed bundles 1..k (one each); stage one tops bundles k
     down to 1 up with the remaining participants, largest first, under
     cap s; stage two fills bundles k+1..n the greedy way under cap
-    5s/4. Passes iff every participant is placed. Every s at or above
-    the agent's maximin share passes.
-
-    It runs on the values of the row sorted nonincreasing, as
-    ``search_threshold``'s probes do: ``_large_fits`` answers pass/fail
-    and ``_large_split`` counts the chores above s/2.
+    5s/4. True iff every participant is placed: ``_large_fits`` on the
+    row sorted nonincreasing, as ``search_threshold``'s probes run it.
+    Every s at or above the agent's maximin share passes.
     """
     _as_int(s, "threshold s")
     row = _as_type(inst, Instance, "inst").row(agent)
     desc = sorted(row, reverse=True)
-    n = inst.num_agents
-    return TestOutcome(
-        passed=_large_fits(desc, n, s), really_large_count=_large_split(desc, n, s)[1]
-    )
+    return _large_fits(desc, inst.num_agents, s)
 
 
 def search_threshold(inst: Instance, agent: int) -> int:

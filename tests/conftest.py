@@ -20,7 +20,6 @@ from fairchores import (
     OrderedInstance,
     PolyResult,
     ScheduleResult,
-    TestOutcome,
     ThresholdVector,
     VerificationReport,
     builtin_fixtures,
@@ -53,7 +52,6 @@ RECORD_FIELDS = {
     OracleLimits: ("max_chores", "node_budget"),
     MmsProfile: ("values", "witnesses"),
     AmmsReport: ("passed", "within", "ratios"),
-    TestOutcome: ("passed", "really_large_count"),
     ExistenceResult: ("allocation", "profile", "ratios", "thresholds", "loads"),
     PolyResult: ("allocation", "thresholds", "s_values", "loads"),
 }
@@ -84,7 +82,7 @@ def reference_boundary_search(passes: Callable[[int], bool], lo: int, hi: int) -
 
 def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
     """Does ``_first_fit`` place all of desc into ``bins`` empty bins of cap?"""
-    return not _first_fit(desc, bins, cap)[1]
+    return sum(map(len, _first_fit(desc, bins, cap))) == len(desc)
 
 
 def reference_large_test(desc: Sequence[int], n: int, s: int) -> Tuple[bool, int]:

@@ -186,7 +186,7 @@ def test_criterion_5_threshold_test_ray(corpus_500, profiles_500):
                 if s < 1:
                     continue
                 checked += 1
-                if not threshold_test(inst, i, s).passed:
+                if not threshold_test(inst, i, s):
                     ray_violations += 1
             lo = _pigeonhole(sorted(inst.row(i), reverse=True), inst.num_agents)
             star = search_threshold(inst, i)

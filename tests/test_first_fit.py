@@ -1,15 +1,16 @@
 """Differential tests: the one first-fit packer against the loop it replaced.
 
 ``reference_first_fit`` is a frozen copy of the bin loop that MULTIFIT,
-``naive_test`` and the 5/4 two-stage test ran before they all filled
-their bins through ``scheduling._first_fit``: it passes every
-still-unplaced position once per bin.
+``naive_test`` and the 5/4 two-stage test once ran: it passes every
+still-unplaced position once per bin. ``scheduling._first_fit`` now has
+one caller, ``schedule_119``, which packs the jobs once at its searched
+cap; every probe goes through ``_ffd_fits``.
 
 ``_first_fit``, which takes each bin's largest fitting leftover
-by bisection, must return ``reference_first_fit``'s bins and leftover
-for every nonincreasing row and any number of empty bins of one cap.
-Every cap from the largest load at cap s up to s packs as s does, which
-is why MULTIFIT's makespan equals its searched cap.
+by bisection, must return ``reference_first_fit``'s bins for every
+nonincreasing row and any number of empty bins of one cap. Every cap
+from the largest load at cap s up to s packs as s does, which is why
+MULTIFIT's makespan equals its searched cap.
 
 ``_ffd_fits``, the value-only pass that answers MULTIFIT's and
 ``naive_test``'s probes and stops once the unplaced total outweighs the
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from typing import Iterable, List, Sequence, Tuple
+from typing import List, Sequence
 
 import pytest
 from conftest import first_fit_packs
@@ -32,15 +33,14 @@ from fairchores import scheduling
 from fairchores.scheduling import _ffd_fits, _first_fit
 
 
-def reference_first_fit(
-    desc: Sequence[int], queue: Iterable[int], bins: Sequence[Tuple[int, int]]
-) -> Tuple[List[List[int]], List[int]]:
-    """One largest-first pass per bin over the positions still unplaced."""
-    packed: List[List[int]] = [[] for _ in bins]
-    leftover = list(queue)
-    for taken, (load, cap) in zip(packed, bins):
+def reference_first_fit(desc: Sequence[int], machines: int, cap: int) -> List[List[int]]:
+    """One largest-first pass per empty bin of cap over the positions still unplaced."""
+    packed: List[List[int]] = [[] for _ in range(machines)]
+    leftover = list(range(len(desc)))
+    for taken in packed:
         if not leftover:
             break
+        load = 0
         rest: List[int] = []
         for pos in leftover:
             if load + desc[pos] <= cap:
@@ -49,13 +49,12 @@ def reference_first_fit(
             else:
                 rest.append(pos)
         leftover = rest
-    return packed, leftover
+    return packed
 
 
 def assert_packers_match(desc: Sequence[int], machines: int, cap: int) -> None:
     """The bisection packer and the frozen sweep agree on empty bins of one cap."""
-    expected = reference_first_fit(desc, range(len(desc)), [(0, cap)] * machines)
-    assert _first_fit(desc, machines, cap) == expected
+    assert _first_fit(desc, machines, cap) == reference_first_fit(desc, machines, cap)
 
 
 # (desc, machines, cap): no positions, zero values under a zero cap, and
@@ -74,8 +73,8 @@ class TestFirstFitPacker:
         assert_packers_match(desc, machines, cap)
 
     def test_equal_values_split_lowest_positions_first(self):
-        packed, leftover = _first_fit([4, 4, 4, 4, 4], 2, 8)
-        assert (packed, leftover) == ([[0, 1], [2, 3]], [4])
+        # Position 4 is left over: no bin takes it.
+        assert _first_fit([4, 4, 4, 4, 4], 2, 8) == [[0, 1], [2, 3]]
 
     def test_seeded_corpus(self):
         rng = random.Random(1212)
@@ -93,10 +92,10 @@ class TestFirstFitPacker:
     )
     def test_caps_from_the_makespan_up_pack_alike(self, row, n, s):
         """Uniform bins of cap s whose largest load is M: every cap in
-        [M, s] gives the same bins and leftover."""
+        [M, s] gives the same bins."""
         desc = sorted(row, reverse=True)
         packing = _first_fit(desc, n, s)
-        makespan = max(sum(desc[pos] for pos in bin_) for bin_ in packing[0])
+        makespan = max(sum(desc[pos] for pos in bin_) for bin_ in packing)
         for cap in range(makespan, s + 1):
             assert _first_fit(desc, n, cap) == packing
 

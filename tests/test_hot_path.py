@@ -43,7 +43,6 @@ from fairchores import (
     Instance,
     OracleLimits,
     OrderedInstance,
-    TestOutcome as Outcome,
     ThresholdVector,
     builtin_fixtures,
     generate,
@@ -114,12 +113,11 @@ def reference_greedy_fill(
     return GreedyResult(allocation=allocation, assignment=tuple(assignment)), trace
 
 
-def reference_threshold_test(inst: Instance, agent: int, s: int) -> Outcome:
+def reference_threshold_test(inst: Instance, agent: int, s: int) -> bool:
     """The two-stage test re-sorting the row and running the positional
     reference, ``conftest.reference_large_test``, on it."""
     desc = sorted(inst.row(agent), reverse=True)
-    passed, k = reference_large_test(desc, inst.num_agents, s)
-    return Outcome(passed=passed, really_large_count=k)
+    return reference_large_test(desc, inst.num_agents, s)[0]
 
 
 def reference_search_threshold(inst: Instance, agent: int) -> int:
@@ -128,10 +126,10 @@ def reference_search_threshold(inst: Instance, agent: int) -> int:
     if lower == 0:
         return 0
     lo, hi = lower, 2 * lower
-    assert reference_threshold_test(inst, agent, hi).passed
+    assert reference_threshold_test(inst, agent, hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        if reference_threshold_test(inst, agent, mid).passed:
+        if reference_threshold_test(inst, agent, mid):
             hi = mid
         else:
             lo = mid + 1
@@ -294,10 +292,8 @@ def sweep(inst: Instance, agent: int) -> range:
 def assert_threshold_test_matches(inst: Instance) -> None:
     for agent in range(inst.num_agents):
         for s in sweep(inst, agent):
-            got = threshold_test(inst, agent, s)
             want = reference_threshold_test(inst, agent, s)
-            assert got.passed == want.passed, (agent, s)
-            assert got.really_large_count == want.really_large_count, (agent, s)
+            assert threshold_test(inst, agent, s) == want, (agent, s)
 
 
 def assert_search_matches(inst: Instance) -> None:

@@ -25,7 +25,6 @@ CORES = (
     "_lift",
     "_first_fit",
     "_ffd_fits",
-    "_large_split",
     "threshold_test",
     "_large_fits",
     "_boundary_search",

@@ -34,7 +34,6 @@ from fairchores import (
     MmsProfile,
     NodeBudgetError,
     OracleLimits,
-    builtin_fixtures,
     exact_mms,
     generate,
     mms_profile,
@@ -71,18 +70,6 @@ def job_lists(draw, max_len=8, max_value=30):
 
 
 class TestExactMms:
-    def test_boundary_fixture_value(self):
-        f1 = builtin_fixtures()[0]
-        value, witness = exact_mms(f1.instance, 0)
-        assert value == 17
-        assert max(f1.instance.value(0, b) for b in witness.bundles) == 17
-        assert witness.complete
-
-    def test_non_monotone_fixture_value(self):
-        f2 = builtin_fixtures()[1]
-        value, _ = exact_mms(f2.instance, 0, OracleLimits(max_chores=17))
-        assert value == 150
-
     def test_single_agent_gets_everything(self):
         inst = Instance.from_rows([[4, 9, 2]])
         value, witness = exact_mms(inst, 0)
@@ -321,10 +308,6 @@ class TestOptimalMakespan:
 
     def test_single_machine_is_total(self):
         assert optimal_makespan([4, 1, 7], 1) == 12
-
-    def test_non_monotone_fixture_jobs(self):
-        row = builtin_fixtures()[1].instance.row(0)
-        assert optimal_makespan(row, 4, OracleLimits(max_chores=17)) == 150
 
     # 2 machines x 400 fives, 400 fours and 401 threes: LPT misses the
     # pigeonhole bound 2402, and the search without the waste rule took

@@ -1,6 +1,6 @@
 """The package's frozen records behave as the frozen dataclasses they replace.
 
-For each of the 15 record classes, one representative object: its repr
+For each of the 14 record classes, one representative object: its repr
 is pinned to the string the dataclass version printed, it equals and
 hashes as a copy rebuilt through its constructor, it survives deepcopy
 and pickle, and it refuses assignment and deletion. Construction takes
@@ -20,7 +20,6 @@ from conftest import RECORD_FIELDS, rebuilt
 
 import fairchores as fc
 from fairchores.instances import _trusted
-from fairchores.solvers import threshold_test
 
 INST = fc.Instance.from_rows([[3, 1, 2], [2, 2, 1]])
 ALLOC = fc.Allocation(bundles=[[0], [1, 2]], leftover=[])
@@ -86,10 +85,6 @@ REPRESENTATIVES = [
         "ratios=(Fraction(1, 1), Fraction(1, 1)))",
     ),
     (
-        threshold_test(INST, 0, 4),
-        "TestOutcome(passed=True, really_large_count=1)",
-    ),
-    (
         fc.solve_existence_119(INST),
         f"ExistenceResult(allocation={GREEDY_ALLOC}, "
         f"profile=MmsProfile(values=(3, 3), witnesses={WITNESSES}), "
@@ -121,7 +116,7 @@ def values(obj) -> list:
 
 def test_every_record_class_has_a_representative():
     assert set(map(type, OBJECTS)) == set(RECORD_FIELDS)
-    assert len(OBJECTS) == len(RECORD_FIELDS) == 15
+    assert len(OBJECTS) == len(RECORD_FIELDS) == 14
 
 
 @pytest.mark.parametrize("obj", OBJECTS, ids=IDS)

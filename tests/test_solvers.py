@@ -82,31 +82,25 @@ class TestNaiveTest:
 class TestThresholdTest:
     def test_no_large_chores_passes_immediately(self):
         inst = identical([2, 2, 2], n=3)
-        outcome = threshold_test(inst, 0, 9)
-        assert outcome.passed
-        assert outcome.really_large_count == 0
+        assert threshold_test(inst, 0, 9) is True
 
     def test_passes_at_exact_share(self):
         f1 = builtin_fixtures()[0]
-        outcome = threshold_test(f1.instance, 0, 17)
-        assert outcome.passed
-        assert outcome.really_large_count == 1
+        assert threshold_test(f1.instance, 0, 17)
 
     def test_special_agent_at_share(self):
         f3 = builtin_fixtures()[2]
-        assert threshold_test(f3.instance, 3, 450).passed
+        assert threshold_test(f3.instance, 3, 450)
 
     def test_too_many_really_large_fails(self):
-        inst = identical([10, 10, 10], n=2)
-        outcome = threshold_test(inst, 0, 15)
-        assert not outcome.passed
-        assert outcome.really_large_count == 3
+        # Three chores above 15/2 outnumber the two bundles.
+        assert threshold_test(identical([10, 10, 10], n=2), 0, 15) is False
 
     def test_threshold_floor(self):
         # The floor is naive_test's, 0: two chores above 0/2 outnumber one bundle.
         with pytest.raises(InputError, match="threshold s must be at least 0"):
             threshold_test(identical([1]), 0, -1)
-        assert not threshold_test(identical([1, 1], n=1), 0, 0).passed
+        assert not threshold_test(identical([1, 1], n=1), 0, 0)
 
 
 class TestSearchThreshold:
@@ -172,7 +166,7 @@ class TestSearchThreshold:
         for inst in (Instance.from_rows([[0, 0], [0, 0]]), Instance.from_rows([[0, 0], [3, 1]])):
             s = search_threshold(inst, 0)
             assert s == 0
-            assert threshold_test(inst, 0, s).passed
+            assert threshold_test(inst, 0, s)
 
     @settings(max_examples=80, deadline=None)
     @given(small_instances(max_agents=5, max_chores=12, max_value=60))
@@ -181,7 +175,7 @@ class TestSearchThreshold:
         for agent in range(inst.num_agents):
             top = 2 * lower_of(inst, agent)
             if top > 0:
-                assert threshold_test(inst, agent, top).passed
+                assert threshold_test(inst, agent, top)
                 assert naive_test(inst, agent, top)
 
     @settings(max_examples=80, deadline=None)
@@ -190,9 +184,9 @@ class TestSearchThreshold:
         for agent in range(inst.num_agents):
             lower = lower_of(inst, agent)
             s_star = search_threshold(inst, agent)
-            assert threshold_test(inst, agent, s_star).passed
+            assert threshold_test(inst, agent, s_star)
             if s_star > lower:
-                assert not threshold_test(inst, agent, s_star - 1).passed
+                assert not threshold_test(inst, agent, s_star - 1)
 
     @settings(max_examples=40, deadline=None)
     @given(small_instances(max_agents=3, max_chores=6, max_value=25))

@@ -97,8 +97,8 @@ CATALOGUE = (
      "_first_fit: a value that fills the room exactly is passed over"),
     (SCHEDULING, "taken.append(left.pop(i - 1))", "taken.append(left.pop(i))",
      "_first_fit: a bin records the position after the one it bisected to"),
-    (SCHEDULING, "return packed, left[::-1]", "return packed, left",
-     "_first_fit: the unplaced positions come back descending"),
+    (SCHEDULING, "range(len(desc) - 1, -1, -1)", "range(len(desc))",
+     "_first_fit: the positions run ascending beside the ascending values"),
     # _ffd_fits
     (SCHEDULING, "left > cap * empty", "left >= cap * empty",
      "_ffd_fits early stop: an exact fill counts as a failure"),
@@ -114,20 +114,20 @@ CATALOGUE = (
     (SCHEDULING, "while lo < top:", "while lo < top - 1:",
      "_boundary_search: the bisection stops one probe short"),
     # schedule_119's re-checks
-    (SCHEDULING, "if left:\n        raise", "if None:\n        raise",
+    (SCHEDULING, "if sum(map(len, packed)) != len(desc):", "if None:",
      "schedule_119 re-check: jobs left over at the searched cap go unchecked"),
     (SCHEDULING, "if max(loads) != makespan:", "if max(loads) > makespan:",
      "schedule_119 re-check: a makespan below the searched cap passes"),
-    # _large_split, which _large_fits and threshold_test call
+    # _large_fits's split of the row into its large prefixes
     (SOLVERS, "-(s // 4), key=neg)", "-(s // 4) - 1, key=neg)",
-     "_large_split: a chore one above s/4 is not large"),
+     "_large_fits: a chore one above s/4 is not large"),
     (SOLVERS, "-(s // 2), hi=large", "-(s // 2) - 1, hi=large",
-     "_large_split: a chore one above s/2 seeds no bundle"),
-    (SOLVERS, "large, k, k > n", "large, k, k >= n",
-     "_large_split: n chores above s/2 count as too many"),
+     "_large_fits: a chore one above s/2 seeds no bundle"),
+    (SOLVERS, "if k > n:", "if k >= n:",
+     "_large_fits: n chores above s/2 count as too many"),
     # threshold_test
-    (SOLVERS, "_large_split(desc, n, s)[1]", "_large_split(desc, n, s)[0]",
-     "threshold_test: really_large_count counts the chores above s/4"),
+    (SOLVERS, "_large_fits(desc, inst.num_agents, s)", "_large_fits(desc, inst.num_agents - 1, s)",
+     "threshold_test: the row is split into one bundle fewer than the agents"),
     (SOLVERS, "desc = sorted(row, reverse=True)", "desc = sorted(row)",
      "threshold_test: the row is sorted ascending"),
     # _large_fits. Its seeding pass as ``range(k)`` would be equivalent (a
@@ -196,7 +196,7 @@ CATALOGUE = (
      "_below: each batch draws one value more than are missing"),
     # _large_fits, continued: numbered last so that the numbers above
     # stay those of earlier kill matrices.
-    (SOLVERS, "too_many:\n        return False", "too_many:\n        return True",
+    (SOLVERS, "k > n:\n        return False", "k > n:\n        return True",
      "_large_fits: more than n chores above s/2 pass"),
     (SOLVERS, "_ffd_fits(vals[::-1],", "_ffd_fits(vals,",
      "_large_fits: stage two gets the values ascending"),
