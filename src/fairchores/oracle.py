@@ -22,9 +22,12 @@ minus the most that later values can put in it, read from a bitset of
 each suffix's subset sums, at a coarser resolution where the cap is
 wider than the bitset. Its state is two lists, ``assign`` and
 ``loads``, not the call stack, so only its own limits bound the row
-length it accepts. Beside the shares, ``check_amms`` holds each load to
-alpha times its share, and ``_ratio`` is the exact load/share ratio
-that it and the solvers report.
+length it accepts. Two bins read at full resolution take no search:
+their share is the total less the largest subset sum at most half of
+it, and the same bitsets give the search's witness directly. Beside
+the shares, ``check_amms`` holds each load to alpha times its share,
+and ``_ratio`` is the exact load/share ratio that it and the solvers
+report.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ class OracleLimits(_Record):
 
     Exceeding either limit raises; the oracle never silently degrades to
     an approximation. ``node_budget`` bounds the placements of one
-    search, so ``mms_profile`` grants it to each distinct sorted row.
+    search, so ``mms_profile`` grants it to each distinct sorted row. A
+    row that ``_min_makespan`` decides without a search places nothing,
+    so no budget stops it.
     """
 
     max_chores: int = DEFAULT_MAX_CHORES
@@ -158,6 +163,48 @@ def check_amms(
     return AmmsReport(passed=all(within), within=within, ratios=ratios)
 
 
+def _two_bins(
+    desc: Sequence[int], total: int, suf: List[int], incumbent: int, best: List[int]
+) -> Tuple[int, List[int]]:
+    """Optimal makespan of a nonincreasing row on two bins and the
+    search's witness, read from its exact subset-sum table ``suf``, which
+    holds every sum up to half the total.
+
+    The makespan is the total less the largest subset sum at most half
+    of it, with or without ``desc[0]``. When that is the LPT makespan
+    ``incumbent``, the search finds nothing better and keeps the LPT
+    schedule ``best``. Otherwise its witness is the first schedule in
+    depth-first order that reaches the makespan: position k takes bin 0
+    when the values after it can split with neither bin past the
+    makespan, that is when its value fits bin 0 and the largest sum of
+    later values that fits the room left there, the highest set bit of
+    ``suf[k + 1]`` at or below it, leaves bin 1 no more than its room;
+    it takes bin 1 otherwise. The search's cuts close only subtrees
+    without such a schedule, and its equal-load skip only a mirror of
+    bin 0, so it meets this schedule first.
+    """
+    half = total // 2
+    fill = (suf[1] & ((2 << half) - 1)).bit_length() - 1
+    if desc[0] <= half:
+        fill = max(fill, desc[0] + (suf[1] & ((2 << half - desc[0]) - 1)).bit_length() - 1)
+    makespan = total - fill
+    if makespan == incumbent:
+        return makespan, best
+    room0 = room1 = makespan
+    rest = total
+    bins = []
+    for j, value in enumerate(desc, 1):
+        rest -= value
+        room = room0 - value
+        if room >= 0 and (suf[j] & ((2 << room) - 1)).bit_length() > rest - room1:
+            room0 = room
+            bins.append(0)
+        else:
+            room1 -= value
+            bins.append(1)
+    return makespan, bins
+
+
 def _min_makespan(
     desc: Sequence[int], n: int, limits: OracleLimits
 ) -> Tuple[int, List[int], int]:
@@ -208,7 +255,12 @@ def _min_makespan(
     positive. At ``q`` 1 the fill is the largest sum itself, read by a
     cheaper loop of its own.
 
-    Returns the makespan, the bin of each position and the node count.
+    Two bins at ``q`` 1 are not searched: ``_two_bins`` reads the
+    makespan and the witness above from the table, as it holds every sum
+    up to the first cap, which is at least half the total.
+
+    Returns the makespan, the bin of each position and the node count,
+    0 for a row that closes at the LPT seed or on two bins at ``q`` 1.
     Its state is ``assign`` (the bin of each placed position) and
     ``loads``: an exhausted depth undoes the placement one depth up and
     resumes there after that placement's bin, so no row length reaches
@@ -247,6 +299,9 @@ def _min_makespan(
     suf = [1] * (m + 1)
     for j in range(last, 0, -1):
         suf[j] = (suf[j + 1] | suf[j + 1] << desc[j] // q) & top
+    if n == 2 and q == 1:
+        makespan, bins = _two_bins(desc, total, suf, incumbent, best)
+        return makespan * g, bins, 0
     k = 0
     start = 0
     while True:

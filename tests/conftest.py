@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import pytest
 
@@ -37,6 +37,7 @@ SEED_HOT_PATH_CORPUS = 9009
 SEED_ORACLE_CORPUS = 10010
 SEED_PROBE_CORPUS = 11011
 SEED_PROFILE_CORPUS = 12012
+SEED_TWO_BIN_CORPUS = 13013
 
 # Each record class's fields, in the order its constructor takes them.
 RECORD_FIELDS = {
@@ -85,10 +86,9 @@ def first_fit_packs(desc: Sequence[int], bins: int, cap: int) -> bool:
     return sum(map(len, _first_fit(desc, bins, cap))) == len(desc)
 
 
-def reference_large_test(desc: Sequence[int], n: int, s: int) -> Tuple[bool, int]:
+def reference_large_test(desc: Sequence[int], n: int, s: int) -> bool:
     """The two-stage large-chore test, position by position: whether it
-    places every position of ``desc`` (sorted nonincreasing) above s/4,
-    and the number k above s/2.
+    places every position of ``desc`` (sorted nonincreasing) above s/4.
 
     Independent of ``src/``: the positions above s/2 seed bundles 1..k,
     one each; bundles k down to 1 then each pass once over the large
@@ -99,7 +99,7 @@ def reference_large_test(desc: Sequence[int], n: int, s: int) -> Tuple[bool, int
     large = [p for p in range(len(desc)) if 4 * desc[p] > s]
     k = sum(1 for p in large if 2 * desc[p] > s)
     if k > n:
-        return False, k
+        return False
     loads = list(desc[:k]) + [0] * (n - k)
     queue = large[k:]
     for t in range(k - 1, -1, -1):
@@ -118,7 +118,7 @@ def reference_large_test(desc: Sequence[int], n: int, s: int) -> Tuple[bool, int
             else:
                 rest.append(p)
         queue = rest
-    return not queue, k
+    return not queue
 
 
 def enumerate_min_makespan(values: Sequence[int], machines: int) -> int:

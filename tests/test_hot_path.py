@@ -117,7 +117,7 @@ def reference_threshold_test(inst: Instance, agent: int, s: int) -> bool:
     """The two-stage test re-sorting the row and running the positional
     reference, ``conftest.reference_large_test``, on it."""
     desc = sorted(inst.row(agent), reverse=True)
-    return reference_large_test(desc, inst.num_agents, s)[0]
+    return reference_large_test(desc, inst.num_agents, s)
 
 
 def reference_search_threshold(inst: Instance, agent: int) -> int:

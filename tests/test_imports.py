@@ -1,17 +1,17 @@
 """Import hygiene of the package, checked with the standard ``ast`` module.
 
-Every name a module imports must be used in it, so a symbol that loses
-its last caller also loses its import. ``__init__.py`` is exempt: its
-imports are the public re-exports, and every name in ``__all__`` must
-resolve on the package, none of them a ``Test*`` name that pytest would
-try to collect. The core modules import only the layers below
-them: the greedy and the schedulers sit on ``errors`` and ``instances``,
+Every name a module, a test or a tool imports must be used in it, so a
+symbol that loses its last caller also loses its import. ``__init__.py``
+is exempt: its imports are the public re-exports, and every name in
+``__all__`` must resolve on the package, none of them a ``Test*`` name
+that pytest would try to collect. The core modules import only the
+layers below them: the greedy and the schedulers sit on ``errors`` and ``instances``,
 the oracle adds ``scheduling``, and ``solvers`` and ``cli`` sit above.
 Importing the package loads none of the modules only the CLI or an
 introspection needs, and no name CHANGES.md lists as removed comes back.
 A test imports only the standard library, the package, the test extras
 ``pyproject.toml`` lists and the local helpers; a tool under ``tools/``
-imports only the standard library and uses every name it imports.
+imports only the standard library.
 """
 
 from __future__ import annotations
@@ -71,14 +71,14 @@ def test_the_checker_flags_an_unused_import():
 
 
 TOOLS = sorted((Path(__file__).resolve().parents[1] / "tools").glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
-@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == set()
 
 
-TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 # What a test may import besides the standard library: the package, the
 # test extras pyproject.toml lists, and the local helpers (conftest, and
 # perfbench's run and workloads, which test_pins puts on the path, and

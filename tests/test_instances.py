@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import random
 import re
 import sys
 from enum import IntEnum

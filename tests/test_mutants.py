@@ -21,6 +21,7 @@ CORES = (
     "_min_makespan incumbent",
     "_min_makespan tie skip",
     "_min_makespan early stop",
+    "_min_makespan two bins",
     "_fill",
     "_lift",
     "_first_fit",

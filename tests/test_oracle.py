@@ -5,7 +5,9 @@ keeps every reachable vector of loads. Witnesses, node counts and budget
 stops are checked against ``recursive_search``, the oracle's search
 written recursively, which runs with and without its waste bound: the
 two give the same share and witness on every row, so the bound only
-prunes, and the oracle takes the pruned search's nodes, node for node.
+prunes, and the oracle takes the pruned search's nodes, node for node,
+on every row it searches. Two bins read at resolution 1 it decides
+with no node, with the reference's share and witness.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from fairchores.instances import allocation_to_json
 from conftest import (
     SEED_ORACLE_CORPUS,
     SEED_PROFILE_CORPUS,
+    SEED_TWO_BIN_CORPUS,
     enumerate_min_makespan,
     oracle_corpus,
     rebuilt,
@@ -131,13 +134,20 @@ class TestLimits:
         assert value == 13
 
     def test_node_budget_is_a_hard_error(self):
-        # LPT yields 7 here while the bracket floor is 6, so the
+        # On 3 bins LPT yields 11 here while the optimum is 9, so the
         # search must actually branch and trips a one-node budget.
-        inst = identical([3, 3, 2, 2, 2], n=2)
+        inst = identical([5, 5, 4, 4, 3, 3, 3], n=3)
         with pytest.raises(NodeBudgetError):
             exact_mms(inst, 0, OracleLimits(node_budget=1))
         value, _ = exact_mms(inst, 0)
-        assert value == 6
+        assert value == 9
+
+    def test_two_bins_need_no_budget(self):
+        # LPT yields 7 on 2 bins while the optimum is 6; two bins are
+        # decided from the subset sums, with no placement to budget.
+        inst = identical([3, 3, 2, 2, 2], n=2)
+        assert exact_mms(inst, 0, OracleLimits(node_budget=1)) == exact_mms(inst, 0)
+        assert exact_mms(inst, 0)[0] == 6
 
     def test_limit_validation(self):
         with pytest.raises(InputError):
@@ -198,7 +208,7 @@ class TestProfile:
     PROFILE_SHA256 = "5ce76fb0fa23e46acbe10f48444fa1f352b6a049d34a9ccd2afff789f743ebec"
     # The nodes the searches of those solves take, one search per distinct
     # sorted row: the work a pruning rule saves, which no clock can blur.
-    PROFILE_NODES = 70_980
+    PROFILE_NODES = 64_380
 
     def test_profile_digest_is_pinned(self, monkeypatch):
         nodes = []
@@ -309,16 +319,20 @@ class TestOptimalMakespan:
     def test_single_machine_is_total(self):
         assert optimal_makespan([4, 1, 7], 1) == 12
 
-    # 2 machines x 400 fives, 400 fours and 401 threes: LPT misses the
-    # pigeonhole bound 2402, and the search without the waste rule took
-    # 167,052 nodes. Trailing zeros add no subset sum, so the rule still
-    # fires; the search takes 1,502 nodes plus one per zero.
+    # 400 fives, 400 fours and 401 threes: LPT misses the pigeonhole
+    # bound on 2 machines (2403 against 2402) and on 3 (1603 against
+    # 1601). Two machines are decided from the subset sums, with no node.
+    # On 3 the waste rule closes the long row; trailing zeros add no
+    # subset sum, so it still fires, and the search takes 3,044 nodes
+    # plus two per zero.
     @pytest.mark.parametrize("zeros", [0, 1, 5])
     def test_five_four_three_row_fits_a_small_budget(self, zeros):
         row = [5] * 400 + [4] * 400 + [3] * 401 + [0] * zeros
         limits = OracleLimits(max_chores=5000, node_budget=10_000)
         assert optimal_makespan(row, 2, limits) == 2402
-        assert oracle._min_makespan(row, 2, limits)[2] == 1502 + zeros
+        assert oracle._min_makespan(row, 2, limits)[2] == 0
+        assert optimal_makespan(row, 3, limits) == 1601
+        assert oracle._min_makespan(row, 3, limits)[2] == 3044 + 2 * zeros
 
     # Machines past one per job stay idle: the search gets one bin per
     # job, so the value is the uncapped search's and the memory is flat.
@@ -481,6 +495,22 @@ def reference_exact_mms(
     return recursive_search(inst, agent, limits)[:2]
 
 
+def decided(inst: Instance, agent: int) -> bool:
+    """Does the oracle answer this row with no search? It does on two
+    bins when the reference reads its table at resolution 1: when the
+    first cap, on the row divided by its gcd, is below SUBSET_CAP and its
+    m + 1 bitsets of that width fit SUBSET_BITS, or is at most 0."""
+    row = inst.row(agent)
+    cap = schedule_lpt(row, 2).makespan // (math.gcd(*row) or 1) - 1
+    fits = cap < oracle.SUBSET_CAP and (len(row) + 1) * (cap + 1) <= oracle.SUBSET_BITS
+    return inst.num_agents == 2 and (cap <= 0 or fits)
+
+
+def oracle_nodes(inst: Instance, agent: int, nodes: int) -> int:
+    """The oracle's nodes on a row where the reference takes ``nodes``."""
+    return 0 if decided(inst, agent) else nodes
+
+
 def outcome(oracle, inst: Instance, agent: int, limits: OracleLimits):
     try:
         value, witness = oracle(inst, agent, limits)
@@ -511,7 +541,7 @@ def waste_rule_totals(rows: List[Tuple[Instance, int]]) -> List[int]:
     """The reference's node totals on ``rows`` without and with its waste
     rule, after checking that the rule keeps every share and witness,
     which are ``exact_mms``'s, never adds nodes, and that the oracle takes
-    the pruned reference's nodes."""
+    the pruned reference's nodes on every row it searches."""
     limits = OracleLimits()
     totals = [0, 0]
     for inst, agent in rows:
@@ -520,7 +550,8 @@ def waste_rule_totals(rows: List[Tuple[Instance, int]]) -> List[int]:
         assert exact_mms(inst, agent, limits) == (value, witness) == before[:2]
         assert nodes <= before[2]
         desc = sorted(inst.row(agent), reverse=True)
-        assert oracle._min_makespan(desc, inst.num_agents, limits)[2] == nodes
+        found = oracle._min_makespan(desc, inst.num_agents, limits)[2]
+        assert found == oracle_nodes(inst, agent, nodes)
         totals[0] += before[2]
         totals[1] += nodes
     return totals
@@ -528,16 +559,17 @@ def waste_rule_totals(rows: List[Tuple[Instance, int]]) -> List[int]:
 
 def subset_bits_total(monkeypatch, bits: int) -> int:
     """The oracle's nodes on the corpus with SUBSET_BITS set to ``bits``,
-    after checking its shares, witnesses and nodes against the
-    reference's on every row."""
+    after checking its shares and witnesses against the reference's on
+    every row, and its nodes on every row it searches."""
     monkeypatch.setattr(oracle, "SUBSET_BITS", bits)
     limits = OracleLimits(max_chores=17)
     total = 0
     for inst, agent in corpus_rows():
         desc = sorted(inst.row(agent), reverse=True)
         nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
-        expected = recursive_search(inst, agent, limits)
-        assert (*exact_mms(inst, agent, limits), nodes) == expected
+        value, witness, expected = recursive_search(inst, agent, limits)
+        assert exact_mms(inst, agent, limits) == (value, witness)
+        assert nodes == oracle_nodes(inst, agent, expected)
         total += nodes
     return total
 
@@ -558,11 +590,13 @@ class TestAgainstRecursiveOracle:
                 row = inst.row(agent)
                 assert optimal_makespan(row, inst.num_agents, limits) == expected[0]
                 # The same nodes in the same order: every budget runs out
-                # at the same place or not at all.
+                # at the same place or not at all. A row decided with no
+                # search fits every budget.
                 for budget in (1, 3, 10, 40):
                     small = OracleLimits(max_chores=17, node_budget=budget)
+                    reference = limits if decided(inst, agent) else small
                     assert outcome(exact_mms, inst, agent, small) == outcome(
-                        reference_exact_mms, inst, agent, small
+                        reference_exact_mms, inst, agent, reference
                     )
 
     def test_node_counts_match(self):
@@ -583,7 +617,7 @@ class TestAgainstRecursiveOracle:
         for inst, agent in agents:
             desc = sorted(inst.row(agent), reverse=True)
             nodes = oracle._min_makespan(desc, inst.num_agents, limits)[2]
-            assert nodes == recursive_search(inst, agent, limits)[2]
+            assert nodes == oracle_nodes(inst, agent, recursive_search(inst, agent, limits)[2])
             # The count is the budget the search needs, and no less.
             exact_mms(inst, agent, OracleLimits(node_budget=max(nodes, 1)))
             if nodes > 1:
@@ -604,20 +638,23 @@ class TestAgainstRecursiveOracle:
     # the edges of the window below the smallest positive value p. A lone
     # positive value is the pigeonhole bound, so nothing is searched;
     # trailing zeros add no subset sum and never set p; and the two
-    # smallest values may be equal.
+    # smallest values may be equal. The oracle decides the 2-bin row with
+    # no search, so the trailing zeros are also searched on 3 bins.
     @pytest.mark.parametrize(
         "row, n, share, unpruned, pruned",
         [
             ([0, 9, 0], 3, 9, 0, 0),
             ([55, 0, 55, 2, 31, 55, 0, 31], 2, 117, 7, 1),
+            ([55, 0, 55, 2, 31, 55, 0, 31], 3, 86, 3, 1),
             (SEVENS_FIVES_THREES, 3, 36, 22_310, 48),
         ],
-        ids=["one-positive", "trailing-zeros", "equal-smallest"],
+        ids=["one-positive", "trailing-zeros", "trailing-zeros-3-bins", "equal-smallest"],
     )
     def test_pair_window_edge_rows(self, row, n, share, unpruned, pruned):
         assert waste_rule_totals([(identical(row, n), 0)]) == [unpruned, pruned]
         desc = sorted(row, reverse=True)
-        assert oracle._min_makespan(desc, n, OracleLimits())[::2] == (share, pruned)
+        nodes = oracle_nodes(identical(row, n), 0, pruned)
+        assert oracle._min_makespan(desc, n, OracleLimits())[::2] == (share, nodes)
 
     # The 7-5-3 row with each value times 4096 plus 1 has gcd 1 and a
     # first cap of 155,655, past SUBSET_CAP, so its table is read at the
@@ -650,12 +687,13 @@ class TestAgainstRecursiveOracle:
 
     # At the real constants SUBSET_BITS binds only from m = 1,024. At
     # 2**10 bits it holds the corpus's tables to 1,024 // (m + 1) bits,
-    # and that width sets a resolution q > 1 on 149 of its searches. The
-    # oracle keeps the reference's shares, witnesses and nodes; the
-    # corpus's 3,910 nodes at the real constants become 6,186.
+    # and that width sets a resolution q > 1 on 149 of its searches,
+    # including two-bin rows, which the oracle then searches. It keeps
+    # the reference's shares, witnesses and searched nodes; the corpus's
+    # 3,121 nodes at the real constants become 6,107.
     def test_subset_bits_sets_the_resolution(self, monkeypatch):
-        assert subset_bits_total(monkeypatch, oracle.SUBSET_BITS) == 3_910
-        assert subset_bits_total(monkeypatch, 1 << 10) == 6_186
+        assert subset_bits_total(monkeypatch, oracle.SUBSET_BITS) == 3_121
+        assert subset_bits_total(monkeypatch, 1 << 10) == 6_107
 
     # At one bit the width floors at 1 and q is the first cap plus one:
     # every value reads as 0, and the bound keeps only what p gives it.
@@ -698,3 +736,49 @@ class TestAgainstRecursiveOracle:
         if a <= 20:
             expected = recursive_search(identical(row, 3), 0, limits)
             assert (expected[0], expected[2]) == (share, nodes)
+
+
+class TestTwoBins:
+    """Two bins whose table is read at resolution 1 are decided from the
+    subset sums with no search, and keep the search's share and witness."""
+
+    def test_rows_match_the_reference(self):
+        # m 0-14 and values up to 3, 10, 100 or 1000, a fifth of them
+        # zeros; every third row is a half row twice over, and every fifth
+        # is scaled so that its gcd exceeds 1.
+        rng = random.Random(SEED_TWO_BIN_CORPUS)
+        limits = OracleLimits()
+        kept = built = 0
+        for k in range(1500):
+            top = rng.choice([3, 10, 100, 1000])
+            m = rng.randint(0, 14)
+            row = [rng.randint(1, top) if rng.random() < 0.8 else 0 for _ in range(m)]
+            if k % 3 == 0:
+                row = row[: m // 2] * 2
+            if k % 5 == 0:
+                factor = rng.randint(2, 9)
+                row = [v * factor for v in row]
+            inst = identical(row, 2)
+            value, witness, nodes = recursive_search(inst, 0, limits)
+            assert exact_mms(inst, 0, limits) == (value, witness)
+            assert optimal_makespan(row, 2, limits) == value
+            assert oracle._min_makespan(sorted(row, reverse=True), 2, limits)[2] == 0
+            lpt = schedule_lpt(row, 2).makespan
+            kept += nodes > 0 and lpt == value
+            built += lpt > value
+        # Both ends are reached: a row past the pigeonhole bound whose LPT
+        # seed is optimal, and a row whose witness is built.
+        assert kept and built
+
+    # [3, 3, 2, 2, 2] with each value times 4096 plus 1: gcd 1 and a
+    # first cap of 28,674, past SUBSET_CAP, so the row is searched.
+    def test_a_row_past_the_subset_cap_is_searched(self):
+        row = [v * 4096 + 1 for v in [3, 3, 2, 2, 2]]
+        inst = identical(row, 2)
+        value, witness, nodes = recursive_search(inst, 0, OracleLimits())
+        assert nodes > 0
+        assert oracle._min_makespan(sorted(row, reverse=True), 2, OracleLimits())[::2] == (
+            value,
+            nodes,
+        )
+        assert exact_mms(inst, 0) == (value, witness)

@@ -12,7 +12,8 @@ same corpora and give these digests.
 
 The exact search's nodes on the seed-3 and seed-41 ``exact-small``
 corpora, summed over each instance's distinct sorted rows: work, not
-time, so a machine's clock drift cannot move them. No perfbench workload
+time, so a machine's clock drift cannot move them. Two-agent rows add
+none there, as they are decided without a search. No perfbench workload
 reaches a first cap past ``SUBSET_CAP``, where the search reads its
 subset sums at a resolution q > 1, so a generated corpus with values up
 to 10**6 (gcd 1, every first cap past it) pins that path's nodes too.
@@ -77,7 +78,7 @@ def search_nodes(insts) -> int:
     return nodes
 
 
-@pytest.mark.parametrize("seed, pinned", [(3, 39_391), (41, 38_585)])
+@pytest.mark.parametrize("seed, pinned", [(3, 35_522), (41, 35_244)])
 def test_exact_small_search_nodes(seed, pinned):
     cases = WORKLOADS["exact-small"].build(fc, seed, 1)
     assert search_nodes(case.args[0] for case in cases) == pinned
@@ -109,7 +110,7 @@ def test_probe_matches_the_packer_at_every_probed_threshold(monkeypatch):
 
     def compared(desc, n, s):
         passed = fits(desc, n, s)
-        assert passed == reference_large_test(desc, n, s)[0]
+        assert passed == reference_large_test(desc, n, s)
         checked.append(passed)
         return passed
 

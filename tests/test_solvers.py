@@ -216,7 +216,7 @@ class TestLargeFits:
         # Every s from 0, below every positive value, past the bracket's top.
         desc = sorted([0] * len(values) if zero else values, reverse=True)
         for s in range(2 * _pigeonhole(desc, n) + 3):
-            assert solvers._large_fits(desc, n, s) == reference_large_test(desc, n, s)[0]
+            assert solvers._large_fits(desc, n, s) == reference_large_test(desc, n, s)
 
 
 class TestSolveExistence119:

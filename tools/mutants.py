@@ -200,6 +200,24 @@ CATALOGUE = (
      "_large_fits: more than n chores above s/2 pass"),
     (SOLVERS, "_ffd_fits(vals[::-1],", "_ffd_fits(vals,",
      "_large_fits: stage two gets the values ascending"),
+    # _min_makespan's two bins. ``n <= 2`` for ``n == 2`` would be
+    # equivalent, as one bin always closes at the LPT seed, and so would
+    # ``desc[0] < half`` for ``desc[0] <= half``: the rest of a largest
+    # value of exactly half the total sums to half or half plus 1, and
+    # either has a subset sum of half or holds no 1, when LPT reaches the
+    # pigeonhole bound.
+    (ORACLE, "if n == 2 and q == 1:", "if n == 2 and q >= 1:",
+     "_min_makespan two bins: a row read at a resolution q > 1 is decided from the coarse table"),
+    (ORACLE, "fill = max(fill, desc[0] + ", "fill = max(fill, ",
+     "_min_makespan two bins: the fill leaves out every sum with the largest value"),
+    (ORACLE, "if makespan == incumbent:", "if makespan > incumbent:",
+     "_min_makespan two bins: an optimal LPT seed is replaced by the first depth-first schedule"),
+    (ORACLE, "if room >= 0 and", "if room > 0 and",
+     "_min_makespan two bins: a value that fills bin 0's room exactly goes to bin 1"),
+    (ORACLE, "(suf[j] & ((2 << room) - 1))", "(suf[j] & ((1 << room) - 1))",
+     "_min_makespan two bins: later values that fill bin 0's room exactly are not seen"),
+    (ORACLE, ".bit_length() > rest - room1:", ".bit_length() >= rest - room1:",
+     "_min_makespan two bins: bin 1 may be left one unit past its room"),
 )
 
 
